@@ -8,7 +8,7 @@ flags win over the file.
 
 Artifact tree (all under --out):
 
-    ingest/registry.tsv, ingest/year_<label>.tsv, ingest/corpus_stats.json
+    ingest/registry.tsv, years.txt, cells.npy, corpus_stats.json
     reports/transition_summary.csv, margins_*.csv, revision_*.csv,
             triangle_nodes_*.csv, journal_flags.json,
             hot_links.csv, link_flags.json
@@ -28,7 +28,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from .netgraph import (
     connected_components,
     degree_centrality,
     louvain,
+    modularity,
 )
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -73,7 +73,6 @@ class RunConfig:
     seed: int = 0
     out: Path = field(default_factory=lambda: Path("citeheat_out"))
     basemap: str | None = None
-    threads: int = 1
 
     def validate(self, need_years: bool) -> None:
         if self.k < 0:
@@ -82,8 +81,6 @@ class RunConfig:
             raise ConfigError(
                 f"--unit must be one of {sorted(UNIT_SCALE)}, got {self.unit!r}"
             )
-        if self.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {self.threads}")
         if need_years:
             if len(self.years) != 3:
                 raise ConfigError(
@@ -120,7 +117,7 @@ def load_config_file(path: str | Path) -> dict:
             key, value = key.strip(), value.strip()
             if key in ("year", "exclude"):
                 values[key].append(value)
-            elif key in ("renames", "k", "unit", "seed", "out", "basemap", "threads"):
+            elif key in ("renames", "k", "unit", "seed", "out", "basemap"):
                 values[key] = value
             elif key == "keep_loops":
                 if value not in ("true", "false"):
@@ -148,7 +145,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     try:
         k = float(pick(args.k, "k", 1.0))
         seed = int(pick(args.seed, "seed", 0))
-        threads = int(pick(args.threads, "threads", 1))
     except ValueError as exc:
         raise ConfigError(f"invalid numeric option: {exc}") from None
     keep_loops = bool(args.keep_loops or file_values.get("keep_loops", False))
@@ -162,7 +158,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         seed=seed,
         out=Path(out),
         basemap=pick(args.basemap, "basemap", None),
-        threads=threads,
     )
 
 
@@ -172,13 +167,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def stage_ingest(config: RunConfig) -> None:
     config.validate(need_years=True)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=min(3, config.threads)) as pool:
-            matrices = list(
-                pool.map(lambda year: parse_edge_list(year[1], year[0]), config.years)
-            )
-    else:
-        matrices = [parse_edge_list(path, label) for label, path in config.years]
+    matrices = [parse_edge_list(path, label) for label, path in config.years]
     renames = parse_rename_file(config.renames) if config.renames else []
     registry, renamed = apply_name_changes(matrices, renames)
     tensor = build_common_set(registry, renamed)
@@ -244,17 +233,16 @@ def stage_flag_links(config: RunConfig) -> None:
 def _load_graph(config: RunConfig):
     links = io_export.read_hot_links_csv(config.out / "reports" / "hot_links.csv")
     graph = build_graph(links)
-    components = connected_components(graph)
-    if graph.nodes:
-        communities = louvain(graph, seed=config.seed)
-    else:
-        communities = CommunityPartition(assignment={}, q=0.0, seed=config.seed)
-    return graph, components, communities
+    return graph, connected_components(graph)
 
 
 def stage_graph(config: RunConfig) -> None:
     config.validate(need_years=False)
-    graph, components, communities = _load_graph(config)
+    graph, components = _load_graph(config)
+    if graph.nodes:
+        communities = louvain(graph, seed=config.seed)
+    else:
+        communities = CommunityPartition(assignment={}, q=0.0, seed=config.seed)
     outdir = config.out / "network"
     outdir.mkdir(parents=True, exist_ok=True)
     io_export.write_pajek_net(graph, outdir / "graph.net")
@@ -295,14 +283,19 @@ def _overlay_sets(config: RunConfig) -> dict[str, dict[str, set[str]]]:
 
 def stage_export(config: RunConfig) -> None:
     config.validate(need_years=False)
-    graph, components, communities = _load_graph(config)
+    graph, components = _load_graph(config)
+    clu = config.out / "network" / "communities.clu"
+    clusters = io_export.read_pajek_clu(clu)
+    if len(clusters) != len(graph.nodes):
+        raise DataError(f"{clu}: {len(clusters)} vertices, hot_links.csv has {len(graph.nodes)}")
+    communities = dict(zip(graph.nodes, clusters))
     outdir = config.out / "export"
     outdir.mkdir(parents=True, exist_ok=True)
 
     basemap = io_export.read_basemap(config.basemap) if config.basemap else None
     unmatched = io_export.write_vosviewer_files(
         graph,
-        communities.assignment,
+        communities,
         outdir / "vosviewer_map.txt",
         outdir / "vosviewer_network.txt",
         basemap=basemap,
@@ -346,8 +339,8 @@ def stage_export(config: RunConfig) -> None:
             "edges": len(graph.edges),
             "components": len(components.components),
             "giant_size": len(components.components[0]) if components.components else 0,
-            "communities": len(set(communities.assignment.values())),
-            "modularity": communities.q,
+            "communities": len(set(communities.values())),
+            "modularity": modularity(graph, communities),
             "unmatched_basemap_nodes": len(unmatched) if basemap is not None else None,
         },
     }
@@ -392,8 +385,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default $CITEHEAT_OUT or citeheat_out)")
     common.add_argument("--basemap", metavar="PATH", help="map file for overlays")
-    common.add_argument("--threads", type=int, default=None, metavar="INT",
-                        help="worker cap; never affects results (default 1)")
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
 
     sub = parser.add_subparsers(dest="command", required=True)

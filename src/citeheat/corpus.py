@@ -264,18 +264,6 @@ class AlignedTensor:
         prior, _ = pair
         return self.counts[prior] > 0
 
-    @property
-    def pair_valid_01(self) -> np.ndarray:
-        return self.pair_valid((0, 1))
-
-    @property
-    def pair_valid_12(self) -> np.ndarray:
-        return self.pair_valid((1, 2))
-
-    @property
-    def pair_valid_02(self) -> np.ndarray:
-        return self.pair_valid((0, 2))
-
     @cached_property
     def tri_valid(self) -> np.ndarray:
         """Cells with a positive count in all three years."""

@@ -120,28 +120,22 @@ def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTenso
     if not nodes:
         return tensor
     drop_names = {tensor.registry.resolve(n) for n in nodes}
-    keep_names = [n for n in tensor.registry.names if n not in drop_names]
-    if not keep_names:
+    keep_node = np.array([n not in drop_names for n in tensor.registry.names], dtype=bool)
+    if not keep_node.any():
         raise DataError("outlier removal would empty the node set")
-    sub_registry = JournalRegistry.from_names(keep_names)
-    old_ids = {name: i for i, name in enumerate(tensor.registry.names)}
-    remap = np.full(len(tensor.registry), -1, dtype=np.int64)
-    for new_id, name in enumerate(sub_registry.names):
-        remap[old_ids[name]] = new_id
-    keep = (remap[tensor.citing] >= 0) & (remap[tensor.cited] >= 0)
-    year_cells = []
-    citing = remap[tensor.citing[keep]]
-    cited = remap[tensor.cited[keep]]
-    for y in range(3):
-        counts = tensor.counts[y][keep]
-        present = counts > 0
-        year_cells.append(
-            {
-                (int(c), int(d)): int(n)
-                for c, d, n in zip(citing[present], cited[present], counts[present])
-            }
-        )
-    return AlignedTensor.from_year_cells(sub_registry, tensor.year_labels, year_cells)
+    # Names are sorted, so numbering the survivors in order keeps the cells
+    # sorted by (citing, cited) without a re-sort.
+    remap = np.cumsum(keep_node, dtype=np.int64) - 1
+    keep = keep_node[tensor.citing] & keep_node[tensor.cited]
+    return AlignedTensor(
+        registry=JournalRegistry.from_names(
+            n for n in tensor.registry.names if n not in drop_names
+        ),
+        year_labels=tensor.year_labels,
+        citing=remap[tensor.citing[keep]],
+        cited=remap[tensor.cited[keep]],
+        counts=tensor.counts[:, keep],
+    )
 
 
 @dataclass(frozen=True)

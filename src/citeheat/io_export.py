@@ -19,6 +19,14 @@ Report schemas (CSV, comma-separated, one header row):
 with <u> the configured unit (bits | mbits | microbits) and <dir> cited or
 citing. Margins are ranked by the t0->t2 column descending; revision,
 triangle and link tables ascending (most negative first).
+
+Stage cache (ingest/): registry.tsv (``id<TAB>name``, ids dense, names
+strictly increasing), years.txt (the three labels, one per line) and
+cells.npy, one little-endian int64 array of shape (5, n_cells) with rows
+citing, cited, counts[0..2], written by np.save, which stores no timestamp.
+The reader treats these files as outside input: .npy format only, no
+pickles, ids in [0, N), keys citing*N + cited strictly increasing, counts
+>= 0 and every cell positive in some year, else DataError naming the file.
 """
 
 from __future__ import annotations
@@ -31,7 +39,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name, parse_edge_list
+import numpy as np
+
+from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name
 from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
 from .errors import DataError
 from .flags import FlagReport, ThresholdSpec
@@ -146,8 +156,11 @@ def read_pajek_clu(path: str | Path) -> list[int]:
         lines = handle.read().splitlines()
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise DataError(f"{path}:1: expected *Vertices header")
-    n = int(lines[0].split()[1])
-    clusters = [int(line) - 1 for line in lines[1:] if line.strip()]
+    try:
+        n = int(lines[0].split()[1])
+        clusters = [int(line) - 1 for line in lines[1:] if line.strip()]
+    except (IndexError, ValueError):
+        raise DataError(f"{path}: malformed partition file") from None
     if len(clusters) != n:
         raise DataError(f"{path}: expected {n} cluster lines, found {len(clusters)}")
     return clusters
@@ -365,58 +378,73 @@ def write_overlay(
 # ---------------------------------------------------------------------------
 
 def write_tensor_cache(tensor: AlignedTensor, directory: str | Path) -> None:
-    """Persist the aligned tensor as a registry TSV plus one canonical
-    edge list per year (restricted, renamed, id-sorted)."""
+    """Persist the aligned tensor as registry.tsv, years.txt and cells.npy."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with _open_w(directory / "registry.tsv") as out:
         out.write("# id\tname\n")
         for i, name in enumerate(tensor.registry.names):
             out.write(f"{i}\t{name}\n")
-    names = tensor.registry.names
-    for y, label in enumerate(tensor.year_labels):
-        with _open_w(directory / f"year_{label}.tsv") as out:
-            out.write("# citing\tcited\tcount\n")
-            present = tensor.counts[y] > 0
-            for c, d, n in zip(
-                tensor.citing[present], tensor.cited[present], tensor.counts[y][present]
-            ):
-                out.write(f"{names[c]}\t{names[d]}\t{n}\n")
+    with _open_w(directory / "years.txt") as out:
+        out.write("".join(f"{label}\n" for label in tensor.year_labels))
+    cells = np.vstack([tensor.citing, tensor.cited, tensor.counts]).astype("<i8", copy=False)
+    np.save(directory / "cells.npy", cells, allow_pickle=False)
 
 
 def read_tensor_cache(directory: str | Path) -> AlignedTensor:
-    """Rebuild the tensor exactly, bypassing the common-set restriction
-    (the cached registry already fixes the node set)."""
+    """Rebuild the tensor exactly from the files write_tensor_cache wrote.
+
+    The cache is checked like outside input (see the module docstring); a
+    violation raises DataError naming the file, a missing file OSError.
+    """
     directory = Path(directory)
+    registry_path = directory / "registry.tsv"
     names: list[str] = []
-    with open(directory / "registry.tsv", encoding="utf-8") as handle:
+    with open(registry_path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.startswith("#") or not line.strip():
                 continue
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
-                raise DataError(f"{directory}/registry.tsv:{lineno}: malformed entry")
-            if int(fields[0]) != len(names):
-                raise DataError(f"{directory}/registry.tsv:{lineno}: ids must be dense")
+                raise DataError(f"{registry_path}:{lineno}: malformed entry")
+            if fields[0] != str(len(names)):
+                raise DataError(f"{registry_path}:{lineno}: ids must be dense")
             names.append(fields[1])
-    if names != sorted(names):
-        raise DataError(f"{directory}/registry.tsv: names are not in id order")
-    registry = JournalRegistry.from_names(names)
-    ids = {name: i for i, name in enumerate(registry.names)}
-    year_paths = sorted(directory.glob("year_*.tsv"))
-    if len(year_paths) != 3:
-        raise DataError(f"{directory}: expected 3 cached year files, found {len(year_paths)}")
-    labels = [p.stem[len("year_"):] for p in year_paths]
-    year_cells = []
-    for path in year_paths:
-        matrix = parse_edge_list(path, "cache")
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise DataError(f"{registry_path}: names are not strictly increasing")
+
+    years_path = directory / "years.txt"
+    labels = years_path.read_text(encoding="utf-8").splitlines()
+    if len(labels) != 3 or not all(labels):
+        raise DataError(f"{years_path}: expected 3 year labels, found {labels}")
+
+    cells_path = directory / "cells.npy"
+    with open(cells_path, "rb") as handle:
         try:
-            year_cells.append(
-                {(ids[c], ids[d]): n for (c, d), n in matrix.cells.items()}
-            )
-        except KeyError as exc:
-            raise DataError(f"{path}: name missing from cached registry: {exc}") from None
-    return AlignedTensor.from_year_cells(registry, labels, year_cells)
+            cells = np.lib.format.read_array(handle, allow_pickle=False)
+        except ValueError as exc:
+            raise DataError(f"{cells_path}: {exc}") from None
+    n = len(names)
+    if cells.dtype != np.dtype("<i8") or cells.ndim != 2 or cells.shape[0] != 5:
+        raise DataError(
+            f"{cells_path}: expected int64 of shape (5, n), got {cells.dtype} {cells.shape}"
+        )
+    citing, cited, counts = cells[0], cells[1], cells[2:]
+    if not ((cells[:2] >= 0) & (cells[:2] < n)).all():
+        raise DataError(f"{cells_path}: journal id outside [0, {n})")
+    if not (np.diff(citing * n + cited) > 0).all():
+        raise DataError(f"{cells_path}: cells are not strictly increasing by (citing, cited)")
+    if (counts < 0).any():
+        raise DataError(f"{cells_path}: negative count")
+    if not (counts > 0).any(axis=0).all():
+        raise DataError(f"{cells_path}: cell with no positive count in any year")
+    return AlignedTensor(
+        registry=JournalRegistry.from_names(names),
+        year_labels=tuple(labels),
+        citing=citing,
+        cited=cited,
+        counts=counts,
+    )
 
 
 def write_hot_links_csv(
@@ -671,16 +699,3 @@ def write_network_reports(
         for v in ranked:
             writer.writerow([v, degrees[v]])
 
-
-def write_reports(
-    outdir: str | Path,
-    report: FlagReport,
-    graph: HotLinkGraph,
-    components: ComponentPartition,
-    communities: CommunityPartition,
-    degrees: Mapping,
-) -> None:
-    """All CSV/JSON report files for one run, under one directory."""
-    write_flag_journal_reports(outdir, report)
-    write_link_flag_reports(outdir, report)
-    write_network_reports(outdir, graph, components, communities, degrees)

@@ -135,6 +135,28 @@ class TestRun:
         )
         assert tensor.counts[0][idx] == 3
 
+    def test_rerun_with_shifted_labels_matches_fresh_out(self, dyad_year_files, tmp_path):
+        shifted = {
+            str(int(label) + 1): path for label, path in dyad_year_files.items()
+        }
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(reused)]) == 0
+        assert main(["run", *_year_args(shifted), "--out", str(reused)]) == 0
+        assert main(["run", *_year_args(shifted), "--out", str(fresh)]) == 0
+        for rel in ("reports", "network", "export"):
+            assert _tree(reused / rel) == _tree(fresh / rel), rel
+        assert (reused / "summary.json").read_bytes() == (fresh / "summary.json").read_bytes()
+
+    def test_export_rejects_partition_of_another_graph(self, dyad_year_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
+        clu = out / "network" / "communities.clu"
+        lines = clu.read_text(encoding="utf-8").splitlines()
+        n = len(lines) - 1
+        clu.write_text(f"*Vertices {n - 1}\n" + "\n".join(lines[1:-1]) + "\n", encoding="utf-8")
+        assert main(["export", "--out", str(out)]) == 2
+        assert "communities.clu" in capsys.readouterr().err
+
     def test_exclude_outlier(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"
         rc = main([
@@ -219,13 +241,6 @@ class TestConfigHandling:
             args += ["--year", f"{label}={dyad_year_files[label]}"]
         assert main(args) == 1
         assert "increasing" in capsys.readouterr().err
-
-    def test_threads_flag_does_not_change_results(self, dyad_year_files, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = _year_args(dyad_year_files)
-        assert main(["run", *args, "--out", str(a), "--threads", "1"]) == 0
-        assert main(["run", *args, "--out", str(b), "--threads", "3"]) == 0
-        assert _tree(a) == _tree(b)
 
     def test_keep_loops_flag(self, tmp_path):
         # A self-citation cell hot enough to flag.

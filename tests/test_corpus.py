@@ -198,14 +198,18 @@ class TestBuildCommonSet:
             i for i in range(tensor.n_cells)
             if (tensor.citing[i], tensor.cited[i]) == ab
         )
-        assert not tensor.pair_valid_01[idx]
-        assert not tensor.pair_valid_02[idx]
-        assert tensor.pair_valid_12[idx]
+        assert not tensor.pair_valid((0, 1))[idx]
+        assert not tensor.pair_valid((0, 2))[idx]
+        assert tensor.pair_valid((1, 2))[idx]
         assert not tensor.tri_valid[idx]
 
     def test_tri_valid_subset_of_pair_masks(self, small_tensor):
         tri = small_tensor.tri_valid
-        both = small_tensor.pair_valid_01 & small_tensor.pair_valid_12 & small_tensor.pair_valid_02
+        both = (
+            small_tensor.pair_valid((0, 1))
+            & small_tensor.pair_valid((1, 2))
+            & small_tensor.pair_valid((0, 2))
+        )
         assert not np.any(tri & ~both)
 
     def test_wrong_year_count(self):

@@ -131,6 +131,13 @@ class TestPajekClu:
         with pytest.raises(DataError, match="expected 3"):
             read_pajek_clu(path)
 
+    def test_malformed_lines(self, tmp_path):
+        path = tmp_path / "p.clu"
+        for text in ("*Vertices\n", "*Vertices 2\n1\none\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match="malformed"):
+                read_pajek_clu(path)
+
 
 BASEMAP_TSV = (
     "label\tx\ty\tcluster\tweight\n"
@@ -234,6 +241,52 @@ class TestTensorCache:
         assert np.array_equal(again.counts, tensor.counts)
         assert np.array_equal(again.citing, tensor.citing)
         assert np.array_equal(again.cited, tensor.cited)
+
+    @pytest.mark.parametrize("corrupt, culprit", [
+        (lambda d: _rewrite_bytes(d / "cells.npy", lambda b: b[:-8]), "cells.npy"),
+        (lambda d: _rewrite_bytes(d / "cells.npy", lambda b: b[:40]), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: c[:4]), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: c.ravel()), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: c.astype(np.int32)), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: _set(c, (1, -1), 7)), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: _set(c, (0, 0), -1)), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: np.hstack([c, c[:, -1:]])), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: c[:, ::-1]), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: _set(c, (3, 0), -2)), "cells.npy"),
+        (lambda d: _rewrite_cells(d, lambda c: _set(c, (slice(2, 5), 0), 0)), "cells.npy"),
+        (lambda d: (d / "years.txt").write_text("2011\n2012\n", encoding="utf-8"), "years.txt"),
+        (lambda d: _rewrite_bytes(d / "registry.tsv", lambda b: b.replace(b"\n1\t", b"\n2\t")),
+         "registry.tsv"),
+    ], ids=[
+        "truncated-data", "truncated-header", "four-rows", "one-dimensional", "int32",
+        "id-out-of-range", "negative-id", "duplicate-key", "unsorted-keys",
+        "negative-count", "empty-cell", "two-labels", "sparse-ids",
+    ])
+    def test_malformed_cache_is_a_data_error(self, tmp_path, rng, corrupt, culprit):
+        write_tensor_cache(make_tensor(random_active_grids(rng, 7, density=0.6)), tmp_path)
+        corrupt(tmp_path)
+        with pytest.raises(DataError, match=culprit):
+            read_tensor_cache(tmp_path)
+
+    def test_missing_cells_file_is_an_io_error(self, tmp_path, small_tensor):
+        write_tensor_cache(small_tensor, tmp_path)
+        (tmp_path / "cells.npy").unlink()
+        with pytest.raises(FileNotFoundError):
+            read_tensor_cache(tmp_path)
+
+
+def _rewrite_bytes(path, edit) -> None:
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _rewrite_cells(directory, edit) -> None:
+    cells = np.load(directory / "cells.npy", allow_pickle=False)
+    np.save(directory / "cells.npy", np.ascontiguousarray(edit(cells)))
+
+
+def _set(cells, index, value):
+    cells[index] = value
+    return cells
 
 
 class TestHotLinksCsv:
