@@ -18,6 +18,9 @@ Artifact tree (all under --out):
     export/vosviewer_unmatched.txt, overlay_*.txt      (with --basemap)
     summary.json
 
+graph and export read reports/ only through the two JSON sidecars, whose
+link scores are exact bits, so network/ and export/ do not depend on --unit.
+
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 I/O error.
 """
 
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +42,7 @@ from .corpus import (
     parse_edge_list,
     parse_rename_file,
 )
-from .entropy import UNIT_SCALE
+from .entropy import DIRECTIONS, UNIT_SCALE
 from .errors import CiteHeatError, ConfigError, DataError
 from .flags import build_flag_report
 from .netgraph import (
@@ -230,15 +234,15 @@ def stage_flag_links(config: RunConfig) -> None:
     io_export.write_link_flag_reports(config.out / "reports", report)
 
 
-def _load_graph(config: RunConfig):
-    links = io_export.read_hot_links_csv(config.out / "reports" / "hot_links.csv")
-    graph = build_graph(links)
+def _load_graph(link_flags: dict):
+    graph = build_graph(link_flags["links"])
     return graph, connected_components(graph)
 
 
 def stage_graph(config: RunConfig) -> None:
     config.validate(need_years=False)
-    graph, components = _load_graph(config)
+    link_flags = io_export.read_sidecar(config.out / "reports" / "link_flags.json")
+    graph, components = _load_graph(link_flags)
     if graph.nodes:
         communities = louvain(graph, seed=config.seed)
     else:
@@ -252,45 +256,36 @@ def stage_graph(config: RunConfig) -> None:
     )
 
 
-def _overlay_sets(config: RunConfig) -> dict[str, dict[str, set[str]]]:
-    reports = config.out / "reports"
-    monotonic: dict[str, set[str]] = {key: set() for key in
-                                      ("cited_up", "cited_down", "citing_up", "citing_down")}
-    revision: dict[str, set[str]] = {}
-    triangle: dict[str, set[str]] = {}
-    for direction in ("cited", "citing"):
-        for journal, flag in io_export.read_monotonic_column(
-            reports / f"margins_{direction}.csv"
-        ).items():
-            if flag:
-                monotonic[f"{direction}_{flag}"].add(journal)
-        revision[direction] = {
-            journal
-            for journal, flagged in io_export.read_flag_table(
-                reports / f"revision_{direction}.csv"
-            ).items()
-            if flagged
-        }
-        triangle[direction] = {
-            journal
-            for journal, flagged in io_export.read_flag_table(
-                reports / f"triangle_nodes_{direction}.csv"
-            ).items()
-            if flagged
-        }
-    return {"monotonic": monotonic, "revision": revision, "triangle": triangle}
+def _overlay_sets(flagged: dict) -> dict[str, dict[str, list[str]]]:
+    """Overlay categories per family, from journal_flags.json "flagged"."""
+    return {
+        "monotonic": {
+            f"{d}_{trend}": flagged[f"monotonic_{trend}"][d]
+            for d in DIRECTIONS
+            for trend in ("up", "down")
+        },
+        "revision": {d: flagged["revision_flagged"][d] for d in DIRECTIONS},
+        "triangle": {d: flagged["triangle_flagged_nodes"][d] for d in DIRECTIONS},
+    }
 
 
 def stage_export(config: RunConfig) -> None:
     config.validate(need_years=False)
-    graph, components = _load_graph(config)
+    reports = config.out / "reports"
+    journal_flags = io_export.read_sidecar(reports / "journal_flags.json")
+    link_flags = io_export.read_sidecar(reports / "link_flags.json")
+    graph, components = _load_graph(link_flags)
     clu = config.out / "network" / "communities.clu"
     clusters = io_export.read_pajek_clu(clu)
     if len(clusters) != len(graph.nodes):
-        raise DataError(f"{clu}: {len(clusters)} vertices, hot_links.csv has {len(graph.nodes)}")
+        raise DataError(f"{clu}: {len(clusters)} vertices, the hot links {len(graph.nodes)}")
     communities = dict(zip(graph.nodes, clusters))
+    # export/ has no other writer, so replace it whole: files of an earlier
+    # run (say, overlays from a run with --basemap) must not survive.
     outdir = config.out / "export"
-    outdir.mkdir(parents=True, exist_ok=True)
+    if outdir.exists():
+        shutil.rmtree(outdir)
+    outdir.mkdir(parents=True)
 
     basemap = io_export.read_basemap(config.basemap) if config.basemap else None
     unmatched = io_export.write_vosviewer_files(
@@ -303,20 +298,11 @@ def stage_export(config: RunConfig) -> None:
     )
 
     if basemap is not None:
-        sets = _overlay_sets(config)
-        colors = OVERLAY_COLORS
-        io_export.write_overlay(sets["monotonic"], basemap, colors, outdir / "overlay_monotonic.txt")
-        io_export.write_overlay(sets["revision"], basemap, colors, outdir / "overlay_revision.txt")
-        io_export.write_overlay(sets["triangle"], basemap, colors, outdir / "overlay_triangle.txt")
+        for family, sets in _overlay_sets(journal_flags["flagged"]).items():
+            io_export.write_overlay(sets, basemap, OVERLAY_COLORS, outdir / f"overlay_{family}.txt")
 
     corpus_stats = json.loads(
         (config.out / "ingest" / "corpus_stats.json").read_text(encoding="utf-8")
-    )
-    journal_flags = json.loads(
-        (config.out / "reports" / "journal_flags.json").read_text(encoding="utf-8")
-    )
-    link_flags = json.loads(
-        (config.out / "reports" / "link_flags.json").read_text(encoding="utf-8")
     )
     summary = {
         "format_version": io_export.FORMAT_VERSION,
@@ -419,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"citeheat: configuration error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError) as exc:
         print(f"citeheat: data error: {exc}", file=sys.stderr)
         return 2
     except CiteHeatError as exc:

@@ -2,10 +2,12 @@
 
 Every writer is deterministic: LF line endings, fixed orderings, fixed float
 formats (6 significant digits in network files, 6 decimals in CSVs), so
-identical input produces byte-identical files on any platform. Readers are
-exact inverses of the writers on their own output.
+identical input produces byte-identical files on any platform. The readers
+of the interchange formats (Pajek, VOSviewer, base maps) are exact inverses
+of the writers on their own output.
 
-Report schemas (CSV, comma-separated, one header row):
+Human reports (CSV, comma-separated, one header row) are write-only: no
+stage reads them back. They round to 6 decimals in the reporting unit:
 
 * transition_summary.csv: transition, mean_<u>, sd_cited_<u>, sd_citing_<u>, sum_<u>
 * margins_<dir>.csv:      journal, kl_<y0>_<y1>_<u>, kl_<y1>_<y2>_<u>, kl_<y0>_<y2>_<u>, monotonic
@@ -19,6 +21,21 @@ Report schemas (CSV, comma-separated, one header row):
 with <u> the configured unit (bits | mbits | microbits) and <dir> cited or
 citing. Margins are ranked by the t0->t2 column descending; revision,
 triangle and link tables ascending (most negative first).
+
+Sidecars (JSON, format_version 2) are the machine boundary out of reports/;
+read_sidecar rejects any other version with DataError naming the file.
+
+* journal_flags.json: unit, k, outliers_removed, journals, thresholds (in
+  the unit), counts and revision_excluded_cells, plus ``flagged``: for each
+  key of counts (monotonic_up, monotonic_down, revision_flagged,
+  triangle_flagged_nodes) ``{"cited": [names], "citing": [names]}`` with
+  names sorted, so len(flagged[key][dir]) == counts[key][dir].
+* link_flags.json: unit, k, drop_loops, outliers_removed, threshold (in the
+  unit), evaluated_cells, hot_links, loops_flagged, plus ``links``:
+  ``[citing, cited, triangle]`` rows in hot_links.csv order with the score
+  in bits, written with repr so it reads back exactly. The graph stage
+  builds its network from these rows, so network/ and export/ do not
+  depend on the unit.
 
 Stage cache (ingest/): registry.tsv (``id<TAB>name``, ids dense, names
 strictly increasing), years.txt (the three labels, one per line) and
@@ -42,12 +59,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name
-from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
+from .entropy import DIRECTIONS, to_unit
 from .errors import DataError
 from .flags import FlagReport, ThresholdSpec
 from .netgraph import CommunityPartition, ComponentPartition, HotLinkGraph
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 NEUTRAL_COLOR = "#c8c8c8"
 
@@ -447,34 +464,19 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
     )
 
 
+def _hottest_first(hot_links: Iterable[tuple[str, str, float]]) -> list:
+    return sorted(hot_links, key=lambda link: (link[2], link[0], link[1]))
+
+
 def write_hot_links_csv(
     path: str | Path, hot_links: Sequence[tuple[str, str, float]], unit: str
 ) -> None:
     """Flagged cells ranked hottest first (score ascending, labels tie-break)."""
-    ranked = sorted(hot_links, key=lambda link: (link[2], link[0], link[1]))
     with _open_w(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["citing", "cited", f"triangle_{unit}"])
-        for citing, cited, score in ranked:
+        for citing, cited, score in _hottest_first(hot_links):
             writer.writerow([citing, cited, fmt_dec6(to_unit(score, unit))])
-
-
-def read_hot_links_csv(path: str | Path) -> list[tuple[str, str, float]]:
-    """Inverse of write_hot_links_csv; scores come back in bits."""
-    with open(path, encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or len(header) != 3 or not header[2].startswith("triangle_"):
-            raise DataError(f"{path}: unrecognized hot-links header")
-        unit = header[2][len("triangle_"):]
-        if unit not in UNIT_SCALE:
-            raise DataError(f"{path}: unknown unit {unit!r} in header")
-        links = []
-        for row in reader:
-            if not row:
-                continue
-            links.append((row[0], row[1], float(row[2]) / to_unit(1.0, unit)))
-    return links
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +497,21 @@ def write_json(path: str | Path, payload: dict) -> None:
     with _open_w(path) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
+
+
+def read_sidecar(path: str | Path) -> dict:
+    """Load a JSON sidecar of the current FORMAT_VERSION."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from None
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != FORMAT_VERSION:
+        raise DataError(
+            f"{path}: format_version {version!r}, expected {FORMAT_VERSION}; "
+            "re-run the stage that writes it"
+        )
+    return payload
 
 
 def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
@@ -583,6 +600,12 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
             unit,
         )
 
+    flag_sets = {
+        "monotonic_up": report.monotonic_up,
+        "monotonic_down": report.monotonic_down,
+        "revision_flagged": report.revision_flagged,
+        "triangle_flagged_nodes": report.triangle_flagged_nodes,
+    }
     write_json(
         outdir / "journal_flags.json",
         {
@@ -595,12 +618,11 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
                 key: _threshold_json(spec, unit) for key, spec in report.thresholds.items()
             },
             "counts": {
-                "monotonic_up": {d: len(report.monotonic_up[d]) for d in DIRECTIONS},
-                "monotonic_down": {d: len(report.monotonic_down[d]) for d in DIRECTIONS},
-                "revision_flagged": {d: len(report.revision_flagged[d]) for d in DIRECTIONS},
-                "triangle_flagged_nodes": {
-                    d: len(report.triangle_flagged_nodes[d]) for d in DIRECTIONS
-                },
+                key: {d: len(ids) for d, ids in sets.items()} for key, sets in flag_sets.items()
+            },
+            "flagged": {
+                key: {d: sorted(names[i] for i in ids) for d, ids in sets.items()}
+                for key, sets in flag_sets.items()
             },
             "revision_excluded_cells": {
                 d: report.revision[d].excluded_cells for d in DIRECTIONS
@@ -625,8 +647,8 @@ def write_link_flag_reports(outdir: str | Path, report: FlagReport) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = report.tensor.registry.names
-    labeled = [(names[c], names[d], s) for c, d, s in report.hot_links]
-    write_hot_links_csv(outdir / "hot_links.csv", labeled, report.unit)
+    ranked = _hottest_first((names[c], names[d], s) for c, d, s in report.hot_links)
+    write_hot_links_csv(outdir / "hot_links.csv", ranked, report.unit)
     write_json(
         outdir / "link_flags.json",
         {
@@ -639,32 +661,9 @@ def write_link_flag_reports(outdir: str | Path, report: FlagReport) -> None:
             "evaluated_cells": int(report.triangle.values.shape[0]),
             "hot_links": len(report.hot_links),
             "loops_flagged": report.loops_flagged,
+            "links": [list(link) for link in ranked],
         },
     )
-
-
-def read_flag_table(path: str | Path) -> dict[str, bool]:
-    """Journal -> flagged, from a revision_* or triangle_nodes_* table."""
-    flagged: dict[str, bool] = {}
-    with open(path, encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        for row in reader:
-            if row:
-                flagged[row[0]] = row[2] == "true"
-    return flagged
-
-
-def read_monotonic_column(path: str | Path) -> dict[str, str]:
-    """Journal -> '', 'up' or 'down', from a margins_* table."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        for row in reader:
-            if row:
-                out[row[0]] = row[4]
-    return out
 
 
 def write_network_reports(

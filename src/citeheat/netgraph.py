@@ -90,7 +90,7 @@ def connected_components(graph: HotLinkGraph) -> ComponentPartition:
         while queue:
             v = queue.pop()
             members.append(v)
-            for u in sorted(adj[v]):
+            for u in adj[v]:
                 if u not in seen:
                     seen.add(u)
                     queue.append(u)
@@ -173,8 +173,8 @@ def _move_nodes(adj: list[dict], m: float, rng: random.Random) -> list[int]:
                     links[comm[u]] += w
             gain_old = links.get(c_old, 0.0) / m - tot[c_old] * k[v] / two_m_sq
             best_c, best_gain = c_old, gain_old
-            for c in sorted(links):
-                gain = links[c] / m - tot[c] * k[v] / two_m_sq
+            for c, w_c in links.items():
+                gain = w_c / m - tot[c] * k[v] / two_m_sq
                 if gain > best_gain or (gain == best_gain and c < best_c):
                     best_c, best_gain = c, gain
             comm[v] = best_c
@@ -223,7 +223,7 @@ def _split_disconnected(graph: HotLinkGraph, assignment: dict) -> dict:
             piece = [start]
             while queue:
                 v = queue.pop()
-                for u in sorted(adj[v]):
+                for u in adj[v]:
                     if u in todo:
                         todo.discard(u)
                         piece.append(u)
@@ -241,7 +241,8 @@ def _multilevel(adj0: list[dict], m: float, rng: random.Random) -> list[int]:
     while True:
         comm = _move_nodes(adj, m, rng)
         q_new = _level_modularity(adj, comm, m)
-        assert q_new >= q_level - 1e-12, "local moves must never lower Q"
+        if q_new < q_level - 1e-12:
+            raise RuntimeError(f"local moves lowered Q from {q_level!r} to {q_new!r}")
         adj, renum = _aggregate(adj, comm)
         node2agg = [renum[comm[agg]] for agg in node2agg]
         if q_new - q_level <= _MIN_LEVEL_GAIN or len(adj) == 1:

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from citeheat.cli import main
-from citeheat.io_export import read_hot_links_csv, read_tensor_cache
+from citeheat.io_export import FORMAT_VERSION, read_sidecar, read_tensor_cache
 
-from helpers import dyad_fixture_cells, oracle_triangle, write_edge_list
+from helpers import (
+    dyad_fixture_cells,
+    node_names,
+    oracle_triangle,
+    random_active_grids,
+    write_edge_list,
+)
 
 
 def _year_args(paths: dict) -> list[str]:
@@ -18,12 +26,44 @@ def _year_args(paths: dict) -> list[str]:
     return args
 
 
+def _hot_links(out: Path) -> list:
+    return read_sidecar(out / "reports" / "link_flags.json")["links"]
+
+
+def _read_csv(path: Path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def _tree(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def _random_year_files(tmp_path: Path, rng) -> dict:
+    """A 14-journal random corpus: many hot links and journal flags at k=0."""
+    names = node_names(14)
+    paths = {}
+    for label, grid in zip(("2011", "2012", "2013"), random_active_grids(rng, 14, 0.6)):
+        cells = {(names[c], names[d]): int(grid[c, d]) for c, d in zip(*np.nonzero(grid))}
+        path = tmp_path / f"random_{label}.tsv"
+        write_edge_list(path, cells)
+        paths[label] = path
+    return paths
+
+
+def _write_basemap(tmp_path: Path) -> Path:
+    """A base map holding every journal of the dyad and the random corpus."""
+    basemap = tmp_path / "base.txt"
+    rows = ["label\tx\ty"]
+    dyad = {n for y in dyad_fixture_cells().values() for p in y for n in p}
+    for label in sorted(dyad) + node_names(14):
+        rows.append(f"{label}\t0.5\t-0.5")
+    basemap.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return basemap
 
 
 def _dyad_dense_grids():
@@ -72,7 +112,7 @@ class TestRun:
         assert summary["network"]["components"] == 1
         assert summary["config"]["seed"] == 3
 
-        hot = read_hot_links_csv(out / "reports" / "hot_links.csv")
+        hot = _hot_links(out)
         assert [(c, d) for c, d, _ in hot] == [("Pers Med", "Genet Med")]
 
     def test_staged_composition_equals_run(self, dyad_year_files, tmp_path):
@@ -104,7 +144,7 @@ class TestRun:
             and not np.isnan(oracle["scores"][c, d])
             and oracle["scores"][c, d] < oracle["mean"]
         }
-        hot = read_hot_links_csv(out / "reports" / "hot_links.csv")
+        hot = _hot_links(out)
         assert {(c, d) for c, d, _ in hot} == expected
         assert expected  # the collapsed threshold must flag something
 
@@ -146,6 +186,60 @@ class TestRun:
         for rel in ("reports", "network", "export"):
             assert _tree(reused / rel) == _tree(fresh / rel), rel
         assert (reused / "summary.json").read_bytes() == (fresh / "summary.json").read_bytes()
+
+    def test_rerun_without_basemap_matches_fresh_out(self, dyad_year_files, tmp_path):
+        basemap = _write_basemap(tmp_path)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        args = [*_year_args(dyad_year_files), "--k", "0"]
+        assert main(["run", *args, "--basemap", str(basemap), "--out", str(reused)]) == 0
+        assert (reused / "export" / "overlay_triangle.txt").is_file()
+        assert main(["run", *args, "--out", str(reused)]) == 0
+        assert main(["run", *args, "--out", str(fresh)]) == 0
+        assert _tree(reused / "export") == _tree(fresh / "export")
+        assert (reused / "summary.json").read_bytes() == (fresh / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("corpus", ["dyad", "random"])
+    def test_network_and_export_do_not_depend_on_unit(
+        self, dyad_year_files, tmp_path, rng, corpus
+    ):
+        years = dyad_year_files if corpus == "dyad" else _random_year_files(tmp_path, rng)
+        basemap = _write_basemap(tmp_path)
+        trees = {}
+        for unit in ("bits", "mbits", "microbits"):
+            out = tmp_path / unit
+            assert main([
+                "run", *_year_args(years), "--out", str(out), "--k", "0",
+                "--unit", unit, "--basemap", str(basemap),
+            ]) == 0
+            trees[unit] = (_tree(out / "network"), _tree(out / "export"))
+        assert b"*Edges" in trees["bits"][0]["graph.net"]
+        assert trees["bits"] == trees["mbits"] == trees["microbits"]
+
+    def test_sidecars_agree_with_report_csvs(self, tmp_path, rng):
+        out = tmp_path / "out"
+        years = _random_year_files(tmp_path, rng)
+        assert main(["run", *_year_args(years), "--out", str(out), "--k", "0"]) == 0
+        reports = out / "reports"
+        link_flags = read_sidecar(reports / "link_flags.json")
+        rows = _read_csv(reports / "hot_links.csv")[1:]
+        assert [[c, d] for c, d, _ in link_flags["links"]] == [row[:2] for row in rows]
+        assert len(link_flags["links"]) == link_flags["hot_links"] > 10
+        journal_flags = read_sidecar(reports / "journal_flags.json")
+        counts, flagged = journal_flags["counts"], journal_flags["flagged"]
+        assert set(flagged) == set(counts)
+        for key in counts:
+            for direction in ("cited", "citing"):
+                assert len(flagged[key][direction]) == counts[key][direction]
+        for direction in ("cited", "citing"):
+            for key, table in (("revision_flagged", "revision"),
+                               ("triangle_flagged_nodes", "triangle_nodes")):
+                rows = _read_csv(reports / f"{table}_{direction}.csv")[1:]
+                assert flagged[key][direction] == sorted(r[0] for r in rows if r[2] == "true")
+            rows = _read_csv(reports / f"margins_{direction}.csv")[1:]
+            for trend in ("up", "down"):
+                assert flagged[f"monotonic_{trend}"][direction] == sorted(
+                    r[0] for r in rows if r[4] == trend
+                )
 
     def test_export_rejects_partition_of_another_graph(self, dyad_year_files, tmp_path, capsys):
         out = tmp_path / "out"
@@ -202,6 +296,34 @@ class TestConfigHandling:
         rc = main(["run", *_year_args(paths), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "not an integer" in capsys.readouterr().err
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"A\tB\t1\n\xff\tC\t2\n")
+        paths = {label: path for label in ("2011", "2012", "2013")}
+        assert main(["ingest", *_year_args(paths), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "utf-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace(
+                f'"format_version": {FORMAT_VERSION}', '"format_version": 1'
+            ),
+            lambda text: text[: len(text) // 2],
+        ],
+        ids=["format-version-1", "truncated"],
+    )
+    def test_old_or_broken_link_sidecar_exits_2(self, dyad_year_files, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out)]) == 0
+        sidecar = out / "reports" / "link_flags.json"
+        sidecar.write_text(edit(sidecar.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["graph", "--out", str(out)]) == 2
+        assert "link_flags.json" in capsys.readouterr().err
 
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         paths = {label: tmp_path / f"missing{label}.tsv" for label in ("2011", "2012", "2013")}
@@ -260,21 +382,15 @@ class TestConfigHandling:
         assert main(["flag-links", "--out", str(dropped)]) == 0
         assert main(["ingest", *_year_args(paths), "--out", str(kept)]) == 0
         assert main(["flag-links", "--out", str(kept), "--keep-loops"]) == 0
-        hot_dropped = {(c, d) for c, d, _ in
-                       read_hot_links_csv(dropped / "reports" / "hot_links.csv")}
-        hot_kept = {(c, d) for c, d, _ in
-                    read_hot_links_csv(kept / "reports" / "hot_links.csv")}
+        hot_dropped = {(c, d) for c, d, _ in _hot_links(dropped)}
+        hot_kept = {(c, d) for c, d, _ in _hot_links(kept)}
         assert ("Bkg00", "Bkg00") not in hot_dropped
         assert ("Bkg00", "Bkg00") in hot_kept
 
 
 class TestBasemapExport:
     def test_overlays_written(self, dyad_year_files, tmp_path):
-        basemap = tmp_path / "base.txt"
-        rows = ["label\tx\ty"]
-        for label in sorted({n for y in dyad_fixture_cells().values() for p in y for n in p}):
-            rows.append(f"{label}\t0.5\t-0.5")
-        basemap.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        basemap = _write_basemap(tmp_path)
         out = tmp_path / "out"
         rc = main([
             "run", *_year_args(dyad_year_files), "--out", str(out),
@@ -290,3 +406,38 @@ class TestBasemapExport:
         assert summary["network"]["unmatched_basemap_nodes"] == 0
         map_header = (out / "export" / "vosviewer_map.txt").read_text("utf-8").splitlines()[0]
         assert map_header == "id\tlabel\tx\ty\tcluster\tweight"
+
+    def test_overlay_categories_match_report_flags(self, tmp_path, rng):
+        basemap = _write_basemap(tmp_path)
+        out = tmp_path / "out"
+        assert main([
+            "run", *_year_args(_random_year_files(tmp_path, rng)), "--out", str(out), "--k", "0",
+            "--basemap", str(basemap),
+        ]) == 0
+        reports = out / "reports"
+
+        def flagged(table: str, column: int, value: str) -> set[str]:
+            return {r[0] for r in _read_csv(reports / table)[1:] if r[column] == value}
+
+        # write_overlay gives a journal the first category it falls in.
+        families = {
+            "monotonic": [
+                (f"{d}_{trend}", flagged(f"margins_{d}.csv", 4, trend))
+                for d in ("cited", "citing") for trend in ("up", "down")
+            ],
+            "revision": [(d, flagged(f"revision_{d}.csv", 2, "true"))
+                         for d in ("cited", "citing")],
+            "triangle": [(d, flagged(f"triangle_nodes_{d}.csv", 2, "true"))
+                         for d in ("cited", "citing")],
+        }
+        seen_categories = set()
+        for family, categories in families.items():
+            rows = _read_csv(out / "export" / f"overlay_{family}.txt")
+            rows = [line[0].split("\t") for line in rows]
+            header, body = rows[0], rows[1:]
+            label, category = header.index("label"), header.index("category")
+            for row in body:
+                expected = next((c for c, names in categories if row[label] in names), "")
+                assert row[category] == expected, (family, row[label])
+                seen_categories.add(row[category])
+        assert len(seen_categories - {""}) >= 2

@@ -12,13 +12,14 @@ from citeheat.io_export import (
     fmt_dec6,
     fmt_sig6,
     read_basemap,
-    read_hot_links_csv,
     read_pajek_clu,
     read_pajek_net,
+    read_sidecar,
     read_tensor_cache,
     read_vosviewer_files,
     write_flag_journal_reports,
     write_hot_links_csv,
+    write_link_flag_reports,
     write_overlay,
     write_pajek_clu,
     write_pajek_net,
@@ -296,11 +297,41 @@ class TestHotLinksCsv:
         write_hot_links_csv(path, links, "mbits")
         rows = path.read_text(encoding="utf-8").splitlines()
         assert rows[0] == "citing,cited,triangle_mbits"
-        assert rows[1].startswith("A,B,")  # hottest first
-        parsed = read_hot_links_csv(path)
-        assert [(c, d) for c, d, _ in parsed] == [("A", "B"), ("B", "C"), ("C", "A")]
-        for (_, _, got), expected in zip(parsed, (-0.005, -0.002, -0.001)):
-            assert got == pytest.approx(expected, abs=1e-9)
+        assert rows[1:] == ["A,B,-5.000000", "B,C,-2.000000", "C,A,-1.000000"]  # hottest first
+
+
+class TestSidecars:
+    def test_links_carry_exact_bit_scores_in_report_order(self, tmp_path, rng):
+        tensor = make_tensor(random_active_grids(rng, 10, density=0.7, high=40))
+        report = build_flag_report(tensor, k=0.0, unit="mbits")
+        assert report.hot_links
+        write_link_flag_reports(tmp_path, report)
+        link_flags = read_sidecar(tmp_path / "link_flags.json")
+        names = tensor.registry.names
+        expected = {(names[c], names[d], s) for c, d, s in report.hot_links}
+        links = link_flags["links"]
+        assert {tuple(link) for link in links} == expected  # floats compared exactly
+        assert len(links) == link_flags["hot_links"] == len(report.hot_links)
+        with open(tmp_path / "hot_links.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [[c, d] for c, d, _ in links] == [row[:2] for row in rows]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format_version": 1, "links": []}\n',
+            '{"links": []}\n',
+            "[2]\n",
+            '{"format_version": 2, "li',
+            "",
+        ],
+        ids=["version-1", "no-version", "not-an-object", "truncated", "empty"],
+    )
+    def test_other_versions_and_broken_json_are_data_errors(self, tmp_path, text):
+        path = tmp_path / "link_flags.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match="link_flags.json"):
+            read_sidecar(path)
 
 
 class TestReports:
