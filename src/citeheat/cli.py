@@ -39,6 +39,7 @@ from . import io_export
 from .corpus import (
     apply_name_changes,
     build_common_set,
+    open_utf8,
     parse_edge_list,
     parse_rename_file,
 )
@@ -110,7 +111,7 @@ def _parse_year_spec(spec: str) -> tuple[str, str]:
 def load_config_file(path: str | Path) -> dict:
     """Flat key = value file; `year` and `exclude` may repeat."""
     values: dict = {"year": [], "exclude": []}
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

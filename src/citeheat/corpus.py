@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import logging
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -112,6 +113,18 @@ class YearMatrix:
         return seen
 
 
+@contextmanager
+def open_utf8(path: str | Path) -> Iterator[TextIO]:
+    """Open a user-supplied text file; bytes that are not UTF-8 raise a
+    DataError naming the file. The text is decoded in chunks, so the
+    message cannot name the line."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid utf-8 ({exc.reason})") from None
+
+
 def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
     """Read one year's TSV edge list; duplicate (citing, cited) records sum.
 
@@ -119,7 +132,7 @@ def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
     non-positive counts; I/O failures propagate as OSError.
     """
     cells: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.startswith("#") or not line.strip():
                 continue
@@ -148,7 +161,7 @@ def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
 def parse_rename_file(path: str | Path) -> list[tuple[str, str]]:
     """Read the rename table: ``old_name<TAB>new_name``, ``#`` comments."""
     renames: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.startswith("#") or not line.strip():
                 continue

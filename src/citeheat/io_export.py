@@ -24,6 +24,8 @@ triangle and link tables ascending (most negative first).
 
 Sidecars (JSON, format_version 2) are the machine boundary out of reports/;
 read_sidecar rejects any other version with DataError naming the file.
+Every JSON file (the two sidecars, corpus_stats.json and summary.json) is
+one line with sorted keys.
 
 * journal_flags.json: unit, k, outliers_removed, journals, thresholds (in
   the unit), counts and revision_excluded_cells, plus ``flagged``: for each
@@ -58,7 +60,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name
+from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name, open_utf8
 from .entropy import DIRECTIONS, to_unit
 from .errors import DataError
 from .flags import FlagReport, ThresholdSpec
@@ -213,7 +215,7 @@ class BaseMap:
 def read_basemap(path: str | Path) -> BaseMap:
     """Parse a tab-separated map file with a header naming at least
     label, x and y columns (id, cluster and weight are recognized too)."""
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty base map")
@@ -494,9 +496,10 @@ def _threshold_json(spec: ThresholdSpec, unit: str) -> dict:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
+    """One line of JSON with sorted keys. ``json.dumps`` without an indent
+    uses the C encoder; ``json.dump`` never does."""
     with _open_w(path) as out:
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_sidecar(path: str | Path) -> dict:

@@ -2,16 +2,21 @@
 
 The graph is undirected and simple: a flagged cell and its reverse merge
 into one edge whose weight is the summed score magnitude. Community
-detection is a multilevel modularity optimization (local moves to a local
-optimum, aggregate, repeat) that is fully deterministic for a given seed:
-node visiting order is a seeded shuffle and equal-gain moves resolve to the
-lowest community id.
+detection is the multilevel modularity optimization of Blondel et al.
+(2008): local moves to a local optimum, aggregate, repeat. The local moves
+are the "fast local move" of Leiden (Traag, Waltman & van Eck 2019): nodes
+are visited from a FIFO queue, and after a move only the neighbours outside
+the node's new community are queued again. A node moves only for a gain
+strictly above that of staying, and equal best gains resolve to the lowest
+community id. Each level's Q is the singleton Q of the aggregate graph. The
+result is fully deterministic for a given seed: the initial queue order is
+a seeded shuffle.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -52,7 +57,7 @@ class HotLinkGraph:
             adj[v][u] = w
         return adj
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
         return sum(w for _, _, w in self.edges)
 
@@ -137,52 +142,63 @@ class CommunityPartition:
     seed: int
 
 
-def _level_modularity(adj: list[dict], comm: list[int], m: float) -> float:
-    # adj uses the A[v][v] = 2*loop convention, so the inner sums count every
-    # internal edge twice and every loop twice as well.
-    twice_intra: dict[int, float] = defaultdict(float)
-    deg: dict[int, float] = defaultdict(float)
-    for v, nbrs in enumerate(adj):
-        cv = comm[v]
-        for u, w in nbrs.items():
-            deg[cv] += w
-            if comm[u] == cv:
-                twice_intra[cv] += w
+def _level_modularity(adj: list[dict], m: float) -> float:
+    """Q of the partition that puts every node of ``adj`` alone.
+
+    adj uses the A[v][v] = 2*loop convention, so a node's own entry is twice
+    the intra weight of the community it stands for and the row sum is that
+    community's degree sum.
+    """
     return sum(
-        twice_intra[c] / (2.0 * m) - (deg[c] / (2.0 * m)) ** 2 for c in deg
+        nbrs.get(v, 0.0) / (2.0 * m) - (sum(nbrs.values()) / (2.0 * m)) ** 2
+        for v, nbrs in enumerate(adj)
     )
 
 
 def _move_nodes(adj: list[dict], m: float, rng: random.Random) -> list[int]:
-    """One local-move phase: iterate to a local optimum of the gain rule."""
+    """One fast local-move phase, run until the queue of nodes to visit is empty.
+
+    Every node starts in the queue, in seeded shuffled order. A node moves
+    only when its best gain beats the gain of staying; it then queues each
+    neighbour that is neither queued nor in its new community. Each move
+    raises Q, so the queue drains.
+    """
     n = len(adj)
     comm = list(range(n))
     k = [sum(nbrs.values()) for nbrs in adj]
     tot = k[:]
     order = list(range(n))
     rng.shuffle(order)
+    queue = deque(order)
+    queued = [True] * n
     two_m_sq = 2.0 * m * m
-    while True:
-        improved = False
-        for v in order:
-            c_old = comm[v]
-            tot[c_old] -= k[v]
-            links: dict[int, float] = defaultdict(float)
-            for u, w in adj[v].items():
-                if u != v:
-                    links[comm[u]] += w
-            gain_old = links.get(c_old, 0.0) / m - tot[c_old] * k[v] / two_m_sq
-            best_c, best_gain = c_old, gain_old
-            for c, w_c in links.items():
-                gain = w_c / m - tot[c] * k[v] / two_m_sq
-                if gain > best_gain or (gain == best_gain and c < best_c):
-                    best_c, best_gain = c, gain
-            comm[v] = best_c
-            tot[best_c] += k[v]
-            if best_c != c_old and best_gain > gain_old:
-                improved = True
-        if not improved:
-            return comm
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        c_old = comm[v]
+        k_v = k[v]
+        tot[c_old] -= k_v
+        links: dict[int, float] = {}
+        for u, w in adj[v].items():
+            if u != v:
+                c = comm[u]
+                links[c] = links.get(c, 0.0) + w
+        gain_old = links.get(c_old, 0.0) / m - tot[c_old] * k_v / two_m_sq
+        best_c, best_gain = c_old, -float("inf")
+        for c, w_c in links.items():
+            gain = w_c / m - tot[c] * k_v / two_m_sq
+            if gain > best_gain or (gain == best_gain and c < best_c):
+                best_c, best_gain = c, gain
+        if best_gain <= gain_old:
+            tot[c_old] += k_v
+            continue
+        tot[best_c] += k_v
+        comm[v] = best_c
+        for u in adj[v]:
+            if not queued[u] and comm[u] != best_c:
+                queued[u] = True
+                queue.append(u)
+    return comm
 
 
 def _aggregate(adj: list[dict], comm: list[int]) -> tuple[list[dict], dict[int, int]]:
@@ -233,18 +249,19 @@ def _split_disconnected(graph: HotLinkGraph, assignment: dict) -> dict:
     return {v: i for i, piece in enumerate(pieces) for v in piece}
 
 
-def _multilevel(adj0: list[dict], m: float, rng: random.Random) -> list[int]:
-    """One full multilevel run; returns the community of every base node."""
+def _multilevel(adj0: list[dict], m: float, q0: float, rng: random.Random) -> list[int]:
+    """One full multilevel run from the base graph ``adj0``, whose singleton
+    partition has modularity ``q0``; returns the community of every base node."""
     node2agg = list(range(len(adj0)))
     adj = adj0
-    q_level = _level_modularity(adj, list(range(len(adj))), m)
+    q_level = q0
     while True:
         comm = _move_nodes(adj, m, rng)
-        q_new = _level_modularity(adj, comm, m)
-        if q_new < q_level - 1e-12:
-            raise RuntimeError(f"local moves lowered Q from {q_level!r} to {q_new!r}")
         adj, renum = _aggregate(adj, comm)
         node2agg = [renum[comm[agg]] for agg in node2agg]
+        q_new = _level_modularity(adj, m)
+        if q_new < q_level - 1e-12:
+            raise RuntimeError(f"local moves lowered Q from {q_level!r} to {q_new!r}")
         if q_new - q_level <= _MIN_LEVEL_GAIN or len(adj) == 1:
             return node2agg
         q_level = q_new
@@ -253,10 +270,19 @@ def _multilevel(adj0: list[dict], m: float, rng: random.Random) -> list[int]:
 def louvain(graph: HotLinkGraph, seed: int = 0, restarts: int = 8) -> CommunityPartition:
     """Multilevel modularity optimization, deterministic for a given seed.
 
+    Each level runs a fast local move: every node is queued once in a
+    seeded shuffled order, a popped node moves to the neighbouring community
+    of highest gain (lowest id among equals) only when that gain is strictly
+    above the gain of staying, and a move queues the node's neighbours that
+    are outside its new community and not yet queued. The level ends when
+    the queue is empty; the communities are then aggregated into nodes, and
+    the level's Q is the singleton Q of that aggregate graph. Levels repeat
+    while Q rises by more than a small tolerance.
+
     The multilevel pass is greedy, so it is repeated ``restarts`` times with
     fresh visiting orders drawn from the seeded stream and the best
-    partition kept (first achieved wins ties). Identical seed, identical
-    partition.
+    partition kept (first achieved wins ties). Communities are split into
+    connected pieces. Identical seed, identical partition.
     """
     if not graph.nodes:
         raise DataError("community detection requires a non-empty graph")
@@ -273,10 +299,11 @@ def louvain(graph: HotLinkGraph, seed: int = 0, restarts: int = 8) -> CommunityP
         assignment = {v: i for i, v in enumerate(nodes)}
         return CommunityPartition(assignment=assignment, q=0.0, seed=seed)
 
+    q0 = _level_modularity(adj, m)
     best_assignment: dict | None = None
     best_q = -float("inf")
     for _ in range(max(1, restarts)):
-        node2agg = _multilevel(adj, m, rng)
+        node2agg = _multilevel(adj, m, q0, rng)
         assignment = {v: node2agg[i] for i, v in enumerate(nodes)}
         assignment = _split_disconnected(graph, assignment)
         q = modularity(graph, assignment)

@@ -297,14 +297,24 @@ class TestConfigHandling:
         assert rc == 2
         assert "not an integer" in capsys.readouterr().err
 
-    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "latin1.tsv"
-        path.write_bytes(b"A\tB\t1\n\xff\tC\t2\n")
-        paths = {label: path for label in ("2011", "2012", "2013")}
-        assert main(["ingest", *_year_args(paths), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "data error" in err and "utf-8" in err
-        assert "Traceback" not in err
+    def test_non_utf8_input_exits_2(self, dyad_year_files, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"A\tB\t1\n\xff\tC\t2\n")
+        good = dict(dyad_year_files)
+        out = str(tmp_path / "o")
+        cases = [
+            ["ingest", *_year_args({**good, "2012": bad}), "--out", out],
+            ["ingest", *_year_args(good), "--renames", str(bad), "--out", out],
+            ["run", *_year_args(good), "--basemap", str(bad), "--out", out],
+            ["ingest", "--config", str(bad), "--out", out],
+        ]
+        for argv in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "data error" in err and "utf-8" in err
+            assert f"{bad}: not valid utf-8" in err
+            assert not any(str(path) in err for path in good.values())
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit",

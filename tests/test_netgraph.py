@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citeheat
 from citeheat.errors import DataError
 from citeheat.netgraph import (
     HotLinkGraph,
@@ -21,8 +28,21 @@ from helpers import (
     random_graph_edges,
 )
 
+SRC = Path(citeheat.__file__).resolve().parents[1]
+
 TWO_TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                  (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 1.0)]
+
+
+def _planted_partition_edges(rng: random.Random) -> list[tuple]:
+    """Four blocks of 30 nodes, edge probability 0.25 inside a block and
+    0.04 across, weights uniform in [0.5, 2]."""
+    return [
+        (u, v, rng.uniform(0.5, 2.0))
+        for u in range(120)
+        for v in range(u + 1, 120)
+        if rng.random() < (0.25 if u // 30 == v // 30 else 0.04)
+    ]
 
 
 class TestBuildGraph:
@@ -204,6 +224,44 @@ class TestLouvain:
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError, match="non-empty"):
             louvain(build_graph([]), seed=0)
+
+    def test_same_partition_under_any_string_hash_seed(self):
+        rng = random.Random(5)
+        edges = [(f"J{u:02d}", f"J{v:02d}", w) for u, v, w in random_graph_edges(rng, 60, 0.08)]
+        script = (
+            "import json, sys\n"
+            "from citeheat.netgraph import HotLinkGraph, louvain\n"
+            "result = louvain(HotLinkGraph.from_edges(json.load(sys.stdin)), seed=3)\n"
+            "print(json.dumps([sorted(result.assignment.items()), repr(result.q)]))\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run(
+                [sys.executable, "-c", script], input=json.dumps(edges), env=env,
+                capture_output=True, text=True, timeout=60, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assignment, _ = json.loads(outputs[0])
+        assert len(assignment) == len({v for u, w, _ in edges for v in (u, w)})
+        assert len({c for _, c in assignment}) > 1
+
+    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
+    def test_q_at_least_networkx_louvain(self, graph_seed):
+        nx = pytest.importorskip("networkx")
+        edges = _planted_partition_edges(random.Random(graph_seed))
+        nx_graph = nx.Graph()
+        nx_graph.add_weighted_edges_from(edges)
+        nx_q = statistics.mean(
+            nx.community.modularity(
+                nx_graph, nx.community.louvain_communities(nx_graph, weight="weight", seed=s)
+            )
+            for s in range(5)
+        )
+        # networkx's Q spreads by about 0.01 over its seeds on these graphs,
+        # so the mean of five is known to within about half that.
+        assert louvain(HotLinkGraph.from_edges(edges), seed=0).q >= nx_q - 0.005
 
 
 class TestDegreeCentrality:
