@@ -1,10 +1,12 @@
 """Command-line pipeline: ingest -> entropy -> flags -> graph -> export.
 
-One executable with per-stage subcommands; stages compose exclusively via
-files under the output directory, and ``run`` simply executes them in
-sequence, so a full run and a staged run produce byte-identical artifact
-trees. Options can come from a flat key=value config file; command-line
-flags win over the file.
+One executable with one subcommand per stage (ingest, flag, graph,
+export) and run. Stages compose exclusively via files under the output
+directory, and ``run`` simply executes them in sequence, so a full run and a
+staged run produce byte-identical artifact trees. flag is the only writer
+of reports/: it builds the flag report once and writes both its halves.
+Options can come from a flat key=value config file; command-line flags win
+over the file.
 
 Artifact tree (all under --out):
 
@@ -212,26 +214,17 @@ def _print_corpus_stats(stats: dict) -> None:
     print(f"cells positive in all three years: {stats['all_years_cells']}")
 
 
-def _load_report(config: RunConfig):
+def stage_flag(config: RunConfig) -> None:
+    config.validate(need_years=False)
     tensor = io_export.read_tensor_cache(config.out / "ingest")
-    return build_flag_report(
+    report = build_flag_report(
         tensor,
         k=config.k,
         unit=config.unit,
         drop_loops=config.drop_loops,
         outliers=config.excludes,
     )
-
-
-def stage_flag_journals(config: RunConfig) -> None:
-    config.validate(need_years=False)
-    report = _load_report(config)
     io_export.write_flag_journal_reports(config.out / "reports", report)
-
-
-def stage_flag_links(config: RunConfig) -> None:
-    config.validate(need_years=False)
-    report = _load_report(config)
     io_export.write_link_flag_reports(config.out / "reports", report)
 
 
@@ -302,9 +295,8 @@ def stage_export(config: RunConfig) -> None:
         for family, sets in _overlay_sets(journal_flags["flagged"]).items():
             io_export.write_overlay(sets, basemap, OVERLAY_COLORS, outdir / f"overlay_{family}.txt")
 
-    corpus_stats = json.loads(
-        (config.out / "ingest" / "corpus_stats.json").read_text(encoding="utf-8")
-    )
+    with open_utf8(config.out / "ingest" / "corpus_stats.json") as handle:
+        corpus_stats = json.load(handle)
     summary = {
         "format_version": io_export.FORMAT_VERSION,
         "config": {
@@ -338,8 +330,7 @@ def run_pipeline(config: RunConfig) -> None:
     """Full pipeline; composes the stages through their file artifacts so a
     staged run and a full run are byte-identical."""
     stage_ingest(config)
-    stage_flag_journals(config)
-    stage_flag_links(config)
+    stage_flag(config)
     stage_graph(config)
     stage_export(config)
 
@@ -378,8 +369,7 @@ def _build_parser() -> _Parser:
     for name, help_text in (
         ("run", "full pipeline: ingest, flags, graph, export"),
         ("ingest", "parse and align the three years into the cache"),
-        ("flag-journals", "journal-level indicators and flags"),
-        ("flag-links", "link-level triangle flags (hot links)"),
+        ("flag", "journal flags and hot links, from one flag report"),
         ("graph", "hot-link graph, components, communities, degrees"),
         ("export", "VOSviewer files, overlays and the JSON summary"),
     ):
@@ -390,8 +380,7 @@ def _build_parser() -> _Parser:
 _STAGES = {
     "run": run_pipeline,
     "ingest": stage_ingest,
-    "flag-journals": stage_flag_journals,
-    "flag-links": stage_flag_links,
+    "flag": stage_flag,
     "graph": stage_graph,
     "export": stage_export,
 }

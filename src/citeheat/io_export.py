@@ -122,7 +122,7 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
     """Inverse of write_pajek_net; nodes come back as 0-based positions."""
     labels: list[str] = []
     edges: list[tuple[int, int, float]] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         lines = handle.read().splitlines()
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise DataError(f"{path}:1: expected *Vertices header")
@@ -171,7 +171,7 @@ def write_pajek_clu(
 
 def read_pajek_clu(path: str | Path) -> list[int]:
     """Inverse of write_pajek_clu; returns 0-based cluster ids."""
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         lines = handle.read().splitlines()
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise DataError(f"{path}:1: expected *Vertices header")
@@ -321,7 +321,7 @@ def read_vosviewer_files(
     map_path: str | Path, network_path: str | Path
 ) -> tuple[HotLinkGraph, dict[int, int], list[str]]:
     """Inverse of write_vosviewer_files on its own output."""
-    with open(map_path, encoding="utf-8") as handle:
+    with open_utf8(map_path) as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise DataError(f"{map_path}: empty map file")
@@ -342,7 +342,7 @@ def read_vosviewer_files(
         labels.append(fields[col["label"]])
         clusters[node_id - 1] = int(fields[col["cluster"]]) - 1
     edges = []
-    with open(network_path, encoding="utf-8") as handle:
+    with open_utf8(network_path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -419,7 +419,7 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
     directory = Path(directory)
     registry_path = directory / "registry.tsv"
     names: list[str] = []
-    with open(registry_path, encoding="utf-8") as handle:
+    with open_utf8(registry_path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.startswith("#") or not line.strip():
                 continue
@@ -433,7 +433,8 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
         raise DataError(f"{registry_path}: names are not strictly increasing")
 
     years_path = directory / "years.txt"
-    labels = years_path.read_text(encoding="utf-8").splitlines()
+    with open_utf8(years_path) as handle:
+        labels = handle.read().splitlines()
     if len(labels) != 3 or not all(labels):
         raise DataError(f"{years_path}: expected 3 year labels, found {labels}")
 
@@ -505,7 +506,8 @@ def write_json(path: str | Path, payload: dict) -> None:
 def read_sidecar(path: str | Path) -> dict:
     """Load a JSON sidecar of the current FORMAT_VERSION."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_utf8(path) as handle:
+            payload = json.load(handle)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     version = payload.get("format_version") if isinstance(payload, dict) else None

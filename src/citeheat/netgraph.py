@@ -221,32 +221,26 @@ def _aggregate(adj: list[dict], comm: list[int]) -> tuple[list[dict], dict[int, 
     return [dict(nbrs) for nbrs in new_adj], renum
 
 
-def _split_disconnected(graph: HotLinkGraph, assignment: dict) -> dict:
+def _split_disconnected(adj: list[dict], comm: list[int]) -> list[int]:
     """Split internally disconnected communities into their connected
     pieces. This never lowers Q: the intra weight is preserved while the
-    squared-degree penalty strictly shrinks."""
-    members: dict = defaultdict(list)
-    for v, c in assignment.items():
-        members[c].append(v)
-    adj = graph.adjacency
-    pieces: list[list] = []
-    for c in sorted(members):
-        todo = set(members[c])
-        while todo:
-            start = min(todo)
-            queue = [start]
-            todo.discard(start)
-            piece = [start]
-            while queue:
-                v = queue.pop()
-                for u in adj[v]:
-                    if u in todo:
-                        todo.discard(u)
-                        piece.append(u)
-                        queue.append(u)
-            pieces.append(sorted(piece))
-    pieces.sort(key=lambda p: p[0])
-    return {v: i for i, piece in enumerate(pieces) for v in piece}
+    squared-degree penalty strictly shrinks. Pieces are numbered in the
+    order of their smallest position."""
+    piece = [-1] * len(adj)
+    n_pieces = 0
+    for start in range(len(adj)):
+        if piece[start] >= 0:
+            continue
+        piece[start] = n_pieces
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if piece[u] < 0 and comm[u] == comm[v]:
+                    piece[u] = n_pieces
+                    stack.append(u)
+        n_pieces += 1
+    return piece
 
 
 def _multilevel(adj0: list[dict], m: float, q0: float, rng: random.Random) -> list[int]:
@@ -303,9 +297,8 @@ def louvain(graph: HotLinkGraph, seed: int = 0, restarts: int = 8) -> CommunityP
     best_assignment: dict | None = None
     best_q = -float("inf")
     for _ in range(max(1, restarts)):
-        node2agg = _multilevel(adj, m, q0, rng)
-        assignment = {v: node2agg[i] for i, v in enumerate(nodes)}
-        assignment = _split_disconnected(graph, assignment)
+        pieces = _split_disconnected(adj, _multilevel(adj, m, q0, rng))
+        assignment = dict(zip(nodes, pieces))
         q = modularity(graph, assignment)
         if q > best_q:
             best_assignment, best_q = assignment, q

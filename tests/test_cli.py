@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import citeheat
+from citeheat import cli, io_export
 from citeheat.cli import main
 from citeheat.io_export import FORMAT_VERSION, read_sidecar, read_tensor_cache
 
@@ -120,9 +125,44 @@ class TestRun:
         staged = tmp_path / "staged"
         base = [*_year_args(dyad_year_files), "--seed", "5", "--k", "1.0"]
         assert main(["run", *base, "--out", str(full)]) == 0
-        for stage in ("ingest", "flag-journals", "flag-links", "graph", "export"):
+        for stage in ("ingest", "flag", "graph", "export"):
             assert main([stage, *base, "--out", str(staged)]) == 0
         assert _tree(full) == _tree(staged)
+
+    def test_run_builds_the_flag_report_once(self, dyad_year_files, tmp_path, monkeypatch):
+        calls = {"build_flag_report": 0, "read_tensor_cache": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "build_flag_report")
+        counted(io_export, "read_tensor_cache")
+        out = str(tmp_path / "out")
+        assert main(["run", *_year_args(dyad_year_files), "--out", out]) == 0
+        assert calls == {"build_flag_report": 1, "read_tensor_cache": 1}
+        assert main(["flag-journals", "--out", out]) == 1
+
+    def test_optimized_python_writes_the_same_tree(self, dyad_year_files, tmp_path):
+        basemap = _write_basemap(tmp_path)
+        args = [*_year_args(dyad_year_files), "--k", "0", "--exclude", "Bkg00",
+                "--basemap", str(basemap)]
+        plain, optimized = tmp_path / "plain", tmp_path / "optimized"
+        assert main(["run", *args, "--out", str(plain)]) == 0
+        src = Path(citeheat.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "citeheat.cli", "run", *args, "--out", str(optimized)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (plain / "export" / "overlay_triangle.txt").is_file()
+        assert _tree(plain) == _tree(optimized)
 
     def test_two_runs_byte_identical(self, dyad_year_files, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -317,6 +357,29 @@ class TestConfigHandling:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "rel, stage",
+        [
+            ("ingest/years.txt", "flag"),
+            ("ingest/registry.tsv", "flag"),
+            ("reports/link_flags.json", "graph"),
+            ("reports/journal_flags.json", "export"),
+            ("network/communities.clu", "export"),
+            ("ingest/corpus_stats.json", "export"),
+        ],
+    )
+    def test_non_utf8_stage_file_exits_2(self, dyad_year_files, tmp_path, capsys, rel, stage):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
+        bad = out / rel
+        data = bad.read_bytes()
+        bad.write_bytes(data[:10] + b"\xff" + data[11:])
+        capsys.readouterr()
+        assert main([stage, "--out", str(out), "--k", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not valid utf-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda text: text.replace(
@@ -387,11 +450,11 @@ class TestConfigHandling:
         dropped = tmp_path / "dropped"
         kept = tmp_path / "kept"
         # stages need the ingest cache; a missing cache is an I/O failure
-        assert main(["flag-links", *_year_args(paths), "--out", str(dropped)]) == 3
+        assert main(["flag", *_year_args(paths), "--out", str(dropped)]) == 3
         assert main(["ingest", *_year_args(paths), "--out", str(dropped)]) == 0
-        assert main(["flag-links", "--out", str(dropped)]) == 0
+        assert main(["flag", "--out", str(dropped)]) == 0
         assert main(["ingest", *_year_args(paths), "--out", str(kept)]) == 0
-        assert main(["flag-links", "--out", str(kept), "--keep-loops"]) == 0
+        assert main(["flag", "--out", str(kept), "--keep-loops"]) == 0
         hot_dropped = {(c, d) for c, d, _ in _hot_links(dropped)}
         hot_kept = {(c, d) for c, d, _ in _hot_links(kept)}
         assert ("Bkg00", "Bkg00") not in hot_dropped

@@ -14,6 +14,7 @@ import citeheat
 from citeheat.errors import DataError
 from citeheat.netgraph import (
     HotLinkGraph,
+    _split_disconnected,
     build_graph,
     connected_components,
     degree_centrality,
@@ -224,6 +225,16 @@ class TestLouvain:
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError, match="non-empty"):
             louvain(build_graph([]), seed=0)
+
+    def test_split_disconnected_numbers_pieces_by_smallest_member(self):
+        # Community 5 holds the paths 0-2-4 and 1-3-5; community 0 holds
+        # 6-7, joined to 5 by an edge that must not merge pieces.
+        edges = [(0, 2), (2, 4), (1, 3), (3, 5), (6, 7), (5, 6)]
+        adj: list[dict] = [{} for _ in range(8)]
+        for u, v in edges:
+            adj[u][v] = adj[v][u] = 1.0
+        comm = [5, 5, 5, 5, 5, 5, 0, 0]
+        assert _split_disconnected(adj, comm) == [0, 1, 0, 1, 0, 1, 2, 2]
 
     def test_same_partition_under_any_string_hash_seed(self):
         rng = random.Random(5)
