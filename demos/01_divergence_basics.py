@@ -17,7 +17,6 @@ from citeheat import (
     build_common_set,
     cell_divergence,
     margin_totals,
-    relative_frequencies,
     to_unit,
 )
 
@@ -40,7 +39,7 @@ years = []
 for label, boost in (("2011", 20), ("2012", 40), ("2013", 80)):
     cells = dict(base)
     cells[("Neuro B", "Gene A")] = boost
-    years.append(YearMatrix(label, cells))
+    years.append(YearMatrix.from_cells(label, cells))
 
 registry, renamed = apply_name_changes(years, renames=[])
 tensor = build_common_set(registry, renamed)
@@ -48,8 +47,8 @@ print(f"common set: {tensor.n_nodes} journals, {tensor.n_cells} distinct cells")
 print(f"grand totals: {tensor.grand_totals.tolist()}")
 
 # Relative frequencies always sum to one per year.
-freqs = relative_frequencies(renamed[0])
-print(f"2011 frequency mass: {sum(freqs.values()):.12f}")
+freqs = tensor.frequencies(0)
+print(f"2011 frequency mass: {freqs.sum():.12f}")
 
 # --- Divergence of each transition ---------------------------------------
 # A cell enters a transition when its earlier-year count is positive; a

@@ -35,7 +35,7 @@ for label in ("2011", "2012", "2013"):
         cells[(node, background[(i + 1) % len(background)])] = 200
     cells[("Pers Med", "Genet Med")] = rising[label]
     cells[("Genet Med", "Pers Med")] = reverse[label]
-    matrices.append(YearMatrix(label, cells))
+    matrices.append(YearMatrix.from_cells(label, cells))
 
 registry, renamed = apply_name_changes(matrices, renames=[])
 tensor = build_common_set(registry, renamed)

@@ -41,13 +41,17 @@ for y, factor in enumerate((1, 3, 9)):
         grids[y][c, d] = 10 * factor
     grids[y][10, 11] = 8 * factor
 
-registry = JournalRegistry.from_names(names)
-year_cells = []
-for grid in grids:
-    year_cells.append({
-        (c, d): int(grid[c, d]) for c in range(n) for d in range(n) if grid[c, d] > 0
-    })
-tensor = AlignedTensor.from_year_cells(registry, ("2011", "2012", "2013"), year_cells)
+# Cells are the (citing, cited) pairs positive in some year, in row-major
+# order, which is the tensor's (citing, cited) sort order.
+stacked = np.stack(grids)
+citing, cited = np.nonzero((stacked > 0).any(axis=0))
+tensor = AlignedTensor(
+    registry=JournalRegistry.from_names(names),
+    year_labels=("2011", "2012", "2013"),
+    citing=citing,
+    cited=cited,
+    counts=stacked[:, citing, cited],
+)
 
 report = build_flag_report(tensor, k=1.0)
 labeled = [(names[c], names[d], s) for c, d, s in report.hot_links]

@@ -17,7 +17,6 @@ from .corpus import (
     normalize_name,
     parse_edge_list,
     parse_rename_file,
-    relative_frequencies,
 )
 from .entropy import (
     DIRECTIONS,
@@ -83,7 +82,6 @@ __all__ = [
     "parse_rename_file",
     "apply_name_changes",
     "build_common_set",
-    "relative_frequencies",
     "kl_term",
     "to_unit",
     "cell_divergence",

@@ -37,6 +37,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import io_export
 from .corpus import (
     apply_name_changes,
@@ -184,8 +186,8 @@ def stage_ingest(config: RunConfig) -> None:
         "years": [
             {
                 "label": matrix.year_label,
-                "journals": len(matrix.nodes()),
-                "links": len(matrix.cells),
+                "journals": int(np.union1d(matrix.citing, matrix.cited).size),
+                "links": int(matrix.counts.size),
             }
             for matrix in renamed
         ],
@@ -229,7 +231,8 @@ def stage_flag(config: RunConfig) -> None:
 
 
 def _load_graph(link_flags: dict):
-    graph = build_graph(link_flags["links"])
+    # The network is simple: hot self-citations (--keep-loops) stay in reports/.
+    graph = build_graph([link for link in link_flags["links"] if link[0] != link[1]])
     return graph, connected_components(graph)
 
 

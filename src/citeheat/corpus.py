@@ -3,16 +3,23 @@
 Input is one TSV edge list per year (``citing<TAB>cited<TAB>count``, ``#``
 comments, UTF-8, LF) plus an optional rename table (``old<TAB>new``). Names
 are compared byte-exactly after NFC normalization and trimming of
-leading/trailing ASCII whitespace. After renames are resolved, the node set
-is restricted to journals that are actively citing (appear on the citing
-side of at least one edge) in all three years, and the three matrices are
-aligned over one dense id space with per-transition validity masks.
+leading/trailing ASCII whitespace; records of one (citing, cited) pair sum,
+also after renames resolve to terminal names. The node set is then
+restricted to journals that are actively citing (appear on the citing side
+of at least one edge) in all three years, and the three matrices are
+aligned over one dense id space, in lexicographic name order, with
+per-transition validity masks.
+
+From the first parsed line on, a year is coordinate arrays over a name
+table: renames rewrite the table, not the cells, and alignment merges
+integer keys ``citing * N + cited``.
 """
 
 from __future__ import annotations
 
 import logging
 import unicodedata
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,41 +83,47 @@ class JournalRegistry:
 
 @dataclass(frozen=True)
 class YearMatrix:
-    """One year of citation counts as a sparse (citing, cited) -> count map.
+    """One year of citation counts as coordinate arrays over a name table.
 
-    Zero-count cells are absent by construction. In the matrix picture rows
-    are the cited side and columns the citing side, so ``cited_totals`` are
-    row totals and ``citing_totals`` column totals. Keys are journal names
-    during ingestion and dense integer ids inside an AlignedTensor.
+    ``citing``, ``cited`` and ``counts`` are int64 arrays of equal length;
+    ids index ``names``, a sorted tuple of distinct journal names. Cells are
+    distinct, sorted ascending by (citing, cited) and have counts > 0, so a
+    zero cell is absent. Renamed years share the registry's name table,
+    which may hold names that one year does not use.
     """
 
     year_label: str
-    cells: dict
+    names: tuple[str, ...]
+    citing: np.ndarray
+    cited: np.ndarray
+    counts: np.ndarray
 
-    @cached_property
-    def grand_total(self) -> int:
-        return sum(self.cells.values())
+    @classmethod
+    def from_cells(cls, year_label: str, cells: Mapping[tuple[str, str], int]) -> "YearMatrix":
+        """Build a year from a ``(citing, cited) -> count`` map of names."""
+        if any(count <= 0 for count in cells.values()):
+            raise DataError(f"year {year_label!r}: counts must be positive")
+        # Raw id 2i labels cell i's citing name and 2i+1 its cited name.
+        names = [name for pair in cells for name in pair]
+        ids = np.arange(len(names), dtype=np.int64)
+        return _coalesce(year_label, names, ids[0::2], ids[1::2], list(cells.values()))
 
-    @cached_property
-    def citing_totals(self) -> dict:
-        totals: dict = {}
-        for (citing, _), count in self.cells.items():
-            totals[citing] = totals.get(citing, 0) + count
-        return totals
 
-    @cached_property
-    def cited_totals(self) -> dict:
-        totals: dict = {}
-        for (_, cited), count in self.cells.items():
-            totals[cited] = totals.get(cited, 0) + count
-        return totals
-
-    def nodes(self) -> set:
-        seen = set()
-        for citing, cited in self.cells:
-            seen.add(citing)
-            seen.add(cited)
-        return seen
+def _coalesce(year_label, names, citing, cited, counts, table=None) -> YearMatrix:
+    """The one way a YearMatrix is built: ``names[i]`` labels raw id ``i``
+    and may repeat (two spellings, or two names renamed to one). Ids move
+    onto ``table`` (by default the sorted distinct labels) and cells that
+    then share a (citing, cited) key are summed."""
+    if table is None:
+        table = tuple(sorted(set(names)))
+    index = {name: i for i, name in enumerate(table)}
+    remap = np.fromiter((index[name] for name in names), np.int64, len(names))
+    n = len(table)
+    keys = remap[np.asarray(citing, np.int64)] * n + remap[np.asarray(cited, np.int64)]
+    unique, inverse = np.unique(keys, return_inverse=True)
+    summed = np.zeros(unique.size, dtype=np.int64)
+    np.add.at(summed, inverse, np.asarray(counts, dtype=np.int64))
+    return YearMatrix(year_label, table, unique // n, unique % n, summed)
 
 
 @contextmanager
@@ -128,10 +141,23 @@ def open_utf8(path: str | Path) -> Iterator[TextIO]:
 def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
     """Read one year's TSV edge list; duplicate (citing, cited) records sum.
 
-    Raises DataError naming the offending line for malformed records or
-    non-positive counts; I/O failures propagate as OSError.
+    Each distinct raw name field is normalized once and interned to an id,
+    so spellings that normalize alike share a journal. Raises DataError
+    naming the offending line for malformed records or non-positive counts;
+    I/O failures propagate as OSError.
     """
-    cells: dict[tuple[str, str], int] = {}
+    ids: dict[str, int] = {}
+    names: list[str] = []
+    records = array("q")  # citing id, cited id, count per record
+
+    def intern(raw: str, lineno: int) -> int:
+        name = normalize_name(raw)
+        if not name:
+            raise DataError(f"{path}:{lineno}: empty journal name")
+        ids[raw] = len(names)
+        names.append(name)
+        return ids[raw]
+
     with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.startswith("#") or not line.strip():
@@ -141,21 +167,22 @@ def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
                 raise DataError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
-            citing = normalize_name(fields[0])
-            cited = normalize_name(fields[1])
-            if not citing or not cited:
-                raise DataError(f"{path}:{lineno}: empty journal name")
+            source, target, raw_count = fields
+            c = ids[source] if source in ids else intern(source, lineno)
+            d = ids[target] if target in ids else intern(target, lineno)
             try:
-                count = int(fields[2])
+                count = int(raw_count)
             except ValueError:
                 raise DataError(
-                    f"{path}:{lineno}: count is not an integer: {fields[2]!r}"
+                    f"{path}:{lineno}: count is not an integer: {raw_count!r}"
                 ) from None
             if count <= 0:
                 raise DataError(f"{path}:{lineno}: count must be positive, got {count}")
-            key = (citing, cited)
-            cells[key] = cells.get(key, 0) + count
-    return YearMatrix(year_label=year_label, cells=cells)
+            records.extend((c, d, count))
+    if sum(records[2::3]) >= 2**63:  # cell sums are int64
+        raise DataError(f"{path}: counts sum past the int64 range")
+    rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
+    return _coalesce(year_label, names, rows[:, 0], rows[:, 1], rows[:, 2])
 
 
 def parse_rename_file(path: str | Path) -> list[tuple[str, str]]:
@@ -210,23 +237,18 @@ def apply_name_changes(
 ) -> tuple[JournalRegistry, list[YearMatrix]]:
     """Rewrite all years under terminal canonical names, summing collisions.
 
-    Renames apply globally to every year; the registry covers the union of
-    canonical names observed in the renamed matrices. Grand totals are
-    conserved exactly.
+    Renames apply globally to every year; the registry holds the canonical
+    form of every name in the years' name tables, and is the name table of
+    every renamed year. Grand totals are conserved exactly.
     """
     terminal = _resolve_renames(renames)
+    renamed_names = [[terminal.get(n, n) for n in m.names] for m in matrices]
+    names = tuple(sorted({n for year in renamed_names for n in year}))
+    renamed = [
+        _coalesce(m.year_label, year, m.citing, m.cited, m.counts, table=names)
+        for m, year in zip(matrices, renamed_names)
+    ]
 
-    renamed: list[YearMatrix] = []
-    observed: set[str] = set()
-    for matrix in matrices:
-        cells: dict[tuple[str, str], int] = {}
-        for (citing, cited), count in matrix.cells.items():
-            key = (terminal.get(citing, citing), terminal.get(cited, cited))
-            cells[key] = cells.get(key, 0) + count
-        renamed.append(YearMatrix(year_label=matrix.year_label, cells=cells))
-        observed.update(renamed[-1].nodes())
-
-    names = tuple(sorted(observed))
     alias_map = {n: n for n in names}
     for old, new in terminal.items():
         if new in alias_map:
@@ -285,83 +307,51 @@ class AlignedTensor:
     def pair_label(self, pair: tuple[int, int]) -> str:
         return f"{self.year_labels[pair[0]]}->{self.year_labels[pair[1]]}"
 
-    def year_matrix(self, year: int) -> YearMatrix:
-        """Id-keyed sparse view of one year (zero cells absent)."""
-        present = self.counts[year] > 0
-        cells = {
-            (int(c), int(d)): int(n)
-            for c, d, n in zip(
-                self.citing[present], self.cited[present], self.counts[year][present]
-            )
-        }
-        return YearMatrix(year_label=self.year_labels[year], cells=cells)
-
-    @classmethod
-    def from_year_cells(
-        cls,
-        registry: JournalRegistry,
-        year_labels: Sequence[str],
-        year_cells: Sequence[Mapping[tuple[int, int], int]],
-    ) -> "AlignedTensor":
-        """Assemble the tensor from three id-keyed cell maps."""
-        union: set[tuple[int, int]] = set()
-        for cells in year_cells:
-            union.update(cells)
-        order = sorted(union)
-        n = len(order)
-        citing = np.fromiter((c for c, _ in order), dtype=np.int64, count=n)
-        cited = np.fromiter((d for _, d in order), dtype=np.int64, count=n)
-        counts = np.zeros((3, n), dtype=np.int64)
-        for y, cells in enumerate(year_cells):
-            counts[y] = np.fromiter((cells.get(key, 0) for key in order), dtype=np.int64, count=n)
-        return cls(
-            registry=registry,
-            year_labels=tuple(year_labels),
-            citing=citing,
-            cited=cited,
-            counts=counts,
-        )
-
 
 def build_common_set(
     registry: JournalRegistry, matrices: Sequence[YearMatrix]
 ) -> AlignedTensor:
-    """Restrict three name-keyed matrices to the actively-citing common set.
+    """Restrict three year matrices to the actively-citing common set.
 
     A node is retained only if it appears on the citing side of at least one
     edge in every year; retained nodes keep both their rows and columns,
     everything else is dropped. Ids are reassigned lexicographically over the
-    retained names, so the result is independent of input order.
+    retained names, so the result is independent of input order. Every
+    name in the matrices' name tables must be in the registry.
     """
     if len(matrices) != 3:
         raise DataError(f"exactly 3 year matrices required, got {len(matrices)}")
 
-    active_sets = [set(m.citing_totals) for m in matrices]
-    common = set.intersection(*active_sets)
-    if not common:
-        raise DataError("no journal is actively citing in all three years")
-    unknown = common - set(registry.names)
-    if unknown:
-        raise DataError(f"matrices contain names outside the registry: {sorted(unknown)[:5]}")
-
-    sub_registry = JournalRegistry.from_names(common)
-    ids = {name: i for i, name in enumerate(sub_registry.names)}
-    year_cells = []
+    ids = registry._ids
+    years = []
+    common = np.ones(len(registry), dtype=bool)
     for matrix in matrices:
-        cells = {
-            (ids[citing], ids[cited]): count
-            for (citing, cited), count in matrix.cells.items()
-            if citing in ids and cited in ids
-        }
-        year_cells.append(cells)
+        if unknown := [name for name in matrix.names if name not in ids]:
+            raise DataError(f"matrices contain names outside the registry: {unknown[:5]}")
+        remap = np.fromiter((ids[name] for name in matrix.names), np.int64, len(matrix.names))
+        citing = remap[matrix.citing]
+        years.append((citing, remap[matrix.cited], matrix.counts))
+        common &= np.bincount(citing, minlength=len(registry)) > 0
+    if not common.any():
+        raise DataError("no journal is actively citing in all three years")
 
-    labels = tuple(m.year_label for m in matrices)
-    return AlignedTensor.from_year_cells(sub_registry, labels, year_cells)
-
-
-def relative_frequencies(matrix: YearMatrix) -> dict:
-    """Map every stored cell to count / grand_total (sums to 1)."""
-    total = matrix.grand_total
-    if total == 0:
-        raise DataError(f"year {matrix.year_label!r} is empty")
-    return {key: count / total for key, count in matrix.cells.items()}
+    # Registry names are sorted, so numbering the common ids in order keeps
+    # the ids lexicographic over the retained names.
+    sub_registry = JournalRegistry.from_names(n for n, keep in zip(registry.names, common) if keep)
+    n = len(sub_registry)
+    new_id = np.cumsum(common, dtype=np.int64) - 1
+    keys, kept = [], []
+    for citing, cited, counts in years:
+        keep = common[citing] & common[cited]
+        keys.append(new_id[citing[keep]] * n + new_id[cited[keep]])
+        kept.append(counts[keep])
+    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    aligned = np.zeros((3, unique.size), dtype=np.int64)
+    aligned[np.repeat(np.arange(3), [k.size for k in keys]), inverse] = np.concatenate(kept)
+    return AlignedTensor(
+        registry=sub_registry,
+        year_labels=tuple(m.year_label for m in matrices),
+        citing=unique // n,
+        cited=unique % n,
+        counts=aligned,
+    )

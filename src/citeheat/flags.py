@@ -64,25 +64,30 @@ def flag_monotonic(
         )
     t01 = compute_threshold(margins_01.values, k)
     t12 = compute_threshold(margins_12.values, k)
-    up = (margins_01.values > t01.upper) & (margins_12.values > t12.upper)
-    down = (margins_01.values < t01.lower) & (margins_12.values < t12.lower)
+    return _monotonic(margins_01.values, margins_12.values, t01, t12)
+
+
+def _monotonic(
+    values_01: np.ndarray, values_12: np.ndarray, t01: ThresholdSpec, t12: ThresholdSpec
+) -> tuple[frozenset[int], frozenset[int]]:
+    up = (values_01 > t01.upper) & (values_12 > t12.upper)
+    down = (values_01 < t01.lower) & (values_12 < t12.lower)
     return frozenset(np.flatnonzero(up).tolist()), frozenset(np.flatnonzero(down).tolist())
 
 
-def _below_lower(values: np.ndarray, k: float) -> frozenset[int]:
-    threshold = compute_threshold(values, k)
+def _below_lower(values: np.ndarray, threshold: ThresholdSpec) -> frozenset[int]:
     return frozenset(np.flatnonzero(values < threshold.lower).tolist())
 
 
 def flag_revision(revision: RevisionVector, k: float) -> frozenset[int]:
     """Nodes whose revision falls below mean - k*sd: the in-between year
     significantly worsens the prediction (a discontinuity)."""
-    return _below_lower(revision.values, k)
+    return _below_lower(revision.values, compute_threshold(revision.values, k))
 
 
 def flag_triangle_nodes(margins: JournalMargins, k: float) -> frozenset[int]:
     """Journal-level triangle flags, below mean - k*sd like the links."""
-    return _below_lower(margins.values, k)
+    return _below_lower(margins.values, compute_threshold(margins.values, k))
 
 
 def flag_links(
@@ -198,8 +203,9 @@ def build_flag_report(
     monotonic_up: dict[str, frozenset[int]] = {}
     monotonic_down: dict[str, frozenset[int]] = {}
     for direction in DIRECTIONS:
-        up, down = flag_monotonic(
-            margins[((0, 1), direction)], margins[((1, 2), direction)], k
+        up, down = _monotonic(
+            margins[((0, 1), direction)].values, margins[((1, 2), direction)].values,
+            thresholds[f"margin_01_{direction}"], thresholds[f"margin_12_{direction}"],
         )
         monotonic_up[direction] = up
         monotonic_down[direction] = down
@@ -209,8 +215,9 @@ def build_flag_report(
     for direction in DIRECTIONS:
         vector = revision_of_prediction(tensor, direction)
         revision[direction] = vector
-        revision_flagged[direction] = flag_revision(vector, k)
-        thresholds[f"revision_{direction}"] = compute_threshold(vector.values, k)
+        key = f"revision_{direction}"
+        thresholds[key] = compute_threshold(vector.values, k)
+        revision_flagged[direction] = _below_lower(vector.values, thresholds[key])
 
     triangle = triangle_evaluation(tensor)
     thresholds["links"] = compute_threshold(triangle.values, k)
@@ -219,12 +226,13 @@ def build_flag_report(
     for direction in DIRECTIONS:
         m = triangle_margins(triangle, direction)
         triangle_node_margins[direction] = m
-        triangle_flagged_nodes[direction] = flag_triangle_nodes(m, k)
-        thresholds[f"triangle_{direction}"] = compute_threshold(m.values, k)
+        key = f"triangle_{direction}"
+        thresholds[key] = compute_threshold(m.values, k)
+        triangle_flagged_nodes[direction] = _below_lower(m.values, thresholds[key])
 
-    all_hot = flag_links(triangle, k, drop_loops=False)
-    hot_links = flag_links(triangle, k, drop_loops=drop_loops)
-    loops_flagged = len(all_hot) - len(hot_links) if drop_loops else 0
+    hot = triangle.values < thresholds["links"].lower
+    hot_links = flag_links(triangle, drop_loops=drop_loops, threshold=thresholds["links"])
+    loops_flagged = int((hot & (triangle.citing == triangle.cited)).sum()) if drop_loops else 0
 
     return FlagReport(
         tensor=tensor,

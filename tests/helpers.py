@@ -10,6 +10,7 @@ check.
 from __future__ import annotations
 
 import random
+import unicodedata
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,18 +34,23 @@ def node_names(n: int) -> list[str]:
 
 def make_tensor(grids, labels=LABELS) -> AlignedTensor:
     """Aligned tensor from three dense (citing, cited) integer grids."""
-    grids = [np.asarray(g, dtype=np.int64) for g in grids]
-    n = grids[0].shape[0]
-    registry = JournalRegistry.from_names(node_names(n))
-    year_cells = []
-    for grid in grids:
-        cells = {}
-        for c in range(n):
-            for d in range(n):
-                if grid[c, d] > 0:
-                    cells[(c, d)] = int(grid[c, d])
-        year_cells.append(cells)
-    return AlignedTensor.from_year_cells(registry, labels, year_cells)
+    grids = np.stack([np.asarray(g, dtype=np.int64) for g in grids])
+    citing, cited = np.nonzero((grids > 0).any(axis=0))
+    return AlignedTensor(
+        registry=JournalRegistry.from_names(node_names(grids.shape[1])),
+        year_labels=tuple(labels),
+        citing=citing.astype(np.int64),
+        cited=cited.astype(np.int64),
+        counts=grids[:, citing, cited],
+    )
+
+
+def cells_of(matrix) -> dict:
+    """A YearMatrix as a ``(citing name, cited name) -> count`` dict."""
+    return {
+        (matrix.names[c], matrix.names[d]): int(n)
+        for c, d, n in zip(matrix.citing, matrix.cited, matrix.counts)
+    }
 
 
 def random_active_grids(rng: np.random.Generator, n: int, density: float = 0.5,
@@ -84,6 +90,61 @@ def dyad_fixture_cells() -> dict[str, dict]:
         cells[("Genet Med", "Pers Med")] = reverse[label]
         years[label] = cells
     return years
+
+
+def reference_ingest(year_texts: dict[str, str], renames) -> dict:
+    """Dict-keyed ingest written from the ``citeheat.corpus`` definitions.
+
+    ``year_texts`` maps each year label to its edge-list text and
+    ``renames`` is a list of ``(old, new)`` pairs without cycles. Names are
+    NFC-normalized and trimmed of ASCII whitespace, duplicate records sum,
+    every name is replaced by its terminal rename, the common set is the
+    journals citing in every year, and ids follow lexicographic name order.
+    Returns the common names, the aligned cells as ``(citing id, cited id,
+    per-year counts)`` in key order, per-year ``(label, journals, links)``
+    after renames, and the number of journals seen after renames.
+    """
+    def norm(name):
+        return unicodedata.normalize("NFC", name).strip(" \t\n\r\v\f")
+
+    direct = {norm(old): norm(new) for old, new in renames if norm(old) != norm(new)}
+
+    def terminal(name):
+        while name in direct:
+            name = direct[name]
+        return name
+
+    labels = sorted(year_texts)
+    years = {}
+    for label in labels:
+        cells: dict = {}
+        for line in year_texts[label].split("\n"):
+            if not line.strip() or line.startswith("#"):
+                continue
+            citing, cited, count = line.split("\t")
+            key = (terminal(norm(citing)), terminal(norm(cited)))
+            cells[key] = cells.get(key, 0) + int(count)
+        years[label] = cells
+
+    common = sorted(set.intersection(*({c for c, _ in years[l]} for l in labels)))
+    index = {name: i for i, name in enumerate(common)}
+    pairs = sorted(
+        (index[c], index[d])
+        for c, d in {pair for cells in years.values() for pair in cells}
+        if c in index and d in index
+    )
+    return {
+        "names": tuple(common),
+        "cells": [
+            (c, d, tuple(years[l].get((common[c], common[d]), 0) for l in labels))
+            for c, d in pairs
+        ],
+        "years": [
+            (l, len({name for pair in years[l] for name in pair}), len(years[l]))
+            for l in labels
+        ],
+        "combined_journals": len({n for cells in years.values() for p in cells for n in p}),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_criterion_2_synthetic_dyad_reproduction():
     }
     assert expected == {("Pers Med", "Genet Med")}
 
-    matrices = [YearMatrix(label, dict(years[label])) for label in sorted(years)]
+    matrices = [YearMatrix.from_cells(label, years[label]) for label in sorted(years)]
     registry, renamed = apply_name_changes(matrices, [])
     tensor = build_common_set(registry, renamed)
     report = build_flag_report(tensor, k=1.0)
@@ -346,7 +346,7 @@ def test_criterion_9_scale_invariance_of_flags_and_entropy():
     """Multiplying every count of one fixture year by 7 changes no flag set
     and no entropy value beyond 1e-12 relative."""
     years = dyad_fixture_cells()
-    matrices = [YearMatrix(label, dict(years[label])) for label in sorted(years)]
+    matrices = [YearMatrix.from_cells(label, years[label]) for label in sorted(years)]
     registry, renamed = apply_name_changes(matrices, [])
     base = build_common_set(registry, renamed)
 
@@ -356,7 +356,7 @@ def test_criterion_9_scale_invariance_of_flags_and_entropy():
         )
         for label, cells in years.items()
     }
-    matrices7 = [YearMatrix(label, scaled_years[label]) for label in sorted(scaled_years)]
+    matrices7 = [YearMatrix.from_cells(label, scaled_years[label]) for label in sorted(scaled_years)]
     registry7, renamed7 = apply_name_changes(matrices7, [])
     scaled = build_common_set(registry7, renamed7)
 

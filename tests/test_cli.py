@@ -460,6 +460,18 @@ class TestConfigHandling:
         assert ("Bkg00", "Bkg00") not in hot_dropped
         assert ("Bkg00", "Bkg00") in hot_kept
 
+        # run --keep-loops keeps the loop in reports/; the network is simple,
+        # so network/ and the VOSviewer files equal a run without the flag.
+        run_dropped, run_kept = tmp_path / "run_dropped", tmp_path / "run_kept"
+        assert main(["run", *_year_args(paths), "--out", str(run_dropped)]) == 0
+        assert main(["run", *_year_args(paths), "--out", str(run_kept), "--keep-loops"]) == 0
+        rows = _read_csv(run_kept / "reports" / "hot_links.csv")
+        assert ["Bkg00", "Bkg00"] in [row[:2] for row in rows]
+        assert _tree(run_kept / "network") == _tree(run_dropped / "network")
+        for name in ("vosviewer_map.txt", "vosviewer_network.txt"):
+            kept_file = (run_kept / "export" / name).read_bytes()
+            assert kept_file == (run_dropped / "export" / name).read_bytes()
+
 
 class TestBasemapExport:
     def test_overlays_written(self, dyad_year_files, tmp_path):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
 import logging
+import random
+import unicodedata
 
 import numpy as np
 import pytest
 
+import citeheat
+from citeheat.cli import main
 from citeheat.corpus import (
     AlignedTensor,
     YearMatrix,
@@ -13,15 +18,14 @@ from citeheat.corpus import (
     normalize_name,
     parse_edge_list,
     parse_rename_file,
-    relative_frequencies,
 )
 from citeheat.errors import DataError
 
-from helpers import exact_frequencies
+from helpers import cells_of, exact_frequencies, reference_ingest
 
 
 def _matrix(label, cells):
-    return YearMatrix(year_label=label, cells=dict(cells))
+    return YearMatrix.from_cells(label, dict(cells))
 
 
 def _aligned(year_cells_by_name, labels=("2011", "2012", "2013")):
@@ -35,29 +39,52 @@ class TestParseEdgeList:
         path = tmp_path / "y.tsv"
         path.write_text("A\tB\t3\nA\tB\t2\n", encoding="utf-8")
         matrix = parse_edge_list(path, "2011")
-        assert matrix.cells == {("A", "B"): 5}
-        assert matrix.grand_total == 5
+        assert cells_of(matrix) == {("A", "B"): 5}
+        assert int(matrix.counts.sum()) == 5
 
     def test_comments_only_file_is_empty(self, tmp_path):
         path = tmp_path / "y.tsv"
         path.write_text("# header\n# another\n", encoding="utf-8")
         matrix = parse_edge_list(path, "2011")
-        assert matrix.cells == {}
-        assert matrix.grand_total == 0
+        assert cells_of(matrix) == {}
+        assert matrix.names == ()
+        assert int(matrix.counts.sum()) == 0
 
     def test_totals_match_hand_tally(self, tmp_path):
         path = tmp_path / "y.tsv"
         path.write_text("A\tB\t4\nB\tC\t1\nC\tA\t2\nA\tC\t3\n", encoding="utf-8")
         matrix = parse_edge_list(path, "2011")
-        assert matrix.grand_total == 10
-        assert matrix.citing_totals == {"A": 7, "B": 1, "C": 2}
-        assert matrix.cited_totals == {"B": 4, "C": 4, "A": 2}
+        assert int(matrix.counts.sum()) == 10
+        citing_totals = np.bincount(matrix.citing, weights=matrix.counts, minlength=3)
+        cited_totals = np.bincount(matrix.cited, weights=matrix.counts, minlength=3)
+        assert matrix.names == ("A", "B", "C")
+        assert citing_totals.tolist() == [7, 1, 2]
+        assert cited_totals.tolist() == [2, 4, 4]
+        # Cells are sorted by (citing, cited) ids.
+        assert matrix.citing.tolist() == [0, 0, 1, 2]
+        assert matrix.cited.tolist() == [1, 2, 2, 0]
+        assert matrix.counts.tolist() == [4, 3, 1, 2]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "y.tsv"
         path.write_text("A\tB\t1\nA\tB\n", encoding="utf-8")
         with pytest.raises(DataError, match=r":2"):
             parse_edge_list(path, "2011")
+
+    @pytest.mark.parametrize("line", ["  \tB\t1", "A\t \t1"])
+    def test_empty_name_reports_line_number(self, tmp_path, line):
+        path = tmp_path / "y.tsv"
+        path.write_text(f"A\tB\t1\n# note\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":3: empty journal name"):
+            parse_edge_list(path, "2011")
+
+    def test_repeated_raw_spelling_sums_into_one_cell(self, tmp_path):
+        path = tmp_path / "y.tsv"
+        path.write_text(
+            " A\tB \t2\nB\tA\t1\n A\tB \t5\nA\tB\t4\n", encoding="utf-8"
+        )
+        matrix = parse_edge_list(path, "2011")
+        assert cells_of(matrix) == {("A", "B"): 11, ("B", "A"): 1}
 
     def test_non_integer_count(self, tmp_path):
         path = tmp_path / "y.tsv"
@@ -71,6 +98,12 @@ class TestParseEdgeList:
         with pytest.raises(DataError, match="positive"):
             parse_edge_list(path, "2011")
 
+    def test_counts_past_int64_are_a_data_error(self, tmp_path):
+        path = tmp_path / "y.tsv"
+        path.write_text(f"A\tB\t{2**62}\nA\tB\t{2**62}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="int64"):
+            parse_edge_list(path, "2011")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_edge_list(tmp_path / "nope.tsv", "2011")
@@ -79,7 +112,7 @@ class TestParseEdgeList:
         path = tmp_path / "y.tsv"
         path.write_text(" A \tB\t1\nA\t B\t2\n", encoding="utf-8")
         matrix = parse_edge_list(path, "2011")
-        assert matrix.cells == {("A", "B"): 3}
+        assert cells_of(matrix) == {("A", "B"): 3}
 
 
 class TestNormalizeName:
@@ -96,18 +129,18 @@ class TestApplyNameChanges:
     def test_collision_aggregates(self):
         matrix = _matrix("2011", {("X", "A"): 2, ("Y", "A"): 3})
         _, renamed = apply_name_changes([matrix], [("X", "Y")])
-        assert renamed[0].cells == {("Y", "A"): 5}
+        assert cells_of(renamed[0]) == {("Y", "A"): 5}
 
     def test_empty_rename_list_is_identity(self):
         matrix = _matrix("2011", {("A", "B"): 1})
         registry, renamed = apply_name_changes([matrix], [])
-        assert renamed[0].cells == matrix.cells
+        assert cells_of(renamed[0]) == cells_of(matrix)
         assert registry.names == ("A", "B")
 
     def test_chain_resolves_transitively(self):
         matrix = _matrix("2011", {("X", "X"): 1})
         registry, renamed = apply_name_changes([matrix], [("X", "Y"), ("Y", "Z")])
-        assert renamed[0].cells == {("Z", "Z"): 1}
+        assert cells_of(renamed[0]) == {("Z", "Z"): 1}
         assert registry.resolve("X") == "Z"
         assert registry.resolve("Y") == "Z"
 
@@ -121,7 +154,7 @@ class TestApplyNameChanges:
         with caplog.at_level(logging.WARNING, logger="citeheat.corpus"):
             _, renamed = apply_name_changes([matrix], [("A", "A")])
         assert "self-rename" in caplog.text
-        assert renamed[0].cells == matrix.cells
+        assert cells_of(renamed[0]) == cells_of(matrix)
 
     def test_conflicting_renames_rejected(self):
         matrix = _matrix("2011", {("A", "B"): 1})
@@ -133,13 +166,13 @@ class TestApplyNameChanges:
         renames = [("X", "Y"), ("Y", "Z"), ("Q", "R")]
         base_reg, base = apply_name_changes([_matrix("2011", cells)], renames)
         perm_reg, perm = apply_name_changes([_matrix("2011", cells)], renames[::-1])
-        assert base[0].cells == perm[0].cells
+        assert cells_of(base[0]) == cells_of(perm[0])
         assert base_reg.names == perm_reg.names
 
     def test_grand_total_conserved(self):
         cells = {("X", "A"): 2, ("Y", "A"): 3, ("A", "X"): 7}
         _, renamed = apply_name_changes([_matrix("2011", cells)], [("X", "Y")])
-        assert renamed[0].grand_total == 12
+        assert int(renamed[0].counts.sum()) == 12
 
     def test_registry_ids_are_lexicographic(self):
         matrix = _matrix("2011", {("B", "A"): 1, ("C", "A"): 1})
@@ -237,48 +270,175 @@ class TestBuildCommonSet:
         assert np.array_equal(t1.counts, t2.counts)
         assert np.array_equal(t1.citing, t2.citing)
 
-    def test_year_matrix_round_trip(self, small_tensor):
-        view = small_tensor.year_matrix(0)
-        assert view.grand_total == int(small_tensor.grand_totals[0])
-        assert all(count > 0 for count in view.cells.values())
+    def test_year_matrix_round_trip(self):
+        years = [
+            {("A", "B"): 1, ("B", "A"): 2, ("C", "A"): 4},
+            {("A", "B"): 3, ("B", "C"): 5, ("C", "A"): 6},
+            {("B", "A"): 7, ("C", "B"): 8, ("A", "C"): 9},
+        ]
+        tensor = _aligned(years)
+        names = tensor.registry.names
+        for y, cells in enumerate(years):
+            present = tensor.counts[y] > 0
+            back = {
+                (names[c], names[d]): int(n)
+                for c, d, n in zip(
+                    tensor.citing[present], tensor.cited[present], tensor.counts[y][present]
+                )
+            }
+            assert back == cells
+
+    def test_renamed_years_share_the_registry_name_table(self):
+        matrices = [_matrix("2011", {("X", "A"): 1}), _matrix("2012", {("A", "B"): 2})]
+        registry, renamed = apply_name_changes(matrices, [("X", "Y")])
+        assert registry.names == ("A", "B", "Y")
+        assert all(m.names == registry.names for m in renamed)
+
+
+def _one_year_tensor(cells):
+    """Tensor whose first year holds ``cells`` (every citing journal is kept)."""
+    return _aligned([cells, cells, cells])
 
 
 class TestRelativeFrequencies:
+    """``AlignedTensor.frequencies``: count / grand total per stored cell."""
+
     def test_two_cell_values(self):
-        freqs = relative_frequencies(_matrix("2011", {("A", "B"): 1, ("B", "A"): 3}))
-        assert freqs == {("A", "B"): 0.25, ("B", "A"): 0.75}
+        tensor = _one_year_tensor({("A", "B"): 1, ("B", "A"): 3})
+        assert tensor.frequencies(0).tolist() == [0.25, 0.75]
 
     def test_uniform_four_cells(self):
         cells = {("A", "B"): 5, ("B", "A"): 5, ("A", "C"): 5, ("C", "A"): 5}
-        freqs = relative_frequencies(_matrix("2011", cells))
-        assert all(v == 0.25 for v in freqs.values())
+        freqs = _one_year_tensor(cells).frequencies(0)
+        assert all(v == 0.25 for v in freqs)
 
     def test_matches_exact_rational_oracle(self, rng):
         cells = {
             (f"N{i}", f"N{(i + 3) % 10}"): int(rng.integers(1, 50))
             for i in range(10)
         }
-        matrix = _matrix("2011", cells)
-        freqs = relative_frequencies(matrix)
+        tensor = _one_year_tensor(cells)
+        names = tensor.registry.names
+        freqs = tensor.frequencies(0)
         exact = exact_frequencies(cells)
-        assert sum(freqs.values()) == pytest.approx(1.0, abs=1e-12)
-        for key, value in freqs.items():
-            assert value == pytest.approx(float(exact[key]), rel=1e-15)
+        assert float(freqs.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert len(freqs) == len(exact)
+        for c, d, value in zip(tensor.citing, tensor.cited, freqs):
+            assert value == float(exact[(names[c], names[d])])
 
-    def test_empty_matrix_errors(self):
-        with pytest.raises(DataError, match="empty"):
-            relative_frequencies(_matrix("2011", {}))
+    def test_empty_matrix_errors(self, small_tensor):
+        empty = AlignedTensor(
+            registry=small_tensor.registry,
+            year_labels=small_tensor.year_labels,
+            citing=small_tensor.citing,
+            cited=small_tensor.cited,
+            counts=small_tensor.counts * np.array([[0], [1], [1]]),
+        )
+        with pytest.raises(DataError, match="no citations"):
+            empty.frequencies(0)
 
     def test_scaling_a_year_leaves_frequencies_unchanged(self):
         cells = {("A", "B"): 3, ("B", "C"): 4, ("C", "A"): 9}
-        base = relative_frequencies(_matrix("2011", cells))
-        scaled = relative_frequencies(
-            _matrix("2011", {k: 7 * v for k, v in cells.items()})
-        )
-        assert base == scaled
+        base = _one_year_tensor(cells).frequencies(0)
+        scaled = _one_year_tensor({k: 7 * v for k, v in cells.items()}).frequencies(0)
+        assert base.tolist() == scaled.tolist()
 
 
 def test_aligned_tensor_frequencies_sum_to_one(small_tensor: AlignedTensor):
     for year in range(3):
         freqs = small_tensor.frequencies(year)
         assert float(freqs.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+# Every journal's spellings: its current name in NFC and NFD, plus former
+# names. "J03 Old" -> "J03 Mid" -> "J03" is a chain into a live journal,
+# "Serie X" collides into "Arché Rev", "Lost Old" -> "Lost New" renames to a
+# name that never occurs in the data, and "Never Seen" never occurs itself.
+_RENAMES = [
+    ("J03 Old", "J03 Mid"),
+    ("J03 Mid", "J03"),
+    ("Serie X", unicodedata.normalize("NFD", "Arché Rev")),
+    ("Lost Old", "Lost New"),
+    ("Never Seen", "J01"),
+]
+_SPELLINGS = {
+    **{f"J{i:02d}": [f"J{i:02d}"] for i in range(8) if i != 3},
+    "J03": ["J03", "J03 Old", "J03 Mid"],
+    "Arché Rev": ["Arché Rev", unicodedata.normalize("NFD", "Arché Rev"), "Serie X"],
+    "Über Phys": ["Über Phys", unicodedata.normalize("NFD", "Über Phys")],
+    "Lost New": ["Lost Old"],
+}
+
+
+def _messy_year(rng: random.Random, silent: set) -> str:
+    """One year's edge list: padded spellings, split duplicate records,
+    comments and blank lines; journals in ``silent`` cite nobody."""
+    journals = sorted(_SPELLINGS)
+    cells = {}
+    for citing in journals:
+        if citing in silent:
+            continue
+        for cited in rng.sample(journals, 3):
+            cells[(citing, cited)] = rng.randint(1, 40)
+    lines = ["# citing\tcited\tcount", ""]
+    for (citing, cited), count in cells.items():
+        while count > 0:
+            part = rng.randint(1, count)
+            count -= part
+            raw = [
+                " " * rng.randint(0, 1) + rng.choice(_SPELLINGS[name]) + " " * rng.randint(0, 1)
+                for name in (citing, cited)
+            ]
+            lines.append(f"{raw[0]}\t{raw[1]}\t{part}")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+class TestIngestOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_reference(self, tmp_path, seed):
+        rng = random.Random(seed)
+        labels = ("2011", "2012", "2013")
+        silent = {1: {"J05"}}  # J05 is cited but cites nobody in 2012
+        texts = {l: _messy_year(rng, silent.get(y, set())) for y, l in enumerate(labels)}
+        paths = {}
+        for label, text in texts.items():
+            paths[label] = tmp_path / f"{label}.tsv"
+            paths[label].write_text(text, encoding="utf-8")
+        rename_path = tmp_path / "renames.tsv"
+        rename_path.write_text("".join(f"{o}\t{n}\n" for o, n in _RENAMES), encoding="utf-8")
+
+        expected = reference_ingest(texts, _RENAMES)
+        assert "J05" not in expected["names"] and "Arché Rev" in expected["names"]
+
+        matrices = [parse_edge_list(paths[l], l) for l in labels]
+        registry, renamed = apply_name_changes(matrices, parse_rename_file(rename_path))
+        tensor = build_common_set(registry, renamed)
+        assert tensor.registry.names == expected["names"]
+        assert len(registry) == expected["combined_journals"]
+        got = [
+            (int(c), int(d), tuple(int(n) for n in tensor.counts[:, i]))
+            for i, (c, d) in enumerate(zip(tensor.citing, tensor.cited))
+        ]
+        assert got == expected["cells"]
+
+        out = tmp_path / "out"
+        args = ["ingest", "--out", str(out), "--renames", str(rename_path)]
+        for label in labels:
+            args += ["--year", f"{label}={paths[label]}"]
+        assert main(args) == 0
+        stats = json.loads((out / "ingest" / "corpus_stats.json").read_text(encoding="utf-8"))
+        assert [(y["label"], y["journals"], y["links"]) for y in stats["years"]] == expected["years"]
+        assert stats["combined_journals"] == expected["combined_journals"]
+        assert stats["common_journals"] == len(expected["names"])
+        counts = np.array([ns for *_, ns in expected["cells"]]).T
+        assert stats["valid_transition_cells"] == {
+            f"{labels[prior]}->{labels[post]}": int((counts[prior] > 0).sum())
+            for prior, post in ((0, 1), (1, 2), (0, 2))
+        }
+        assert stats["all_years_cells"] == int((counts > 0).all(axis=0).sum())
+
+
+def test_public_api_names_resolve():
+    missing = [name for name in citeheat.__all__ if not hasattr(citeheat, name)]
+    assert missing == []

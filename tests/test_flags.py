@@ -177,12 +177,13 @@ class TestRemoveOutliers:
     def test_remaining_counts_untouched(self):
         tensor = _hub_fixture_tensor()
         reduced = remove_outliers(tensor, ["J004"])
-        kept = reduced.year_matrix(0).cells
-        original = tensor.year_matrix(0).cells
         names, rnames = tensor.registry.names, reduced.registry.names
-        for (c, d), count in kept.items():
-            old = (names.index(rnames[c]), names.index(rnames[d]))
-            assert original[old] == count
+        original = {
+            (names[c], names[d]): tuple(tensor.counts[:, i])
+            for i, (c, d) in enumerate(zip(tensor.citing, tensor.cited))
+        }
+        for i, (c, d) in enumerate(zip(reduced.citing, reduced.cited)):
+            assert original[(rnames[c], rnames[d])] == tuple(reduced.counts[:, i])
 
     def test_empty_list_is_identity(self, small_tensor):
         assert remove_outliers(small_tensor, []) is small_tensor
