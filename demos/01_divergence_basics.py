@@ -16,6 +16,7 @@ from citeheat import (
     apply_name_changes,
     build_common_set,
     cell_divergence,
+    compute_threshold,
     margin_totals,
     to_unit,
 )
@@ -62,19 +63,24 @@ for pair in PAIRS:
     citing = margin_totals(cells, "citing")
 
     # Full decomposability: the margins in either direction resum to the total.
-    assert np.isclose(cited.values.sum(), cells.grand_sum, rtol=1e-9)
-    assert np.isclose(citing.values.sum(), cells.grand_sum, rtol=1e-9)
+    assert np.isclose(cited.sum(), cells.grand_sum, rtol=1e-9)
+    assert np.isclose(citing.sum(), cells.grand_sum, rtol=1e-9)
 
     names = tensor.registry.names
-    top_cited = int(np.argmax(cited.values))
-    top_citing = int(np.argmax(citing.values))
+    top_cited = int(np.argmax(cited))
+    top_citing = int(np.argmax(citing))
     print(f"  biggest cited-side mover:  {names[top_cited]:8s} "
-          f"{to_unit(cited.values[top_cited], 'mbits'):8.3f} mbits")
+          f"{to_unit(cited[top_cited], 'mbits'):8.3f} mbits")
     print(f"  biggest citing-side mover: {names[top_citing]:8s} "
-          f"{to_unit(citing.values[top_citing], 'mbits'):8.3f} mbits")
-    print(f"  per-journal mean {to_unit(cited.mean, 'mbits'):.3f} mbits, "
-          f"sd(cited) {to_unit(cited.sd, 'mbits'):.3f}, "
-          f"sd(citing) {to_unit(citing.sd, 'mbits'):.3f}")
+          f"{to_unit(citing[top_citing], 'mbits'):8.3f} mbits")
+
+    # compute_threshold takes the mean and population SD behind every flag
+    # threshold; k only sets the bounds, not these two.
+    cited_stats = compute_threshold(cited, k=1.0)
+    citing_stats = compute_threshold(citing, k=1.0)
+    print(f"  per-journal mean {to_unit(cited_stats.mean, 'mbits'):.3f} mbits, "
+          f"sd(cited) {to_unit(cited_stats.sd, 'mbits'):.3f}, "
+          f"sd(citing) {to_unit(citing_stats.sd, 'mbits'):.3f}")
 
 print("\nThe climbing link (Neuro B -> Gene A) dominates every transition, "
       "and the citing-side spread exceeds the cited-side spread, as expected "

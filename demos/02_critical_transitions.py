@@ -44,10 +44,10 @@ names = tensor.registry.names
 
 # --- Journal-level view ----------------------------------------------------
 print("revision of the prediction (citing direction, mbits):")
-vector = report.revision["citing"]
-for i in np.argsort(vector.values):
+revision = report.revision_node_margins["citing"]
+for i in np.argsort(revision):
     marker = "  <- flagged" if i in report.revision_flagged["citing"] else ""
-    print(f"  {names[i]:12s} {to_unit(vector.values[i], 'mbits'):9.4f}{marker}")
+    print(f"  {names[i]:12s} {to_unit(revision[i], 'mbits'):9.4f}{marker}")
 threshold = report.thresholds["revision_citing"]
 print(f"  threshold: mean - sd = {to_unit(threshold.lower, 'mbits'):.4f} mbits")
 

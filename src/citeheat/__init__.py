@@ -21,8 +21,7 @@ from .corpus import (
 from .entropy import (
     DIRECTIONS,
     UNIT_SCALE,
-    JournalMargins,
-    RevisionVector,
+    RevisionCells,
     TransitionCells,
     TriangleCells,
     cell_divergence,
@@ -31,7 +30,6 @@ from .entropy import (
     revision_of_prediction,
     to_unit,
     triangle_evaluation,
-    triangle_margins,
 )
 from .errors import CiteHeatError, ConfigError, DataError
 from .flags import (
@@ -40,9 +38,6 @@ from .flags import (
     build_flag_report,
     compute_threshold,
     flag_links,
-    flag_monotonic,
-    flag_revision,
-    flag_triangle_nodes,
     remove_outliers,
 )
 from .netgraph import (
@@ -66,8 +61,7 @@ __all__ = [
     "JournalRegistry",
     "YearMatrix",
     "TransitionCells",
-    "JournalMargins",
-    "RevisionVector",
+    "RevisionCells",
     "TriangleCells",
     "ThresholdSpec",
     "FlagReport",
@@ -88,11 +82,7 @@ __all__ = [
     "margin_totals",
     "revision_of_prediction",
     "triangle_evaluation",
-    "triangle_margins",
     "compute_threshold",
-    "flag_monotonic",
-    "flag_revision",
-    "flag_triangle_nodes",
     "flag_links",
     "remove_outliers",
     "build_flag_report",

@@ -302,12 +302,11 @@ def stage_export(config: RunConfig) -> None:
         corpus_stats = json.load(handle)
     summary = {
         "format_version": io_export.FORMAT_VERSION,
+        # The analysis options are those the flag stage recorded, not this
+        # invocation's: a staged export with other options describes reports/.
         "config": {
-            "k": config.k,
-            "unit": config.unit,
+            **{key: link_flags[key] for key in ("k", "unit", "drop_loops", "outliers_removed")},
             "seed": config.seed,
-            "drop_loops": config.drop_loops,
-            "outliers_removed": list(config.excludes),
             "basemap": config.basemap,
             "year_labels": [row["label"] for row in corpus_stats["years"]],
         },

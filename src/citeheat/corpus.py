@@ -143,7 +143,8 @@ def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
 
     Each distinct raw name field is normalized once and interned to an id,
     so spellings that normalize alike share a journal. Raises DataError
-    naming the offending line for malformed records or non-positive counts;
+    naming the offending line for malformed records, counts that are not
+    ASCII decimal integers, and non-positive or int64-overflowing counts;
     I/O failures propagate as OSError.
     """
     ids: dict[str, int] = {}
@@ -170,14 +171,21 @@ def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
             source, target, raw_count = fields
             c = ids[source] if source in ids else intern(source, lineno)
             d = ids[target] if target in ids else intern(target, lineno)
+            # ASCII decimal only: int() would also read "1_0", " 3" or an
+            # Arabic-Indic digit. A leading "-" goes on to "must be positive".
+            digits = raw_count.removeprefix("-")
+            if not (digits.isdigit() and digits.isascii()):
+                raise DataError(f"{path}:{lineno}: count is not an integer: {raw_count!r}")
             try:
                 count = int(raw_count)
-            except ValueError:
+            except ValueError:  # more digits than int() converts (4300 by default)
                 raise DataError(
-                    f"{path}:{lineno}: count is not an integer: {raw_count!r}"
+                    f"{path}:{lineno}: count past the int64 range: {len(digits)} digits"
                 ) from None
             if count <= 0:
                 raise DataError(f"{path}:{lineno}: count must be positive, got {count}")
+            if count >= 2**63:
+                raise DataError(f"{path}:{lineno}: count past the int64 range: {count}")
             records.extend((c, d, count))
     if sum(records[2::3]) >= 2**63:  # cell sums are int64
         raise DataError(f"{path}: counts sum past the int64 range")

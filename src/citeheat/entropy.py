@@ -11,10 +11,13 @@ The quantities:
   a posterior zero contributes exactly 0 bits, a prior zero makes the cell
   invalid for the pair (mask rule, enforced upstream);
 * journal margins: row (cited) or column (citing) partial sums of the cell
-  values — the cell sums decompose exactly into either margin family;
-* revision of the prediction per journal: sum of q * log2(p'/p) with p' the
-  in-between year, equal to I(q|p) - I(q|p') over the same cells; negative
-  values mean the in-between year made the forecast worse;
+  values — the cell sums decompose exactly into either margin family.
+  ``margin_totals`` takes divergence, revision or triangle cells alike;
+* revision of the prediction per journal: the margin of the per-cell terms
+  q * log2(p'/p), p' the in-between year, equal to I(q|p) - I(q|p') over
+  the same cells; negative values mean the in-between year made the
+  forecast worse. ``revision_of_prediction`` computes the cells once for
+  both directions;
 * per-cell triangle score: KL(p'|p) + KL(q|p') - KL(q|p); negative values
   flag a candidate critical transition, which is the cell-level instrument
   because the per-cell revision identity q*log2(p'/p) + q*log2(q/p') =
@@ -22,7 +25,8 @@ The quantities:
 
 Final reductions run over the canonical ascending (citing, cited) cell order
 with exact compensated summation, so identical input gives bit-identical
-sums regardless of platform or worker count.
+sums regardless of platform or worker count. This module takes no mean or
+SD: ``flags.compute_threshold`` is the only code that does.
 """
 
 from __future__ import annotations
@@ -68,11 +72,6 @@ def kl_term(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _population_stats(values: np.ndarray) -> tuple[float, float]:
-    # Population SD (divide by N): the node set is the full population.
-    return float(np.mean(values)), float(np.std(values))
-
-
 @dataclass(frozen=True)
 class TransitionCells:
     """Per-cell KL contributions (bits) for one ordered year pair."""
@@ -87,34 +86,22 @@ class TransitionCells:
 
 
 @dataclass(frozen=True)
-class JournalMargins:
-    """Per-node partial sums of cell values, with population mean/SD.
+class RevisionCells:
+    """Per-cell revision terms q * log2(p'/p) over the revision cell set.
 
-    ``values`` covers every node of the common set, including nodes whose
-    margin is zero; the vector sums to the originating grand total.
+    Included: prior and in-between counts both positive (posterior may be
+    zero; such terms are exactly 0). ``excluded_cells`` counts cells with
+    posterior mass but a zero prior or in-between count; they cannot enter
+    the revision sum without making it (and the matching KL difference)
+    infinite.
     """
 
-    direction: str
+    citing: np.ndarray
+    cited: np.ndarray
     values: np.ndarray
-    mean: float
-    sd: float
-
-
-@dataclass(frozen=True)
-class RevisionVector:
-    """Revision of the prediction, aggregated per node.
-
-    ``excluded_cells`` counts cells with posterior mass but a zero prior or
-    in-between frequency; they cannot enter the revision sum without making
-    it (and the matching KL difference) infinite.
-    """
-
-    direction: str
-    values: np.ndarray
-    mean: float
-    sd: float
     grand_sum: float
     excluded_cells: int
+    n_nodes: int
 
 
 @dataclass(frozen=True)
@@ -124,8 +111,6 @@ class TriangleCells:
     citing: np.ndarray
     cited: np.ndarray
     values: np.ndarray
-    mean: float
-    sd: float
     n_nodes: int
 
 
@@ -149,59 +134,39 @@ def cell_divergence(tensor: AlignedTensor, pair: tuple[int, int]) -> TransitionC
     )
 
 
-def _margins(
-    citing: np.ndarray,
-    cited: np.ndarray,
-    values: np.ndarray,
-    n_nodes: int,
-    direction: str,
-) -> JournalMargins:
+def margin_totals(
+    cells: TransitionCells | RevisionCells | TriangleCells, direction: str
+) -> np.ndarray:
+    """Row (cited) or column (citing) sums of the cell values, one per node.
+
+    Every node of the common set gets an entry, including nodes whose margin
+    is zero, so the vector sums to the cells' grand total.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    index = cited if direction == "cited" else citing
-    totals = np.zeros(n_nodes, dtype=float)
-    np.add.at(totals, index, values)
-    mean, sd = _population_stats(totals)
-    return JournalMargins(direction=direction, values=totals, mean=mean, sd=sd)
+    index = cells.cited if direction == "cited" else cells.citing
+    totals = np.zeros(cells.n_nodes, dtype=float)
+    np.add.at(totals, index, cells.values)
+    return totals
 
 
-def margin_totals(cells: TransitionCells, direction: str) -> JournalMargins:
-    """Row (cited) or column (citing) sums of a pair's cell contributions."""
-    return _margins(cells.citing, cells.cited, cells.values, cells.n_nodes, direction)
-
-
-def revision_mask(tensor: AlignedTensor) -> tuple[np.ndarray, int]:
-    """Cells entering the revision sum, plus the count of excluded cells.
-
-    Included: prior and in-between counts both positive (posterior may be
-    zero; such terms are exactly 0). Excluded and counted: posterior mass on
-    a cell whose prior or in-between count is zero.
-    """
+def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:
+    """q * log2(p'/p) for every cell of the revision cell set."""
     c0, c1, c2 = tensor.counts
     included = (c0 > 0) & (c1 > 0)
-    excluded = int(np.count_nonzero((c2 > 0) & ~included))
-    return included, excluded
-
-
-def revision_of_prediction(tensor: AlignedTensor, direction: str) -> RevisionVector:
-    """Per-node sum of q * log2(p'/p) over the revision cell set."""
-    included, excluded = revision_mask(tensor)
     p = tensor.frequencies(0)[included]
     p_mid = tensor.frequencies(1)[included]
     q = tensor.frequencies(2)[included]
     values = np.zeros(p.shape, dtype=float)
     nz = q > 0
     values[nz] = q[nz] * np.log2(p_mid[nz] / p[nz])
-    margins = _margins(
-        tensor.citing[included], tensor.cited[included], values, tensor.n_nodes, direction
-    )
-    return RevisionVector(
-        direction=direction,
-        values=margins.values,
-        mean=margins.mean,
-        sd=margins.sd,
+    return RevisionCells(
+        citing=tensor.citing[included],
+        cited=tensor.cited[included],
+        values=values,
         grand_sum=ordered_fsum(values),
-        excluded_cells=excluded,
+        excluded_cells=int(np.count_nonzero((c2 > 0) & ~included)),
+        n_nodes=tensor.n_nodes,
     )
 
 
@@ -214,17 +179,9 @@ def triangle_evaluation(tensor: AlignedTensor) -> TriangleCells:
     p_mid = tensor.frequencies(1)[mask]
     q = tensor.frequencies(2)[mask]
     values = kl_term(p_mid, p) + kl_term(q, p_mid) - kl_term(q, p)
-    mean, sd = _population_stats(values)
     return TriangleCells(
         citing=tensor.citing[mask],
         cited=tensor.cited[mask],
         values=values,
-        mean=mean,
-        sd=sd,
         n_nodes=tensor.n_nodes,
     )
-
-
-def triangle_margins(cells: TriangleCells, direction: str) -> JournalMargins:
-    """Journal-level aggregation of the per-cell triangle scores."""
-    return _margins(cells.citing, cells.cited, cells.values, cells.n_nodes, direction)

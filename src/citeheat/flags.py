@@ -4,6 +4,11 @@ The benchmark is always the mean of the respective value set, not zero,
 because the divergences are necessarily positive in aggregate. All
 comparisons are strict: a value exactly on a threshold is not flagged
 ("more than" a standard deviation).
+
+``compute_threshold`` is the only code that takes a mean or SD.
+``build_flag_report`` computes each indicator and each threshold once, keeps
+the thresholds in ``FlagReport.thresholds`` and applies them to every flag
+rule; the reports read their statistics from there.
 """
 
 from __future__ import annotations
@@ -16,15 +21,13 @@ import numpy as np
 from .corpus import PAIRS, AlignedTensor, JournalRegistry
 from .entropy import (
     DIRECTIONS,
-    JournalMargins,
-    RevisionVector,
+    RevisionCells,
     TransitionCells,
     TriangleCells,
     cell_divergence,
     margin_totals,
     revision_of_prediction,
     triangle_evaluation,
-    triangle_margins,
 )
 from .errors import DataError
 
@@ -41,7 +44,10 @@ class ThresholdSpec:
 
 
 def compute_threshold(values: np.ndarray, k: float) -> ThresholdSpec:
-    """Population mean/SD of a value set and the derived flag bounds."""
+    """Population mean/SD of a value set and the derived flag bounds.
+
+    Population SD (divide by N): the node or cell set is the full population.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise DataError("cannot compute a threshold over an empty value set")
@@ -50,68 +56,49 @@ def compute_threshold(values: np.ndarray, k: float) -> ThresholdSpec:
     return ThresholdSpec(k=k, mean=mean, sd=sd, upper=mean + k * sd, lower=mean - k * sd)
 
 
-def flag_monotonic(
-    margins_01: JournalMargins, margins_12: JournalMargins, k: float
+def threshold_key(family: str, direction: str, pair: tuple[int, int] | None = None) -> str:
+    """Key of a journal value set in ``FlagReport.thresholds``:
+    ``margin_<ab>_<dir>`` for a transition pair, ``<family>_<dir>`` otherwise."""
+    if pair is not None:
+        family = f"{family}_{pair[0]}{pair[1]}"
+    return f"{family}_{direction}"
+
+
+def _monotonic(
+    values_01: np.ndarray, values_12: np.ndarray, t01: ThresholdSpec, t12: ThresholdSpec
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Nodes beyond the per-pair thresholds in BOTH consecutive intervals.
 
     Up: above mean + k*sd in both t0->t1 and t1->t2; down: below mean - k*sd
     in both. Thresholds are computed per pair, never pooled.
     """
-    if margins_01.direction != margins_12.direction:
-        raise ValueError(
-            f"direction mismatch: {margins_01.direction!r} vs {margins_12.direction!r}"
-        )
-    t01 = compute_threshold(margins_01.values, k)
-    t12 = compute_threshold(margins_12.values, k)
-    return _monotonic(margins_01.values, margins_12.values, t01, t12)
-
-
-def _monotonic(
-    values_01: np.ndarray, values_12: np.ndarray, t01: ThresholdSpec, t12: ThresholdSpec
-) -> tuple[frozenset[int], frozenset[int]]:
     up = (values_01 > t01.upper) & (values_12 > t12.upper)
     down = (values_01 < t01.lower) & (values_12 < t12.lower)
     return frozenset(np.flatnonzero(up).tolist()), frozenset(np.flatnonzero(down).tolist())
 
 
 def _below_lower(values: np.ndarray, threshold: ThresholdSpec) -> frozenset[int]:
+    """Journal flags strictly below mean - k*sd. For the revision, the
+    in-between year significantly worsens the prediction (a discontinuity);
+    for the triangle margins, as for the links, the two-step path is short."""
     return frozenset(np.flatnonzero(values < threshold.lower).tolist())
 
 
-def flag_revision(revision: RevisionVector, k: float) -> frozenset[int]:
-    """Nodes whose revision falls below mean - k*sd: the in-between year
-    significantly worsens the prediction (a discontinuity)."""
-    return _below_lower(revision.values, compute_threshold(revision.values, k))
-
-
-def flag_triangle_nodes(margins: JournalMargins, k: float) -> frozenset[int]:
-    """Journal-level triangle flags, below mean - k*sd like the links."""
-    return _below_lower(margins.values, compute_threshold(margins.values, k))
-
-
 def flag_links(
-    triangle: TriangleCells,
-    k: float = 1.0,
-    drop_loops: bool = True,
-    threshold: ThresholdSpec | None = None,
+    triangle: TriangleCells, threshold: ThresholdSpec, drop_loops: bool = True
 ) -> tuple[tuple[int, int, float], ...]:
-    """Cells whose triangle score is strictly below the lower threshold.
+    """Cells whose triangle score is strictly below ``threshold.lower``.
 
-    The threshold is computed over all evaluated cells (the diagonal
-    included); with ``drop_loops`` the self-citation cells are removed from
-    the flagged set afterwards, matching the network analysis. An explicit
-    ``threshold`` overrides the computed one.
+    ``build_flag_report`` takes the threshold over all evaluated cells, the
+    diagonal included; with ``drop_loops`` the self-citation cells are
+    removed from the flagged set afterwards, matching the network analysis.
     """
-    if threshold is None:
-        threshold = compute_threshold(triangle.values, k)
     hot = triangle.values < threshold.lower
     if drop_loops:
         hot &= triangle.citing != triangle.cited
-    idx = np.flatnonzero(hot)
     return tuple(
         (int(triangle.citing[i]), int(triangle.cited[i]), float(triangle.values[i]))
-        for i in idx
+        for i in np.flatnonzero(hot)
     )
 
 
@@ -148,8 +135,10 @@ class FlagReport:
     """Every indicator, threshold and flag set for one analysis run.
 
     Raw values stay in bits; ``unit`` only records how reports should be
-    serialized. Flag sets hold internal node ids of ``tensor.registry``
-    (the post-outlier-removal registry).
+    serialized. The journal arrays (``margins``, ``revision_node_margins``,
+    ``triangle_node_margins``) hold one value per node, and the flag sets
+    hold internal node ids of ``tensor.registry`` (the post-outlier-removal
+    registry). ``thresholds`` holds the one mean and SD of each value set.
     """
 
     tensor: AlignedTensor
@@ -158,10 +147,11 @@ class FlagReport:
     drop_loops: bool
     outliers_removed: tuple[str, ...]
     transitions: dict[tuple[int, int], TransitionCells]
-    margins: dict[tuple[tuple[int, int], str], JournalMargins]
-    revision: dict[str, RevisionVector]
+    margins: dict[tuple[tuple[int, int], str], np.ndarray]
+    revision: RevisionCells
+    revision_node_margins: dict[str, np.ndarray]
     triangle: TriangleCells
-    triangle_node_margins: dict[str, JournalMargins]
+    triangle_node_margins: dict[str, np.ndarray]
     thresholds: dict[str, ThresholdSpec]
     monotonic_up: dict[str, frozenset[int]]
     monotonic_down: dict[str, frozenset[int]]
@@ -169,9 +159,6 @@ class FlagReport:
     triangle_flagged_nodes: dict[str, frozenset[int]]
     hot_links: tuple[tuple[int, int, float], ...] = field(default=())
     loops_flagged: int = 0
-
-    def label(self, node_id: int) -> str:
-        return self.tensor.registry.names[node_id]
 
 
 def build_flag_report(
@@ -184,55 +171,43 @@ def build_flag_report(
     """Run every indicator family over the tensor and collect the flags.
 
     ``outliers`` are removed (rows and columns) before anything is computed,
-    so every mean and SD reflects the reduced matrix.
+    so every mean and SD reflects the reduced matrix. Threshold keys are
+    ``threshold_key`` names and ``links``; the link threshold is taken over
+    every evaluated cell, loops included.
     """
     outliers = tuple(outliers)
     if outliers:
         tensor = remove_outliers(tensor, outliers)
 
     transitions = {pair: cell_divergence(tensor, pair) for pair in PAIRS}
-    margins: dict[tuple[tuple[int, int], str], JournalMargins] = {}
-    thresholds: dict[str, ThresholdSpec] = {}
-    for pair in PAIRS:
-        for direction in DIRECTIONS:
-            m = margin_totals(transitions[pair], direction)
-            margins[(pair, direction)] = m
-            key = f"margin_{pair[0]}{pair[1]}_{direction}"
-            thresholds[key] = compute_threshold(m.values, k)
+    margins = {
+        (pair, d): margin_totals(transitions[pair], d) for pair in PAIRS for d in DIRECTIONS
+    }
+    revision = revision_of_prediction(tensor)
+    revision_node_margins = {d: margin_totals(revision, d) for d in DIRECTIONS}
+    triangle = triangle_evaluation(tensor)
+    triangle_node_margins = {d: margin_totals(triangle, d) for d in DIRECTIONS}
+
+    value_sets = {
+        threshold_key("margin", d, pair): margins[(pair, d)] for pair in PAIRS for d in DIRECTIONS
+    }
+    for d in DIRECTIONS:
+        value_sets[threshold_key("revision", d)] = revision_node_margins[d]
+        value_sets[threshold_key("triangle", d)] = triangle_node_margins[d]
+    value_sets["links"] = triangle.values
+    thresholds = {key: compute_threshold(values, k) for key, values in value_sets.items()}
 
     monotonic_up: dict[str, frozenset[int]] = {}
     monotonic_down: dict[str, frozenset[int]] = {}
-    for direction in DIRECTIONS:
-        up, down = _monotonic(
-            margins[((0, 1), direction)].values, margins[((1, 2), direction)].values,
-            thresholds[f"margin_01_{direction}"], thresholds[f"margin_12_{direction}"],
+    for d in DIRECTIONS:
+        monotonic_up[d], monotonic_down[d] = _monotonic(
+            margins[((0, 1), d)], margins[((1, 2), d)],
+            thresholds[threshold_key("margin", d, (0, 1))],
+            thresholds[threshold_key("margin", d, (1, 2))],
         )
-        monotonic_up[direction] = up
-        monotonic_down[direction] = down
 
-    revision: dict[str, RevisionVector] = {}
-    revision_flagged: dict[str, frozenset[int]] = {}
-    for direction in DIRECTIONS:
-        vector = revision_of_prediction(tensor, direction)
-        revision[direction] = vector
-        key = f"revision_{direction}"
-        thresholds[key] = compute_threshold(vector.values, k)
-        revision_flagged[direction] = _below_lower(vector.values, thresholds[key])
-
-    triangle = triangle_evaluation(tensor)
-    thresholds["links"] = compute_threshold(triangle.values, k)
-    triangle_node_margins: dict[str, JournalMargins] = {}
-    triangle_flagged_nodes: dict[str, frozenset[int]] = {}
-    for direction in DIRECTIONS:
-        m = triangle_margins(triangle, direction)
-        triangle_node_margins[direction] = m
-        key = f"triangle_{direction}"
-        thresholds[key] = compute_threshold(m.values, k)
-        triangle_flagged_nodes[direction] = _below_lower(m.values, thresholds[key])
-
-    hot = triangle.values < thresholds["links"].lower
-    hot_links = flag_links(triangle, drop_loops=drop_loops, threshold=thresholds["links"])
-    loops_flagged = int((hot & (triangle.citing == triangle.cited)).sum()) if drop_loops else 0
+    hot = flag_links(triangle, thresholds["links"], drop_loops=False)
+    loops_flagged = sum(c == d for c, d, _ in hot) if drop_loops else 0
 
     return FlagReport(
         tensor=tensor,
@@ -243,13 +218,20 @@ def build_flag_report(
         transitions=transitions,
         margins=margins,
         revision=revision,
+        revision_node_margins=revision_node_margins,
         triangle=triangle,
         triangle_node_margins=triangle_node_margins,
         thresholds=thresholds,
         monotonic_up=monotonic_up,
         monotonic_down=monotonic_down,
-        revision_flagged=revision_flagged,
-        triangle_flagged_nodes=triangle_flagged_nodes,
-        hot_links=hot_links,
+        revision_flagged={
+            d: _below_lower(revision_node_margins[d], thresholds[threshold_key("revision", d)])
+            for d in DIRECTIONS
+        },
+        triangle_flagged_nodes={
+            d: _below_lower(triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
+            for d in DIRECTIONS
+        },
+        hot_links=tuple(link for link in hot if link[0] != link[1]) if drop_loops else hot,
         loops_flagged=loops_flagged,
     )

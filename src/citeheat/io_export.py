@@ -10,6 +10,8 @@ Human reports (CSV, comma-separated, one header row) are write-only: no
 stage reads them back. They round to 6 decimals in the reporting unit:
 
 * transition_summary.csv: transition, mean_<u>, sd_cited_<u>, sd_citing_<u>, sum_<u>
+  (mean and SDs are those of the journal_flags.json margin_<ab> and
+  revision thresholds: mean and SD of the cited margins, SD of the citing)
 * margins_<dir>.csv:      journal, kl_<y0>_<y1>_<u>, kl_<y1>_<y2>_<u>, kl_<y0>_<y2>_<u>, monotonic
 * revision_<dir>.csv:     journal, revision_<u>, flagged
 * triangle_nodes_<dir>.csv: journal, triangle_<u>, flagged
@@ -60,10 +62,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name, open_utf8
+from .corpus import AlignedTensor, JournalRegistry, normalize_name, open_utf8
 from .entropy import DIRECTIONS, to_unit
 from .errors import DataError
-from .flags import FlagReport, ThresholdSpec
+from .flags import FlagReport, ThresholdSpec, threshold_key
 from .netgraph import CommunityPartition, ComponentPartition, HotLinkGraph
 
 FORMAT_VERSION = 2
@@ -467,18 +469,14 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
     )
 
 
-def _hottest_first(hot_links: Iterable[tuple[str, str, float]]) -> list:
-    return sorted(hot_links, key=lambda link: (link[2], link[0], link[1]))
-
-
 def write_hot_links_csv(
     path: str | Path, hot_links: Sequence[tuple[str, str, float]], unit: str
 ) -> None:
-    """Flagged cells ranked hottest first (score ascending, labels tie-break)."""
+    """Label-keyed flagged cells, one row each, in the order given."""
     with _open_w(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["citing", "cited", f"triangle_{unit}"])
-        for citing, cited, score in _hottest_first(hot_links):
+        for citing, cited, score in hot_links:
             writer.writerow([citing, cited, fmt_dec6(to_unit(score, unit))])
 
 
@@ -532,36 +530,22 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
         writer.writerow(
             ["transition", f"mean_{unit}", f"sd_cited_{unit}", f"sd_citing_{unit}", f"sum_{unit}"]
         )
-        for pair in PAIRS:
-            cells = report.transitions[pair]
-            cited = report.margins[(pair, "cited")]
-            citing = report.margins[(pair, "citing")]
-            writer.writerow(
-                [
-                    cells.pair_label,
-                    fmt_dec6(to_unit(cited.mean, unit)),
-                    fmt_dec6(to_unit(cited.sd, unit)),
-                    fmt_dec6(to_unit(citing.sd, unit)),
-                    fmt_dec6(to_unit(cells.grand_sum, unit)),
-                ]
-            )
-        rev_cited = report.revision["cited"]
-        rev_citing = report.revision["citing"]
-        writer.writerow(
-            [
-                "revision_of_prediction",
-                fmt_dec6(to_unit(rev_cited.mean, unit)),
-                fmt_dec6(to_unit(rev_cited.sd, unit)),
-                fmt_dec6(to_unit(rev_citing.sd, unit)),
-                fmt_dec6(to_unit(rev_cited.grand_sum, unit)),
-            ]
-        )
+        rows = [
+            (cells.pair_label, "margin", pair, cells.grand_sum)
+            for pair, cells in report.transitions.items()
+        ]
+        rows.append(("revision_of_prediction", "revision", None, report.revision.grand_sum))
+        for label, family, pair, grand_sum in rows:
+            cited = report.thresholds[threshold_key(family, "cited", pair)]
+            citing = report.thresholds[threshold_key(family, "citing", pair)]
+            values = (cited.mean, cited.sd, citing.sd, grand_sum)
+            writer.writerow([label] + [fmt_dec6(to_unit(x, unit)) for x in values])
 
     labels = tensor.year_labels
     for direction in DIRECTIONS:
-        m01 = report.margins[((0, 1), direction)].values
-        m12 = report.margins[((1, 2), direction)].values
-        m02 = report.margins[((0, 2), direction)].values
+        m01 = report.margins[((0, 1), direction)]
+        m12 = report.margins[((1, 2), direction)]
+        m02 = report.margins[((0, 2), direction)]
         up = report.monotonic_up[direction]
         down = report.monotonic_down[direction]
         order = sorted(range(len(names)), key=lambda i: (-m02[i], names[i]))
@@ -592,7 +576,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
             outdir / f"revision_{direction}.csv",
             "revision",
             names,
-            report.revision[direction].values,
+            report.revision_node_margins[direction],
             report.revision_flagged[direction],
             unit,
         )
@@ -600,7 +584,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
             outdir / f"triangle_nodes_{direction}.csv",
             "triangle",
             names,
-            report.triangle_node_margins[direction].values,
+            report.triangle_node_margins[direction],
             report.triangle_flagged_nodes[direction],
             unit,
         )
@@ -629,9 +613,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
                 key: {d: sorted(names[i] for i in ids) for d, ids in sets.items()}
                 for key, sets in flag_sets.items()
             },
-            "revision_excluded_cells": {
-                d: report.revision[d].excluded_cells for d in DIRECTIONS
-            },
+            "revision_excluded_cells": {d: report.revision.excluded_cells for d in DIRECTIONS},
         },
     )
 
@@ -648,11 +630,15 @@ def _write_flag_table(path, column, names, values, flagged, unit):
 
 
 def write_link_flag_reports(outdir: str | Path, report: FlagReport) -> None:
-    """Emit hot_links.csv (label-keyed) and the link_flags.json sidecar."""
+    """Emit hot_links.csv (label-keyed) and the link_flags.json sidecar,
+    both ranked hottest first (score ascending, labels tie-break)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = report.tensor.registry.names
-    ranked = _hottest_first((names[c], names[d], s) for c, d, s in report.hot_links)
+    ranked = sorted(
+        ((names[c], names[d], s) for c, d, s in report.hot_links),
+        key=lambda link: (link[2], link[0], link[1]),
+    )
     write_hot_links_csv(outdir / "hot_links.csv", ranked, report.unit)
     write_json(
         outdir / "link_flags.json",

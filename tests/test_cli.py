@@ -148,6 +148,18 @@ class TestRun:
         assert calls == {"build_flag_report": 1, "read_tensor_cache": 1}
         assert main(["flag-journals", "--out", out]) == 1
 
+    def test_summary_config_describes_the_flag_files(self, dyad_year_files, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--k", "1", "--out", str(out)]) == 0
+        before = json.loads((out / "summary.json").read_text("utf-8"))["config"]
+        rc = main(["export", "--out", str(out), "--k", "2", "--unit", "bits",
+                   "--exclude", "Bkg00"])
+        assert rc == 0
+        config = json.loads((out / "summary.json").read_text("utf-8"))["config"]
+        assert config == before
+        assert (config["k"], config["unit"], config["outliers_removed"]) == (1.0, "mbits", [])
+        assert config["drop_loops"] is True
+
     def test_optimized_python_writes_the_same_tree(self, dyad_year_files, tmp_path):
         basemap = _write_basemap(tmp_path)
         args = [*_year_args(dyad_year_files), "--k", "0", "--exclude", "Bkg00",
@@ -281,6 +293,23 @@ class TestRun:
                     r[0] for r in rows if r[4] == trend
                 )
 
+    @pytest.mark.parametrize("unit", ["bits", "mbits", "microbits"])
+    def test_transition_summary_statistics_are_the_thresholds(self, tmp_path, rng, unit):
+        out = tmp_path / "out"
+        years = _random_year_files(tmp_path, rng)
+        assert main(["run", *_year_args(years), "--out", str(out), "--unit", unit]) == 0
+        thresholds = read_sidecar(out / "reports" / "journal_flags.json")["thresholds"]
+        header, *rows = _read_csv(out / "reports" / "transition_summary.csv")
+        assert header[1:4] == [f"mean_{unit}", f"sd_cited_{unit}", f"sd_citing_{unit}"]
+        keys = ["margin_01", "margin_12", "margin_02", "revision"]
+        assert [row[0] for row in rows] == [
+            "2011->2012", "2012->2013", "2011->2013", "revision_of_prediction"
+        ]
+        for row, key in zip(rows, keys):
+            cited, citing = thresholds[f"{key}_cited"], thresholds[f"{key}_citing"]
+            expected = [f"{x:.6f}" for x in (cited["mean"], cited["sd"], citing["sd"])]
+            assert row[1:4] == expected
+
     def test_export_rejects_partition_of_another_graph(self, dyad_year_files, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
@@ -336,6 +365,15 @@ class TestConfigHandling:
         rc = main(["run", *_year_args(paths), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "not an integer" in capsys.readouterr().err
+
+    def test_count_past_int64_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "big.tsv"
+        path.write_text("A\tB\t99999999999999999999\nB\tA\t1\n", encoding="utf-8")
+        paths = dict.fromkeys(("2011", "2012", "2013"), path)
+        assert main(["ingest", *_year_args(paths), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: count past the int64 range" in err
+        assert "Traceback" not in err
 
     def test_non_utf8_input_exits_2(self, dyad_year_files, tmp_path, capsys):
         bad = tmp_path / "latin1.tsv"

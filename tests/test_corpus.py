@@ -86,10 +86,29 @@ class TestParseEdgeList:
         matrix = parse_edge_list(path, "2011")
         assert cells_of(matrix) == {("A", "B"): 11, ("B", "A"): 1}
 
-    def test_non_integer_count(self, tmp_path):
+    @pytest.mark.parametrize(
+        "count", ["lots", "1_0", "\u0663"], ids=["lots", "underscore", "arabic-indic-digit"]
+    )
+    def test_non_integer_count(self, tmp_path, count):
+        # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3.
         path = tmp_path / "y.tsv"
-        path.write_text("A\tB\tlots\n", encoding="utf-8")
-        with pytest.raises(DataError, match="not an integer"):
+        path.write_text(f"A\tB\t{count}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":1: count is not an integer"):
+            parse_edge_list(path, "2011")
+
+    def test_negative_count_reads_as_not_positive(self, tmp_path):
+        path = tmp_path / "y.tsv"
+        path.write_text("A\tB\t2\nA\tC\t-3\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2: count must be positive, got -3"):
+            parse_edge_list(path, "2011")
+
+    @pytest.mark.parametrize("count", [str(2**63), "9" * 5000, "-" + "9" * 5000],
+                             ids=["2**63", "5000-digits", "minus-5000-digits"])
+    def test_single_count_past_int64_names_the_line(self, tmp_path, count):
+        # int() refuses strings of more than 4300 digits with a ValueError.
+        path = tmp_path / "y.tsv"
+        path.write_text(f"A\tB\t1\nB\tA\t{count}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2: count past the int64 range"):
             parse_edge_list(path, "2011")
 
     def test_non_positive_count(self, tmp_path):

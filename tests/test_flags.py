@@ -5,27 +5,37 @@ import math
 import numpy as np
 import pytest
 
+from citeheat import flags
 from citeheat.corpus import JournalRegistry
-from citeheat.entropy import JournalMargins, TriangleCells, triangle_evaluation
+from citeheat.entropy import TriangleCells, margin_totals, triangle_evaluation
 from citeheat.errors import DataError
 from citeheat.flags import (
     ThresholdSpec,
+    _below_lower,
+    _monotonic,
     build_flag_report,
     compute_threshold,
     flag_links,
-    flag_monotonic,
-    flag_revision,
     remove_outliers,
 )
 
 from helpers import make_tensor, oracle_triangle, random_active_grids
 
 
-def _margins_of(values, direction="cited") -> JournalMargins:
+def _monotonic_of(values_01, values_12, k=1.0):
+    """The monotonic rule with per-pair thresholds, as build_flag_report applies it."""
+    v01, v12 = np.asarray(values_01, dtype=float), np.asarray(values_12, dtype=float)
+    return _monotonic(v01, v12, compute_threshold(v01, k), compute_threshold(v12, k))
+
+
+def _revision_flags_of(values, k=1.0):
+    """The revision rule: strictly below the value set's own mean - k*sd."""
     values = np.asarray(values, dtype=float)
-    return JournalMargins(
-        direction=direction, values=values, mean=float(values.mean()), sd=float(values.std())
-    )
+    return _below_lower(values, compute_threshold(values, k))
+
+
+def _hot(triangle, k=1.0, drop_loops=True):
+    return flag_links(triangle, compute_threshold(triangle.values, k), drop_loops=drop_loops)
 
 
 def _triangle_of(values) -> TriangleCells:
@@ -35,8 +45,6 @@ def _triangle_of(values) -> TriangleCells:
         citing=np.arange(n, dtype=np.int64),
         cited=np.arange(1, n + 1, dtype=np.int64) % n,
         values=values,
-        mean=float(values.mean()),
-        sd=float(values.std()),
         n_nodes=n,
     )
 
@@ -81,63 +89,50 @@ class TestComputeThreshold:
 
 class TestFlagMonotonic:
     def test_requires_both_intervals(self):
-        m01 = _margins_of([0, 0, 0, 0, 0, 10])
-        m12 = _margins_of([1, 1, 1, 1, 1, 1])
-        up, down = flag_monotonic(m01, m12, k=1.0)
+        up, down = _monotonic_of([0, 0, 0, 0, 0, 10], [1, 1, 1, 1, 1, 1])
         assert up == frozenset()
         assert down == frozenset()
 
     def test_degenerate_equal_values_flag_nothing(self):
-        m = _margins_of([3, 3, 3, 3])
-        up, down = flag_monotonic(m, m, k=1.0)
+        up, down = _monotonic_of([3, 3, 3, 3], [3, 3, 3, 3])
         assert up == frozenset() and down == frozenset()
 
     def test_injected_climber_is_the_only_flag(self):
-        m01 = _margins_of([0, 0, 0, 0, 0, 10])
-        m12 = _margins_of([1, 0, 1, 0, 1, 12])
-        up, down = flag_monotonic(m01, m12, k=1.0)
+        up, down = _monotonic_of([0, 0, 0, 0, 0, 10], [1, 0, 1, 0, 1, 12])
         assert up == frozenset({5})
         assert down == frozenset()
 
     def test_decliner(self):
-        m01 = _margins_of([0, 0, 0, 0, 0, -10])
-        m12 = _margins_of([0, 1, 0, 1, 0, -12])
-        up, down = flag_monotonic(m01, m12, k=1.0)
+        up, down = _monotonic_of([0, 0, 0, 0, 0, -10], [0, 1, 0, 1, 0, -12])
         assert down == frozenset({5})
         assert up == frozenset()
-
-    def test_direction_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            flag_monotonic(_margins_of([1], "cited"), _margins_of([1], "citing"), 1.0)
 
 
 class TestFlagRevision:
     def test_all_zero_flags_nothing(self):
-        vector = _margins_of([0.0] * 5)
-        assert flag_revision(vector, k=1.0) == frozenset()
+        assert _revision_flags_of([0.0] * 5) == frozenset()
 
     def test_strongly_negative_node_flagged(self):
         values = [0.1, 0.2, 0.0, -0.1, 0.1, -5.0]
-        assert flag_revision(_margins_of(values), k=1.0) == frozenset({5})
+        assert _revision_flags_of(values) == frozenset({5})
 
     def test_matches_brute_force_filter(self, rng):
         values = rng.normal(0, 1, size=10)
-        vector = _margins_of(values)
         mean, sd = values.mean(), values.std()
         expected = frozenset(int(i) for i in range(10) if values[i] < mean - 1.0 * sd)
-        assert flag_revision(vector, k=1.0) == expected
+        assert _revision_flags_of(values) == expected
 
 
 class TestFlagLinks:
     def test_worked_threshold_from_reported_dyad(self):
         cells = _triangle_of([(1.251 + 2.465 - 4.728) / 1000.0, 0.0, 0.0])
         explicit = ThresholdSpec(k=1.0, mean=0.0, sd=0.0, upper=0.0, lower=-0.935e-3)
-        hot = flag_links(cells, threshold=explicit, drop_loops=False)
+        hot = flag_links(cells, explicit, drop_loops=False)
         assert [(c, d) for c, d, _ in hot] == [(0, 1)]
 
     def test_boundary_equal_not_flagged(self):
         cells = _triangle_of([-1.0, 1.0])  # mean 0, sd exactly 1
-        assert flag_links(cells, k=1.0, drop_loops=False) == ()
+        assert _hot(cells, drop_loops=False) == ()
 
     def test_injected_cell_found_by_oracle_and_flags(self, rng):
         grids = random_active_grids(rng, 8, density=0.9, high=50)
@@ -155,7 +150,7 @@ class TestFlagLinks:
             if c != d and not np.isnan(scores[c, d]) and scores[c, d] < lower
         }
         assert (2, 6) in expected
-        assert {(c, d) for c, d, _ in flag_links(cells, k=1.0)} == expected
+        assert {(c, d) for c, d, _ in _hot(cells)} == expected
 
     def test_drop_loops_removes_diagonal(self):
         values = np.array([-5.0, -4.9, 1.0, 1.2, 0.8, 0.9])
@@ -163,12 +158,10 @@ class TestFlagLinks:
             citing=np.array([0, 1, 2, 3, 4, 5]),
             cited=np.array([0, 2, 3, 4, 5, 1]),  # first cell is a loop
             values=values,
-            mean=float(values.mean()),
-            sd=float(values.std()),
             n_nodes=6,
         )
-        with_loops = flag_links(cells, k=1.0, drop_loops=False)
-        without = flag_links(cells, k=1.0, drop_loops=True)
+        with_loops = _hot(cells, drop_loops=False)
+        without = _hot(cells, drop_loops=True)
         assert {(c, d) for c, d, _ in with_loops} == {(0, 0), (1, 2)}
         assert {(c, d) for c, d, _ in without} == {(1, 2)}
 
@@ -194,14 +187,14 @@ class TestRemoveOutliers:
 
     def test_borderline_cell_crosses_after_removal(self):
         tensor = _hub_fixture_tensor()
-        hot_before = {(c, d) for c, d, _ in flag_links(triangle_evaluation(tensor), 1.0)}
+        hot_before = {(c, d) for c, d, _ in _hot(triangle_evaluation(tensor))}
         assert hot_before == {(4, 0)}  # only the hub cell
 
         reduced = remove_outliers(tensor, ["J004"])
         names = reduced.registry.names
         hot_after = {
             (names[c], names[d])
-            for c, d, _ in flag_links(triangle_evaluation(reduced), 1.0)
+            for c, d, _ in _hot(triangle_evaluation(reduced))
         }
         assert hot_after == {("J000", "J001")}
 
@@ -289,3 +282,69 @@ class TestReportAndProperties:
         report = build_flag_report(tensor, outliers=["J004"])
         assert report.outliers_removed == ("J004",)
         assert report.tensor.n_nodes == 4
+
+    def test_revision_of_prediction_runs_once(self, small_tensor, monkeypatch):
+        calls = []
+        inner = flags.revision_of_prediction
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(flags, "revision_of_prediction", counted)
+        report = build_flag_report(small_tensor)
+        assert len(calls) == 1
+        assert set(report.revision_node_margins) == {"cited", "citing"}
+
+    @pytest.mark.parametrize("drop_loops", [True, False])
+    def test_every_flag_set_matches_brute_force_over_report_arrays(self, rng, drop_loops):
+        grids = random_active_grids(rng, 12, density=0.7, high=60)
+        for g in grids:
+            np.fill_diagonal(g, 9)  # live self-citation cells
+        report = build_flag_report(make_tensor(grids), k=0.5, drop_loops=drop_loops)
+        n = report.tensor.n_nodes
+
+        value_sets = {"links": report.triangle.values}
+        for d in ("cited", "citing"):
+            for cells, arrays in (
+                (report.revision, report.revision_node_margins),
+                (report.triangle, report.triangle_node_margins),
+            ):
+                assert np.array_equal(arrays[d], margin_totals(cells, d))
+            value_sets[f"revision_{d}"] = report.revision_node_margins[d]
+            value_sets[f"triangle_{d}"] = report.triangle_node_margins[d]
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                value_sets[f"margin_{a}{b}_{d}"] = report.margins[((a, b), d)]
+        assert set(report.thresholds) == set(value_sets)
+        bounds = {}
+        for key, values in value_sets.items():
+            mean, sd = float(np.mean(values)), float(np.std(values))
+            bounds[key] = (mean - 0.5 * sd, mean + 0.5 * sd)
+            spec = report.thresholds[key]
+            assert (spec.k, spec.mean, spec.sd) == (0.5, mean, sd)
+            assert (spec.lower, spec.upper) == bounds[key]
+
+        def below(key):
+            return {i for i in range(n) if value_sets[key][i] < bounds[key][0]}
+
+        def above(key):
+            return {i for i in range(n) if value_sets[key][i] > bounds[key][1]}
+
+        for d in ("cited", "citing"):
+            assert report.monotonic_up[d] == above(f"margin_01_{d}") & above(f"margin_12_{d}")
+            assert report.monotonic_down[d] == below(f"margin_01_{d}") & below(f"margin_12_{d}")
+            assert report.revision_flagged[d] == below(f"revision_{d}")
+            assert report.triangle_flagged_nodes[d] == below(f"triangle_{d}")
+        triangle = report.triangle
+        hot = [
+            (int(c), int(d), float(s))
+            for c, d, s in zip(triangle.citing, triangle.cited, triangle.values)
+            if s < bounds["links"][0]
+        ]
+        loops = sum(link[0] == link[1] for link in hot)
+        assert loops > 0
+        if drop_loops:
+            assert report.hot_links == tuple(link for link in hot if link[0] != link[1])
+            assert report.loops_flagged == loops
+        else:
+            assert (report.hot_links, report.loops_flagged) == (tuple(hot), 0)

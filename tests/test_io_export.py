@@ -292,12 +292,34 @@ def _set(cells, index, value):
 
 class TestHotLinksCsv:
     def test_round_trip_and_ranking(self, tmp_path):
+        # A static ring plus three risers: J004 -> J001 rises fastest, and the
+        # identical risers J003 -> J000 and J005 -> J002 tie on their score.
+        grids = [np.zeros((6, 6), dtype=np.int64) for _ in range(3)]
+        for y, grid in enumerate(grids):
+            for i in range(6):
+                grid[i, (i + 1) % 6] = 200
+            grid[3, 0] = grid[5, 2] = (29, 54, 106)[y]
+            grid[4, 1] = (10, 40, 160)[y]
+        report = build_flag_report(make_tensor(grids), k=0.0, unit="mbits")
+        assert [(c, d) for c, d, _ in report.hot_links] == [(3, 0), (4, 1), (5, 2)]
+        write_link_flag_reports(tmp_path, report)
+        rows = (tmp_path / "hot_links.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "citing,cited,triangle_mbits"
+        # Hottest first, labels break the tie; the sidecar has the same order.
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["J004", "J001"], ["J003", "J000"], ["J005", "J002"]
+        ]
+        links = read_sidecar(tmp_path / "link_flags.json")["links"]
+        assert links[1][2] == links[2][2] > links[0][2]
+        assert rows[1:] == [f"{c},{d},{to_unit(s, 'mbits'):.6f}" for c, d, s in links]
+
+    def test_writer_keeps_the_given_order(self, tmp_path):
         links = [("B", "C", -0.002), ("A", "B", -0.005), ("C", "A", -0.001)]
         path = tmp_path / "hot_links.csv"
         write_hot_links_csv(path, links, "mbits")
         rows = path.read_text(encoding="utf-8").splitlines()
-        assert rows[0] == "citing,cited,triangle_mbits"
-        assert rows[1:] == ["A,B,-5.000000", "B,C,-2.000000", "C,A,-1.000000"]  # hottest first
+        assert rows == ["citing,cited,triangle_mbits", "B,C,-2.000000", "A,B,-5.000000",
+                        "C,A,-1.000000"]
 
 
 class TestSidecars:
