@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import shutil
@@ -84,8 +85,8 @@ class RunConfig:
     basemap: str | None = None
 
     def validate(self, need_years: bool) -> None:
-        if self.k < 0:
-            raise ConfigError(f"--k must be >= 0, got {self.k}")
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ConfigError(f"--k must be a finite number >= 0, got {self.k}")
         if self.unit not in UNIT_SCALE:
             raise ConfigError(
                 f"--unit must be one of {sorted(UNIT_SCALE)}, got {self.unit!r}"

@@ -23,10 +23,14 @@ The quantities:
   because the per-cell revision identity q*log2(p'/p) + q*log2(q/p') =
   q*log2(q/p) makes cell-level revision vacuous.
 
-Final reductions run over the canonical ascending (citing, cited) cell order
-with exact compensated summation, so identical input gives bit-identical
-sums regardless of platform or worker count. This module takes no mean or
-SD: ``flags.compute_threshold`` is the only code that does.
+Grand sums are exactly rounded (``ordered_fsum``), so they do not depend on
+summation order; margins add cells in the canonical ascending (citing,
+cited) order. The per-cell values are only as portable as numpy's ``log2``,
+which is vectorized per CPU and not correctly rounded: on an AVX-512 host
+it differed from ``math.log2`` in the last bit on 488 of 200,000 uniform
+inputs in [0, 2). Identical input gives bit-identical values on one
+platform, not across platforms. This module takes no mean or SD:
+``flags.compute_threshold`` is the only code that does.
 """
 
 from __future__ import annotations
@@ -53,8 +57,37 @@ def to_unit(bits: float, unit: str) -> float:
 
 
 def ordered_fsum(values: np.ndarray) -> float:
-    """Deterministic compensated reduction (exactly rounded partial sums)."""
-    return math.fsum(values.tolist())
+    """Correctly rounded sum of ``values``, bit-equal to ``math.fsum``.
+
+    Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008).
+    Each round picks 2^t from max|v| and n so that the high parts
+    ``(v + sigma) - sigma``, sigma = 1.5 * 2^(t+52), are multiples of 2^t
+    whose partial sums all stay below 2^(t+53): ``np.sum`` adds them exactly
+    in any order. The remainders ``v - hi`` are exact and feed the next
+    round, which stops when they are all zero; ``math.fsum`` then rounds the
+    few exact round sums once. Non-finite input, and input so large that
+    sigma would overflow, goes to ``math.fsum`` unchanged.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    top = float(np.max(np.abs(v))) if v.size else 0.0
+    if top == 0.0:
+        # Only signed zeros: fsum's sign rule, without a pass in Python.
+        return math.fsum(v[:1].tolist()) if np.signbit(v).all() else 0.0
+    if not math.isfinite(top) or math.frexp(top)[1] + v.size.bit_length() > 1021:
+        return math.fsum(v.tolist())
+    round_sums = []
+    while v.size:
+        # max|v| < 2^e and n < 2^b; t = e + b - 52 keeps n * max|hi| < 2^(t+53).
+        t = max(math.frexp(top)[1] + v.size.bit_length() - 52, -1074)
+        sigma = math.ldexp(1.5, t + 52)
+        hi = (v + sigma) - sigma
+        round_sums.append(float(np.sum(hi)))
+        v = v - hi
+        v = v[v != 0.0]
+        if v.size:
+            top = float(np.max(np.abs(v)))
+    return math.fsum(round_sums)
 
 
 def kl_term(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -145,9 +178,8 @@ def margin_totals(
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     index = cells.cited if direction == "cited" else cells.citing
-    totals = np.zeros(cells.n_nodes, dtype=float)
-    np.add.at(totals, index, cells.values)
-    return totals
+    # bincount adds the weights in cell order, one node at a time.
+    return np.bincount(index, weights=cells.values, minlength=cells.n_nodes)
 
 
 def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:
@@ -170,18 +202,24 @@ def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:
     )
 
 
-def triangle_evaluation(tensor: AlignedTensor) -> TriangleCells:
-    """Per-cell KL(p'|p) + KL(q|p') - KL(q|p) over the all-years cells."""
+def triangle_evaluation(
+    tensor: AlignedTensor, transitions: dict[tuple[int, int], TransitionCells]
+) -> TriangleCells:
+    """Per-cell KL(p'|p) + KL(q|p') - KL(q|p) over the all-years cells.
+
+    The three terms are the ``cell_divergence`` values of the pairs (0, 1),
+    (1, 2) and (0, 2) of ``tensor``; every all-years cell is valid for each.
+    """
     mask = tensor.tri_valid
     if not np.any(mask):
         raise DataError("no cell has a positive count in all three years")
-    p = tensor.frequencies(0)[mask]
-    p_mid = tensor.frequencies(1)[mask]
-    q = tensor.frequencies(2)[mask]
-    values = kl_term(p_mid, p) + kl_term(q, p_mid) - kl_term(q, p)
+    t01, t12, t02 = (
+        transitions[pair].values[mask[tensor.pair_valid(pair)]]
+        for pair in ((0, 1), (1, 2), (0, 2))
+    )
     return TriangleCells(
         citing=tensor.citing[mask],
         cited=tensor.cited[mask],
-        values=values,
+        values=t01 + t12 - t02,
         n_nodes=tensor.n_nodes,
     )

@@ -13,6 +13,7 @@ rule; the reports read their statistics from there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -96,10 +97,8 @@ def flag_links(
     hot = triangle.values < threshold.lower
     if drop_loops:
         hot &= triangle.citing != triangle.cited
-    return tuple(
-        (int(triangle.citing[i]), int(triangle.cited[i]), float(triangle.values[i]))
-        for i in np.flatnonzero(hot)
-    )
+    columns = (triangle.citing[hot], triangle.cited[hot], triangle.values[hot])
+    return tuple(zip(*(column.tolist() for column in columns)))
 
 
 def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTensor:
@@ -175,6 +174,8 @@ def build_flag_report(
     ``threshold_key`` names and ``links``; the link threshold is taken over
     every evaluated cell, loops included.
     """
+    if not (math.isfinite(k) and k >= 0):
+        raise ValueError(f"k must be a finite number >= 0, got {k}")
     outliers = tuple(outliers)
     if outliers:
         tensor = remove_outliers(tensor, outliers)
@@ -185,7 +186,7 @@ def build_flag_report(
     }
     revision = revision_of_prediction(tensor)
     revision_node_margins = {d: margin_totals(revision, d) for d in DIRECTIONS}
-    triangle = triangle_evaluation(tensor)
+    triangle = triangle_evaluation(tensor, transitions)
     triangle_node_margins = {d: margin_totals(triangle, d) for d in DIRECTIONS}
 
     value_sets = {
@@ -206,8 +207,10 @@ def build_flag_report(
             thresholds[threshold_key("margin", d, (1, 2))],
         )
 
-    hot = flag_links(triangle, thresholds["links"], drop_loops=False)
-    loops_flagged = sum(c == d for c, d, _ in hot) if drop_loops else 0
+    loops_flagged = 0
+    if drop_loops:
+        loop_scores = triangle.values[triangle.citing == triangle.cited]
+        loops_flagged = int(np.count_nonzero(loop_scores < thresholds["links"].lower))
 
     return FlagReport(
         tensor=tensor,
@@ -232,6 +235,6 @@ def build_flag_report(
             d: _below_lower(triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
             for d in DIRECTIONS
         },
-        hot_links=tuple(link for link in hot if link[0] != link[1]) if drop_loops else hot,
+        hot_links=flag_links(triangle, thresholds["links"], drop_loops),
         loops_flagged=loops_flagged,
     )

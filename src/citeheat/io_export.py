@@ -495,10 +495,12 @@ def _threshold_json(spec: ThresholdSpec, unit: str) -> dict:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """One line of JSON with sorted keys. ``json.dumps`` without an indent
+    """One line of strict JSON with sorted keys: a NaN or infinity is a
+    ``ValueError``, never a ``NaN`` token. ``json.dumps`` without an indent
     uses the C encoder; ``json.dump`` never does."""
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     with _open_w(path) as out:
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        out.write(text + "\n")
 
 
 def read_sidecar(path: str | Path) -> dict:

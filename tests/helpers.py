@@ -17,7 +17,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from citeheat.corpus import AlignedTensor, JournalRegistry
+from citeheat.corpus import PAIRS, AlignedTensor, JournalRegistry
+from citeheat.entropy import cell_divergence, triangle_evaluation
 
 mpmath.mp.dps = 40
 
@@ -145,6 +146,55 @@ def reference_ingest(year_texts: dict[str, str], renames) -> dict:
         ],
         "combined_journals": len({n for cells in years.values() for p in cells for n in p}),
     }
+
+
+def triangle_of(tensor: AlignedTensor):
+    """``triangle_evaluation`` fed with the tensor's own transitions, as
+    ``build_flag_report`` calls it."""
+    return triangle_evaluation(
+        tensor, {pair: cell_divergence(tensor, pair) for pair in PAIRS}
+    )
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracles: the earlier per-formula and per-element code paths
+# ---------------------------------------------------------------------------
+
+def three_term_triangle(tensor: AlignedTensor) -> np.ndarray:
+    """KL(p'|p) + KL(q|p') - KL(q|p) from three fresh q * log2(q / p) terms
+    over the all-years cells, where every frequency is positive."""
+    mask = (tensor.counts > 0).all(axis=0)
+    p, p_mid, q = (tensor.counts[y] / int(tensor.counts[y].sum()) for y in range(3))
+    p, p_mid, q = p[mask], p_mid[mask], q[mask]
+    return p_mid * np.log2(p_mid / p) + q * np.log2(q / p_mid) - q * np.log2(q / p)
+
+
+def add_at_margins(cells, direction: str) -> np.ndarray:
+    """Per-node sums of the cell values by unbuffered ``np.add.at``."""
+    totals = np.zeros(cells.n_nodes, dtype=float)
+    np.add.at(totals, cells.cited if direction == "cited" else cells.citing, cells.values)
+    return totals
+
+
+def per_index_links(triangle, lower: float, drop_loops: bool) -> tuple:
+    """Hot links built one index at a time with ``int``/``float`` casts."""
+    hot = triangle.values < lower
+    if drop_loops:
+        hot &= triangle.citing != triangle.cited
+    return tuple(
+        (int(triangle.citing[i]), int(triangle.cited[i]), float(triangle.values[i]))
+        for i in np.flatnonzero(hot)
+    )
+
+
+def exact_float_sum(values) -> float:
+    """Correctly rounded sum of finite floats via one exact rational."""
+    scale = 2 ** 1074  # every finite double times 2^1074 is an integer
+    total = 0
+    for x in values:
+        num, den = float(x).as_integer_ratio()
+        total += num * (scale // den)
+    return float(Fraction(total, scale))
 
 
 # ---------------------------------------------------------------------------

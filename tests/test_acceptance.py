@@ -21,7 +21,6 @@ from citeheat.entropy import (
     margin_totals,
     revision_of_prediction,
     to_unit,
-    triangle_evaluation,
 )
 from citeheat.flags import ThresholdSpec, build_flag_report, flag_links
 from citeheat.io_export import (
@@ -43,6 +42,7 @@ from helpers import (
     random_active_grids,
     random_graph_edges,
     triangle_anchor_tensor,
+    triangle_of,
     write_edge_list,
 )
 
@@ -52,7 +52,7 @@ def test_criterion_1_triangle_anchor_arithmetic():
     the -0.935 mbits threshold; tolerance 0.0005 mbits; under 1 second."""
     started = time.perf_counter()
     tensor = triangle_anchor_tensor(terms_mbits=(1.251, 2.465, 4.728))
-    cells = triangle_evaluation(tensor)
+    cells = triangle_of(tensor)
     idx = next(
         i for i in range(len(cells.values))
         if (cells.citing[i], cells.cited[i]) == (0, 1)
@@ -367,8 +367,8 @@ def test_criterion_9_scale_invariance_of_flags_and_entropy():
         assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-18)
         assert a.grand_sum == pytest.approx(b.grand_sum, rel=1e-12, abs=1e-18)
     assert np.allclose(
-        triangle_evaluation(base).values,
-        triangle_evaluation(scaled).values,
+        triangle_of(base).values,
+        triangle_of(scaled).values,
         rtol=1e-12,
         atol=1e-18,
     )

@@ -356,6 +356,23 @@ class TestConfigHandling:
         assert rc == 1
         assert "--k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+    def test_non_finite_k_exits_1(self, dyad_year_files, tmp_path, capsys, k):
+        out = tmp_path / "o"
+        rc = main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", k])
+        assert rc == 1
+        assert "--k" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_k_nan_exits_1(self, dyad_year_files, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        lines = [f"year = {label}={dyad_year_files[label]}" for label in sorted(dyad_year_files)]
+        lines += ["k = nan", f"out = {tmp_path / 'cfg_out'}"]
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert "--k" in capsys.readouterr().err
+        assert not (tmp_path / "cfg_out").exists()
+
     def test_malformed_data_exits_2(self, tmp_path, capsys):
         paths = {}
         for label in ("2011", "2012", "2013"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citeheat.entropy import (
     cell_divergence,
@@ -12,17 +14,18 @@ from citeheat.entropy import (
     ordered_fsum,
     revision_of_prediction,
     to_unit,
-    triangle_evaluation,
 )
 from citeheat.errors import DataError
 from citeheat.flags import compute_threshold
 
 from helpers import (
+    exact_float_sum,
     make_tensor,
     oracle_pair,
     oracle_triangle,
     random_active_grids,
     triangle_anchor_tensor,
+    triangle_of,
 )
 
 
@@ -180,12 +183,12 @@ class TestRevision:
 class TestTriangle:
     def test_static_cell_scores_zero(self):
         grid = _grid([[0, 3], [5, 0]])
-        cells = triangle_evaluation(make_tensor([grid, grid, grid]))
+        cells = triangle_of(make_tensor([grid, grid, grid]))
         assert np.all(cells.values == 0.0)
 
     def test_worked_dyad_example(self):
         tensor = triangle_anchor_tensor()
-        cells = triangle_evaluation(tensor)
+        cells = triangle_of(tensor)
         idx = [i for i in range(len(cells.values))
                if (cells.citing[i], cells.cited[i]) == (0, 1)][0]
         score_mbits = to_unit(float(cells.values[idx]), "mbits")
@@ -194,7 +197,7 @@ class TestTriangle:
     def test_scores_match_high_precision_oracle(self, rng):
         grids = random_active_grids(rng, 8, density=0.95, high=50)
         tensor = make_tensor(grids)
-        cells = triangle_evaluation(tensor)
+        cells = triangle_of(tensor)
         assert len(cells.values) >= 50
         oracle = oracle_triangle(grids)
         for i in range(len(cells.values)):
@@ -213,7 +216,7 @@ class TestTriangle:
         grids[2][0, 1] = 0
         grids[0][1, 0] = 0  # no cell is positive in all three years
         with pytest.raises(DataError, match="all three"):
-            triangle_evaluation(make_tensor(grids))
+            triangle_of(make_tensor(grids))
 
     def test_margins_single_cell(self):
         tensor = make_tensor([
@@ -221,7 +224,7 @@ class TestTriangle:
             _grid([[0, 5], [3, 0]]),
             _grid([[0, 7], [1, 0]]),
         ])
-        cells = triangle_evaluation(tensor)
+        cells = triangle_of(tensor)
         cited = margin_totals(cells, "cited")
         citing = margin_totals(cells, "citing")
         ab = [i for i in range(len(cells.values))
@@ -232,7 +235,7 @@ class TestTriangle:
     def test_margins_match_dense_oracle(self, rng):
         grids = random_active_grids(rng, 6, density=0.9, high=30)
         tensor = make_tensor(grids)
-        cells = triangle_evaluation(tensor)
+        cells = triangle_of(tensor)
         oracle = oracle_triangle(grids)
         dense = np.nan_to_num(oracle["scores"], nan=0.0)
         assert margin_totals(cells, "cited") == pytest.approx(
@@ -286,7 +289,7 @@ class TestProperties:
             assert np.array_equal(a.values, b.values)
             assert a.grand_sum == b.grand_sum
         assert np.array_equal(
-            triangle_evaluation(base).values, triangle_evaluation(bumped).values
+            triangle_of(base).values, triangle_of(bumped).values
         )
 
     def test_determinism_bit_identical(self, small_tensor):
@@ -294,3 +297,69 @@ class TestProperties:
         b = cell_divergence(small_tensor, (0, 2))
         assert np.array_equal(a.values, b.values)
         assert a.grand_sum == b.grand_sum
+
+
+# Fixed seeds: the same examples on every run, no example database.
+FSUM_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def _outcome(summer, values):
+    """``float.hex`` of the sum (exact bits; every NaN reads "nan"), or the
+    exception type it raised."""
+    try:
+        return summer(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def bulk_arrays(draw):
+    """Up to 5,000 doubles with random signs, binary exponents drawn from a
+    window inside [-1074, 996] (subnormals up to 1e300), scattered signed
+    zeros and, optionally, the negation of a subset so that most of the sum
+    cancels."""
+    n = draw(st.integers(0, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = draw(st.sampled_from([-1074, -1040, -997, -300, -20, 0, 300, 990, 996]))
+    width = draw(st.sampled_from([0, 5, 60, 2070]))
+    lo, hi = max(centre - width, -1074), min(centre + width, 996)
+    values = np.ldexp(
+        rng.choice([-1.0, 1.0], n) * (1.0 + rng.random(n)), rng.integers(lo, hi + 1, n)
+    )
+    zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    values[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+    if draw(st.booleans()):
+        values = np.concatenate([values, -values[rng.random(n) < 0.9]])
+        rng.shuffle(values)
+    return values
+
+
+class TestOrderedFsum:
+    @FSUM_SETTINGS
+    @given(st.lists(st.floats(width=64), max_size=60))
+    def test_same_bits_or_exception_as_math_fsum(self, values):
+        """Any doubles: subnormals, +-0, huge, inf and nan."""
+        expected = _outcome(math.fsum, values)
+        assert _outcome(ordered_fsum, np.array(values, dtype=float)) == expected
+
+    @FSUM_SETTINGS
+    @given(bulk_arrays())
+    def test_bulk_arrays_match_math_fsum_and_the_exact_sum(self, values):
+        got = ordered_fsum(values)
+        assert got.hex() == math.fsum(values.tolist()).hex()
+        assert got == exact_float_sum(values.tolist())
+
+    @pytest.mark.parametrize("values, expected", [
+        ([], 0.0),
+        ([-0.0, -0.0], math.fsum([-0.0, -0.0])),
+        ([-0.0, 0.0], 0.0),
+        ([1e308, -1e308, 1e-300], 1e-300),
+        ([1.7e308, 1.7e308, -1.7e308], OverflowError),
+        ([float("inf"), 1.0], float("inf")),
+        ([float("inf"), float("-inf")], ValueError),
+        ([float("nan"), 1.0], float("nan")),
+    ])
+    def test_edge_cases(self, values, expected):
+        got = _outcome(ordered_fsum, np.array(values, dtype=float))
+        assert got == _outcome(math.fsum, values)
+        assert got == (expected if isinstance(expected, type) else expected.hex())

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from citeheat import flags
-from citeheat.corpus import JournalRegistry
-from citeheat.entropy import TriangleCells, margin_totals, triangle_evaluation
+from citeheat.corpus import (
+    PAIRS,
+    JournalRegistry,
+    YearMatrix,
+    apply_name_changes,
+    build_common_set,
+)
+from citeheat.entropy import TriangleCells, margin_totals
 from citeheat.errors import DataError
 from citeheat.flags import (
     ThresholdSpec,
@@ -19,7 +25,16 @@ from citeheat.flags import (
     remove_outliers,
 )
 
-from helpers import make_tensor, oracle_triangle, random_active_grids
+from helpers import (
+    add_at_margins,
+    dyad_fixture_cells,
+    make_tensor,
+    oracle_triangle,
+    per_index_links,
+    random_active_grids,
+    three_term_triangle,
+    triangle_of,
+)
 
 
 def _monotonic_of(values_01, values_12, k=1.0):
@@ -139,7 +154,7 @@ class TestFlagLinks:
         for grid, count in zip(grids, (20, 45, 130)):  # inject a hot cell
             grid[2, 6] = count
         tensor = make_tensor(grids)
-        cells = triangle_evaluation(tensor)
+        cells = triangle_of(tensor)
         oracle = oracle_triangle(grids)
         scores = oracle["scores"]
         lower = oracle["mean"] - oracle["sd"]
@@ -187,14 +202,14 @@ class TestRemoveOutliers:
 
     def test_borderline_cell_crosses_after_removal(self):
         tensor = _hub_fixture_tensor()
-        hot_before = {(c, d) for c, d, _ in _hot(triangle_evaluation(tensor))}
+        hot_before = {(c, d) for c, d, _ in _hot(triangle_of(tensor))}
         assert hot_before == {(4, 0)}  # only the hub cell
 
         reduced = remove_outliers(tensor, ["J004"])
         names = reduced.registry.names
         hot_after = {
             (names[c], names[d])
-            for c, d, _ in _hot(triangle_evaluation(reduced))
+            for c, d, _ in _hot(triangle_of(reduced))
         }
         assert hot_after == {("J000", "J001")}
 
@@ -348,3 +363,68 @@ class TestReportAndProperties:
             assert report.loops_flagged == loops
         else:
             assert (report.hot_links, report.loops_flagged) == (tuple(hot), 0)
+
+
+def _dyad_tensor():
+    years = dyad_fixture_cells()
+    matrices = [YearMatrix.from_cells(label, years[label]) for label in sorted(years)]
+    return build_common_set(*apply_name_changes(matrices, []))
+
+
+def _pin_tensors():
+    """The dyad fixture and random tensors of 1 to 50 nodes, some with live
+    self-citation cells."""
+    rng = np.random.default_rng(8)
+    yield _dyad_tensor()
+    for n in range(1, 51):
+        grids = random_active_grids(rng, n, density=float(rng.uniform(0.2, 0.9)), high=80)
+        if n % 2:
+            for g in grids:
+                np.fill_diagonal(g, rng.integers(1, 40, n))
+        yield make_tensor(grids)
+
+
+class TestBitIdentityWithEarlierFormulas:
+    """The report's arrays, sums and links equal, byte for byte, what the
+    three-term triangle, ``np.add.at`` margins, ``math.fsum`` over a list and
+    per-index link tuples gave."""
+
+    @pytest.mark.parametrize("drop_loops", [True, False])
+    def test_report_equals_the_earlier_code_paths(self, drop_loops):
+        for tensor in _pin_tensors():
+            report = build_flag_report(tensor, k=0.5, drop_loops=drop_loops)
+            assert report.triangle.values.tobytes() == three_term_triangle(tensor).tobytes()
+            for pair in PAIRS:
+                cells = report.transitions[pair]
+                assert cells.grand_sum.hex() == math.fsum(cells.values.tolist()).hex()
+                for d in ("cited", "citing"):
+                    expected = add_at_margins(cells, d).tobytes()
+                    assert report.margins[(pair, d)].tobytes() == expected
+            assert report.revision.grand_sum.hex() == math.fsum(
+                report.revision.values.tolist()).hex()
+            for d in ("cited", "citing"):
+                for cells, arrays in (
+                    (report.revision, report.revision_node_margins),
+                    (report.triangle, report.triangle_node_margins),
+                ):
+                    assert arrays[d].tobytes() == add_at_margins(cells, d).tobytes()
+
+            lower = report.thresholds["links"].lower
+            assert report.hot_links == per_index_links(report.triangle, lower, drop_loops)
+            every_hot = per_index_links(report.triangle, lower, drop_loops=False)
+            loops = sum(c == d for c, d, _ in every_hot)
+            assert report.loops_flagged == (loops if drop_loops else 0)
+            for link in report.hot_links:
+                assert tuple(map(type, link)) == (int, int, float)
+
+    def test_dyad_pins_are_not_vacuous(self):
+        report = build_flag_report(_dyad_tensor(), k=0.5)
+        assert len(report.hot_links) >= 1
+        assert np.count_nonzero(report.triangle.values) >= 1
+
+
+class TestKValidation:
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_non_finite_or_negative_k_raises(self, small_tensor, k):
+        with pytest.raises(ValueError, match="k must be"):
+            build_flag_report(small_tensor, k=k)

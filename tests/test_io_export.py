@@ -24,6 +24,7 @@ from citeheat.io_export import (
     write_pajek_clu,
     write_pajek_net,
     write_tensor_cache,
+    write_json,
     write_vosviewer_files,
 )
 from citeheat.netgraph import HotLinkGraph, build_graph
@@ -421,3 +422,12 @@ class TestReports:
         assert to_unit(1e-6, "microbits") == pytest.approx(1.0)
         with pytest.raises(ValueError):
             to_unit(1.0, "nanobits")
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_is_rejected_before_the_file_opens(self, tmp_path, bad):
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"config": {"k": bad}})
+        assert not path.exists()
