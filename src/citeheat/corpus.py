@@ -24,11 +24,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import DataError
+
+if TYPE_CHECKING:
+    from .flags import Indicators
 
 log = logging.getLogger(__name__)
 
@@ -265,14 +268,31 @@ def apply_name_changes(
     return registry, renamed
 
 
+def read_only(array) -> np.ndarray:
+    """A view of ``array`` that refuses writes (``ValueError``)."""
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class AlignedTensor:
     """Three year-aligned sparse count matrices over one common id space.
 
     Cells are stored coordinate-wise, sorted ascending by (citing, cited) —
     the canonical reduction order used throughout. ``counts[y, i]`` is the
-    cell's count in year ``y`` (0 where absent). Immutable after build;
-    safe to share across threads.
+    cell's count in year ``y`` (0 where absent). ``citing``, ``cited`` and
+    ``counts`` are read-only views, and so is every array derived from
+    them here.
+
+    A tensor computes its derived arrays once and keeps them while it
+    lives: grand totals, relative frequencies, validity masks and, in
+    ``indicators``, every k-independent quantity of a flag report. A k sweep
+    over one tensor therefore pays for the indicators once; a tensor from
+    ``remove_outliers`` is a new tensor with its own cache. The cached
+    values are deterministic functions of the immutable arrays, so the
+    tensor is safe to share across threads: two threads that race on a
+    first access compute the same values.
     """
 
     registry: JournalRegistry
@@ -280,6 +300,10 @@ class AlignedTensor:
     citing: np.ndarray
     cited: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("citing", "cited", "counts"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def n_nodes(self) -> int:
@@ -291,26 +315,45 @@ class AlignedTensor:
 
     @cached_property
     def grand_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        return read_only(self.counts.sum(axis=1))
+
+    @cached_property
+    def _frequencies(self) -> np.ndarray:
+        totals = self.grand_totals[:, None]
+        out = np.zeros(self.counts.shape)
+        np.divide(self.counts, totals, out=out, where=totals > 0)
+        return read_only(out)
 
     def frequencies(self, year: int) -> np.ndarray:
         """Grand-total relative frequencies of every stored cell in a year."""
-        total = int(self.grand_totals[year])
-        if total == 0:
+        if self.grand_totals[year] == 0:
             raise DataError(f"year {self.year_labels[year]!r} has no citations")
-        return self.counts[year] / total
+        return self._frequencies[year]
+
+    @cached_property
+    def _positive(self) -> np.ndarray:
+        return read_only(self.counts > 0)
 
     def pair_valid(self, pair: tuple[int, int]) -> np.ndarray:
         """Cells usable for the pair's prediction: prior-year count > 0."""
         if pair not in PAIRS:
             raise ValueError(f"unknown year pair {pair!r}")
         prior, _ = pair
-        return self.counts[prior] > 0
+        return self._positive[prior]
 
     @cached_property
     def tri_valid(self) -> np.ndarray:
         """Cells with a positive count in all three years."""
-        return (self.counts > 0).all(axis=0)
+        return read_only(self._positive.all(axis=0))
+
+    @cached_property
+    def indicators(self) -> Indicators:
+        """The k-independent half of every flag report on this tensor,
+        computed on first use."""
+        # Imported at call time: flags builds on this module.
+        from .flags import evaluate_indicators
+
+        return evaluate_indicators(self)
 
     def pair_label(self, pair: tuple[int, int]) -> str:
         return f"{self.year_labels[pair[0]]}->{self.year_labels[pair[1]]}"

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAIRS, AlignedTensor
+from .corpus import PAIRS, AlignedTensor, read_only
 from .errors import DataError
 
 DIRECTIONS = ("cited", "citing")
@@ -99,14 +99,23 @@ def kl_term(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     out = np.zeros(q.shape, dtype=float)
     nz = q > 0
-    if np.any(p[nz] <= 0):
+    q, p = q[nz], p[nz]
+    if np.any(p <= 0):
         raise DataError("posterior mass on a cell with zero prior frequency")
-    out[nz] = q[nz] * np.log2(q[nz] / p[nz])
+    out[nz] = q * np.log2(q / p)
     return out
 
 
+class _ReadOnlyArrays:
+    """Frozen cells whose array fields are read-only views."""
+
+    def __post_init__(self) -> None:
+        for name in ("citing", "cited", "values"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+
+
 @dataclass(frozen=True)
-class TransitionCells:
+class TransitionCells(_ReadOnlyArrays):
     """Per-cell KL contributions (bits) for one ordered year pair."""
 
     pair: tuple[int, int]
@@ -119,7 +128,7 @@ class TransitionCells:
 
 
 @dataclass(frozen=True)
-class RevisionCells:
+class RevisionCells(_ReadOnlyArrays):
     """Per-cell revision terms q * log2(p'/p) over the revision cell set.
 
     Included: prior and in-between counts both positive (posterior may be
@@ -138,7 +147,7 @@ class RevisionCells:
 
 
 @dataclass(frozen=True)
-class TriangleCells:
+class TriangleCells(_ReadOnlyArrays):
     """Per-cell triangle scores over cells live in all three years."""
 
     citing: np.ndarray
@@ -184,8 +193,8 @@ def margin_totals(
 
 def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:
     """q * log2(p'/p) for every cell of the revision cell set."""
-    c0, c1, c2 = tensor.counts
-    included = (c0 > 0) & (c1 > 0)
+    # Prior and in-between counts both positive.
+    included = tensor.pair_valid((0, 1)) & tensor.pair_valid((1, 2))
     p = tensor.frequencies(0)[included]
     p_mid = tensor.frequencies(1)[included]
     q = tensor.frequencies(2)[included]
@@ -197,7 +206,7 @@ def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:
         cited=tensor.cited[included],
         values=values,
         grand_sum=ordered_fsum(values),
-        excluded_cells=int(np.count_nonzero((c2 > 0) & ~included)),
+        excluded_cells=int(np.count_nonzero((tensor.counts[2] > 0) & ~included)),
         n_nodes=tensor.n_nodes,
     )
 

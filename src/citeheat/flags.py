@@ -5,10 +5,15 @@ because the divergences are necessarily positive in aggregate. All
 comparisons are strict: a value exactly on a threshold is not flagged
 ("more than" a standard deviation).
 
-``compute_threshold`` is the only code that takes a mean or SD.
-``build_flag_report`` computes each indicator and each threshold once, keeps
-the thresholds in ``FlagReport.thresholds`` and applies them to every flag
-rule; the reports read their statistics from there.
+``compute_threshold`` is the only code that takes a mean or SD. A flag
+report has two halves. ``evaluate_indicators`` computes the half that does
+not depend on k: the per-cell indicators, the journal margins and the mean
+and SD of each of the 11 value sets. It runs once per tensor, and the tensor
+keeps the result (``AlignedTensor.indicators``), so a k sweep over one
+tensor pays only for the second half. ``build_flag_report`` then derives
+each threshold from the stored mean and SD, keeps the thresholds in
+``FlagReport.thresholds`` and applies them to every flag rule; the reports
+read their statistics from there.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import PAIRS, AlignedTensor, JournalRegistry
+from .corpus import PAIRS, AlignedTensor, JournalRegistry, read_only
 from .entropy import (
     DIRECTIONS,
+    UNIT_SCALE,
     RevisionCells,
     TransitionCells,
     TriangleCells,
@@ -43,6 +49,11 @@ class ThresholdSpec:
     upper: float
     lower: float
 
+    @classmethod
+    def of(cls, mean: float, sd: float, k: float) -> "ThresholdSpec":
+        """The bounds mean +/- k*sd; every computed threshold is built here."""
+        return cls(k=k, mean=mean, sd=sd, upper=mean + k * sd, lower=mean - k * sd)
+
 
 def compute_threshold(values: np.ndarray, k: float) -> ThresholdSpec:
     """Population mean/SD of a value set and the derived flag bounds.
@@ -54,7 +65,7 @@ def compute_threshold(values: np.ndarray, k: float) -> ThresholdSpec:
         raise DataError("cannot compute a threshold over an empty value set")
     mean = float(np.mean(values))
     sd = float(np.std(values))
-    return ThresholdSpec(k=k, mean=mean, sd=sd, upper=mean + k * sd, lower=mean - k * sd)
+    return ThresholdSpec.of(mean, sd, k)
 
 
 def threshold_key(family: str, direction: str, pair: tuple[int, int] | None = None) -> str:
@@ -130,6 +141,58 @@ def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTenso
 
 
 @dataclass(frozen=True)
+class Indicators:
+    """The k-independent half of a flag report, computed once per tensor.
+
+    ``statistics`` holds each value set's threshold at k = 0: its mean and
+    SD serve every k. Every array is read-only.
+    """
+
+    transitions: dict[tuple[int, int], TransitionCells]
+    margins: dict[tuple[tuple[int, int], str], np.ndarray]
+    revision: RevisionCells
+    revision_node_margins: dict[str, np.ndarray]
+    triangle: TriangleCells
+    triangle_node_margins: dict[str, np.ndarray]
+    statistics: dict[str, ThresholdSpec]
+
+
+def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
+    """Every indicator family over the tensor, and the mean and SD of each
+    value set; read it through ``tensor.indicators``, which keeps it.
+
+    Threshold keys are ``threshold_key`` names and ``links``; the link
+    statistics are taken over every evaluated cell, loops included.
+    """
+    transitions = {pair: cell_divergence(tensor, pair) for pair in PAIRS}
+    margins = {
+        (pair, d): read_only(margin_totals(transitions[pair], d))
+        for pair in PAIRS for d in DIRECTIONS
+    }
+    revision = revision_of_prediction(tensor)
+    revision_node_margins = {d: read_only(margin_totals(revision, d)) for d in DIRECTIONS}
+    triangle = triangle_evaluation(tensor, transitions)
+    triangle_node_margins = {d: read_only(margin_totals(triangle, d)) for d in DIRECTIONS}
+
+    value_sets = {
+        threshold_key("margin", d, pair): margins[(pair, d)] for pair in PAIRS for d in DIRECTIONS
+    }
+    for d in DIRECTIONS:
+        value_sets[threshold_key("revision", d)] = revision_node_margins[d]
+        value_sets[threshold_key("triangle", d)] = triangle_node_margins[d]
+    value_sets["links"] = triangle.values
+    return Indicators(
+        transitions=transitions,
+        margins=margins,
+        revision=revision,
+        revision_node_margins=revision_node_margins,
+        triangle=triangle,
+        triangle_node_margins=triangle_node_margins,
+        statistics={key: compute_threshold(values, 0.0) for key, values in value_sets.items()},
+    )
+
+
+@dataclass(frozen=True)
 class FlagReport:
     """Every indicator, threshold and flag set for one analysis run.
 
@@ -138,6 +201,8 @@ class FlagReport:
     ``triangle_node_margins``) hold one value per node, and the flag sets
     hold internal node ids of ``tensor.registry`` (the post-outlier-removal
     registry). ``thresholds`` holds the one mean and SD of each value set.
+    The indicator arrays are the tensor's cached, read-only ones; each
+    report has its own dicts.
     """
 
     tensor: AlignedTensor
@@ -167,36 +232,28 @@ def build_flag_report(
     drop_loops: bool = True,
     outliers: Iterable[str] = (),
 ) -> FlagReport:
-    """Run every indicator family over the tensor and collect the flags.
+    """Apply mean +/- k*SD thresholds to the tensor's indicators.
 
     ``outliers`` are removed (rows and columns) before anything is computed,
-    so every mean and SD reflects the reduced matrix. Threshold keys are
-    ``threshold_key`` names and ``links``; the link threshold is taken over
-    every evaluated cell, loops included.
+    so every mean and SD reflects the reduced matrix; the reduced tensor is
+    new, so its indicators are computed afresh. To sweep k with outliers
+    removed, call ``remove_outliers`` once and pass its tensor. Threshold
+    keys are ``threshold_key`` names and ``links``; the link threshold is
+    taken over every evaluated cell, loops included.
     """
     if not (math.isfinite(k) and k >= 0):
         raise ValueError(f"k must be a finite number >= 0, got {k}")
+    if unit not in UNIT_SCALE:
+        raise ValueError(f"unit must be one of {sorted(UNIT_SCALE)}, got {unit!r}")
+    if isinstance(outliers, str):
+        raise ValueError(f"outliers must be a list of journal names, got the string {outliers!r}")
     outliers = tuple(outliers)
     if outliers:
         tensor = remove_outliers(tensor, outliers)
 
-    transitions = {pair: cell_divergence(tensor, pair) for pair in PAIRS}
-    margins = {
-        (pair, d): margin_totals(transitions[pair], d) for pair in PAIRS for d in DIRECTIONS
-    }
-    revision = revision_of_prediction(tensor)
-    revision_node_margins = {d: margin_totals(revision, d) for d in DIRECTIONS}
-    triangle = triangle_evaluation(tensor, transitions)
-    triangle_node_margins = {d: margin_totals(triangle, d) for d in DIRECTIONS}
-
-    value_sets = {
-        threshold_key("margin", d, pair): margins[(pair, d)] for pair in PAIRS for d in DIRECTIONS
-    }
-    for d in DIRECTIONS:
-        value_sets[threshold_key("revision", d)] = revision_node_margins[d]
-        value_sets[threshold_key("triangle", d)] = triangle_node_margins[d]
-    value_sets["links"] = triangle.values
-    thresholds = {key: compute_threshold(values, k) for key, values in value_sets.items()}
+    ind = tensor.indicators
+    thresholds = {key: ThresholdSpec.of(s.mean, s.sd, k) for key, s in ind.statistics.items()}
+    margins, triangle = ind.margins, ind.triangle
 
     monotonic_up: dict[str, frozenset[int]] = {}
     monotonic_down: dict[str, frozenset[int]] = {}
@@ -218,21 +275,21 @@ def build_flag_report(
         k=k,
         drop_loops=drop_loops,
         outliers_removed=outliers,
-        transitions=transitions,
-        margins=margins,
-        revision=revision,
-        revision_node_margins=revision_node_margins,
+        transitions=dict(ind.transitions),
+        margins=dict(margins),
+        revision=ind.revision,
+        revision_node_margins=dict(ind.revision_node_margins),
         triangle=triangle,
-        triangle_node_margins=triangle_node_margins,
+        triangle_node_margins=dict(ind.triangle_node_margins),
         thresholds=thresholds,
         monotonic_up=monotonic_up,
         monotonic_down=monotonic_down,
         revision_flagged={
-            d: _below_lower(revision_node_margins[d], thresholds[threshold_key("revision", d)])
+            d: _below_lower(ind.revision_node_margins[d], thresholds[threshold_key("revision", d)])
             for d in DIRECTIONS
         },
         triangle_flagged_nodes={
-            d: _below_lower(triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
+            d: _below_lower(ind.triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
             for d in DIRECTIONS
         },
         hot_links=flag_links(triangle, thresholds["links"], drop_loops),

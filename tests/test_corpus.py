@@ -11,6 +11,7 @@ import pytest
 import citeheat
 from citeheat.cli import main
 from citeheat.corpus import (
+    PAIRS,
     AlignedTensor,
     YearMatrix,
     apply_name_changes,
@@ -356,6 +357,24 @@ class TestRelativeFrequencies:
         with pytest.raises(DataError, match="no citations"):
             empty.frequencies(0)
 
+    def test_empty_year_is_named_and_other_years_still_read(self, small_tensor):
+        empty = AlignedTensor(
+            registry=small_tensor.registry,
+            year_labels=small_tensor.year_labels,
+            citing=small_tensor.citing,
+            cited=small_tensor.cited,
+            counts=small_tensor.counts * np.array([[1], [0], [1]]),
+        )
+        with pytest.raises(DataError, match="'2012' has no citations"):
+            empty.frequencies(1)
+        assert empty.frequencies(2).tobytes() == small_tensor.frequencies(2).tobytes()
+
+    def test_frequencies_are_the_row_division(self, small_tensor):
+        for year in range(3):
+            total = int(small_tensor.counts[year].sum())
+            expected = small_tensor.counts[year] / total
+            assert small_tensor.frequencies(year).tobytes() == expected.tobytes()
+
     def test_scaling_a_year_leaves_frequencies_unchanged(self):
         cells = {("A", "B"): 3, ("B", "C"): 4, ("C", "A"): 9}
         base = _one_year_tensor(cells).frequencies(0)
@@ -461,3 +480,32 @@ class TestIngestOracle:
 def test_public_api_names_resolve():
     missing = [name for name in citeheat.__all__ if not hasattr(citeheat, name)]
     assert missing == []
+
+
+class TestReadOnlyTensor:
+    def test_writes_through_the_tensor_raise(self, small_tensor):
+        with pytest.raises(ValueError, match="read-only"):
+            small_tensor.counts[0, 0] += 1
+        for array in (small_tensor.citing, small_tensor.cited):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_derived_arrays_are_read_only(self, small_tensor):
+        derived = [small_tensor.grand_totals, small_tensor.tri_valid]
+        derived += [small_tensor.frequencies(year) for year in range(3)]
+        derived += [small_tensor.pair_valid(pair) for pair in PAIRS]
+        for array in derived:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_caller_arrays_stay_writable(self, small_tensor):
+        counts = np.array(small_tensor.counts)
+        tensor = AlignedTensor(
+            registry=small_tensor.registry,
+            year_labels=small_tensor.year_labels,
+            citing=small_tensor.citing,
+            cited=small_tensor.cited,
+            counts=counts,
+        )
+        counts[0, 0] += 1
+        assert not tensor.counts.flags.writeable

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -428,3 +430,145 @@ class TestKValidation:
     def test_non_finite_or_negative_k_raises(self, small_tensor, k):
         with pytest.raises(ValueError, match="k must be"):
             build_flag_report(small_tensor, k=k)
+
+    def test_unknown_unit_raises(self, small_tensor):
+        expected = r"unit must be one of \['bits', 'mbits', 'microbits'\], got 'furlongs'"
+        with pytest.raises(ValueError, match=expected):
+            build_flag_report(small_tensor, unit="furlongs")
+
+    def test_bare_string_outliers_raises(self, small_tensor):
+        with pytest.raises(ValueError, match="list of journal names"):
+            build_flag_report(small_tensor, outliers="J004")
+
+
+def _report_arrays(report) -> dict:
+    """Every array of a report, as bytes, by a readable key."""
+    arrays = {}
+    for pair, cells in report.transitions.items():
+        for name in ("citing", "cited", "values"):
+            arrays[f"transition {pair} {name}"] = getattr(cells, name).tobytes()
+        arrays[f"transition {pair} grand_sum"] = cells.grand_sum.hex()
+    for (pair, d), values in report.margins.items():
+        arrays[f"margin {pair} {d}"] = values.tobytes()
+    for family, cells, margins in (
+        ("revision", report.revision, report.revision_node_margins),
+        ("triangle", report.triangle, report.triangle_node_margins),
+    ):
+        for name in ("citing", "cited", "values"):
+            arrays[f"{family} {name}"] = getattr(cells, name).tobytes()
+        for d, values in margins.items():
+            arrays[f"{family} margin {d}"] = values.tobytes()
+    arrays["revision grand_sum"] = report.revision.grand_sum.hex()
+    return arrays
+
+
+class TestIndicatorCache:
+    """A tensor computes its k-independent indicators once; reports on it
+    equal reports on fresh tensors."""
+
+    @pytest.mark.parametrize("outliers", [(), ("J004", "J007")], ids=["all", "outliers"])
+    @pytest.mark.parametrize("drop_loops", [True, False])
+    def test_reports_on_one_tensor_match_fresh_tensors(self, rng, drop_loops, outliers):
+        grids = random_active_grids(rng, 12, density=0.7, high=60)
+        for g in grids:
+            np.fill_diagonal(g, 9)  # live self-citation cells
+        shared = make_tensor(grids)
+        for k in (0.0, 0.5, 1.0, 2.0, 0.5):
+            kwargs = dict(k=k, drop_loops=drop_loops, outliers=outliers)
+            cached = build_flag_report(shared, **kwargs)
+            fresh = build_flag_report(make_tensor(grids), **kwargs)
+            assert _report_arrays(cached) == _report_arrays(fresh)
+            assert cached.thresholds == fresh.thresholds
+            assert all(spec.k == k for spec in cached.thresholds.values())
+            for name in ("monotonic_up", "monotonic_down", "revision_flagged",
+                         "triangle_flagged_nodes", "hot_links", "loops_flagged"):
+                assert getattr(cached, name) == getattr(fresh, name), name
+            assert cached.outliers_removed == fresh.outliers_removed == outliers
+
+    def test_k_sweep_evaluates_indicators_once(self, small_tensor, monkeypatch):
+        calls = {name: 0 for name in
+                 ("cell_divergence", "revision_of_prediction", "triangle_evaluation")}
+
+        def counting(name):
+            inner = getattr(flags, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(flags, name, counted)
+
+        for name in calls:
+            counting(name)
+        for k in (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
+            build_flag_report(small_tensor, k=k)
+        assert calls == {
+            "cell_divergence": 3, "revision_of_prediction": 1, "triangle_evaluation": 1,
+        }
+
+    def test_sweep_on_a_reduced_tensor_equals_removal_per_call(self, rng):
+        tensor = make_tensor(random_active_grids(rng, 10, density=0.7, high=50))
+        reduced = remove_outliers(tensor, ["J002"])
+        for k in (0.5, 1.0):
+            per_call = build_flag_report(tensor, k=k, outliers=["J002"])
+            swept = build_flag_report(reduced, k=k)
+            assert _report_arrays(per_call) == _report_arrays(swept)
+            assert per_call.thresholds == swept.thresholds
+            assert per_call.hot_links == swept.hot_links
+            assert (per_call.outliers_removed, swept.outliers_removed) == (("J002",), ())
+
+    def test_threads_sharing_a_tensor_get_the_fresh_reports(self, rng):
+        grids = random_active_grids(rng, 10, density=0.7, high=50)
+        ks = (0.5, 1.0, 1.5)
+        expected = {k: build_flag_report(make_tensor(grids), k=k) for k in ks}
+        shared = make_tensor(grids)
+        results, errors = [], []
+
+        def sweep():
+            try:
+                results.extend((k, build_flag_report(shared, k=k)) for k in ks)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 6 * len(ks)
+        for k, report in results:
+            assert _report_arrays(report) == _report_arrays(expected[k])
+            assert report.thresholds == expected[k].thresholds
+            assert report.hot_links == expected[k].hot_links
+
+    def test_outlier_removal_gives_a_tensor_with_its_own_indicators(self):
+        tensor = _hub_fixture_tensor()
+        reduced = remove_outliers(tensor, ["J004"])
+        assert reduced.indicators is not tensor.indicators
+        assert reduced.indicators is reduced.indicators
+        assert reduced.indicators.triangle.n_nodes == 4
+
+    def test_report_arrays_are_read_only(self, small_tensor):
+        report = build_flag_report(small_tensor)
+        arrays = [report.tensor.counts, report.triangle.values, report.revision.citing]
+        arrays += [cells.values for cells in report.transitions.values()]
+        arrays += list(report.margins.values())
+        arrays += list(report.revision_node_margins.values())
+        arrays += list(report.triangle_node_margins.values())
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert build_flag_report(small_tensor).thresholds == report.thresholds
+
+    def test_report_dicts_are_its_own(self, small_tensor):
+        report = build_flag_report(small_tensor)
+        report.margins.clear()
+        report.transitions.clear()
+        again = build_flag_report(small_tensor)
+        assert len(again.margins) == 6 and len(again.transitions) == 3
