@@ -52,7 +52,6 @@ from .entropy import DIRECTIONS, UNIT_SCALE
 from .errors import CiteHeatError, ConfigError, DataError
 from .flags import build_flag_report
 from .netgraph import (
-    CommunityPartition,
     build_graph,
     connected_components,
     degree_centrality,
@@ -241,10 +240,7 @@ def stage_graph(config: RunConfig) -> None:
     config.validate(need_years=False)
     link_flags = io_export.read_sidecar(config.out / "reports" / "link_flags.json")
     graph, components = _load_graph(link_flags)
-    if graph.nodes:
-        communities = louvain(graph, seed=config.seed)
-    else:
-        communities = CommunityPartition(assignment={}, q=0.0, seed=config.seed)
+    communities = louvain(graph, seed=config.seed)
     outdir = config.out / "network"
     outdir.mkdir(parents=True, exist_ok=True)
     io_export.write_pajek_net(graph, outdir / "graph.net")

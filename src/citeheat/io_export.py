@@ -101,20 +101,19 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | Non
     Vertex order is ascending node id; edge endpoints reference vertex
     positions. Labels containing a double quote cannot be represented.
     """
-    nodes = list(graph.nodes)
-    position = {v: i + 1 for i, v in enumerate(nodes)}
+    names = [str(labels[v]) if labels is not None else str(v) for v in graph.nodes]
+    for label in names:
+        if '"' in label:
+            raise DataError(f"label not representable in Pajek: {label!r}")
+    index = graph.index
     with _open_w(path) as out:
-        out.write(f"*Vertices {len(nodes)}\n")
-        for v in nodes:
-            label = str(labels[v]) if labels is not None else str(v)
-            if '"' in label:
-                raise DataError(f"label not representable in Pajek: {label!r}")
-            out.write(f'{position[v]} "{label}"\n')
+        out.write(f"*Vertices {len(names)}\n")
+        for i, label in enumerate(names, start=1):
+            out.write(f'{i} "{label}"\n')
         if graph.edges:
             out.write("*Edges\n")
             for u, v, w in graph.edges:
-                i, j = sorted((position[u], position[v]))
-                out.write(f"{i} {j} {fmt_sig6(w)}\n")
+                out.write(f"{index[u] + 1} {index[v] + 1} {fmt_sig6(w)}\n")
 
 
 _VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
@@ -147,13 +146,14 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
                 raise DataError(f"{path}:{lineno}: vertex ids must be sequential")
             labels.append(match.group(2))
         else:
-            fields = line.split()
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: malformed edge line")
-            i, j = int(fields[0]), int(fields[1])
+            try:
+                i, j, w = line.split()
+                i, j, w = int(i), int(j), float(w)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed edge line") from None
             if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
                 raise DataError(f"{path}:{lineno}: edge endpoint out of range")
-            edges.append((i - 1, j - 1, float(fields[2])))
+            edges.append((i - 1, j - 1, w))
     if len(labels) != n_vertices:
         raise DataError(f"{path}: vertex count mismatch: header says {n_vertices}")
     return HotLinkGraph.from_edges(edges), labels
@@ -179,9 +179,15 @@ def read_pajek_clu(path: str | Path) -> list[int]:
         raise DataError(f"{path}:1: expected *Vertices header")
     try:
         n = int(lines[0].split()[1])
-        clusters = [int(line) - 1 for line in lines[1:] if line.strip()]
     except (IndexError, ValueError):
-        raise DataError(f"{path}: malformed partition file") from None
+        raise DataError(f"{path}:1: malformed *Vertices header") from None
+    clusters = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if not line.strip().isdecimal() or int(line) < 1:
+            raise DataError(f"{path}:{lineno}: malformed cluster number, not an integer >= 1")
+        clusters.append(int(line) - 1)
     if len(clusters) != n:
         raise DataError(f"{path}: expected {n} cluster lines, found {len(clusters)}")
     return clusters
@@ -277,13 +283,13 @@ def write_vosviewer_files(
     weights the network file itself declares, which keeps re-exports of a
     re-read pair byte-identical.
     """
-    nodes = list(graph.nodes)
-    position = {v: i + 1 for i, v in enumerate(nodes)}
-    strength = {v: 0.0 for v in nodes}
+    nodes = graph.nodes
+    index = graph.index
+    strength = [0.0] * len(nodes)
     for u, v, w in graph.edges:
         declared = float(fmt_sig6(w))
-        strength[u] += declared
-        strength[v] += declared
+        strength[index[u]] += declared
+        strength[index[v]] += declared
 
     def label_of(v) -> str:
         return str(labels[v]) if labels is not None else str(v)
@@ -297,20 +303,19 @@ def write_vosviewer_files(
             out.write("id\tlabel\tcluster\tweight\n")
         else:
             out.write("id\tlabel\tx\ty\tcluster\tweight\n")
-        for v in nodes:
+        for i, v in enumerate(nodes):
             cluster = partition[v] + 1
-            weight = fmt_sig6(strength[v])
+            weight = fmt_sig6(strength[i])
             if basemap is None:
-                out.write(f"{position[v]}\t{label_of(v)}\t{cluster}\t{weight}\n")
+                out.write(f"{i + 1}\t{label_of(v)}\t{cluster}\t{weight}\n")
             else:
                 row = basemap.index.get(normalize_name(label_of(v)))
                 x, y = (row.x, row.y) if row is not None else ("", "")
-                out.write(f"{position[v]}\t{label_of(v)}\t{x}\t{y}\t{cluster}\t{weight}\n")
+                out.write(f"{i + 1}\t{label_of(v)}\t{x}\t{y}\t{cluster}\t{weight}\n")
 
     with _open_w(network_path) as out:
         for u, v, w in graph.edges:
-            i, j = sorted((position[u], position[v]))
-            out.write(f"{i}\t{j}\t{fmt_sig6(w)}\n")
+            out.write(f"{index[u] + 1}\t{index[v] + 1}\t{fmt_sig6(w)}\n")
 
     if basemap is not None and unmatched_path is not None:
         with _open_w(unmatched_path) as out:
@@ -338,20 +343,25 @@ def read_vosviewer_files(
         if not line.strip():
             continue
         fields = line.split("\t")
-        node_id = int(fields[col["id"]])
+        try:
+            node_id, cluster = int(fields[col["id"]]), int(fields[col["cluster"]])
+            label = fields[col["label"]]
+        except (IndexError, ValueError):
+            raise DataError(f"{map_path}:{lineno}: malformed map line") from None
         if node_id != len(labels) + 1:
             raise DataError(f"{map_path}:{lineno}: ids must be sequential")
-        labels.append(fields[col["label"]])
-        clusters[node_id - 1] = int(fields[col["cluster"]]) - 1
+        labels.append(label)
+        clusters[node_id - 1] = cluster - 1
     edges = []
     with open_utf8(network_path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{network_path}:{lineno}: malformed edge line")
-            edges.append((int(fields[0]) - 1, int(fields[1]) - 1, float(fields[2])))
+            try:
+                i, j, w = line.rstrip("\n").split("\t")
+                edges.append((int(i) - 1, int(j) - 1, float(w)))
+            except ValueError:
+                raise DataError(f"{network_path}:{lineno}: malformed edge line") from None
     return HotLinkGraph.from_edges(edges), clusters, labels
 
 

@@ -11,6 +11,11 @@ strictly above that of staying, and equal best gains resolve to the lowest
 community id. Each level's Q is the singleton Q of the aggregate graph. The
 result is fully deterministic for a given seed: the initial queue order is
 a seeded shuffle.
+
+A node's id is its position in the sorted ``HotLinkGraph.nodes``, as a
+journal's is in ``AlignedTensor``. Every consumer reads the graph's one
+positional adjacency, and one BFS (``_split_disconnected``) finds both the
+components and the connected pieces of Louvain's communities.
 """
 
 from __future__ import annotations
@@ -25,11 +30,18 @@ from .errors import DataError
 
 # Minimum modularity gain for another multilevel pass.
 _MIN_LEVEL_GAIN = 1e-9
+# Multilevel passes per louvain call; the best partition is kept.
+_RESTARTS = 8
 
 
 @dataclass(frozen=True)
 class HotLinkGraph:
-    """Undirected weighted graph of flagged links; no loops, no isolates."""
+    """Undirected weighted graph of flagged links; no loops, no isolates.
+
+    ``nodes`` is sorted; ``edges`` holds sorted (u, v, w) label triples with
+    u < v. A node's id is its position in ``nodes``: ``index`` maps a label
+    to it, and ``adjacency[i]`` maps neighbour ids to weights (read-only).
+    """
 
     nodes: tuple
     edges: tuple
@@ -50,22 +62,22 @@ class HotLinkGraph:
         return cls(nodes=tuple(sorted(nodes)), edges=edge_tuple)
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj: dict = {v: {} for v in self.nodes}
+    def index(self) -> dict:
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    @cached_property
+    def adjacency(self) -> list[dict[int, float]]:
+        # Rows fill in edge order, which fixes the order of Louvain's sums.
+        index = self.index
+        adj: list[dict[int, float]] = [{} for _ in self.nodes]
         for u, v, w in self.edges:
-            adj[u][v] = w
-            adj[v][u] = w
+            i, j = index[u], index[v]
+            adj[i][j] = adj[j][i] = w
         return adj
 
     @cached_property
     def total_weight(self) -> float:
         return sum(w for _, _, w in self.edges)
-
-    def degree(self, node) -> int:
-        return len(self.adjacency[node])
-
-    def strength(self, node) -> float:
-        return sum(self.adjacency[node].values())
 
 
 def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
@@ -83,23 +95,10 @@ class ComponentPartition:
 
 
 def connected_components(graph: HotLinkGraph) -> ComponentPartition:
-    adj = graph.adjacency
-    seen: set = set()
-    raw: list[list] = []
-    for start in graph.nodes:
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        members = []
-        while queue:
-            v = queue.pop()
-            members.append(v)
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        raw.append(sorted(members))
+    pieces = _split_disconnected(graph.adjacency, [0] * len(graph.nodes))
+    raw: list[list] = [[] for _ in range(max(pieces, default=-1) + 1)]
+    for v, piece in zip(graph.nodes, pieces):
+        raw[piece].append(v)
     raw.sort(key=lambda comp: (-len(comp), comp[0]))
     assignment = {v: i for i, comp in enumerate(raw) for v in comp}
     return ComponentPartition(assignment=assignment, components=tuple(tuple(c) for c in raw))
@@ -107,7 +106,7 @@ def connected_components(graph: HotLinkGraph) -> ComponentPartition:
 
 def degree_centrality(graph: HotLinkGraph) -> dict:
     """Unweighted incident-edge count per node."""
-    return {v: graph.degree(v) for v in graph.nodes}
+    return {v: len(nbrs) for v, nbrs in zip(graph.nodes, graph.adjacency)}
 
 
 def modularity(graph: HotLinkGraph, partition: Mapping) -> float:
@@ -223,8 +222,9 @@ def _aggregate(adj: list[dict], comm: list[int]) -> tuple[list[dict], dict[int, 
 
 def _split_disconnected(adj: list[dict], comm: list[int]) -> list[int]:
     """Split internally disconnected communities into their connected
-    pieces. This never lowers Q: the intra weight is preserved while the
-    squared-degree penalty strictly shrinks. Pieces are numbered in the
+    pieces; with every node in one community the pieces are the connected
+    components. A split never lowers Q: the intra weight is preserved while
+    the squared-degree penalty strictly shrinks. Pieces are numbered in the
     order of their smallest position."""
     piece = [-1] * len(adj)
     n_pieces = 0
@@ -261,7 +261,7 @@ def _multilevel(adj0: list[dict], m: float, q0: float, rng: random.Random) -> li
         q_level = q_new
 
 
-def louvain(graph: HotLinkGraph, seed: int = 0, restarts: int = 8) -> CommunityPartition:
+def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
     """Multilevel modularity optimization, deterministic for a given seed.
 
     Each level runs a fast local move: every node is queued once in a
@@ -273,32 +273,25 @@ def louvain(graph: HotLinkGraph, seed: int = 0, restarts: int = 8) -> CommunityP
     the level's Q is the singleton Q of that aggregate graph. Levels repeat
     while Q rises by more than a small tolerance.
 
-    The multilevel pass is greedy, so it is repeated ``restarts`` times with
+    The multilevel pass is greedy, so it runs ``_RESTARTS`` (8) times with
     fresh visiting orders drawn from the seeded stream and the best
     partition kept (first achieved wins ties). Communities are split into
-    connected pieces. Identical seed, identical partition.
+    connected pieces. Identical seed, identical partition. A graph without
+    edge weight, the empty graph included, gets singletons and Q = 0.
     """
-    if not graph.nodes:
-        raise DataError("community detection requires a non-empty graph")
-    nodes = list(graph.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    adj: list[dict] = [dict() for _ in nodes]
-    for u, v, w in graph.edges:
-        adj[index[u]][index[v]] = w
-        adj[index[v]][index[u]] = w
+    adj = graph.adjacency
     m = graph.total_weight
-    rng = random.Random(seed)
-
     if m <= 0:
-        assignment = {v: i for i, v in enumerate(nodes)}
+        assignment = {v: i for i, v in enumerate(graph.nodes)}
         return CommunityPartition(assignment=assignment, q=0.0, seed=seed)
 
+    rng = random.Random(seed)
     q0 = _level_modularity(adj, m)
     best_assignment: dict | None = None
     best_q = -float("inf")
-    for _ in range(max(1, restarts)):
+    for _ in range(_RESTARTS):
         pieces = _split_disconnected(adj, _multilevel(adj, m, q0, rng))
-        assignment = dict(zip(nodes, pieces))
+        assignment = dict(zip(graph.nodes, pieces))
         q = modularity(graph, assignment)
         if q > best_q:
             best_assignment, best_q = assignment, q

@@ -320,6 +320,28 @@ class TestRun:
         assert main(["export", "--out", str(out)]) == 2
         assert "communities.clu" in capsys.readouterr().err
 
+    def test_export_rejects_cluster_numbers_below_one(self, dyad_year_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
+        clu = out / "network" / "communities.clu"
+        lines = clu.read_text(encoding="utf-8").splitlines()
+        assert len(lines) >= 3
+        clu.write_text("\n".join([lines[0], "0", "-7", *lines[3:]]) + "\n", encoding="utf-8")
+        assert main(["export", "--out", str(out)]) == 2
+        assert "communities.clu:2: " in capsys.readouterr().err
+
+    def test_no_hot_links_writes_an_empty_network(self, dyad_year_files, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "1000"]) == 0
+        assert _hot_links(out) == []
+        assert (out / "network" / "graph.net").read_text(encoding="utf-8") == "*Vertices 0\n"
+        assert (out / "network" / "communities.clu").read_text(encoding="utf-8") == "*Vertices 0\n"
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["network"] == {
+            "nodes": 0, "edges": 0, "components": 0, "giant_size": 0,
+            "communities": 0, "modularity": 0.0, "unmatched_basemap_nodes": None,
+        }
+
     def test_exclude_outlier(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"
         rc = main([

@@ -103,10 +103,18 @@ class TestPajekNet:
         with pytest.raises(DataError, match="out of range"):
             read_pajek_net(path)
 
+    @pytest.mark.parametrize("edge", ["1 x 1.0", "1 2 heavy", "1 2"])
+    def test_malformed_edge_field(self, tmp_path, edge):
+        path = tmp_path / "bad.net"
+        path.write_text(f'*Vertices 2\n1 "A"\n2 "B"\n*Edges\n{edge}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.net:5: malformed edge line"):
+            read_pajek_net(path)
+
     def test_quote_in_label_rejected(self, tmp_path):
         graph = build_graph([('Jo"urnal', "B", -1.0)])
         with pytest.raises(DataError, match="not representable"):
             write_pajek_net(graph, tmp_path / "g.net")
+        assert not (tmp_path / "g.net").exists()
 
 
 class TestPajekClu:
@@ -139,6 +147,13 @@ class TestPajekClu:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(DataError, match="malformed"):
                 read_pajek_clu(path)
+
+    @pytest.mark.parametrize("number", ["0", "-7"])
+    def test_cluster_below_one_rejected(self, tmp_path, number):
+        path = tmp_path / "p.clu"
+        path.write_text(f"*Vertices 2\n1\n{number}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"p\.clu:3: "):
+            read_pajek_clu(path)
 
 
 BASEMAP_TSV = (
@@ -190,6 +205,21 @@ class TestVosviewer:
         assert [clusters[i] for i in range(len(labels))] == [
             partition[v] for v in graph.nodes
         ]
+
+    @pytest.mark.parametrize(
+        "map_text, network_text, where",
+        [
+            ("id\tlabel\tcluster\tweight\n1\tA\n", "", r"m\.txt:2: malformed map line"),
+            ("id\tlabel\tcluster\tweight\n1\tA\tone\t1.0\n", "", r"m\.txt:2: malformed map line"),
+            ("id\tlabel\tcluster\tweight\n1\tA\t1\t1.0\n2\tB\t1\t1.0\n",
+             "1\t2\theavy\n", r"n\.txt:1: malformed edge line"),
+        ],
+    )
+    def test_malformed_lines(self, tmp_path, map_text, network_text, where):
+        (tmp_path / "m.txt").write_text(map_text, encoding="utf-8")
+        (tmp_path / "n.txt").write_text(network_text, encoding="utf-8")
+        with pytest.raises(DataError, match=where):
+            read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
 
 
 class TestOverlay:

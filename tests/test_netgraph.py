@@ -35,6 +35,13 @@ TWO_TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                  (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 1.0)]
 
 
+def _scrambled_labels(edges: list[tuple], n: int) -> list[tuple]:
+    """Relabel int nodes 0..n-1 as strings whose sorted positions differ
+    from the ints, so a label/position mix-up cannot pass unnoticed."""
+    label = {u: f"J{(5 * u + 3) % n:02d}" for u in range(n)}
+    return [(label[u], label[v], w) for u, v, w in edges]
+
+
 def _planted_partition_edges(rng: random.Random) -> list[tuple]:
     """Four blocks of 30 nodes, edge probability 0.25 inside a block and
     0.04 across, weights uniform in [0.5, 2]."""
@@ -61,10 +68,17 @@ class TestBuildGraph:
         links = [("A", "B", -1.0), ("B", "C", -2.0), ("C", "A", -0.5),
                  ("D", "E", -1.5), ("E", "D", -0.5), ("A", "D", -0.25)]
         graph = build_graph(links)
-        assert graph.adjacency["A"] == {"B": 1.0, "C": 0.5, "D": 0.25}
-        assert graph.adjacency["D"] == {"E": 2.0, "A": 0.25}
-        assert graph.degree("A") == 3
-        assert graph.strength("E") == pytest.approx(2.0)
+        assert graph.index == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
+        assert graph.adjacency == [
+            {1: 1.0, 2: 0.5, 3: 0.25},
+            {0: 1.0, 2: 2.0},
+            {0: 0.5, 1: 2.0},
+            {0: 0.25, 4: 2.0},
+            {3: 2.0},
+        ]
+        # Rows fill in edge order, which fixes Louvain's summation order.
+        assert [list(row) for row in graph.adjacency] == [[1, 2, 3], [0, 2], [0, 1], [0, 4], [3]]
+        assert degree_centrality(graph) == {"A": 3, "B": 2, "C": 2, "D": 2, "E": 1}
 
     def test_loop_rejected(self):
         with pytest.raises(DataError, match="loop"):
@@ -203,13 +217,17 @@ class TestLouvain:
         edges = random_graph_edges(rng, 6, 0.5)
         edges = [(u, v, w) for u, v, w in edges] + [(u + 6, v + 6, w) for u, v, w in edges]
         edges = edges or [(0, 1, 1.0), (6, 7, 1.0)]
-        graph = HotLinkGraph.from_edges(edges)
+        graph = HotLinkGraph.from_edges(_scrambled_labels(edges, 12))
         result = louvain(graph, seed=3)
         comp = connected_components(graph).assignment
-        adj = graph.adjacency
+        neighbours: dict[str, set] = {}
+        for u, v, _ in graph.edges:
+            neighbours.setdefault(u, set()).add(v)
+            neighbours.setdefault(v, set()).add(u)
         members: dict[int, set] = {}
         for v, c in result.assignment.items():
             members.setdefault(c, set()).add(v)
+        assert len(members) > 1
         for community in members.values():
             assert len({comp[v] for v in community}) == 1
             seen = set()
@@ -219,12 +237,14 @@ class TestLouvain:
                 if v in seen:
                     continue
                 seen.add(v)
-                stack.extend(u for u in adj[v] if u in community)
+                stack.extend(u for u in neighbours[v] if u in community)
             assert seen == community
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(DataError, match="non-empty"):
-            louvain(build_graph([]), seed=0)
+    def test_empty_graph_gives_empty_partition(self):
+        result = louvain(build_graph([]), seed=4)
+        assert result.assignment == {}
+        assert result.q == 0.0
+        assert result.seed == 4
 
     def test_split_disconnected_numbers_pieces_by_smallest_member(self):
         # Community 5 holds the paths 0-2-4 and 1-3-5; community 0 holds
@@ -287,8 +307,10 @@ class TestDegreeCentrality:
 
     def test_matches_adjacency_row_sums(self):
         rng = random.Random(31)
-        edges = random_graph_edges(rng, 9, 0.4) or [(0, 1, 1.0)]
+        edges = _scrambled_labels(random_graph_edges(rng, 9, 0.4) or [(0, 1, 1.0)], 9)
         graph = HotLinkGraph.from_edges(edges)
         degrees = degree_centrality(graph)
+        assert list(degrees) == list(graph.nodes)
         for v in graph.nodes:
-            assert degrees[v] == len(graph.adjacency[v])
+            assert degrees[v] == len(graph.adjacency[graph.index[v]])
+            assert degrees[v] == sum(v in (a, b) for a, b, _ in edges)
