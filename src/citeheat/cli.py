@@ -1,27 +1,31 @@
-"""Command-line pipeline: ingest -> entropy -> flags -> graph -> export.
+"""Command-line pipeline: ingest -> entropy -> flags -> network.
 
-One executable with one subcommand per stage (ingest, flag, graph,
-export) and run. Stages compose exclusively via files under the output
-directory, and ``run`` simply executes them in sequence, so a full run and a
-staged run produce byte-identical artifact trees. flag is the only writer
-of reports/: it builds the flag report once and writes both its halves.
-Options can come from a flat key=value config file; command-line flags win
-over the file.
+One executable with one subcommand per stage (ingest, flag, network) and
+run. Stages compose exclusively via files under the output directory, and
+``run`` simply executes them in sequence, so a full run and a staged run
+produce byte-identical artifact trees. flag is the only writer of
+reports/: it builds the flag report once and writes both its halves.
+network reads the hot links once, builds the graph once and runs Louvain
+once, and writes network/, export/ and summary.json from what it holds, so
+the summary's seed is the seed of the partition. Options can come from a
+flat key=value config file; command-line flags win over the file.
 
 Artifact tree (all under --out):
 
     ingest/registry.tsv, years.txt, cells.npy, corpus_stats.json
     reports/transition_summary.csv, margins_*.csv, revision_*.csv,
             triangle_nodes_*.csv, journal_flags.json,
-            hot_links.csv, link_flags.json
+            hot_links.csv, link_flags.json,
+            hot_link_ids.npy, hot_link_scores.npy
     network/graph.net, communities.clu, components.csv, communities.csv,
             degree_ranking.csv
     export/vosviewer_map.txt, vosviewer_network.txt
     export/vosviewer_unmatched.txt, overlay_*.txt      (with --basemap)
     summary.json
 
-graph and export read reports/ only through the two JSON sidecars, whose
-link scores are exact bits, so network/ and export/ do not depend on --unit.
+network reads reports/ only through the two JSON sidecars and the hot-link
+arrays, whose ids index ingest/registry.tsv and whose scores are exact
+bits, so network/ and export/ do not depend on --unit.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 I/O error.
 """
@@ -51,13 +55,7 @@ from .corpus import (
 from .entropy import DIRECTIONS, UNIT_SCALE
 from .errors import CiteHeatError, ConfigError, DataError
 from .flags import build_flag_report
-from .netgraph import (
-    build_graph,
-    connected_components,
-    degree_centrality,
-    louvain,
-    modularity,
-)
+from .netgraph import HotLinkGraph, connected_components, degree_centrality, louvain
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -226,28 +224,14 @@ def stage_flag(config: RunConfig) -> None:
         drop_loops=config.drop_loops,
         outliers=config.excludes,
     )
-    io_export.write_flag_journal_reports(config.out / "reports", report)
-    io_export.write_link_flag_reports(config.out / "reports", report)
-
-
-def _load_graph(link_flags: dict):
-    # The network is simple: hot self-citations (--keep-loops) stay in reports/.
-    graph = build_graph([link for link in link_flags["links"] if link[0] != link[1]])
-    return graph, connected_components(graph)
-
-
-def stage_graph(config: RunConfig) -> None:
-    config.validate(need_years=False)
-    link_flags = io_export.read_sidecar(config.out / "reports" / "link_flags.json")
-    graph, components = _load_graph(link_flags)
-    communities = louvain(graph, seed=config.seed)
-    outdir = config.out / "network"
-    outdir.mkdir(parents=True, exist_ok=True)
-    io_export.write_pajek_net(graph, outdir / "graph.net")
-    io_export.write_pajek_clu(communities.assignment, outdir / "communities.clu", nodes=graph.nodes)
-    io_export.write_network_reports(
-        outdir, graph, components, communities, degree_centrality(graph)
-    )
+    reports = config.out / "reports"
+    io_export.write_flag_journal_reports(reports, report)
+    citing, cited, scores = io_export.write_link_flag_reports(reports, report)
+    # The report's ids index the registry after --exclude, the arrays'
+    # ingest/registry.tsv; both are sorted, so the map keeps the order.
+    ids = {name: i for i, name in enumerate(tensor.registry.names)}
+    to_ingest = np.array([ids[name] for name in report.tensor.registry.names], dtype=np.int64)
+    io_export.write_hot_link_arrays(reports, to_ingest[citing], to_ingest[cited], scores)
 
 
 def _overlay_sets(flagged: dict) -> dict[str, dict[str, list[str]]]:
@@ -263,34 +247,42 @@ def _overlay_sets(flagged: dict) -> dict[str, dict[str, list[str]]]:
     }
 
 
-def stage_export(config: RunConfig) -> None:
+def stage_network(config: RunConfig) -> None:
     config.validate(need_years=False)
     reports = config.out / "reports"
     journal_flags = io_export.read_sidecar(reports / "journal_flags.json")
     link_flags = io_export.read_sidecar(reports / "link_flags.json")
-    graph, components = _load_graph(link_flags)
-    clu = config.out / "network" / "communities.clu"
-    clusters = io_export.read_pajek_clu(clu)
-    if len(clusters) != len(graph.nodes):
-        raise DataError(f"{clu}: {len(clusters)} vertices, the hot links {len(graph.nodes)}")
-    communities = dict(zip(graph.nodes, clusters))
+    names = io_export.read_registry(config.out / "ingest" / "registry.tsv")
+    citing, cited, scores = io_export.read_hot_link_arrays(reports, len(names))
+    # The network is simple: hot self-citations (--keep-loops) stay in reports/.
+    simple = citing != cited
+    graph = HotLinkGraph.from_ids(citing[simple], cited[simple], scores[simple], names)
+    components = connected_components(graph)
+    communities = louvain(graph, seed=config.seed)
+
+    outdir = config.out / "network"
+    outdir.mkdir(parents=True, exist_ok=True)
+    io_export.write_pajek_net(graph, outdir / "graph.net")
+    io_export.write_pajek_clu(communities.assignment, outdir / "communities.clu", nodes=graph.nodes)
+    io_export.write_network_reports(
+        outdir, graph, components, communities, degree_centrality(graph)
+    )
+
     # export/ has no other writer, so replace it whole: files of an earlier
     # run (say, overlays from a run with --basemap) must not survive.
     outdir = config.out / "export"
     if outdir.exists():
         shutil.rmtree(outdir)
     outdir.mkdir(parents=True)
-
     basemap = io_export.read_basemap(config.basemap) if config.basemap else None
     unmatched = io_export.write_vosviewer_files(
         graph,
-        communities,
+        communities.assignment,
         outdir / "vosviewer_map.txt",
         outdir / "vosviewer_network.txt",
         basemap=basemap,
         unmatched_path=outdir / "vosviewer_unmatched.txt",
     )
-
     if basemap is not None:
         for family, sets in _overlay_sets(journal_flags["flagged"]).items():
             io_export.write_overlay(sets, basemap, OVERLAY_COLORS, outdir / f"overlay_{family}.txt")
@@ -300,7 +292,8 @@ def stage_export(config: RunConfig) -> None:
     summary = {
         "format_version": io_export.FORMAT_VERSION,
         # The analysis options are those the flag stage recorded, not this
-        # invocation's: a staged export with other options describes reports/.
+        # invocation's: a staged network with other options describes
+        # reports/. The seed is this invocation's, the partition's.
         "config": {
             **{key: link_flags[key] for key in ("k", "unit", "drop_loops", "outliers_removed")},
             "seed": config.seed,
@@ -317,8 +310,8 @@ def stage_export(config: RunConfig) -> None:
             "edges": len(graph.edges),
             "components": len(components.components),
             "giant_size": len(components.components[0]) if components.components else 0,
-            "communities": len(set(communities.values())),
-            "modularity": modularity(graph, communities),
+            "communities": len(set(communities.assignment.values())),
+            "modularity": communities.q,
             "unmatched_basemap_nodes": len(unmatched) if basemap is not None else None,
         },
     }
@@ -330,8 +323,7 @@ def run_pipeline(config: RunConfig) -> None:
     staged run and a full run are byte-identical."""
     stage_ingest(config)
     stage_flag(config)
-    stage_graph(config)
-    stage_export(config)
+    stage_network(config)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +358,11 @@ def _build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("run", "full pipeline: ingest, flags, graph, export"),
+        ("run", "full pipeline: ingest, flag, network"),
         ("ingest", "parse and align the three years into the cache"),
         ("flag", "journal flags and hot links, from one flag report"),
-        ("graph", "hot-link graph, components, communities, degrees"),
-        ("export", "VOSviewer files, overlays and the JSON summary"),
+        ("network", "hot-link graph, components, communities, degrees, "
+                    "VOSviewer files, overlays and the JSON summary"),
     ):
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
@@ -380,8 +372,7 @@ _STAGES = {
     "run": run_pipeline,
     "ingest": stage_ingest,
     "flag": stage_flag,
-    "graph": stage_graph,
-    "export": stage_export,
+    "network": stage_network,
 }
 
 

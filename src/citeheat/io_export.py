@@ -24,22 +24,28 @@ with <u> the configured unit (bits | mbits | microbits) and <dir> cited or
 citing. Margins are ranked by the t0->t2 column descending; revision,
 triangle and link tables ascending (most negative first).
 
-Sidecars (JSON, format_version 2) are the machine boundary out of reports/;
-read_sidecar rejects any other version with DataError naming the file.
-Every JSON file (the two sidecars, corpus_stats.json and summary.json) is
-one line with sorted keys.
+Sidecars (JSON, format_version 3) and the hot-link arrays are the machine
+boundary out of reports/; read_sidecar rejects any other version with
+DataError naming the file. Every JSON file (the two sidecars,
+corpus_stats.json and summary.json) is one line with sorted keys.
 
 * journal_flags.json: unit, k, outliers_removed, journals, thresholds (in
-  the unit), counts and revision_excluded_cells, plus ``flagged``: for each
-  key of counts (monotonic_up, monotonic_down, revision_flagged,
-  triangle_flagged_nodes) ``{"cited": [names], "citing": [names]}`` with
-  names sorted, so len(flagged[key][dir]) == counts[key][dir].
+  the unit), counts and revision_excluded_cells (one integer: the count
+  has no direction), plus ``flagged``: for each key of counts
+  (monotonic_up, monotonic_down, revision_flagged, triangle_flagged_nodes)
+  ``{"cited": [names], "citing": [names]}`` with names sorted, so
+  len(flagged[key][dir]) == counts[key][dir].
 * link_flags.json: unit, k, drop_loops, outliers_removed, threshold (in the
-  unit), evaluated_cells, hot_links, loops_flagged, plus ``links``:
-  ``[citing, cited, triangle]`` rows in hot_links.csv order with the score
-  in bits, written with repr so it reads back exactly. The graph stage
-  builds its network from these rows, so network/ and export/ do not
-  depend on the unit.
+  unit), evaluated_cells, hot_links and loops_flagged.
+* hot_link_ids.npy and hot_link_scores.npy: the hot links in hot_links.csv
+  order, as one little-endian int64 array of shape (2, n) with rows citing
+  and cited, and one float64 array of shape (n,) with the exact scores in
+  bits. The ids index ingest/registry.tsv, the registry before --exclude.
+  The network stage builds its graph from these arrays, so network/ and
+  export/ do not depend on the unit. read_hot_link_arrays treats them as
+  outside input: .npy format only, no pickles, those dtypes and shapes, ids
+  in [0, N) of the registry and finite scores, else DataError naming the
+  file.
 
 Stage cache (ingest/): registry.tsv (``id<TAB>name``, ids dense, names
 strictly increasing), years.txt (the three labels, one per line) and
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,7 +75,7 @@ from .errors import DataError
 from .flags import FlagReport, ThresholdSpec, threshold_key
 from .netgraph import CommunityPartition, ComponentPartition, HotLinkGraph
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 NEUTRAL_COLOR = "#c8c8c8"
 
@@ -112,8 +119,8 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | Non
             out.write(f'{i} "{label}"\n')
         if graph.edges:
             out.write("*Edges\n")
-            for u, v, w in graph.edges:
-                out.write(f"{index[u] + 1} {index[v] + 1} {fmt_sig6(w)}\n")
+            for (u, v, _), w in zip(graph.edges, graph.sig6_weights):
+                out.write(f"{index[u] + 1} {index[v] + 1} {w}\n")
 
 
 _VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
@@ -153,6 +160,8 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
                 raise DataError(f"{path}:{lineno}: malformed edge line") from None
             if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
                 raise DataError(f"{path}:{lineno}: edge endpoint out of range")
+            if not math.isfinite(w):
+                raise DataError(f"{path}:{lineno}: edge weight {w} is not finite")
             edges.append((i - 1, j - 1, w))
     if len(labels) != n_vertices:
         raise DataError(f"{path}: vertex count mismatch: header says {n_vertices}")
@@ -286,8 +295,8 @@ def write_vosviewer_files(
     nodes = graph.nodes
     index = graph.index
     strength = [0.0] * len(nodes)
-    for u, v, w in graph.edges:
-        declared = float(fmt_sig6(w))
+    for (u, v, _), w in zip(graph.edges, graph.sig6_weights):
+        declared = float(w)
         strength[index[u]] += declared
         strength[index[v]] += declared
 
@@ -314,8 +323,8 @@ def write_vosviewer_files(
                 out.write(f"{i + 1}\t{label_of(v)}\t{x}\t{y}\t{cluster}\t{weight}\n")
 
     with _open_w(network_path) as out:
-        for u, v, w in graph.edges:
-            out.write(f"{index[u] + 1}\t{index[v] + 1}\t{fmt_sig6(w)}\n")
+        for (u, v, _), w in zip(graph.edges, graph.sig6_weights):
+            out.write(f"{index[u] + 1}\t{index[v] + 1}\t{w}\n")
 
     if basemap is not None and unmatched_path is not None:
         with _open_w(unmatched_path) as out:
@@ -327,7 +336,10 @@ def write_vosviewer_files(
 def read_vosviewer_files(
     map_path: str | Path, network_path: str | Path
 ) -> tuple[HotLinkGraph, dict[int, int], list[str]]:
-    """Inverse of write_vosviewer_files on its own output."""
+    """Inverse of write_vosviewer_files on its own output.
+
+    Cluster numbers are integers >= 1, edge endpoints ids of the map and
+    edge weights finite, else DataError naming ``path:line``."""
     with open_utf8(map_path) as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -350,6 +362,8 @@ def read_vosviewer_files(
             raise DataError(f"{map_path}:{lineno}: malformed map line") from None
         if node_id != len(labels) + 1:
             raise DataError(f"{map_path}:{lineno}: ids must be sequential")
+        if cluster < 1:
+            raise DataError(f"{map_path}:{lineno}: cluster number {cluster} is below 1")
         labels.append(label)
         clusters[node_id - 1] = cluster - 1
     edges = []
@@ -359,9 +373,14 @@ def read_vosviewer_files(
                 continue
             try:
                 i, j, w = line.rstrip("\n").split("\t")
-                edges.append((int(i) - 1, int(j) - 1, float(w)))
+                i, j, w = int(i), int(j), float(w)
             except ValueError:
                 raise DataError(f"{network_path}:{lineno}: malformed edge line") from None
+            if not (1 <= i <= len(labels) and 1 <= j <= len(labels)):
+                raise DataError(f"{network_path}:{lineno}: edge endpoint not an id of the map")
+            if not math.isfinite(w):
+                raise DataError(f"{network_path}:{lineno}: edge weight {w} is not finite")
+            edges.append((i - 1, j - 1, w))
     return HotLinkGraph.from_edges(edges), clusters, labels
 
 
@@ -429,20 +448,7 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
     violation raises DataError naming the file, a missing file OSError.
     """
     directory = Path(directory)
-    registry_path = directory / "registry.tsv"
-    names: list[str] = []
-    with open_utf8(registry_path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{registry_path}:{lineno}: malformed entry")
-            if fields[0] != str(len(names)):
-                raise DataError(f"{registry_path}:{lineno}: ids must be dense")
-            names.append(fields[1])
-    if any(a >= b for a, b in zip(names, names[1:])):
-        raise DataError(f"{registry_path}: names are not strictly increasing")
+    names = read_registry(directory / "registry.tsv")
 
     years_path = directory / "years.txt"
     with open_utf8(years_path) as handle:
@@ -451,11 +457,7 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
         raise DataError(f"{years_path}: expected 3 year labels, found {labels}")
 
     cells_path = directory / "cells.npy"
-    with open(cells_path, "rb") as handle:
-        try:
-            cells = np.lib.format.read_array(handle, allow_pickle=False)
-        except ValueError as exc:
-            raise DataError(f"{cells_path}: {exc}") from None
+    cells = _read_npy(cells_path)
     n = len(names)
     if cells.dtype != np.dtype("<i8") or cells.ndim != 2 or cells.shape[0] != 5:
         raise DataError(
@@ -477,6 +479,70 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
         cited=cited,
         counts=counts,
     )
+
+
+def read_registry(path: str | Path) -> list[str]:
+    """The journal names of ingest/registry.tsv, in id order; ids must be
+    dense and names strictly increasing, else DataError naming the file."""
+    names: list[str] = []
+    with open_utf8(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.startswith("#") or not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 2:
+                raise DataError(f"{path}:{lineno}: malformed entry")
+            if fields[0] != str(len(names)):
+                raise DataError(f"{path}:{lineno}: ids must be dense")
+            names.append(fields[1])
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise DataError(f"{path}: names are not strictly increasing")
+    return names
+
+
+def _read_npy(path: Path) -> np.ndarray:
+    """One array of a .npy file; no pickles, and a malformed file is a
+    DataError naming it."""
+    with open(path, "rb") as handle:
+        try:
+            return np.lib.format.read_array(handle, allow_pickle=False)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+
+
+def write_hot_link_arrays(
+    directory: str | Path, citing: np.ndarray, cited: np.ndarray, scores: np.ndarray
+) -> None:
+    """Persist ranked hot links as hot_link_ids.npy and hot_link_scores.npy."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    ids = np.vstack([citing, cited]).astype("<i8", copy=False)
+    np.save(directory / "hot_link_ids.npy", ids, allow_pickle=False)
+    np.save(directory / "hot_link_scores.npy", scores.astype("<f8", copy=False), allow_pickle=False)
+
+
+def read_hot_link_arrays(
+    directory: str | Path, n_journals: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Citing ids, cited ids and scores as write_hot_link_arrays wrote them,
+    checked like outside input against a registry of ``n_journals`` names
+    (see the module docstring)."""
+    directory = Path(directory)
+    ids_path = directory / "hot_link_ids.npy"
+    scores_path = directory / "hot_link_scores.npy"
+    ids, scores = _read_npy(ids_path), _read_npy(scores_path)
+    if ids.dtype != np.dtype("<i8") or ids.ndim != 2 or ids.shape[0] != 2:
+        raise DataError(f"{ids_path}: expected int64 of shape (2, n), got {ids.dtype} {ids.shape}")
+    if scores.dtype != np.dtype("<f8") or scores.shape != ids.shape[1:]:
+        raise DataError(
+            f"{scores_path}: expected float64 of shape ({ids.shape[1]},), "
+            f"got {scores.dtype} {scores.shape}"
+        )
+    if not ((ids >= 0) & (ids < n_journals)).all():
+        raise DataError(f"{ids_path}: journal id outside [0, {n_journals})")
+    if not np.isfinite(scores).all():
+        raise DataError(f"{scores_path}: score is not finite")
+    return ids[0], ids[1], scores
 
 
 def write_hot_links_csv(
@@ -625,7 +691,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
                 key: {d: sorted(names[i] for i in ids) for d, ids in sets.items()}
                 for key, sets in flag_sets.items()
             },
-            "revision_excluded_cells": {d: report.revision.excluded_cells for d in DIRECTIONS},
+            "revision_excluded_cells": report.revision.excluded_cells,
         },
     )
 
@@ -641,15 +707,27 @@ def _write_flag_table(path, column, names, values, flagged, unit):
             )
 
 
-def write_link_flag_reports(outdir: str | Path, report: FlagReport) -> None:
-    """Emit hot_links.csv (label-keyed) and the link_flags.json sidecar,
-    both ranked hottest first (score ascending, labels tie-break)."""
+def write_link_flag_reports(
+    outdir: str | Path, report: FlagReport
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Emit hot_links.csv (label-keyed) and the link_flags.json sidecar.
+
+    Links rank hottest first: score ascending, then citing and cited label.
+    Registry names are sorted, so ``np.lexsort`` on the ids ranks by label.
+    Returns the ranked citing ids, cited ids and scores, with ids over
+    ``report.tensor.registry``, for ``write_hot_link_arrays``.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = report.tensor.registry.names
-    ranked = sorted(
-        ((names[c], names[d], s) for c, d, s in report.hot_links),
-        key=lambda link: (link[2], link[0], link[1]),
+    hot, n = report.hot_links, len(report.hot_links)
+    citing = np.fromiter((c for c, _, _ in hot), dtype=np.int64, count=n)
+    cited = np.fromiter((d for _, d, _ in hot), dtype=np.int64, count=n)
+    scores = np.fromiter((s for _, _, s in hot), dtype=np.float64, count=n)
+    order = np.lexsort((cited, citing, scores))
+    citing, cited, scores = citing[order], cited[order], scores[order]
+    ranked = zip(
+        [names[i] for i in citing.tolist()], [names[i] for i in cited.tolist()], scores.tolist()
     )
     write_hot_links_csv(outdir / "hot_links.csv", ranked, report.unit)
     write_json(
@@ -664,9 +742,9 @@ def write_link_flag_reports(outdir: str | Path, report: FlagReport) -> None:
             "evaluated_cells": int(report.triangle.values.shape[0]),
             "hot_links": len(report.hot_links),
             "loops_flagged": report.loops_flagged,
-            "links": [list(link) for link in ranked],
         },
     )
+    return citing, cited, scores
 
 
 def write_network_reports(

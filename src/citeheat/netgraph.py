@@ -24,7 +24,9 @@ import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -61,6 +63,27 @@ class HotLinkGraph:
             nodes.add(v)
         return cls(nodes=tuple(sorted(nodes)), edges=edge_tuple)
 
+    @classmethod
+    def from_ids(
+        cls, citing: np.ndarray, cited: np.ndarray, scores: np.ndarray, names: Sequence[str]
+    ) -> "HotLinkGraph":
+        """The graph ``build_graph`` makes of the labelled links, built from
+        id arrays over ``names``. Names are sorted, so id order is label
+        order: an edge's key is ``min*N + max``, ``np.unique`` sorts the
+        keys and a sequential ``np.bincount`` sums |score| per key in link
+        order, so every edge weight has the bits of the label path."""
+        if (citing == cited).any():
+            raise DataError("self-loop among the hot links; loops must be removed upstream")
+        n = len(names)
+        keys, inverse = np.unique(
+            np.minimum(citing, cited) * n + np.maximum(citing, cited), return_inverse=True
+        )
+        weights = np.bincount(inverse, weights=np.abs(scores), minlength=keys.size)
+        u, v = np.divmod(keys, n)
+        label = [names[i] for i in np.union1d(u, v).tolist()]
+        edges = zip((names[i] for i in u.tolist()), (names[i] for i in v.tolist()), weights.tolist())
+        return cls(nodes=tuple(label), edges=tuple(edges))
+
     @cached_property
     def index(self) -> dict:
         return {v: i for i, v in enumerate(self.nodes)}
@@ -78,6 +101,14 @@ class HotLinkGraph:
     @cached_property
     def total_weight(self) -> float:
         return sum(w for _, _, w in self.edges)
+
+    @cached_property
+    def sig6_weights(self) -> tuple[str, ...]:
+        """Each edge weight as the network files declare it (``fmt_sig6``),
+        formatted once for the Pajek and both VOSviewer writers."""
+        from . import io_export  # io_export imports this module
+
+        return tuple(io_export.fmt_sig6(w) for _, _, w in self.edges)
 
 
 def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:

@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 
 import citeheat
-from citeheat import cli, io_export
+from citeheat import cli, io_export, netgraph
 from citeheat.cli import main
-from citeheat.io_export import FORMAT_VERSION, read_sidecar, read_tensor_cache
+from citeheat.io_export import (
+    FORMAT_VERSION,
+    read_hot_link_arrays,
+    read_registry,
+    read_sidecar,
+    read_tensor_cache,
+)
+from citeheat.netgraph import HotLinkGraph
 
 from helpers import (
     dyad_fixture_cells,
@@ -32,7 +39,11 @@ def _year_args(paths: dict) -> list[str]:
 
 
 def _hot_links(out: Path) -> list:
-    return read_sidecar(out / "reports" / "link_flags.json")["links"]
+    """(citing, cited, score) rows of the hot-link arrays, ids as names."""
+    names = read_registry(out / "ingest" / "registry.tsv")
+    citing, cited, scores = read_hot_link_arrays(out / "reports", len(names))
+    return [(names[c], names[d], s)
+            for c, d, s in zip(citing.tolist(), cited.tolist(), scores.tolist())]
 
 
 def _read_csv(path: Path) -> list[list[str]]:
@@ -125,9 +136,80 @@ class TestRun:
         staged = tmp_path / "staged"
         base = [*_year_args(dyad_year_files), "--seed", "5", "--k", "1.0"]
         assert main(["run", *base, "--out", str(full)]) == 0
-        for stage in ("ingest", "flag", "graph", "export"):
+        for stage in ("ingest", "flag", "network"):
             assert main([stage, *base, "--out", str(staged)]) == 0
         assert _tree(full) == _tree(staged)
+
+    def test_graph_and_export_are_unknown_subcommands(self, dyad_year_files, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", *_year_args(dyad_year_files), "--out", out]) == 0
+        for stage in ("graph", "export"):
+            assert main([stage, "--out", out]) == 1
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_summary_seed_is_the_partition_seed(self, tmp_path, rng):
+        years = _random_year_files(tmp_path, rng)
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        args = [*_year_args(years), "--k", "0"]
+        assert main(["run", *args, "--seed", "3", "--out", str(rerun)]) == 0
+        assert main(["network", "--seed", "5", "--out", str(rerun)]) == 0
+        assert main(["run", *args, "--seed", "5", "--out", str(fresh)]) == 0
+        summary = json.loads((rerun / "summary.json").read_text("utf-8"))
+        assert summary["config"]["seed"] == 5
+        assert _tree(rerun) == _tree(fresh)
+
+    def test_run_reads_builds_and_formats_the_graph_once(self, tmp_path, rng, monkeypatch):
+        calls = dict.fromkeys((
+            "read_hot_link_arrays", "from_ids", "from_edges", "connected_components",
+            "louvain", "modularity outside louvain", "read_pajek_clu", "fmt_sig6",
+        ), 0)
+        inside_louvain = False
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        real_louvain, real_modularity = cli.louvain, netgraph.modularity
+
+        def louvain(*args, **kwargs):
+            nonlocal inside_louvain
+            calls["louvain"] += 1
+            inside_louvain = True
+            try:
+                return real_louvain(*args, **kwargs)
+            finally:
+                inside_louvain = False
+
+        def modularity(*args, **kwargs):
+            calls["modularity outside louvain"] += not inside_louvain
+            return real_modularity(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "louvain", louvain)
+        monkeypatch.setattr(netgraph, "modularity", modularity)
+        counted(io_export, "read_hot_link_arrays")
+        counted(HotLinkGraph, "from_ids")
+        counted(HotLinkGraph, "from_edges")
+        counted(cli, "connected_components")
+        counted(io_export, "read_pajek_clu")
+        counted(io_export, "fmt_sig6")
+        out = tmp_path / "out"
+        basemap = _write_basemap(tmp_path)
+        assert main(["run", *_year_args(_random_year_files(tmp_path, rng)), "--k", "0",
+                     "--basemap", str(basemap), "--out", str(out)]) == 0
+        network = json.loads((out / "summary.json").read_text("utf-8"))["network"]
+        assert network["edges"] > network["nodes"] > 0
+        fmt_calls = calls.pop("fmt_sig6")
+        assert fmt_calls <= network["edges"] + network["nodes"]
+        assert calls == {
+            "read_hot_link_arrays": 1, "from_ids": 1, "from_edges": 0,
+            "connected_components": 1, "louvain": 1, "modularity outside louvain": 0,
+            "read_pajek_clu": 0,
+        }
 
     def test_run_builds_the_flag_report_once(self, dyad_year_files, tmp_path, monkeypatch):
         calls = {"build_flag_report": 0, "read_tensor_cache": 0}
@@ -152,7 +234,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", *_year_args(dyad_year_files), "--k", "1", "--out", str(out)]) == 0
         before = json.loads((out / "summary.json").read_text("utf-8"))["config"]
-        rc = main(["export", "--out", str(out), "--k", "2", "--unit", "bits",
+        rc = main(["network", "--out", str(out), "--k", "2", "--unit", "bits",
                    "--exclude", "Bkg00"])
         assert rc == 0
         config = json.loads((out / "summary.json").read_text("utf-8"))["config"]
@@ -274,8 +356,10 @@ class TestRun:
         reports = out / "reports"
         link_flags = read_sidecar(reports / "link_flags.json")
         rows = _read_csv(reports / "hot_links.csv")[1:]
-        assert [[c, d] for c, d, _ in link_flags["links"]] == [row[:2] for row in rows]
-        assert len(link_flags["links"]) == link_flags["hot_links"] > 10
+        links = _hot_links(out)
+        assert [[c, d] for c, d, _ in links] == [row[:2] for row in rows]
+        assert len(links) == link_flags["hot_links"] > 10
+        assert "links" not in link_flags
         journal_flags = read_sidecar(reports / "journal_flags.json")
         counts, flagged = journal_flags["counts"], journal_flags["flagged"]
         assert set(flagged) == set(counts)
@@ -310,26 +394,6 @@ class TestRun:
             expected = [f"{x:.6f}" for x in (cited["mean"], cited["sd"], citing["sd"])]
             assert row[1:4] == expected
 
-    def test_export_rejects_partition_of_another_graph(self, dyad_year_files, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
-        clu = out / "network" / "communities.clu"
-        lines = clu.read_text(encoding="utf-8").splitlines()
-        n = len(lines) - 1
-        clu.write_text(f"*Vertices {n - 1}\n" + "\n".join(lines[1:-1]) + "\n", encoding="utf-8")
-        assert main(["export", "--out", str(out)]) == 2
-        assert "communities.clu" in capsys.readouterr().err
-
-    def test_export_rejects_cluster_numbers_below_one(self, dyad_year_files, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
-        clu = out / "network" / "communities.clu"
-        lines = clu.read_text(encoding="utf-8").splitlines()
-        assert len(lines) >= 3
-        clu.write_text("\n".join([lines[0], "0", "-7", *lines[3:]]) + "\n", encoding="utf-8")
-        assert main(["export", "--out", str(out)]) == 2
-        assert "communities.clu:2: " in capsys.readouterr().err
-
     def test_no_hot_links_writes_an_empty_network(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"
         assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "1000"]) == 0
@@ -352,6 +416,23 @@ class TestRun:
         flags = json.loads((out / "reports" / "journal_flags.json").read_text("utf-8"))
         assert flags["outliers_removed"] == ["Pers Med"]
         assert flags["journals"] == 11
+
+    def test_exclude_keeps_ingest_ids_in_the_link_arrays(self, tmp_path, rng):
+        out = tmp_path / "out"
+        years = _random_year_files(tmp_path, rng)
+        excluded = node_names(14)[0]
+        assert main(["run", *_year_args(years), "--k", "0", "--exclude", excluded,
+                     "--out", str(out)]) == 0
+        names = read_registry(out / "ingest" / "registry.tsv")
+        assert names[0] == excluded and len(names) == 14
+        citing, cited, _ = read_hot_link_arrays(out / "reports", len(names))
+        assert citing.size > 10 and not (citing == 0).any() and not (cited == 0).any()
+        rows = _read_csv(out / "reports" / "hot_links.csv")[1:]
+        assert [(c, d) for c, d, _ in _hot_links(out)] == [(r[0], r[1]) for r in rows]
+        edges = {tuple(sorted((c, d))) for c, d, _ in _hot_links(out)}
+        graph_net = (out / "network" / "graph.net").read_text("utf-8").splitlines()
+        assert int(graph_net[0].split()[1]) == len({v for e in edges for v in e})
+        assert sum(1 for line in graph_net if line.count(" ") == 2) == len(edges)
 
 
 class TestConfigHandling:
@@ -438,10 +519,10 @@ class TestConfigHandling:
         [
             ("ingest/years.txt", "flag"),
             ("ingest/registry.tsv", "flag"),
-            ("reports/link_flags.json", "graph"),
-            ("reports/journal_flags.json", "export"),
-            ("network/communities.clu", "export"),
-            ("ingest/corpus_stats.json", "export"),
+            ("ingest/registry.tsv", "network"),
+            ("reports/link_flags.json", "network"),
+            ("reports/journal_flags.json", "network"),
+            ("ingest/corpus_stats.json", "network"),
         ],
     )
     def test_non_utf8_stage_file_exits_2(self, dyad_year_files, tmp_path, capsys, rel, stage):
@@ -472,8 +553,26 @@ class TestConfigHandling:
         sidecar = out / "reports" / "link_flags.json"
         sidecar.write_text(edit(sidecar.read_text(encoding="utf-8")), encoding="utf-8")
         capsys.readouterr()
-        assert main(["graph", "--out", str(out)]) == 2
+        assert main(["network", "--out", str(out)]) == 2
         assert "link_flags.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("hot_link_ids.npy", lambda a: _set(a, (0, 0), 99)),
+            ("hot_link_scores.npy", lambda a: a.astype(object)),
+        ],
+        ids=["id-out-of-range", "pickled"],
+    )
+    def test_tampered_link_arrays_exit_2(self, dyad_year_files, tmp_path, capsys, name, edit):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--k", "0", "--out", str(out)]) == 0
+        path = out / "reports" / name
+        np.save(path, edit(np.load(path, allow_pickle=False)), allow_pickle=True)
+        capsys.readouterr()
+        assert main(["network", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "Traceback" not in err
 
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         paths = {label: tmp_path / f"missing{label}.tsv" for label in ("2011", "2012", "2013")}
@@ -542,12 +641,18 @@ class TestConfigHandling:
         run_dropped, run_kept = tmp_path / "run_dropped", tmp_path / "run_kept"
         assert main(["run", *_year_args(paths), "--out", str(run_dropped)]) == 0
         assert main(["run", *_year_args(paths), "--out", str(run_kept), "--keep-loops"]) == 0
-        rows = _read_csv(run_kept / "reports" / "hot_links.csv")
+        rows = _read_csv(run_kept / "reports" / "hot_links.csv")[1:]
         assert ["Bkg00", "Bkg00"] in [row[:2] for row in rows]
+        assert [(c, d) for c, d, _ in _hot_links(run_kept)] == [(r[0], r[1]) for r in rows]
         assert _tree(run_kept / "network") == _tree(run_dropped / "network")
         for name in ("vosviewer_map.txt", "vosviewer_network.txt"):
             kept_file = (run_kept / "export" / name).read_bytes()
             assert kept_file == (run_dropped / "export" / name).read_bytes()
+
+
+def _set(array, index, value):
+    array[index] = value
+    return array
 
 
 class TestBasemapExport:

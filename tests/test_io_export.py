@@ -12,12 +12,14 @@ from citeheat.io_export import (
     fmt_dec6,
     fmt_sig6,
     read_basemap,
+    read_hot_link_arrays,
     read_pajek_clu,
     read_pajek_net,
     read_sidecar,
     read_tensor_cache,
     read_vosviewer_files,
     write_flag_journal_reports,
+    write_hot_link_arrays,
     write_hot_links_csv,
     write_link_flag_reports,
     write_overlay,
@@ -101,6 +103,13 @@ class TestPajekNet:
         path = tmp_path / "bad.net"
         path.write_text('*Vertices 1\n1 "A"\n*Edges\n1 4 1.0\n', encoding="utf-8")
         with pytest.raises(DataError, match="out of range"):
+            read_pajek_net(path)
+
+    @pytest.mark.parametrize("weight", ["-inf", "inf", "nan"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "bad.net"
+        path.write_text(f'*Vertices 2\n1 "A"\n2 "B"\n*Edges\n1 2 {weight}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.net:5: edge weight .* not finite"):
             read_pajek_net(path)
 
     @pytest.mark.parametrize("edge", ["1 x 1.0", "1 2 heavy", "1 2"])
@@ -221,6 +230,29 @@ class TestVosviewer:
         with pytest.raises(DataError, match=where):
             read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
 
+    @pytest.mark.parametrize("cluster", ["0", "-7"])
+    def test_cluster_below_one_rejected(self, tmp_path, cluster):
+        (tmp_path / "m.txt").write_text(
+            f"id\tlabel\tcluster\tweight\n1\tA\t1\t1.0\n2\tB\t{cluster}\t1.0\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "n.txt").write_text("1\t2\t1.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"m\.txt:3: cluster number"):
+            read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
+
+    @pytest.mark.parametrize(
+        "edge, problem",
+        [("1\t5\t1.0", "not an id of the map"), ("0\t2\t1.0", "not an id of the map"),
+         ("1\t2\tnan", "not finite"), ("1\t2\t-inf", "not finite")],
+    )
+    def test_bad_network_line_rejected(self, tmp_path, edge, problem):
+        (tmp_path / "m.txt").write_text(
+            "id\tlabel\tcluster\tweight\n1\tA\t1\t1.0\n2\tB\t1\t1.0\n", encoding="utf-8"
+        )
+        (tmp_path / "n.txt").write_text(f"1\t2\t1.0\n{edge}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"n\.txt:2: .*{problem}"):
+            read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
+
 
 class TestOverlay:
     def test_empty_flag_sets_keep_neutral_styling(self, tmp_path):
@@ -333,16 +365,18 @@ class TestHotLinksCsv:
             grid[4, 1] = (10, 40, 160)[y]
         report = build_flag_report(make_tensor(grids), k=0.0, unit="mbits")
         assert [(c, d) for c, d, _ in report.hot_links] == [(3, 0), (4, 1), (5, 2)]
-        write_link_flag_reports(tmp_path, report)
+        citing, cited, scores = write_link_flag_reports(tmp_path, report)
         rows = (tmp_path / "hot_links.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0] == "citing,cited,triangle_mbits"
-        # Hottest first, labels break the tie; the sidecar has the same order.
+        # Hottest first, labels break the tie; the returned arrays have the same order.
         assert [row.split(",")[:2] for row in rows[1:]] == [
             ["J004", "J001"], ["J003", "J000"], ["J005", "J002"]
         ]
-        links = read_sidecar(tmp_path / "link_flags.json")["links"]
-        assert links[1][2] == links[2][2] > links[0][2]
-        assert rows[1:] == [f"{c},{d},{to_unit(s, 'mbits'):.6f}" for c, d, s in links]
+        assert citing.tolist() == [4, 3, 5] and cited.tolist() == [1, 0, 2]
+        assert scores[1] == scores[2] > scores[0]
+        names = report.tensor.registry.names
+        assert rows[1:] == [f"{names[c]},{names[d]},{to_unit(s, 'mbits'):.6f}"
+                            for c, d, s in zip(citing, cited, scores.tolist())]
 
     def test_writer_keeps_the_given_order(self, tmp_path):
         links = [("B", "C", -0.002), ("A", "B", -0.005), ("C", "A", -0.001)]
@@ -358,12 +392,15 @@ class TestSidecars:
         tensor = make_tensor(random_active_grids(rng, 10, density=0.7, high=40))
         report = build_flag_report(tensor, k=0.0, unit="mbits")
         assert report.hot_links
-        write_link_flag_reports(tmp_path, report)
+        write_hot_link_arrays(tmp_path, *write_link_flag_reports(tmp_path, report))
         link_flags = read_sidecar(tmp_path / "link_flags.json")
+        assert "links" not in link_flags
         names = tensor.registry.names
+        citing, cited, scores = read_hot_link_arrays(tmp_path, len(names))
+        links = [(names[c], names[d], s)
+                 for c, d, s in zip(citing.tolist(), cited.tolist(), scores.tolist())]
         expected = {(names[c], names[d], s) for c, d, s in report.hot_links}
-        links = link_flags["links"]
-        assert {tuple(link) for link in links} == expected  # floats compared exactly
+        assert set(links) == expected  # floats compared exactly
         assert len(links) == link_flags["hot_links"] == len(report.hot_links)
         with open(tmp_path / "hot_links.csv", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))[1:]
@@ -385,6 +422,48 @@ class TestSidecars:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match="link_flags.json"):
             read_sidecar(path)
+
+
+class TestHotLinkArrays:
+    def _write(self, directory):
+        citing, cited = np.array([3, 0, 2]), np.array([1, 2, 0])
+        write_hot_link_arrays(directory, citing, cited, np.array([-3.5, -1.25, -1.0]))
+
+    def test_round_trip_is_exact(self, tmp_path):
+        self._write(tmp_path)
+        citing, cited, scores = read_hot_link_arrays(tmp_path, 4)
+        assert citing.dtype == cited.dtype == np.int64 and scores.dtype == np.float64
+        assert citing.tolist() == [3, 0, 2] and cited.tolist() == [1, 2, 0]
+        assert scores.tolist() == [-3.5, -1.25, -1.0]
+
+    def test_empty_round_trip(self, tmp_path):
+        empty = np.zeros(0, dtype=np.int64)
+        write_hot_link_arrays(tmp_path, empty, empty, np.zeros(0))
+        assert all(a.size == 0 for a in read_hot_link_arrays(tmp_path, 0))
+
+    @pytest.mark.parametrize("name, edit, n", [
+        ("hot_link_ids.npy", lambda a: a.astype(object), 4),
+        ("hot_link_scores.npy", lambda a: a.astype(object), 4),
+        ("hot_link_ids.npy", lambda a: a.astype(np.int32), 4),
+        ("hot_link_ids.npy", lambda a: a.astype(np.float64), 4),
+        ("hot_link_scores.npy", lambda a: a.astype(np.float32), 4),
+        ("hot_link_ids.npy", lambda a: a.ravel(), 4),
+        ("hot_link_scores.npy", lambda a: a[:2], 4),
+        ("hot_link_ids.npy", lambda a: a, 3),
+        ("hot_link_ids.npy", lambda a: _set(a, (1, 0), -1), 4),
+        ("hot_link_scores.npy", lambda a: _set(a, 1, np.nan), 4),
+        ("hot_link_scores.npy", lambda a: _set(a, 1, -np.inf), 4),
+    ], ids=[
+        "pickled-ids", "pickled-scores", "int32-ids", "float-ids", "float32-scores",
+        "one-dimensional-ids", "short-scores", "id-out-of-range", "negative-id", "nan-score",
+        "infinite-score",
+    ])
+    def test_tampered_arrays_are_data_errors(self, tmp_path, name, edit, n):
+        self._write(tmp_path)
+        path = tmp_path / name
+        np.save(path, edit(np.load(path, allow_pickle=False)), allow_pickle=True)
+        with pytest.raises(DataError, match=name):
+            read_hot_link_arrays(tmp_path, n)
 
 
 class TestReports:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import citeheat
@@ -83,6 +84,28 @@ class TestBuildGraph:
     def test_loop_rejected(self):
         with pytest.raises(DataError, match="loop"):
             build_graph([("A", "A", -1.0)])
+        with pytest.raises(DataError, match="loop"):
+            HotLinkGraph.from_ids(np.array([0]), np.array([0]), np.array([-1.0]), ["A"])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_from_ids_equals_the_label_path(self, seed):
+        # Random links over 40 journals, many reciprocal, some journals
+        # unlinked, in a random order: the same nodes, edges, bits and Q.
+        rng = np.random.default_rng(seed)
+        names = [f"J{i:02d}" for i in range(40)]
+        pairs = {(int(c), int(d)) for c, d in rng.integers(0, 40, size=(300, 2)) if c != d}
+        pairs |= {(d, c) for c, d in list(pairs)[::2]}
+        citing, cited = (np.array(col, dtype=np.int64) for col in zip(*sorted(pairs)))
+        order = rng.permutation(citing.size)
+        citing, cited = citing[order], cited[order]
+        scores = -rng.exponential(1e-3, size=citing.size)
+        graph = HotLinkGraph.from_ids(citing, cited, scores, names)
+        expected = build_graph(
+            (names[c], names[d], s) for c, d, s in zip(citing, cited, scores.tolist())
+        )
+        assert graph == expected  # floats compared exactly
+        assert graph.total_weight == expected.total_weight
+        assert louvain(graph, seed=seed) == louvain(expected, seed=seed)
 
 
 class TestComponents:
