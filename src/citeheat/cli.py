@@ -307,7 +307,7 @@ def stage_network(config: RunConfig) -> None:
                   ("threshold", "evaluated_cells", "hot_links", "loops_flagged")},
         "network": {
             "nodes": len(graph.nodes),
-            "edges": len(graph.edges),
+            "edges": graph.weights.size,
             "components": len(components.components),
             "giant_size": len(components.components[0]) if components.components else 0,
             "communities": len(set(communities.assignment.values())),

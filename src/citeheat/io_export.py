@@ -112,24 +112,38 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | Non
     for label in names:
         if '"' in label:
             raise DataError(f"label not representable in Pajek: {label!r}")
-    index = graph.index
     with _open_w(path) as out:
         out.write(f"*Vertices {len(names)}\n")
         for i, label in enumerate(names, start=1):
             out.write(f'{i} "{label}"\n')
-        if graph.edges:
+        if graph.weights.size:
             out.write("*Edges\n")
-            for (u, v, _), w in zip(graph.edges, graph.sig6_weights):
-                out.write(f"{index[u] + 1} {index[v] + 1} {w}\n")
+            for i, j, w in zip((graph.u + 1).tolist(), (graph.v + 1).tolist(), graph.sig6_weights):
+                out.write(f"{i} {j} {w}\n")
 
 
 _VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
 
 
+def _check_edge(seen: dict, i: int, j: int, path, lineno: int) -> None:
+    """Refuse a loop or a repeated edge in an interchange file: the writers
+    write neither, so a reader that took them would not be their inverse."""
+    if i == j:
+        raise DataError(f"{path}:{lineno}: self-loop on vertex {i}")
+    key = (i, j) if i < j else (j, i)
+    if key in seen:
+        raise DataError(f"{path}:{lineno}: repeats the edge {i}-{j} of line {seen[key]}")
+    seen[key] = lineno
+
+
 def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
-    """Inverse of write_pajek_net; nodes come back as 0-based positions."""
+    """Inverse of write_pajek_net; nodes come back as 0-based positions.
+
+    A malformed line, an endpoint out of range, a non-finite weight, a loop
+    or a repeated edge is a DataError naming ``path:line``."""
     labels: list[str] = []
     edges: list[tuple[int, int, float]] = []
+    seen: dict = {}
     with open_utf8(path) as handle:
         lines = handle.read().splitlines()
     if not lines or not lines[0].lower().startswith("*vertices"):
@@ -162,6 +176,7 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
                 raise DataError(f"{path}:{lineno}: edge endpoint out of range")
             if not math.isfinite(w):
                 raise DataError(f"{path}:{lineno}: edge weight {w} is not finite")
+            _check_edge(seen, i, j, path, lineno)
             edges.append((i - 1, j - 1, w))
     if len(labels) != n_vertices:
         raise DataError(f"{path}: vertex count mismatch: header says {n_vertices}")
@@ -293,12 +308,13 @@ def write_vosviewer_files(
     re-read pair byte-identical.
     """
     nodes = graph.nodes
-    index = graph.index
-    strength = [0.0] * len(nodes)
-    for (u, v, _), w in zip(graph.edges, graph.sig6_weights):
-        declared = float(w)
-        strength[index[u]] += declared
-        strength[index[v]] += declared
+    # Each node's declared weights add in edge order, as a running sum would.
+    declared = np.array(list(map(float, graph.sig6_weights)))
+    strength = np.bincount(
+        np.column_stack((graph.u, graph.v)).ravel(),
+        weights=np.repeat(declared, 2),
+        minlength=len(nodes),
+    ).tolist()
 
     def label_of(v) -> str:
         return str(labels[v]) if labels is not None else str(v)
@@ -323,8 +339,8 @@ def write_vosviewer_files(
                 out.write(f"{i + 1}\t{label_of(v)}\t{x}\t{y}\t{cluster}\t{weight}\n")
 
     with _open_w(network_path) as out:
-        for (u, v, _), w in zip(graph.edges, graph.sig6_weights):
-            out.write(f"{index[u] + 1}\t{index[v] + 1}\t{w}\n")
+        for i, j, w in zip((graph.u + 1).tolist(), (graph.v + 1).tolist(), graph.sig6_weights):
+            out.write(f"{i}\t{j}\t{w}\n")
 
     if basemap is not None and unmatched_path is not None:
         with _open_w(unmatched_path) as out:
@@ -338,8 +354,9 @@ def read_vosviewer_files(
 ) -> tuple[HotLinkGraph, dict[int, int], list[str]]:
     """Inverse of write_vosviewer_files on its own output.
 
-    Cluster numbers are integers >= 1, edge endpoints ids of the map and
-    edge weights finite, else DataError naming ``path:line``."""
+    Cluster numbers are integers >= 1, edge endpoints ids of the map, edge
+    weights finite and no edge a loop or a repeat, else DataError naming
+    ``path:line``."""
     with open_utf8(map_path) as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -367,6 +384,7 @@ def read_vosviewer_files(
         labels.append(label)
         clusters[node_id - 1] = cluster - 1
     edges = []
+    seen: dict = {}
     with open_utf8(network_path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -380,6 +398,7 @@ def read_vosviewer_files(
                 raise DataError(f"{network_path}:{lineno}: edge endpoint not an id of the map")
             if not math.isfinite(w):
                 raise DataError(f"{network_path}:{lineno}: edge weight {w} is not finite")
+            _check_edge(seen, i, j, network_path, lineno)
             edges.append((i - 1, j - 1, w))
     return HotLinkGraph.from_edges(edges), clusters, labels
 

@@ -13,9 +13,12 @@ result is fully deterministic for a given seed: the initial queue order is
 a seeded shuffle.
 
 A node's id is its position in the sorted ``HotLinkGraph.nodes``, as a
-journal's is in ``AlignedTensor``. Every consumer reads the graph's one
-positional adjacency, and one BFS (``_split_disconnected``) finds both the
-components and the connected pieces of Louvain's communities.
+journal's is in ``AlignedTensor``, and the graph is stored as arrays over
+those positions. One array component routine (``_pieces``, min-label
+hook and shortcut after Shiloach & Vishkin 1982) finds both the components
+and the connected pieces of Louvain's communities, and one array core
+(``_modularity``) gives every Q. Only Louvain's local moves and
+aggregation walk the positional adjacency dicts.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import read_only
 from .errors import DataError
 
 # Minimum modularity gain for another multilevel pass.
@@ -36,53 +40,75 @@ _MIN_LEVEL_GAIN = 1e-9
 _RESTARTS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HotLinkGraph:
     """Undirected weighted graph of flagged links; no loops, no isolates.
 
-    ``nodes`` is sorted; ``edges`` holds sorted (u, v, w) label triples with
-    u < v. A node's id is its position in ``nodes``: ``index`` maps a label
-    to it, and ``adjacency[i]`` maps neighbour ids to weights (read-only).
+    ``nodes`` is sorted, and a node's id is its position there. Edge e
+    joins positions ``u[e] < v[e]`` with weight ``weights[e]``; edges are
+    in (u, v) order, so in label order, and the three arrays are
+    read-only. Derived views, each built on first use and kept: ``edges``
+    (the (u, v, w) label triples), ``index`` (label -> position) and
+    ``adjacency`` (per position, neighbour position -> weight; read-only,
+    for Louvain).
     """
 
     nodes: tuple
-    edges: tuple
+    u: np.ndarray
+    v: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple]) -> "HotLinkGraph":
-        merged: dict[tuple, float] = {}
-        for u, v, w in edges:
-            if u == v:
-                raise DataError(f"self-loop on {u!r}; loops must be removed upstream")
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0.0) + w
-        edge_tuple = tuple((u, v, merged[(u, v)]) for u, v in sorted(merged))
-        nodes = set()
-        for u, v, _ in edge_tuple:
-            nodes.add(u)
-            nodes.add(v)
-        return cls(nodes=tuple(sorted(nodes)), edges=edge_tuple)
+        """Merge (u, v, w) label triples: an edge and its reverse or a
+        repeat sum their weights in the order given."""
+        return cls._build(*_intern(edges))
 
     @classmethod
     def from_ids(
         cls, citing: np.ndarray, cited: np.ndarray, scores: np.ndarray, names: Sequence[str]
     ) -> "HotLinkGraph":
         """The graph ``build_graph`` makes of the labelled links, built from
-        id arrays over ``names``. Names are sorted, so id order is label
-        order: an edge's key is ``min*N + max``, ``np.unique`` sorts the
-        keys and a sequential ``np.bincount`` sums |score| per key in link
-        order, so every edge weight has the bits of the label path."""
-        if (citing == cited).any():
-            raise DataError("self-loop among the hot links; loops must be removed upstream")
+        id arrays over the sorted ``names``; journals without a link are
+        left out."""
+        citing = np.asarray(citing, dtype=np.int64)
+        cited = np.asarray(cited, dtype=np.int64)
+        linked = np.zeros(len(names), dtype=bool)
+        linked[citing] = linked[cited] = True
+        if not linked.all():
+            position = np.cumsum(linked) - 1
+            citing, cited = position[citing], position[cited]
+            names = [names[i] for i in np.flatnonzero(linked).tolist()]
+        return cls._build(citing, cited, np.abs(scores), names)
+
+    @classmethod
+    def _build(
+        cls, citing: np.ndarray, cited: np.ndarray, weights: np.ndarray, names: Sequence
+    ) -> "HotLinkGraph":
+        # names is sorted and each one is linked, so id order is label
+        # order: an edge's key is min*N + max, np.unique sorts the keys and
+        # a sequential np.bincount sums the weights per key in link order,
+        # as a running float sum per edge would.
+        loops = citing == cited
+        if loops.any():
+            label = names[citing[loops.argmax()]]
+            raise DataError(f"self-loop on {label!r}; loops must be removed upstream")
         n = len(names)
         keys, inverse = np.unique(
             np.minimum(citing, cited) * n + np.maximum(citing, cited), return_inverse=True
         )
-        weights = np.bincount(inverse, weights=np.abs(scores), minlength=keys.size)
+        # (bincount gives int64 for no keys at all)
+        weights = np.bincount(inverse, weights=weights, minlength=keys.size).astype(np.float64)
         u, v = np.divmod(keys, n)
-        label = [names[i] for i in np.union1d(u, v).tolist()]
-        edges = zip((names[i] for i in u.tolist()), (names[i] for i in v.tolist()), weights.tolist())
-        return cls(nodes=tuple(label), edges=tuple(edges))
+        return cls(nodes=tuple(names), u=read_only(u), v=read_only(v), weights=read_only(weights))
+
+    @cached_property
+    def edges(self) -> tuple:
+        nodes = self.nodes
+        return tuple([
+            (nodes[i], nodes[j], w)
+            for i, j, w in zip(self.u.tolist(), self.v.tolist(), self.weights.tolist())
+        ])
 
     @cached_property
     def index(self) -> dict:
@@ -91,16 +117,14 @@ class HotLinkGraph:
     @cached_property
     def adjacency(self) -> list[dict[int, float]]:
         # Rows fill in edge order, which fixes the order of Louvain's sums.
-        index = self.index
         adj: list[dict[int, float]] = [{} for _ in self.nodes]
-        for u, v, w in self.edges:
-            i, j = index[u], index[v]
+        for i, j, w in zip(self.u.tolist(), self.v.tolist(), self.weights.tolist()):
             adj[i][j] = adj[j][i] = w
         return adj
 
     @cached_property
     def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
+        return sum(self.weights.tolist())
 
     @cached_property
     def sig6_weights(self) -> tuple[str, ...]:
@@ -108,12 +132,33 @@ class HotLinkGraph:
         formatted once for the Pajek and both VOSviewer writers."""
         from . import io_export  # io_export imports this module
 
-        return tuple(io_export.fmt_sig6(w) for _, _, w in self.edges)
+        return tuple(map(io_export.fmt_sig6, self.weights.tolist()))
+
+
+def _intern(links: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Id arrays over the sorted labels of (citing, cited, value) triples,
+    with the values as float64 in link order, and those labels."""
+    # One triple at a time: holding them all at once would hand the cyclic
+    # garbage collector thousands of short-lived tuples to promote.
+    citing, cited, values = [], [], []
+    for u, v, w in links:
+        citing.append(u)
+        cited.append(v)
+        values.append(w)
+    names = sorted(set(citing).union(cited))
+    index = dict(zip(names, range(len(names))))
+    return (
+        np.fromiter(map(index.__getitem__, citing), np.int64, len(citing)),
+        np.fromiter(map(index.__getitem__, cited), np.int64, len(cited)),
+        np.array(values, dtype=np.float64),
+        names,
+    )
 
 
 def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
     """Symmetrize flagged (citing, cited, score) cells; weight = |score|."""
-    return HotLinkGraph.from_edges((u, v, abs(s)) for u, v, s in hot_links)
+    citing, cited, scores, names = _intern(hot_links)
+    return HotLinkGraph._build(citing, cited, np.abs(scores), names)
 
 
 @dataclass(frozen=True)
@@ -125,19 +170,77 @@ class ComponentPartition:
     components: tuple
 
 
+def _pieces(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected pieces of the graph on positions 0..n-1 with edges (u, v),
+    numbered in the order of their smallest position.
+
+    Min-label hook and shortcut (Shiloach & Vishkin 1982, without their
+    unconditional hooks): every node points at a smaller or equal position,
+    and a node pointing at itself is a root. Each round hooks every root
+    that an edge joins to a smaller root onto the smallest such root, then
+    jumps pointers until each node points at its root. The roots left are
+    those no neighbouring tree undercut, no two of them joined by an edge;
+    a piece's smallest position is always a root, so the rounds end with
+    it as the root of the piece.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        if (ru == rv).all():
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
+    return np.cumsum(root == np.arange(n))[root] - 1
+
+
 def connected_components(graph: HotLinkGraph) -> ComponentPartition:
-    pieces = _split_disconnected(graph.adjacency, [0] * len(graph.nodes))
-    raw: list[list] = [[] for _ in range(max(pieces, default=-1) + 1)]
-    for v, piece in zip(graph.nodes, pieces):
-        raw[piece].append(v)
-    raw.sort(key=lambda comp: (-len(comp), comp[0]))
-    assignment = {v: i for i, comp in enumerate(raw) for v in comp}
-    return ComponentPartition(assignment=assignment, components=tuple(tuple(c) for c in raw))
+    nodes = graph.nodes
+    pieces = _pieces(len(nodes), graph.u, graph.v)
+    sizes = np.bincount(pieces)
+    # Pieces are numbered by smallest member, so a stable sort on size
+    # gives the (-size, smallest member) order.
+    order = np.argsort(-sizes, kind="stable")
+    component = np.argsort(order)[pieces]
+    members = [nodes[i] for i in np.argsort(component, kind="stable").tolist()]
+    bounds = np.cumsum(sizes[order]).tolist()
+    components = tuple(tuple(members[a:b]) for a, b in zip([0, *bounds], bounds))
+    return ComponentPartition(
+        assignment=dict(zip(nodes, component.tolist())), components=components
+    )
 
 
 def degree_centrality(graph: HotLinkGraph) -> dict:
     """Unweighted incident-edge count per node."""
-    return {v: len(nbrs) for v, nbrs in zip(graph.nodes, graph.adjacency)}
+    n = len(graph.nodes)
+    degrees = np.bincount(graph.u, minlength=n) + np.bincount(graph.v, minlength=n)
+    return dict(zip(graph.nodes, degrees.tolist()))
+
+
+def _modularity(graph: HotLinkGraph, comm: np.ndarray) -> float:
+    """Q of the partition that puts position i in community ``comm[i]``
+    (ints >= 0), summed as a running sum over the edges would: each
+    community's degree and intra weight add the edge weights in edge
+    order, u's end before v's, and the terms add in the order in which
+    the communities first appear there."""
+    m = graph.total_weight
+    if m <= 0:
+        return 0.0
+    w = graph.weights
+    cu, cv = comm[graph.u], comm[graph.v]
+    ends = np.column_stack((cu, cv)).ravel()
+    deg = np.bincount(ends, weights=np.repeat(w, 2))
+    same = cu == cv
+    intra = np.bincount(cu[same], weights=w[same], minlength=deg.size)
+    first = np.full(deg.size, ends.size)
+    np.minimum.at(first, ends, np.arange(ends.size))
+    order = np.argsort(first)[: np.count_nonzero(first < ends.size)]
+    two_m = 2.0 * m
+    terms = zip(intra[order].tolist(), deg[order].tolist())
+    return sum(e / m - (d / two_m) ** 2 for e, d in terms)
 
 
 def modularity(graph: HotLinkGraph, partition: Mapping) -> float:
@@ -149,18 +252,9 @@ def modularity(graph: HotLinkGraph, partition: Mapping) -> float:
     missing = [v for v in graph.nodes if v not in partition]
     if missing:
         raise DataError(f"partition is missing nodes: {missing[:5]}")
-    m = graph.total_weight
-    if m <= 0:
-        return 0.0
-    intra: dict = defaultdict(float)
-    deg: dict = defaultdict(float)
-    for u, v, w in graph.edges:
-        cu, cv = partition[u], partition[v]
-        deg[cu] += w
-        deg[cv] += w
-        if cu == cv:
-            intra[cu] += w
-    return sum(intra[c] / m - (deg[c] / (2.0 * m)) ** 2 for c in deg)
+    codes: dict = {}
+    comm = [codes.setdefault(partition[v], len(codes)) for v in graph.nodes]
+    return _modularity(graph, np.array(comm, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -251,27 +345,13 @@ def _aggregate(adj: list[dict], comm: list[int]) -> tuple[list[dict], dict[int, 
     return [dict(nbrs) for nbrs in new_adj], renum
 
 
-def _split_disconnected(adj: list[dict], comm: list[int]) -> list[int]:
+def _split_disconnected(graph: HotLinkGraph, comm: np.ndarray) -> np.ndarray:
     """Split internally disconnected communities into their connected
-    pieces; with every node in one community the pieces are the connected
-    components. A split never lowers Q: the intra weight is preserved while
-    the squared-degree penalty strictly shrinks. Pieces are numbered in the
-    order of their smallest position."""
-    piece = [-1] * len(adj)
-    n_pieces = 0
-    for start in range(len(adj)):
-        if piece[start] >= 0:
-            continue
-        piece[start] = n_pieces
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if piece[u] < 0 and comm[u] == comm[v]:
-                    piece[u] = n_pieces
-                    stack.append(u)
-        n_pieces += 1
-    return piece
+    pieces, numbered in the order of their smallest position. A split never
+    lowers Q: the intra weight is preserved while the squared-degree
+    penalty strictly shrinks."""
+    inside = comm[graph.u] == comm[graph.v]
+    return _pieces(comm.size, graph.u[inside], graph.v[inside])
 
 
 def _multilevel(adj0: list[dict], m: float, q0: float, rng: random.Random) -> list[int]:
@@ -310,20 +390,20 @@ def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
     connected pieces. Identical seed, identical partition. A graph without
     edge weight, the empty graph included, gets singletons and Q = 0.
     """
-    adj = graph.adjacency
     m = graph.total_weight
     if m <= 0:
         assignment = {v: i for i, v in enumerate(graph.nodes)}
         return CommunityPartition(assignment=assignment, q=0.0, seed=seed)
+    adj = graph.adjacency
 
     rng = random.Random(seed)
     q0 = _level_modularity(adj, m)
-    best_assignment: dict | None = None
     best_q = -float("inf")
     for _ in range(_RESTARTS):
-        pieces = _split_disconnected(adj, _multilevel(adj, m, q0, rng))
-        assignment = dict(zip(graph.nodes, pieces))
-        q = modularity(graph, assignment)
+        comm = np.array(_multilevel(adj, m, q0, rng), dtype=np.int64)
+        pieces = _split_disconnected(graph, comm)
+        q = _modularity(graph, pieces)
         if q > best_q:
-            best_assignment, best_q = assignment, q
-    return CommunityPartition(assignment=best_assignment, q=best_q, seed=seed)
+            best_pieces, best_q = pieces, q
+    assignment = dict(zip(graph.nodes, best_pieces.tolist()))
+    return CommunityPartition(assignment=assignment, q=best_q, seed=seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import unicodedata
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import mpmath
@@ -307,6 +308,51 @@ def triangle_anchor_tensor(terms_mbits=(1.251, 2.465, 4.728), grand=10**9):
 # ---------------------------------------------------------------------------
 # Graph oracles
 # ---------------------------------------------------------------------------
+
+def dict_merge_graph(edges) -> tuple[tuple, tuple]:
+    """(nodes, edges) of the simple graph on (u, v, w) label triples, merged
+    the plain way: a running float sum per sorted label pair, in link order."""
+    merged: dict[tuple, float] = {}
+    for u, v, w in edges:
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0.0) + w
+    edge_tuple = tuple((u, v, merged[(u, v)]) for u, v in sorted(merged))
+    return tuple(sorted({x for u, v, _ in edge_tuple for x in (u, v)})), edge_tuple
+
+
+def running_sum_modularity(edges, partition) -> float:
+    """Q = sum_c [e_c/m - (d_c/2m)^2] as plain running sums over the label
+    edges, terms in order of each community's first appearance."""
+    m = sum(w for _, _, w in edges)
+    if m <= 0:
+        return 0.0
+    intra: dict = {}
+    deg: dict = {}
+    for u, v, w in edges:
+        cu, cv = partition[u], partition[v]
+        deg[cu] = deg.get(cu, 0.0) + w
+        deg[cv] = deg.get(cv, 0.0) + w
+        if cu == cv:
+            intra[cu] = intra.get(cu, 0.0) + w
+    return sum(intra.get(c, 0.0) / m - (deg[c] / (2.0 * m)) ** 2 for c in deg)
+
+
+def count_cached_builds(monkeypatch, cls, names) -> dict:
+    """Wrap the cached properties ``names`` of ``cls`` so that every build
+    (first read on an instance) is counted; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = cls.__dict__[name].func
+
+        def build(self, name=name, inner=inner):
+            calls[name] += 1
+            return inner(self)
+
+        prop = cached_property(build)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    return calls
+
 
 class UnionFind:
     def __init__(self, items):

@@ -23,6 +23,7 @@ from citeheat.io_export import (
 from citeheat.netgraph import HotLinkGraph
 
 from helpers import (
+    count_cached_builds,
     dyad_fixture_cells,
     node_names,
     oracle_triangle,
@@ -162,6 +163,7 @@ class TestRun:
         calls = dict.fromkeys((
             "read_hot_link_arrays", "from_ids", "from_edges", "connected_components",
             "louvain", "modularity outside louvain", "read_pajek_clu", "fmt_sig6",
+            "adjacency inside connected_components",
         ), 0)
         inside_louvain = False
 
@@ -197,6 +199,16 @@ class TestRun:
         counted(cli, "connected_components")
         counted(io_export, "read_pajek_clu")
         counted(io_export, "fmt_sig6")
+        builds = count_cached_builds(monkeypatch, HotLinkGraph, ("adjacency", "edges"))
+        real_components = cli.connected_components
+
+        def connected_components(graph):
+            before = builds["adjacency"]
+            result = real_components(graph)
+            calls["adjacency inside connected_components"] += builds["adjacency"] - before
+            return result
+
+        monkeypatch.setattr(cli, "connected_components", connected_components)
         out = tmp_path / "out"
         basemap = _write_basemap(tmp_path)
         assert main(["run", *_year_args(_random_year_files(tmp_path, rng)), "--k", "0",
@@ -208,8 +220,10 @@ class TestRun:
         assert calls == {
             "read_hot_link_arrays": 1, "from_ids": 1, "from_edges": 0,
             "connected_components": 1, "louvain": 1, "modularity outside louvain": 0,
-            "read_pajek_clu": 0,
+            "read_pajek_clu": 0, "adjacency inside connected_components": 0,
         }
+        # Louvain alone walks the adjacency dicts; nothing needs the label triples.
+        assert builds == {"adjacency": 1, "edges": 0}
 
     def test_run_builds_the_flag_report_once(self, dyad_year_files, tmp_path, monkeypatch):
         calls = {"build_flag_report": 0, "read_tensor_cache": 0}

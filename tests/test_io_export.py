@@ -119,6 +119,18 @@ class TestPajekNet:
         with pytest.raises(DataError, match=r"bad\.net:5: malformed edge line"):
             read_pajek_net(path)
 
+    @pytest.mark.parametrize(
+        "edges, problem",
+        [("1 1 0.5", r"bad\.net:5: self-loop on vertex 1"),
+         ("1 2 0.5\n2 1 1.0", r"bad\.net:6: repeats the edge 2-1 of line 5"),
+         ("1 2 0.5\n1 2 0.5", r"bad\.net:6: repeats the edge 1-2 of line 5")],
+    )
+    def test_loop_or_repeated_edge_rejected(self, tmp_path, edges, problem):
+        path = tmp_path / "bad.net"
+        path.write_text(f'*Vertices 2\n1 "A"\n2 "B"\n*Edges\n{edges}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=problem):
+            read_pajek_net(path)
+
     def test_quote_in_label_rejected(self, tmp_path):
         graph = build_graph([('Jo"urnal', "B", -1.0)])
         with pytest.raises(DataError, match="not representable"):
@@ -251,6 +263,21 @@ class TestVosviewer:
         )
         (tmp_path / "n.txt").write_text(f"1\t2\t1.0\n{edge}\n", encoding="utf-8")
         with pytest.raises(DataError, match=rf"n\.txt:2: .*{problem}"):
+            read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
+
+
+    @pytest.mark.parametrize(
+        "edges, problem",
+        [("1\t1\t0.5", r"n\.txt:1: self-loop on vertex 1"),
+         ("1\t2\t0.5\n2\t1\t1.0", r"n\.txt:2: repeats the edge 2-1 of line 1"),
+         ("1\t2\t0.5\n\n1\t2\t0.5", r"n\.txt:3: repeats the edge 1-2 of line 1")],
+    )
+    def test_loop_or_repeated_edge_rejected(self, tmp_path, edges, problem):
+        (tmp_path / "m.txt").write_text(
+            "id\tlabel\tcluster\tweight\n1\tA\t1\t1.0\n2\tB\t1\t1.0\n", encoding="utf-8"
+        )
+        (tmp_path / "n.txt").write_text(f"{edges}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=problem):
             read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citeheat
 from citeheat.errors import DataError
@@ -26,8 +28,11 @@ from citeheat.netgraph import (
 from helpers import (
     UnionFind,
     best_partition_q,
+    count_cached_builds,
+    dict_merge_graph,
     modularity_oracle,
     random_graph_edges,
+    running_sum_modularity,
 )
 
 SRC = Path(citeheat.__file__).resolve().parents[1]
@@ -103,9 +108,126 @@ class TestBuildGraph:
         expected = build_graph(
             (names[c], names[d], s) for c, d, s in zip(citing, cited, scores.tolist())
         )
-        assert graph == expected  # floats compared exactly
+        assert graph.nodes == expected.nodes
+        assert graph.edges == expected.edges  # floats compared exactly
+        assert graph.weights.tobytes() == expected.weights.tobytes()
         assert graph.total_weight == expected.total_weight
         assert louvain(graph, seed=seed) == louvain(expected, seed=seed)
+
+
+# Fixed seeds: the same examples on every run, no example database.
+GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def labelled_links(draw):
+    """A pool of int or str labels and loop-free (citing, cited, score)
+    links over it, with reversed pairs and repeats, in shuffled order. Some
+    labels of the pool may have no link."""
+    label = draw(st.sampled_from([st.integers(-40, 40), st.text("aBz é", max_size=3)]))
+    pool = draw(st.lists(label, min_size=2, max_size=12, unique=True))
+    pair = st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=30))
+    if pairs:
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))]
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    pairs = draw(st.permutations(pairs))
+    score = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    scores = draw(st.lists(score, min_size=len(pairs), max_size=len(pairs)))
+    return pool, [(a, b, s) for (a, b), s in zip(pairs, scores)]
+
+
+def _assert_same_graph(graph, nodes, edges):
+    """Same nodes, same edge triples with the same weight bits, same
+    total weight bits, and views that agree with the arrays."""
+    assert graph.nodes == nodes
+    assert [(a, b, float(w).hex()) for a, b, w in graph.edges] == [
+        (a, b, float(w).hex()) for a, b, w in edges
+    ]
+    assert float(graph.total_weight).hex() == float(sum(w for _, _, w in edges)).hex()
+    assert graph.u.dtype == graph.v.dtype == np.int64 and graph.weights.dtype == np.float64
+    assert [(graph.nodes[i], graph.nodes[j]) for i, j in zip(graph.u, graph.v)] == [
+        (a, b) for a, b, _ in edges
+    ]
+
+
+class TestArrayGraph:
+    """The array form against the plain label-keyed algorithms."""
+
+    @GRAPH_SETTINGS
+    @given(labelled_links(), st.randoms(use_true_random=False))
+    def test_build_graph_and_its_results_match_the_label_oracles(self, pool_links, rnd):
+        _, links = pool_links
+        graph = build_graph(links)
+        nodes, edges = dict_merge_graph((a, b, abs(s)) for a, b, s in links)
+        _assert_same_graph(graph, nodes, edges)
+
+        uf = UnionFind(nodes)
+        for a, b, _ in edges:
+            uf.union(a, b)
+        parts = connected_components(graph)
+        assert [list(c) for c in parts.components] == uf.groups()
+        assert parts.assignment == {v: i for i, c in enumerate(uf.groups()) for v in c}
+
+        degrees = degree_centrality(graph)
+        assert list(degrees) == list(nodes)
+        assert degrees == {v: sum(v in (a, b) for a, b, _ in edges) for v in nodes}
+
+        partition = {v: f"c{rnd.randrange(4)}" for v in nodes}
+        assert modularity(graph, partition).hex() == running_sum_modularity(
+            edges, partition).hex()
+
+    @GRAPH_SETTINGS
+    @given(labelled_links())
+    def test_from_edges_and_from_ids_match_the_dict_merge(self, pool_links):
+        pool, links = pool_links
+        _assert_same_graph(HotLinkGraph.from_edges(links), *dict_merge_graph(links))
+
+        names = sorted(pool)
+        position = {name: i for i, name in enumerate(names)}
+        citing, cited = (
+            np.array([position[link[end]] for link in links], dtype=np.int64) for end in (0, 1)
+        )
+        scores = np.array([s for _, _, s in links], dtype=np.float64)
+        graph = HotLinkGraph.from_ids(citing, cited, scores, names)
+        _assert_same_graph(graph, *dict_merge_graph((a, b, abs(s)) for a, b, s in links))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_louvain_q_is_the_running_sum_q_of_its_partition(self, seed):
+        rng = random.Random(seed)
+        edges = [(u, v, rng.uniform(0.5, 2.0)) for u, v, _ in random_graph_edges(rng, 41, 0.1)]
+        graph = HotLinkGraph.from_edges(_scrambled_labels(edges, 41))
+        result = louvain(graph, seed=seed)
+        assert len(set(result.assignment.values())) > 1
+        assert result.q.hex() == running_sum_modularity(graph.edges, result.assignment).hex()
+
+    def test_shuffled_path_is_one_component(self):
+        # A long path whose positions are shuffled along it: the slowest
+        # case for labels that spread one hop per round.
+        labels = [f"J{i:05d}" for i in range(20_000)]
+        random.Random(12).shuffle(labels)
+        graph = HotLinkGraph.from_edges((a, b, 1.0) for a, b in zip(labels, labels[1:]))
+        parts = connected_components(graph)
+        assert parts.components == (tuple(sorted(labels)),)
+        assert set(parts.assignment.values()) == {0}
+
+    def test_arrays_are_read_only(self):
+        graphs = [
+            build_graph([("A", "B", -1.0), ("C", "B", -2.0)]),
+            HotLinkGraph.from_ids(np.array([0, 2]), np.array([2, 3]), np.array([1.0, 2.0]),
+                                  ["A", "B", "C", "D"]),
+        ]
+        for graph in graphs:
+            for array in (graph.u, graph.v, graph.weights):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+
+    def test_components_build_neither_adjacency_nor_edge_tuple(self, monkeypatch):
+        builds = count_cached_builds(monkeypatch, HotLinkGraph, ("adjacency", "edges"))
+        links = [("A", "B", -1.0), ("B", "C", -2.0), ("D", "E", -0.5), ("E", "D", -0.5)]
+        parts = connected_components(build_graph(links))
+        assert parts.components == (("A", "B", "C"), ("D", "E"))
+        assert builds == {"adjacency": 0, "edges": 0}
 
 
 class TestComponents:
@@ -273,11 +395,9 @@ class TestLouvain:
         # Community 5 holds the paths 0-2-4 and 1-3-5; community 0 holds
         # 6-7, joined to 5 by an edge that must not merge pieces.
         edges = [(0, 2), (2, 4), (1, 3), (3, 5), (6, 7), (5, 6)]
-        adj: list[dict] = [{} for _ in range(8)]
-        for u, v in edges:
-            adj[u][v] = adj[v][u] = 1.0
-        comm = [5, 5, 5, 5, 5, 5, 0, 0]
-        assert _split_disconnected(adj, comm) == [0, 1, 0, 1, 0, 1, 2, 2]
+        graph = HotLinkGraph.from_edges((u, v, 1.0) for u, v in edges)
+        comm = np.array([5, 5, 5, 5, 5, 5, 0, 0])
+        assert _split_disconnected(graph, comm).tolist() == [0, 1, 0, 1, 0, 1, 2, 2]
 
     def test_same_partition_under_any_string_hash_seed(self):
         rng = random.Random(5)
