@@ -84,6 +84,22 @@ def _open_w(path: str | Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One CSV report: the header row, then ``rows``, comma-separated with
+    LF line ends."""
+    with _open_w(path) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_lines(path: str | Path) -> list[str]:
+    """A UTF-8 text file's lines, broken only at "\n" after universal-newline
+    decoding: a name may hold "\x0c" or U+2028, where str.splitlines breaks."""
+    with open_utf8(path) as handle:
+        return [line.rstrip("\n") for line in handle]
+
+
 def fmt_sig6(x: float) -> str:
     """Positional formatting with 6 significant digits (stable under
     re-parsing, so re-exports are byte-identical)."""
@@ -144,8 +160,7 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
     labels: list[str] = []
     edges: list[tuple[int, int, float]] = []
     seen: dict = {}
-    with open_utf8(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise DataError(f"{path}:1: expected *Vertices header")
     try:
@@ -197,8 +212,7 @@ def write_pajek_clu(
 
 def read_pajek_clu(path: str | Path) -> list[int]:
     """Inverse of write_pajek_clu; returns 0-based cluster ids."""
-    with open_utf8(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise DataError(f"{path}:1: expected *Vertices header")
     try:
@@ -247,8 +261,7 @@ class BaseMap:
 def read_basemap(path: str | Path) -> BaseMap:
     """Parse a tab-separated map file with a header naming at least
     label, x and y columns (id, cluster and weight are recognized too)."""
-    with open_utf8(path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty base map")
     header = [h.strip().lower() for h in lines[0].split("\t")]
@@ -357,8 +370,7 @@ def read_vosviewer_files(
     Cluster numbers are integers >= 1, edge endpoints ids of the map, edge
     weights finite and no edge a loop or a repeat, else DataError naming
     ``path:line``."""
-    with open_utf8(map_path) as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(map_path)
     if not lines:
         raise DataError(f"{map_path}: empty map file")
     header = lines[0].split("\t")
@@ -470,8 +482,7 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
     names = read_registry(directory / "registry.tsv")
 
     years_path = directory / "years.txt"
-    with open_utf8(years_path) as handle:
-        labels = handle.read().splitlines()
+    labels = _read_lines(years_path)
     if len(labels) != 3 or not all(labels):
         raise DataError(f"{years_path}: expected 3 year labels, found {labels}")
 
@@ -568,11 +579,11 @@ def write_hot_links_csv(
     path: str | Path, hot_links: Sequence[tuple[str, str, float]], unit: str
 ) -> None:
     """Label-keyed flagged cells, one row each, in the order given."""
-    with _open_w(path) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["citing", "cited", f"triangle_{unit}"])
-        for citing, cited, score in hot_links:
-            writer.writerow([citing, cited, fmt_dec6(to_unit(score, unit))])
+    _write_csv(
+        path,
+        ["citing", "cited", f"triangle_{unit}"],
+        ((citing, cited, fmt_dec6(to_unit(score, unit))) for citing, cited, score in hot_links),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -622,52 +633,39 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     tensor = report.tensor
     names = tensor.registry.names
 
-    with _open_w(outdir / "transition_summary.csv") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["transition", f"mean_{unit}", f"sd_cited_{unit}", f"sd_citing_{unit}", f"sum_{unit}"]
-        )
-        rows = [
-            (cells.pair_label, "margin", pair, cells.grand_sum)
-            for pair, cells in report.transitions.items()
-        ]
-        rows.append(("revision_of_prediction", "revision", None, report.revision.grand_sum))
-        for label, family, pair, grand_sum in rows:
-            cited = report.thresholds[threshold_key(family, "cited", pair)]
-            citing = report.thresholds[threshold_key(family, "citing", pair)]
-            values = (cited.mean, cited.sd, citing.sd, grand_sum)
-            writer.writerow([label] + [fmt_dec6(to_unit(x, unit)) for x in values])
+    transitions = [
+        (cells.pair_label, "margin", pair, cells.grand_sum)
+        for pair, cells in report.transitions.items()
+    ]
+    transitions.append(("revision_of_prediction", "revision", None, report.revision.grand_sum))
+    summary = []
+    for label, family, pair, grand_sum in transitions:
+        cited = report.thresholds[threshold_key(family, "cited", pair)]
+        citing = report.thresholds[threshold_key(family, "citing", pair)]
+        values = (cited.mean, cited.sd, citing.sd, grand_sum)
+        summary.append([label] + [fmt_dec6(to_unit(x, unit)) for x in values])
+    _write_csv(
+        outdir / "transition_summary.csv",
+        ["transition", f"mean_{unit}", f"sd_cited_{unit}", f"sd_citing_{unit}", f"sum_{unit}"],
+        summary,
+    )
 
     labels = tensor.year_labels
+    pairs = ((0, 1), (1, 2), (0, 2))
     for direction in DIRECTIONS:
-        m01 = report.margins[((0, 1), direction)]
-        m12 = report.margins[((1, 2), direction)]
-        m02 = report.margins[((0, 2), direction)]
+        margins = [report.margins[(pair, direction)] for pair in pairs]
         up = report.monotonic_up[direction]
         down = report.monotonic_down[direction]
-        order = sorted(range(len(names)), key=lambda i: (-m02[i], names[i]))
-        with _open_w(outdir / f"margins_{direction}.csv") as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(
-                [
-                    "journal",
-                    f"kl_{labels[0]}_{labels[1]}_{unit}",
-                    f"kl_{labels[1]}_{labels[2]}_{unit}",
-                    f"kl_{labels[0]}_{labels[2]}_{unit}",
-                    "monotonic",
-                ]
-            )
-            for i in order:
-                flag = "up" if i in up else "down" if i in down else ""
-                writer.writerow(
-                    [
-                        names[i],
-                        fmt_dec6(to_unit(m01[i], unit)),
-                        fmt_dec6(to_unit(m12[i], unit)),
-                        fmt_dec6(to_unit(m02[i], unit)),
-                        flag,
-                    ]
-                )
+        order = sorted(range(len(names)), key=lambda i: (-margins[2][i], names[i]))
+        _write_csv(
+            outdir / f"margins_{direction}.csv",
+            ["journal", *(f"kl_{labels[a]}_{labels[b]}_{unit}" for a, b in pairs), "monotonic"],
+            (
+                [names[i], *(fmt_dec6(to_unit(m[i], unit)) for m in margins)]
+                + ["up" if i in up else "down" if i in down else ""]
+                for i in order
+            ),
+        )
 
         _write_flag_table(
             outdir / f"revision_{direction}.csv",
@@ -717,13 +715,14 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
 
 def _write_flag_table(path, column, names, values, flagged, unit):
     order = sorted(range(len(names)), key=lambda i: (values[i], names[i]))
-    with _open_w(path) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["journal", f"{column}_{unit}", "flagged"])
-        for i in order:
-            writer.writerow(
-                [names[i], fmt_dec6(to_unit(float(values[i]), unit)), str(i in flagged).lower()]
-            )
+    _write_csv(
+        path,
+        ["journal", f"{column}_{unit}", "flagged"],
+        (
+            [names[i], fmt_dec6(to_unit(float(values[i]), unit)), str(i in flagged).lower()]
+            for i in order
+        ),
+    )
 
 
 def write_link_flag_reports(
@@ -778,23 +777,20 @@ def write_network_reports(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    with _open_w(outdir / "components.csv") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["component", "size", "members"])
-        for i, comp in enumerate(components.components):
-            writer.writerow([i, len(comp), "; ".join(str(v) for v in comp)])
-
-    with _open_w(outdir / "communities.csv") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["journal", "component", "community"])
-        for v in graph.nodes:
-            writer.writerow([v, components.assignment[v], communities.assignment[v]])
-
+    _write_csv(
+        outdir / "components.csv",
+        ["component", "size", "members"],
+        (
+            (i, len(comp), "; ".join(str(v) for v in comp))
+            for i, comp in enumerate(components.components)
+        ),
+    )
+    _write_csv(
+        outdir / "communities.csv",
+        ["journal", "component", "community"],
+        ((v, components.assignment[v], communities.assignment[v]) for v in graph.nodes),
+    )
     giant = components.components[0] if components.components else ()
     ranked = sorted(giant, key=lambda v: (-degrees[v], v))
-    with _open_w(outdir / "degree_ranking.csv") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["journal", "degree"])
-        for v in ranked:
-            writer.writerow([v, degrees[v]])
+    _write_csv(outdir / "degree_ranking.csv", ["journal", "degree"], ((v, degrees[v]) for v in ranked))
 

@@ -8,9 +8,10 @@ are the "fast local move" of Leiden (Traag, Waltman & van Eck 2019): nodes
 are visited from a FIFO queue, and after a move only the neighbours outside
 the node's new community are queued again. A node moves only for a gain
 strictly above that of staying, and equal best gains resolve to the lowest
-community id. Each level's Q is the singleton Q of the aggregate graph. The
-result is fully deterministic for a given seed: the initial queue order is
-a seeded shuffle.
+community id. Each move raises Q, so a pass ends at the first level whose
+local moves leave every node alone, as in Blondel et al. The result is
+fully deterministic for a given seed: the initial queue order is a seeded
+shuffle.
 
 A node's id is its position in the sorted ``HotLinkGraph.nodes``, as a
 journal's is in ``AlignedTensor``, and the graph is stored as arrays over
@@ -23,6 +24,7 @@ aggregation walk the positional adjacency dicts.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -34,8 +36,6 @@ import numpy as np
 from .corpus import read_only
 from .errors import DataError
 
-# Minimum modularity gain for another multilevel pass.
-_MIN_LEVEL_GAIN = 1e-9
 # Multilevel passes per louvain call; the best partition is kept.
 _RESTARTS = 8
 
@@ -266,19 +266,6 @@ class CommunityPartition:
     seed: int
 
 
-def _level_modularity(adj: list[dict], m: float) -> float:
-    """Q of the partition that puts every node of ``adj`` alone.
-
-    adj uses the A[v][v] = 2*loop convention, so a node's own entry is twice
-    the intra weight of the community it stands for and the row sum is that
-    community's degree sum.
-    """
-    return sum(
-        nbrs.get(v, 0.0) / (2.0 * m) - (sum(nbrs.values()) / (2.0 * m)) ** 2
-        for v, nbrs in enumerate(adj)
-    )
-
-
 def _move_nodes(adj: list[dict], m: float, rng: random.Random) -> list[int]:
     """One fast local-move phase, run until the queue of nodes to visit is empty.
 
@@ -354,22 +341,19 @@ def _split_disconnected(graph: HotLinkGraph, comm: np.ndarray) -> np.ndarray:
     return _pieces(comm.size, graph.u[inside], graph.v[inside])
 
 
-def _multilevel(adj0: list[dict], m: float, q0: float, rng: random.Random) -> list[int]:
-    """One full multilevel run from the base graph ``adj0``, whose singleton
-    partition has modularity ``q0``; returns the community of every base node."""
+def _multilevel(adj0: list[dict], m: float, rng: random.Random) -> list[int]:
+    """One full multilevel run from the base graph ``adj0``; returns the
+    community of every base node. The run ends at the first level whose
+    local moves leave every node alone."""
     node2agg = list(range(len(adj0)))
     adj = adj0
-    q_level = q0
     while True:
         comm = _move_nodes(adj, m, rng)
+        n = len(adj)
         adj, renum = _aggregate(adj, comm)
-        node2agg = [renum[comm[agg]] for agg in node2agg]
-        q_new = _level_modularity(adj, m)
-        if q_new < q_level - 1e-12:
-            raise RuntimeError(f"local moves lowered Q from {q_level!r} to {q_new!r}")
-        if q_new - q_level <= _MIN_LEVEL_GAIN or len(adj) == 1:
+        if len(adj) == n:
             return node2agg
-        q_level = q_new
+        node2agg = [renum[comm[agg]] for agg in node2agg]
 
 
 def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
@@ -380,27 +364,34 @@ def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
     of highest gain (lowest id among equals) only when that gain is strictly
     above the gain of staying, and a move queues the node's neighbours that
     are outside its new community and not yet queued. The level ends when
-    the queue is empty; the communities are then aggregated into nodes, and
-    the level's Q is the singleton Q of that aggregate graph. Levels repeat
-    while Q rises by more than a small tolerance.
+    the queue is empty; the communities are then aggregated into nodes.
+    Levels repeat until one moves no node.
 
     The multilevel pass is greedy, so it runs ``_RESTARTS`` (8) times with
     fresh visiting orders drawn from the seeded stream and the best
     partition kept (first achieved wins ties). Communities are split into
     connected pieces. Identical seed, identical partition. A graph without
-    edge weight, the empty graph included, gets singletons and Q = 0.
+    edge weight, the empty graph included, gets singletons and Q = 0. A
+    graph is solved as its weights scaled by a power of two when its
+    largest weight lies beyond 2**256 or below 2**-256.
     """
     m = graph.total_weight
     if m <= 0:
         assignment = {v: i for i, v in enumerate(graph.nodes)}
         return CommunityPartition(assignment=assignment, q=0.0, seed=seed)
+    # The gains divide by 2*m*m, which overflows or underflows at extreme
+    # weight scales. A power-of-two scale changes no bit of any comparison,
+    # so such a graph is solved with its largest weight brought near 1.
+    exponent = math.frexp(graph.weights.max())[1]
+    if abs(exponent) > 256:
+        scaled = read_only(np.ldexp(graph.weights, -exponent))
+        return louvain(HotLinkGraph(graph.nodes, graph.u, graph.v, scaled), seed)
     adj = graph.adjacency
 
     rng = random.Random(seed)
-    q0 = _level_modularity(adj, m)
     best_q = -float("inf")
     for _ in range(_RESTARTS):
-        comm = np.array(_multilevel(adj, m, q0, rng), dtype=np.int64)
+        comm = np.array(_multilevel(adj, m, rng), dtype=np.int64)
         pieces = _split_disconnected(graph, comm)
         q = _modularity(graph, pieces)
         if q > best_q:

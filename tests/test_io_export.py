@@ -322,6 +322,48 @@ class TestOverlay:
             read_basemap(tmp_path / "base.txt")
 
 
+# Characters at which str.splitlines breaks a line but "\n"-only reading
+# does not; a journal name may hold any of them.
+SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+class TestLinesBreakOnlyAtNewline:
+    def _graph(self, char):
+        return build_graph([("A", f"C{char}D", -1.0), (f"C{char}D", "E", -2.0)])
+
+    def test_pajek_round_trip(self, tmp_path, char):
+        graph = self._graph(char)
+        write_pajek_net(graph, tmp_path / "g.net")
+        parsed, labels = read_pajek_net(tmp_path / "g.net")
+        assert labels == list(graph.nodes)
+        assert labeled_edges(parsed, labels) == labeled_edges(graph, {v: v for v in graph.nodes})
+
+    def test_vosviewer_round_trip(self, tmp_path, char):
+        graph = self._graph(char)
+        partition = {v: i for i, v in enumerate(graph.nodes)}
+        write_vosviewer_files(graph, partition, tmp_path / "m.txt", tmp_path / "n.txt")
+        _, clusters, labels = read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
+        assert labels == list(graph.nodes)
+        assert clusters == {i: i for i in range(len(labels))}
+
+    def test_basemap_round_trip_through_overlay(self, tmp_path, char):
+        (tmp_path / "base.txt").write_text(f"label\tx\ty\nC{char}D\t0.1\t0.2\nE\t1\t2\n", "utf-8")
+        basemap = read_basemap(tmp_path / "base.txt")
+        assert [row.label for row in basemap.rows] == [f"C{char}D", "E"]
+        write_overlay({"cited": {f"C{char}D"}}, basemap, {"cited": "red"}, tmp_path / "o.txt")
+        again = read_basemap(tmp_path / "o.txt")
+        assert [(row.label, row.x, row.y) for row in again.rows] == [
+            (row.label, row.x, row.y) for row in basemap.rows
+        ]
+
+    def test_tensor_cache_year_labels(self, tmp_path, rng, char):
+        labels = (f"20{char}11", "2012", "2013")
+        tensor = make_tensor(random_active_grids(rng, 4, density=0.6, high=5), labels)
+        write_tensor_cache(tensor, tmp_path / "cache")
+        assert read_tensor_cache(tmp_path / "cache").year_labels == labels
+
+
 class TestTensorCache:
     def test_round_trip_preserves_everything(self, tmp_path, rng):
         tensor = make_tensor(random_active_grids(rng, 7, density=0.6, high=25))

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import citeheat
 from citeheat.errors import DataError
+from citeheat import netgraph
 from citeheat.netgraph import (
     HotLinkGraph,
+    _move_nodes,
     _split_disconnected,
     build_graph,
     connected_components,
@@ -347,6 +349,46 @@ class TestLouvain:
             graph = HotLinkGraph.from_edges(edges)
             singleton_q = modularity(graph, {v: i for i, v in enumerate(graph.nodes)})
             assert louvain(graph, seed=2).q >= singleton_q - 1e-12
+
+    def test_local_moves_never_lower_q(self):
+        rng = random.Random(2008)
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            edges = [
+                (u, v, rng.choice([1.0, rng.uniform(1e-3, 10.0)]))
+                for u, v, _ in random_graph_edges(rng, n, rng.choice([0.1, 0.3, 0.6]))
+            ]
+            if not edges:
+                continue
+            graph = HotLinkGraph.from_edges(edges)
+            comm = _move_nodes(graph.adjacency, graph.total_weight, random.Random(rng.randrange(2**32)))
+            singleton_q = modularity(graph, {v: i for i, v in enumerate(graph.nodes)})
+            assert modularity(graph, dict(zip(graph.nodes, comm))) >= singleton_q - 1e-12
+            checked += 1
+        assert checked >= 150
+
+    def test_pass_ends_at_first_level_that_moves_nothing(self, monkeypatch):
+        # The bridge merges into its two triangles at the first level, and
+        # the second level moves nothing: 2 levels in each of 8 restarts.
+        calls = []
+
+        def counted(adj, m, rng):
+            calls.append(len(adj))
+            return _move_nodes(adj, m, rng)
+
+        monkeypatch.setattr(netgraph, "_move_nodes", counted)
+        louvain(HotLinkGraph.from_edges(TWO_TRIANGLES), seed=17)
+        assert calls == [6, 2] * 8
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, -500, 0, 500, 600, 1000])
+    def test_weight_scale_changes_nothing(self, exponent):
+        bridge = HotLinkGraph.from_edges(TWO_TRIANGLES)
+        expected = louvain(bridge, seed=17)
+        scaled = HotLinkGraph.from_edges((u, v, w * 2.0**exponent) for u, v, w in TWO_TRIANGLES)
+        result = louvain(scaled, seed=17)
+        assert result.assignment == expected.assignment
+        assert result.q == expected.q
 
     def test_seed_determinism(self):
         rng = random.Random(7)
