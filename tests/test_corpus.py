@@ -134,6 +134,64 @@ class TestParseEdgeList:
         matrix = parse_edge_list(path, "2011")
         assert cells_of(matrix) == {("A", "B"): 3}
 
+    def test_empty_name_is_reported_before_a_bad_count(self, tmp_path):
+        path = tmp_path / "y.tsv"
+        path.write_text("A\tB\t1\n \tB\tlots\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":2: empty journal name"):
+            parse_edge_list(path, "2011")
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "y.tsv"
+        path.write_text("A\tB\t1\nA\tB\tx\nA\tB\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":2: count is not an integer: 'x'"):
+            parse_edge_list(path, "2011")
+
+    @pytest.mark.parametrize(
+        "blank", [" \t\t ", "\t\t", "\u3000\t\u3000\t\u3000"],
+        ids=["spaces", "tabs", "ideographic"],
+    )
+    def test_whitespace_only_line_with_three_fields_is_skipped(self, tmp_path, blank):
+        # U+3000 is a name here (normalize_name trims ASCII whitespace only),
+        # but a line of nothing else is blank.
+        path = tmp_path / "y.tsv"
+        path.write_text(f"\u3000\tA\t1\nA\t\u3000\t2\n{blank}\nA\tB\t3\n", encoding="utf-8")
+        matrix = parse_edge_list(path, "2011")
+        assert cells_of(matrix) == {("\u3000", "A"): 1, ("A", "\u3000"): 2, ("A", "B"): 3}
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_endings_parse_as_lf(self, tmp_path, newline):
+        lines = [b"# note", b"A\tB\t3", b"", b"B\tC\t1", b"A\tB\t2"]
+        lf, other = tmp_path / "lf.tsv", tmp_path / "other.tsv"
+        lf.write_bytes(b"\n".join(lines) + b"\n")
+        other.write_bytes(newline.join(lines) + newline)
+        expected = parse_edge_list(lf, "2011")
+        matrix = parse_edge_list(other, "2011")
+        assert cells_of(matrix) == cells_of(expected) == {("A", "B"): 5, ("B", "C"): 1}
+        assert matrix.names == expected.names
+
+    @pytest.mark.parametrize(
+        "raw, count",
+        [("007", 7), ("0000000000000000009", 9), (str(2**63 - 1), 2**63 - 1)],
+        ids=["leading-zeros", "19-digits", "int64-max"],
+    )
+    def test_count_reads_as_decimal(self, tmp_path, raw, count):
+        path = tmp_path / "y.tsv"
+        path.write_text(f"A\tB\t{raw}\n", encoding="utf-8")
+        assert cells_of(parse_edge_list(path, "2011")) == {("A", "B"): count}
+
+    @pytest.mark.parametrize("raw", ["0", "00", "-0"])
+    def test_zero_count_in_any_spelling(self, tmp_path, raw):
+        path = tmp_path / "y.tsv"
+        path.write_text(f"A\tB\t1\nA\tC\t{raw}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":2: count must be positive, got 0$"):
+            parse_edge_list(path, "2011")
+
+    def test_plus_sign_is_not_an_integer(self, tmp_path):
+        path = tmp_path / "y.tsv"
+        path.write_text("A\tB\t+5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":1: count is not an integer: '\+5'"):
+            parse_edge_list(path, "2011")
+
 
 class TestNormalizeName:
     def test_nfc_and_ascii_trim(self):

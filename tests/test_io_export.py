@@ -595,6 +595,41 @@ class TestReports:
         values = [float(row[3]) for row in rows]
         assert values == sorted(values, reverse=True)
 
+    def test_tied_values_rank_by_name(self, tmp_path):
+        # Journals 0-5 cite circulantly, so they share every margin; 6 and 7
+        # are a constant dyad and 8 is idle, so several values are 0.0.
+        grids = []
+        for row in ([3, 1, 0, 2, 0, 1], [2, 2, 1, 0, 1, 3], [1, 4, 1, 1, 0, 2]):
+            grid = np.zeros((9, 9), dtype=np.int64)
+            for i in range(6):
+                for k, count in enumerate(row):
+                    grid[i, (i + k) % 6] = count
+            grid[6, 7] = grid[7, 6] = 5
+            grids.append(grid)
+        report = build_flag_report(make_tensor(grids), k=1.0, unit="mbits")
+        write_flag_journal_reports(tmp_path, report)
+        names = report.tensor.registry.names
+
+        def journals(filename):
+            with open(tmp_path / filename, encoding="utf-8", newline="") as handle:
+                return [row[0] for row in list(csv.reader(handle))[1:]]
+
+        def ranked(values):
+            values = values.tolist()
+            assert 0.0 in values and len(set(values)) < len(values) - 2
+            order = sorted(range(len(names)), key=lambda i: (values[i], names[i]))
+            return [names[i] for i in order]
+
+        for direction in ("cited", "citing"):
+            final = report.margins[((0, 2), direction)]
+            assert journals(f"margins_{direction}.csv") == ranked(-final)
+            assert journals(f"revision_{direction}.csv") == ranked(
+                report.revision_node_margins[direction]
+            )
+            assert journals(f"triangle_nodes_{direction}.csv") == ranked(
+                report.triangle_node_margins[direction]
+            )
+
     def test_to_unit_round_trip(self):
         assert to_unit(0.001, "mbits") == pytest.approx(1.0)
         assert to_unit(1e-6, "microbits") == pytest.approx(1.0)
