@@ -1,9 +1,10 @@
 """Ingest per-year citation edge lists into an aligned three-year count tensor.
 
 Input is one TSV edge list per year (``citing<TAB>cited<TAB>count``, ``#``
-comments, UTF-8, LF) plus an optional rename table (``old<TAB>new``). Names
-are compared byte-exactly after NFC normalization and trimming of
-leading/trailing ASCII whitespace; records of one (citing, cited) pair sum,
+comments, UTF-8; LF, CRLF or CR line ends all read as LF, and lines of
+whitespace only are skipped) plus an optional rename table
+(``old<TAB>new``). Names are compared byte-exactly after NFC normalization
+and trimming of leading/trailing ASCII whitespace; records of one (citing, cited) pair sum,
 also after renames resolve to terminal names. The node set is then
 restricted to journals that are actively citing (appear on the citing side
 of at least one edge) in all three years, and the three matrices are
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,9 +152,11 @@ def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
     """
     ids: dict[str, int] = {}
     names: list[str] = []
-    records = array("q")  # citing id, cited id, count per record
+    records: list[int] = []  # citing id, cited id, count per record
 
     def intern(raw: str, lineno: int) -> int:
+        if raw in ids:
+            return ids[raw]
         name = normalize_name(raw)
         if not name:
             raise DataError(f"{path}:{lineno}: empty journal name")
@@ -162,38 +164,63 @@ def parse_edge_list(path: str | Path, year_label: str) -> YearMatrix:
         names.append(name)
         return ids[raw]
 
+    # A record of known names and a short count passes each test at its
+    # first probe. A line of whitespace only fails one of the three tests
+    # (field count, known names, count), so only a miss checks for it.
     with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if line.startswith("#") or not line.strip():
+            if line[0] == "#":
                 continue
-            fields = line.rstrip("\n").rstrip("\r").split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 3:
+                if not line.strip():
+                    continue
                 raise DataError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
             source, target, raw_count = fields
-            c = ids[source] if source in ids else intern(source, lineno)
-            d = ids[target] if target in ids else intern(target, lineno)
-            # ASCII decimal only: int() would also read "1_0", " 3" or an
-            # Arabic-Indic digit. A leading "-" goes on to "must be positive".
-            digits = raw_count.removeprefix("-")
-            if not (digits.isdigit() and digits.isascii()):
-                raise DataError(f"{path}:{lineno}: count is not an integer: {raw_count!r}")
             try:
+                c, d = ids[source], ids[target]
+            except KeyError:
+                if not line.strip():
+                    continue
+                c, d = intern(source, lineno), intern(target, lineno)
+            # Up to 18 ASCII digits is below 2**63. int() alone would also
+            # read "1_0", " 3" or an Arabic-Indic digit; zero and every
+            # other spelling go to _count.
+            if raw_count.isdigit() and raw_count.isascii() and len(raw_count) < 19:
                 count = int(raw_count)
-            except ValueError:  # more digits than int() converts (4300 by default)
-                raise DataError(
-                    f"{path}:{lineno}: count past the int64 range: {len(digits)} digits"
-                ) from None
-            if count <= 0:
-                raise DataError(f"{path}:{lineno}: count must be positive, got {count}")
-            if count >= 2**63:
-                raise DataError(f"{path}:{lineno}: count past the int64 range: {count}")
-            records.extend((c, d, count))
+            else:
+                count = 0
+            if not count:
+                if not line.strip():
+                    continue
+                count = _count(raw_count, path, lineno)
+            records += (c, d, count)
     if sum(records[2::3]) >= 2**63:  # cell sums are int64
         raise DataError(f"{path}: counts sum past the int64 range")
     rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
     return _coalesce(year_label, names, rows[:, 0], rows[:, 1], rows[:, 2])
+
+
+def _count(raw: str, path: str | Path, lineno: int) -> int:
+    """A count outside the fast path of parse_edge_list: the positive int64
+    value of ``raw``, or a DataError naming the line."""
+    # A leading "-" goes on to "must be positive".
+    digits = raw.removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
+        raise DataError(f"{path}:{lineno}: count is not an integer: {raw!r}")
+    try:
+        count = int(raw)
+    except ValueError:  # more digits than int() converts (4300 by default)
+        raise DataError(
+            f"{path}:{lineno}: count past the int64 range: {len(digits)} digits"
+        ) from None
+    if count <= 0:
+        raise DataError(f"{path}:{lineno}: count must be positive, got {count}")
+    if count >= 2**63:
+        raise DataError(f"{path}:{lineno}: count past the int64 range: {count}")
+    return count
 
 
 def parse_rename_file(path: str | Path) -> list[tuple[str, str]]:
@@ -203,7 +230,7 @@ def parse_rename_file(path: str | Path) -> list[tuple[str, str]]:
         for lineno, line in enumerate(handle, start=1):
             if line.startswith("#") or not line.strip():
                 continue
-            fields = line.rstrip("\n").rstrip("\r").split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
                 raise DataError(
                     f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"

@@ -22,7 +22,8 @@ stage reads them back. They round to 6 decimals in the reporting unit:
 
 with <u> the configured unit (bits | mbits | microbits) and <dir> cited or
 citing. Margins are ranked by the t0->t2 column descending; revision,
-triangle and link tables ascending (most negative first).
+triangle and link tables ascending (most negative first). Ties rank by
+journal name: registry names are sorted, so a stable sort of the ids does.
 
 Sidecars (JSON, format_version 3) and the hot-link arrays are the machine
 boundary out of reports/; read_sidecar rejects any other version with
@@ -63,14 +64,13 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import AlignedTensor, JournalRegistry, normalize_name, open_utf8
-from .entropy import DIRECTIONS, to_unit
+from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
 from .errors import DataError
 from .flags import FlagReport, ThresholdSpec, threshold_key
 from .netgraph import CommunityPartition, ComponentPartition, HotLinkGraph
@@ -247,15 +247,16 @@ class BaseMapRow:
 @dataclass(frozen=True)
 class BaseMap:
     """A fixed global map to overlay results on; labels unique after the
-    same normalization the registry applies. Coordinates are kept verbatim."""
+    same normalization the registry applies. Coordinates are kept verbatim.
+    ``index`` maps each row's normalized label to the row, in file order."""
 
-    rows: tuple[BaseMapRow, ...]
+    index: dict[str, BaseMapRow]
     has_cluster: bool
     has_weight: bool
 
-    @cached_property
-    def index(self) -> dict[str, BaseMapRow]:
-        return {normalize_name(row.label): row for row in self.rows}
+    @property
+    def rows(self) -> tuple[BaseMapRow, ...]:
+        return tuple(self.index.values())
 
 
 def read_basemap(path: str | Path) -> BaseMap:
@@ -271,8 +272,7 @@ def read_basemap(path: str | Path) -> BaseMap:
         raise DataError(f"{path}: base map header must name label, x and y ({exc})") from None
     cluster_idx = header.index("cluster") if "cluster" in header else None
     weight_idx = header.index("weight") if "weight" in header else None
-    rows = []
-    seen: set[str] = set()
+    index: dict[str, BaseMapRow] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -281,20 +281,17 @@ def read_basemap(path: str | Path) -> BaseMap:
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
         label = fields[col["label"]]
         key = normalize_name(label)
-        if key in seen:
+        if key in index:
             raise DataError(f"{path}:{lineno}: duplicate label {label!r}")
-        seen.add(key)
-        rows.append(
-            BaseMapRow(
-                label=label,
-                x=fields[col["x"]],
-                y=fields[col["y"]],
-                cluster=fields[cluster_idx] if cluster_idx is not None else "",
-                weight=fields[weight_idx] if weight_idx is not None else "",
-            )
+        index[key] = BaseMapRow(
+            label=label,
+            x=fields[col["x"]],
+            y=fields[col["y"]],
+            cluster=fields[cluster_idx] if cluster_idx is not None else "",
+            weight=fields[weight_idx] if weight_idx is not None else "",
         )
     return BaseMap(
-        rows=tuple(rows),
+        index=index,
         has_cluster=cluster_idx is not None,
         has_weight=weight_idx is not None,
     )
@@ -438,8 +435,7 @@ def write_overlay(
     columns += ["category", "color"]
     with _open_w(path) as out:
         out.write("\t".join(columns) + "\n")
-        for row in basemap.rows:
-            key = normalize_name(row.label)
+        for key, row in basemap.index.items():
             category, color = "", NEUTRAL_COLOR
             for name, members in normalized.items():
                 if key in members:
@@ -656,14 +652,15 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
         margins = [report.margins[(pair, direction)] for pair in pairs]
         up = report.monotonic_up[direction]
         down = report.monotonic_down[direction]
-        order = sorted(range(len(names)), key=lambda i: (-margins[2][i], names[i]))
+        order = np.argsort(-margins[2], kind="stable")
+        ids = order.tolist()
         _write_csv(
             outdir / f"margins_{direction}.csv",
             ["journal", *(f"kl_{labels[a]}_{labels[b]}_{unit}" for a, b in pairs), "monotonic"],
-            (
-                [names[i], *(fmt_dec6(to_unit(m[i], unit)) for m in margins)]
-                + ["up" if i in up else "down" if i in down else ""]
-                for i in order
+            zip(
+                [names[i] for i in ids],
+                *(_dec6_column(m[order], unit) for m in margins),
+                ["up" if i in up else "down" if i in down else "" for i in ids],
             ),
         )
 
@@ -714,15 +711,23 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
 
 
 def _write_flag_table(path, column, names, values, flagged, unit):
-    order = sorted(range(len(names)), key=lambda i: (values[i], names[i]))
+    order = np.argsort(values, kind="stable")
+    ids = order.tolist()
     _write_csv(
         path,
         ["journal", f"{column}_{unit}", "flagged"],
-        (
-            [names[i], fmt_dec6(to_unit(float(values[i]), unit)), str(i in flagged).lower()]
-            for i in order
+        zip(
+            [names[i] for i in ids],
+            _dec6_column(values[order], unit),
+            ["true" if i in flagged else "false" for i in ids],
         ),
     )
+
+
+def _dec6_column(values: np.ndarray, unit: str) -> list[str]:
+    """fmt_dec6 of each value, converted from bits to ``unit`` by one array
+    multiply, the same float multiply as to_unit."""
+    return [fmt_dec6(x) for x in (values * UNIT_SCALE[unit]).tolist()]
 
 
 def write_link_flag_reports(

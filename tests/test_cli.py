@@ -272,6 +272,28 @@ class TestRun:
         assert (plain / "export" / "overlay_triangle.txt").is_file()
         assert _tree(plain) == _tree(optimized)
 
+    def test_run_leaves_numpy_ma_unimported(self, dyad_year_files, tmp_path):
+        # Under numpy 2, np.unique and np.union1d without return_* flags
+        # import numpy.ma, which costs each run about 10 ms.
+        renames = tmp_path / "renames.tsv"
+        renames.write_text("Genet Med\tGenetics in Medicine\n", encoding="utf-8")
+        args = [*_year_args(dyad_year_files), "--k", "0", "--exclude", "Bkg00",
+                "--renames", str(renames), "--basemap", str(_write_basemap(tmp_path)),
+                "--out", str(tmp_path / "out")]
+        script = (
+            "import sys\nfrom citeheat.cli import main\n"
+            "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = Path(citeheat.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+        assert (tmp_path / "out" / "export" / "overlay_triangle.txt").is_file()
+
     def test_two_runs_byte_identical(self, dyad_year_files, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = [*_year_args(dyad_year_files), "--seed", "11"]
