@@ -46,7 +46,6 @@ import numpy as np
 
 from . import io_export
 from .corpus import (
-    YearMatrix,
     apply_name_changes,
     build_common_set,
     open_utf8,
@@ -181,11 +180,15 @@ def stage_ingest(config: RunConfig) -> None:
     tensor = build_common_set(registry, renamed)
 
     io_export.write_tensor_cache(tensor, config.out / "ingest")
+    # Distinct ids by bincount: numpy 2's np.unique and np.union1d without
+    # return_* flags import numpy.ma, which costs a run about 10 ms.
     stats = {
         "years": [
             {
                 "label": matrix.year_label,
-                "journals": _journals_in(matrix),
+                "journals": int(
+                    np.count_nonzero(np.bincount(np.concatenate((matrix.citing, matrix.cited))))
+                ),
                 "links": int(matrix.counts.size),
             }
             for matrix in renamed
@@ -201,16 +204,6 @@ def stage_ingest(config: RunConfig) -> None:
     }
     io_export.write_json(config.out / "ingest" / "corpus_stats.json", stats)
     _print_corpus_stats(stats)
-
-
-def _journals_in(matrix: YearMatrix) -> int:
-    """How many names of the year's table its cells use."""
-    # A mask, not np.unique/np.union1d: without return_* flags numpy 2's
-    # unique checks np.ma.is_masked, and importing numpy.ma costs a run ~10 ms.
-    used = np.zeros(len(matrix.names), dtype=bool)
-    used[matrix.citing] = True
-    used[matrix.cited] = True
-    return int(np.count_nonzero(used))
 
 
 def _print_corpus_stats(stats: dict) -> None:

@@ -4,12 +4,12 @@ Input is one TSV edge list per year (``citing<TAB>cited<TAB>count``, ``#``
 comments, UTF-8; LF, CRLF or CR line ends all read as LF, and lines of
 whitespace only are skipped) plus an optional rename table
 (``old<TAB>new``). Names are compared byte-exactly after NFC normalization
-and trimming of leading/trailing ASCII whitespace; records of one (citing, cited) pair sum,
-also after renames resolve to terminal names. The node set is then
-restricted to journals that are actively citing (appear on the citing side
-of at least one edge) in all three years, and the three matrices are
-aligned over one dense id space, in lexicographic name order, with
-per-transition validity masks.
+and trimming of leading/trailing ASCII whitespace; records of one (citing,
+cited) pair sum, also after renames resolve to terminal names. The node set
+is then restricted to journals that are actively citing (appear on the
+citing side of at least one edge) in all three years, and the three
+matrices are aligned over one dense id space, in lexicographic name order,
+with per-transition validity masks.
 
 From the first parsed line on, a year is coordinate arrays over a name
 table: renames rewrite the table, not the cells, and alignment merges

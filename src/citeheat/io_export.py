@@ -23,7 +23,8 @@ stage reads them back. They round to 6 decimals in the reporting unit:
 with <u> the configured unit (bits | mbits | microbits) and <dir> cited or
 citing. Margins are ranked by the t0->t2 column descending; revision,
 triangle and link tables ascending (most negative first). Ties rank by
-journal name: registry names are sorted, so a stable sort of the ids does.
+journal name (links by citing, then cited name): registry names are sorted,
+so a stable sort of the ids does.
 
 Sidecars (JSON, format_version 3) and the hot-link arrays are the machine
 boundary out of reports/; read_sidecar rejects any other version with
