@@ -332,7 +332,8 @@ def write_vosviewer_files(
 
     unmatched = []
     if basemap is not None:
-        unmatched = [v for v in nodes if normalize_name(label_of(v)) not in basemap.index]
+        rows = [basemap.index.get(normalize_name(label_of(v))) for v in nodes]
+        unmatched = [v for v, row in zip(nodes, rows) if row is None]
 
     with _open_w(map_path) as out:
         if basemap is None:
@@ -345,7 +346,7 @@ def write_vosviewer_files(
             if basemap is None:
                 out.write(f"{i + 1}\t{label_of(v)}\t{cluster}\t{weight}\n")
             else:
-                row = basemap.index.get(normalize_name(label_of(v)))
+                row = rows[i]
                 x, y = (row.x, row.y) if row is not None else ("", "")
                 out.write(f"{i + 1}\t{label_of(v)}\t{x}\t{y}\t{cluster}\t{weight}\n")
 

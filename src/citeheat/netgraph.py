@@ -3,30 +3,35 @@
 The graph is undirected and simple: a flagged cell and its reverse merge
 into one edge whose weight is the summed score magnitude. Community
 detection is the multilevel modularity optimization of Blondel et al.
-(2008): local moves to a local optimum, aggregate, repeat. The local moves
-are the "fast local move" of Leiden (Traag, Waltman & van Eck 2019): nodes
-are visited from a FIFO queue, and after a move only the neighbours outside
+(2008) with multilevel refinement (Rotta & Noack 2011). Going up, each
+level runs local moves to a local optimum and its communities become the
+nodes of the next level; a pass stops climbing at the first level whose
+local moves leave every node alone, as in Blondel et al. Going back down,
+each finer level runs its local moves once more, started from the
+partition projected from the level above, so a node can leave a community
+that a coarser level placed it in as a block. The local moves are the
+"fast local move" of Leiden (Traag, Waltman & van Eck 2019): nodes are
+visited from a FIFO queue, and after a move only the neighbours outside
 the node's new community are queued again. A node moves only for a gain
 strictly above that of staying, and equal best gains resolve to the lowest
-community id. Each move raises Q, so a pass ends at the first level whose
-local moves leave every node alone, as in Blondel et al. The result is
-fully deterministic for a given seed: the initial queue order is a seeded
-shuffle.
+community id, so each move raises Q. The result is fully deterministic for
+a given seed: every queue starts in a seeded shuffled order.
 
 A node's id is its position in the sorted ``HotLinkGraph.nodes``, as a
 journal's is in ``AlignedTensor``, and the graph is stored as arrays over
 those positions. One array component routine (``_pieces``, min-label
 hook and shortcut after Shiloach & Vishkin 1982) finds both the components
 and the connected pieces of Louvain's communities, and one array core
-(``_modularity``) gives every Q. Only Louvain's local moves and
-aggregation walk the positional adjacency dicts.
+(``_modularity``) gives every Q. Louvain aggregates levels as edge arrays
+too (``_merge``, the graph builder's edge merge); only its local moves walk
+positional adjacency dicts.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -36,8 +41,9 @@ import numpy as np
 from .corpus import read_only
 from .errors import DataError
 
-# Multilevel passes per louvain call; the best partition is kept.
-_RESTARTS = 8
+# Multilevel passes per louvain call; the best partition is kept. Three is
+# the fewest that keeps acceptance criterion 6 (see louvain).
+_RESTARTS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,21 +91,12 @@ class HotLinkGraph:
     def _build(
         cls, citing: np.ndarray, cited: np.ndarray, weights: np.ndarray, names: Sequence
     ) -> "HotLinkGraph":
-        # names is sorted and each one is linked, so id order is label
-        # order: an edge's key is min*N + max, np.unique sorts the keys and
-        # a sequential np.bincount sums the weights per key in link order,
-        # as a running float sum per edge would.
+        # names is sorted and each one is linked, so id order is label order.
         loops = citing == cited
         if loops.any():
             label = names[citing[loops.argmax()]]
             raise DataError(f"self-loop on {label!r}; loops must be removed upstream")
-        n = len(names)
-        keys, inverse = np.unique(
-            np.minimum(citing, cited) * n + np.maximum(citing, cited), return_inverse=True
-        )
-        # (bincount gives int64 for no keys at all)
-        weights = np.bincount(inverse, weights=weights, minlength=keys.size).astype(np.float64)
-        u, v = np.divmod(keys, n)
+        u, v, weights = _merge(citing, cited, weights, len(names))
         return cls(nodes=tuple(names), u=read_only(u), v=read_only(v), weights=read_only(weights))
 
     @cached_property
@@ -116,11 +113,7 @@ class HotLinkGraph:
 
     @cached_property
     def adjacency(self) -> list[dict[int, float]]:
-        # Rows fill in edge order, which fixes the order of Louvain's sums.
-        adj: list[dict[int, float]] = [{} for _ in self.nodes]
-        for i, j, w in zip(self.u.tolist(), self.v.tolist(), self.weights.tolist()):
-            adj[i][j] = adj[j][i] = w
-        return adj
+        return _adjacency(len(self.nodes), self.u, self.v, self.weights)
 
     @cached_property
     def total_weight(self) -> float:
@@ -133,6 +126,31 @@ class HotLinkGraph:
         from . import io_export  # io_export imports this module
 
         return tuple(map(io_export.fmt_sig6, self.weights.tolist()))
+
+
+def _merge(
+    a: np.ndarray, b: np.ndarray, weights: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The simple graph on positions 0..n-1 of the pairs (a[e], b[e]), none
+    a loop: edges (u, v) with u < v in (u, v) order, each weighing the sum
+    of its pairs' weights."""
+    # An edge's key is min*n + max, np.unique sorts the keys and a
+    # sequential np.bincount sums the weights per key in pair order, as a
+    # running float sum per edge would.
+    keys, inverse = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    # (bincount gives int64 for no keys at all)
+    weights = np.bincount(inverse, weights=weights, minlength=keys.size).astype(np.float64)
+    u, v = np.divmod(keys, n)
+    return u, v, weights
+
+
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> list[dict[int, float]]:
+    """Per position, neighbour position -> edge weight."""
+    # Rows fill in edge order, which fixes the order of Louvain's sums.
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for i, j, w in zip(u.tolist(), v.tolist(), weights.tolist()):
+        adj[i][j] = adj[j][i] = w
+    return adj
 
 
 def _intern(links: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
@@ -266,18 +284,36 @@ class CommunityPartition:
     seed: int
 
 
-def _move_nodes(adj: list[dict], m: float, rng: random.Random) -> list[int]:
+def _move_nodes(
+    adj: list[dict],
+    m: float,
+    rng: random.Random,
+    start: list[int] | None = None,
+    k: list[float] | None = None,
+) -> list[int]:
     """One fast local-move phase, run until the queue of nodes to visit is empty.
 
-    Every node starts in the queue, in seeded shuffled order. A node moves
-    only when its best gain beats the gain of staying; it then queues each
-    neighbour that is neither queued nor in its new community. Each move
-    raises Q, so the queue drains.
+    The phase starts from singletons, or from ``start`` (community ids
+    below ``len(adj)``; the refinement pass of a level going back down).
+    ``k`` holds the node strengths, which a level computes once for both of
+    its passes; without it they are the row sums of ``adj``. A loop in a
+    row counts towards the strength only. Every node starts in the queue,
+    in seeded shuffled order. A node moves only when its best gain beats
+    the gain of staying; it then queues each neighbour that is neither
+    queued nor in its new community. Each move raises Q, so the queue
+    drains and the result's Q is never below that of the start.
     """
     n = len(adj)
-    comm = list(range(n))
-    k = [sum(nbrs.values()) for nbrs in adj]
-    tot = k[:]
+    if k is None:
+        k = [sum(nbrs.values()) for nbrs in adj]
+    if start is None:
+        comm = list(range(n))
+        tot = k[:]
+    else:
+        comm = start[:]
+        tot = [0.0] * n
+        for c, k_v in zip(comm, k):
+            tot[c] += k_v
     order = list(range(n))
     rng.shuffle(order)
     queue = deque(order)
@@ -312,24 +348,24 @@ def _move_nodes(adj: list[dict], m: float, rng: random.Random) -> list[int]:
     return comm
 
 
-def _aggregate(adj: list[dict], comm: list[int]) -> tuple[list[dict], dict[int, int]]:
-    renum = {c: i for i, c in enumerate(sorted(set(comm)))}
-    new_adj: list[dict] = [defaultdict(float) for _ in range(len(renum))]
-    for v, nbrs in enumerate(adj):
-        cv = renum[comm[v]]
-        for u, w in nbrs.items():
-            if u < v:
-                continue
-            if u == v:
-                new_adj[cv][cv] += w
-            else:
-                cu = renum[comm[u]]
-                if cu == cv:
-                    new_adj[cv][cv] += 2.0 * w
-                else:
-                    new_adj[cu][cv] += w
-                    new_adj[cv][cu] += w
-    return [dict(nbrs) for nbrs in new_adj], renum
+def _aggregate(
+    u: np.ndarray, v: np.ndarray, weights: np.ndarray, k: list[float], comm: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The level above a partition of the level with edges (u, v, weights)
+    and node strengths ``k``: each community becomes a node, numbered in
+    community id order. Returns every node's new number, the new level's
+    edges as ``_merge`` gives them, and its strengths, each the sum of its
+    members'. The weight inside a community is left out: a local move
+    reads it only through the strengths."""
+    ids, node2agg = np.unique(comm, return_inverse=True)
+    n = ids.size
+    cu, cv = node2agg[u], node2agg[v]
+    cross = cu != cv
+    return (
+        node2agg,
+        *_merge(cu[cross], cv[cross], weights[cross], n),
+        np.bincount(node2agg, weights=k, minlength=n),
+    )
 
 
 def _split_disconnected(graph: HotLinkGraph, comm: np.ndarray) -> np.ndarray:
@@ -341,19 +377,30 @@ def _split_disconnected(graph: HotLinkGraph, comm: np.ndarray) -> np.ndarray:
     return _pieces(comm.size, graph.u[inside], graph.v[inside])
 
 
-def _multilevel(adj0: list[dict], m: float, rng: random.Random) -> list[int]:
-    """One full multilevel run from the base graph ``adj0``; returns the
-    community of every base node. The run ends at the first level whose
-    local moves leave every node alone."""
-    node2agg = list(range(len(adj0)))
-    adj = adj0
+def _multilevel(graph: HotLinkGraph, k: list[float], rng: random.Random) -> list[int]:
+    """One full multilevel run over ``graph``, whose node strengths are
+    ``k``; returns the community of every node.
+
+    Coarsening ends at the first level whose local moves leave every node
+    alone. The run then walks back down (multilevel refinement, Rotta &
+    Noack 2011): each finer level runs one more local-move phase, started
+    from the partition projected down from the level above."""
+    m = graph.total_weight
+    adj, u, v, w = graph.adjacency, graph.u, graph.v, graph.weights
+    levels = []
     while True:
-        comm = _move_nodes(adj, m, rng)
-        n = len(adj)
-        adj, renum = _aggregate(adj, comm)
-        if len(adj) == n:
-            return node2agg
-        node2agg = [renum[comm[agg]] for agg in node2agg]
+        comm = _move_nodes(adj, m, rng, k=k)
+        node2agg, u, v, w, coarse_k = _aggregate(u, v, w, k, comm)
+        if coarse_k.size == len(adj):
+            break
+        levels.append((adj, k, node2agg.tolist()))
+        k = coarse_k.tolist()
+        adj = _adjacency(len(k), u, v, w)
+    # Each node of the coarsest level is a community of its own.
+    part = list(range(len(adj)))
+    for adj, k, node2agg in reversed(levels):
+        part = _move_nodes(adj, m, rng, [part[c] for c in node2agg], k)
+    return part
 
 
 def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
@@ -365,15 +412,22 @@ def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
     above the gain of staying, and a move queues the node's neighbours that
     are outside its new community and not yet queued. The level ends when
     the queue is empty; the communities are then aggregated into nodes.
-    Levels repeat until one moves no node.
+    Levels repeat until one moves no node. The pass then walks back down
+    and runs one more local move at each finer level, started from the
+    partition of the level above (multilevel refinement).
 
-    The multilevel pass is greedy, so it runs ``_RESTARTS`` (8) times with
+    The multilevel pass is greedy, so it runs ``_RESTARTS`` (3) times with
     fresh visiting orders drawn from the seeded stream and the best
-    partition kept (first achieved wins ties). Communities are split into
-    connected pieces. Identical seed, identical partition. A graph without
-    edge weight, the empty graph included, gets singletons and Q = 0. A
-    graph is solved as its weights scaled by a power of two when its
-    largest weight lies beyond 2**256 or below 2**-256.
+    partition kept (first achieved wins ties). Refinement lifts each pass's
+    Q, so three refined passes reach a higher Q than eight unrefined ones
+    did; three is the fewest at which acceptance criterion 6 finds the
+    brute-force optimum on 95% of its small graphs (1, 2, 3, 4 and 8
+    refined passes reach 102, 104, 105, 105 and 107 of 110). Refinement
+    does not keep communities connected, so they are split into connected
+    pieces. Identical seed, identical partition. A graph without edge
+    weight, the empty graph included, gets singletons and Q = 0. A graph
+    is solved as its weights scaled by a power of two when its largest
+    weight lies beyond 2**256 or below 2**-256.
     """
     m = graph.total_weight
     if m <= 0:
@@ -386,12 +440,12 @@ def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
     if abs(exponent) > 256:
         scaled = read_only(np.ldexp(graph.weights, -exponent))
         return louvain(HotLinkGraph(graph.nodes, graph.u, graph.v, scaled), seed)
-    adj = graph.adjacency
+    k = [sum(nbrs.values()) for nbrs in graph.adjacency]
 
     rng = random.Random(seed)
     best_q = -float("inf")
     for _ in range(_RESTARTS):
-        comm = np.array(_multilevel(adj, m, rng), dtype=np.int64)
+        comm = np.array(_multilevel(graph, k, rng), dtype=np.int64)
         pieces = _split_disconnected(graph, comm)
         q = _modularity(graph, pieces)
         if q > best_q:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import unicodedata
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
+from citeheat import netgraph
 from citeheat.corpus import PAIRS, AlignedTensor, JournalRegistry
 from citeheat.entropy import cell_divergence, triangle_evaluation
 
@@ -439,6 +441,55 @@ def best_partition_q(nodes, edges) -> float:
             q += intra[i] / m - (d / (2.0 * m)) ** 2
         if q > best:
             best = q
+    return best
+
+
+def dict_aggregate(adj: list[dict], comm: list[int]) -> tuple[list[dict], dict[int, int]]:
+    """Louvain's aggregation on adjacency dicts, as the unrefined pass did
+    it: a community's internal weight becomes a loop of twice that weight,
+    so row sums stay the strengths."""
+    renum = {c: i for i, c in enumerate(sorted(set(comm)))}
+    new_adj: list[dict] = [defaultdict(float) for _ in range(len(renum))]
+    for v, nbrs in enumerate(adj):
+        cv = renum[comm[v]]
+        for u, w in nbrs.items():
+            if u < v:
+                continue
+            if u == v:
+                new_adj[cv][cv] += w
+            else:
+                cu = renum[comm[u]]
+                if cu == cv:
+                    new_adj[cv][cv] += 2.0 * w
+                else:
+                    new_adj[cu][cv] += w
+                    new_adj[cv][cu] += w
+    return [dict(nbrs) for nbrs in new_adj], renum
+
+
+def unrefined_louvain_q(graph, seed: int) -> float:
+    """Q of ``louvain`` as it was before multilevel refinement: each of 8
+    seeded restarts coarsens until a level moves nothing and is not walked
+    back down, and the best Q is kept.
+
+    A Q baseline to compare against, not an independent oracle: it runs the
+    library's own local moves (from singletons, as they always started),
+    split and Q, with the dict aggregation the pass used."""
+    m = graph.total_weight
+    rng = random.Random(seed)
+    best = -np.inf
+    for _ in range(8):
+        adj = graph.adjacency
+        node2agg = list(range(len(adj)))
+        while True:
+            comm = netgraph._move_nodes(adj, m, rng)
+            n = len(adj)
+            adj, renum = dict_aggregate(adj, comm)
+            if len(adj) == n:
+                break
+            node2agg = [renum[comm[agg]] for agg in node2agg]
+        pieces = netgraph._split_disconnected(graph, np.array(node2agg, dtype=np.int64))
+        best = max(best, netgraph._modularity(graph, pieces))
     return best
 
 

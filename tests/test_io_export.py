@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from citeheat import io_export
 from citeheat.entropy import to_unit
 from citeheat.errors import DataError
 from citeheat.flags import build_flag_report
@@ -213,6 +214,21 @@ class TestVosviewer:
         assert genet[2] == "0.10" and genet[3] == "-0.20"
         assert unmatched == ["Unknown J"]
         assert (tmp_path / "u.txt").read_text(encoding="utf-8") == "Unknown J\n"
+
+    def test_basemap_lookup_normalizes_each_label_once(self, tmp_path, monkeypatch):
+        (tmp_path / "base.txt").write_text(BASEMAP_TSV, encoding="utf-8")
+        basemap = read_basemap(tmp_path / "base.txt")
+        calls = []
+        normalize_name = io_export.normalize_name
+        monkeypatch.setattr(
+            io_export, "normalize_name", lambda name: calls.append(name) or normalize_name(name)
+        )
+        graph = self._graph()
+        write_vosviewer_files(
+            graph, {v: 0 for v in graph.nodes}, tmp_path / "m.txt", tmp_path / "n.txt",
+            basemap=basemap, unmatched_path=tmp_path / "u.txt",
+        )
+        assert calls == list(graph.nodes)
 
     def test_round_trip(self, tmp_path):
         graph = self._graph()

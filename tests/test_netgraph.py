@@ -18,6 +18,7 @@ from citeheat.errors import DataError
 from citeheat import netgraph
 from citeheat.netgraph import (
     HotLinkGraph,
+    _aggregate,
     _move_nodes,
     _split_disconnected,
     build_graph,
@@ -31,10 +32,12 @@ from helpers import (
     UnionFind,
     best_partition_q,
     count_cached_builds,
+    dict_aggregate,
     dict_merge_graph,
     modularity_oracle,
     random_graph_edges,
     running_sum_modularity,
+    unrefined_louvain_q,
 )
 
 SRC = Path(citeheat.__file__).resolve().parents[1]
@@ -50,14 +53,15 @@ def _scrambled_labels(edges: list[tuple], n: int) -> list[tuple]:
     return [(label[u], label[v], w) for u, v, w in edges]
 
 
-def _planted_partition_edges(rng: random.Random) -> list[tuple]:
-    """Four blocks of 30 nodes, edge probability 0.25 inside a block and
+def _planted_partition_edges(rng: random.Random, n: int = 120) -> list[tuple]:
+    """Four blocks of n/4 nodes, edge probability 0.25 inside a block and
     0.04 across, weights uniform in [0.5, 2]."""
+    block = n // 4
     return [
         (u, v, rng.uniform(0.5, 2.0))
-        for u in range(120)
-        for v in range(u + 1, 120)
-        if rng.random() < (0.25 if u // 30 == v // 30 else 0.04)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < (0.25 if u // block == v // block else 0.04)
     ]
 
 
@@ -368,18 +372,62 @@ class TestLouvain:
             checked += 1
         assert checked >= 150
 
+    def test_local_moves_from_a_start_partition_never_lower_q(self):
+        rng = random.Random(2011)
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            edges = [
+                (u, v, rng.choice([1.0, rng.uniform(1e-3, 10.0)]))
+                for u, v, _ in random_graph_edges(rng, n, rng.choice([0.1, 0.3, 0.6]))
+            ]
+            if not edges:
+                continue
+            graph = HotLinkGraph.from_edges(edges)
+            size = len(graph.nodes)
+            start = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
+            seed = rng.randrange(2**32)
+            adj, m = graph.adjacency, graph.total_weight
+            comm = _move_nodes(adj, m, random.Random(seed), start)
+            strengths = [sum(nbrs.values()) for nbrs in adj]
+            assert _move_nodes(adj, m, random.Random(seed), start, strengths) == comm
+            start_q = modularity(graph, dict(zip(graph.nodes, start)))
+            assert modularity(graph, dict(zip(graph.nodes, comm))) >= start_q - 1e-12
+            checked += 1
+        assert checked >= 150
+
+    def test_aggregate_matches_the_dict_aggregation(self):
+        rng = random.Random(1402)
+        for _ in range(60):
+            n = rng.randint(2, 25)
+            edges = [(u, v, rng.uniform(0.1, 5.0)) for u, v, _ in random_graph_edges(rng, n, 0.3)]
+            if not edges:
+                continue
+            graph = HotLinkGraph.from_edges(edges)
+            size = len(graph.nodes)
+            comm = [rng.randrange(size) for _ in range(size)]
+            k = [sum(nbrs.values()) for nbrs in graph.adjacency]
+            node2agg, u, v, w, coarse_k = _aggregate(graph.u, graph.v, graph.weights, k, comm)
+            expected, renum = dict_aggregate(graph.adjacency, comm)
+            assert node2agg.tolist() == [renum[c] for c in comm]
+            assert coarse_k.tolist() == pytest.approx([sum(row.values()) for row in expected])
+            assert (u < v).all() and np.all(np.diff(u * len(expected) + v) > 0)
+            between = {(i, j): x for i, row in enumerate(expected) for j, x in row.items() if i < j}
+            assert dict(zip(zip(u.tolist(), v.tolist()), w.tolist())) == pytest.approx(between)
+
     def test_pass_ends_at_first_level_that_moves_nothing(self, monkeypatch):
         # The bridge merges into its two triangles at the first level, and
-        # the second level moves nothing: 2 levels in each of 8 restarts.
+        # the second level moves nothing; the walk back down refines the
+        # first level once: 3 local-move phases in each of 3 restarts.
         calls = []
 
-        def counted(adj, m, rng):
+        def counted(adj, m, rng, start=None, k=None):
             calls.append(len(adj))
-            return _move_nodes(adj, m, rng)
+            return _move_nodes(adj, m, rng, start, k)
 
         monkeypatch.setattr(netgraph, "_move_nodes", counted)
         louvain(HotLinkGraph.from_edges(TWO_TRIANGLES), seed=17)
-        assert calls == [6, 2] * 8
+        assert calls == [6, 2, 6] * 3
 
     @pytest.mark.parametrize("exponent", [-1000, -600, -500, 0, 500, 600, 1000])
     def test_weight_scale_changes_nothing(self, exponent):
@@ -478,6 +526,18 @@ class TestLouvain:
         # networkx's Q spreads by about 0.01 over its seeds on these graphs,
         # so the mean of five is known to within about half that.
         assert louvain(HotLinkGraph.from_edges(edges), seed=0).q >= nx_q - 0.005
+
+    def test_q_at_least_that_of_eight_unrefined_restarts(self):
+        # Refinement with fewer restarts may lose on a single graph, but
+        # not on the mean of a suite of planted partitions.
+        rng = random.Random(2011)
+        q_new, q_old = [], []
+        for n in range(20, 151, 10):
+            graph = HotLinkGraph.from_edges(_planted_partition_edges(rng, n))
+            for seed in range(5):
+                q_new.append(louvain(graph, seed=seed).q)
+                q_old.append(unrefined_louvain_q(graph, seed))
+        assert statistics.mean(q_new) >= statistics.mean(q_old)
 
 
 class TestDegreeCentrality:
