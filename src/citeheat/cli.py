@@ -33,7 +33,6 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -233,8 +232,8 @@ def stage_flag(config: RunConfig) -> None:
     citing, cited, scores = io_export.write_link_flag_reports(reports, report)
     # The report's ids index the registry after --exclude, the arrays'
     # ingest/registry.tsv; both are sorted, so the map keeps the order.
-    ids = {name: i for i, name in enumerate(tensor.registry.names)}
-    to_ingest = np.array([ids[name] for name in report.tensor.registry.names], dtype=np.int64)
+    kept = report.tensor.registry.names
+    to_ingest = np.array([tensor.registry.id_of(name) for name in kept], dtype=np.int64)
     io_export.write_hot_link_arrays(reports, to_ingest[citing], to_ingest[cited], scores)
 
 
@@ -256,6 +255,7 @@ def stage_network(config: RunConfig) -> None:
     reports = config.out / "reports"
     journal_flags = io_export.read_sidecar(reports / "journal_flags.json")
     link_flags = io_export.read_sidecar(reports / "link_flags.json")
+    corpus_stats = io_export.read_json(config.out / "ingest" / "corpus_stats.json")
     names = io_export.read_registry(config.out / "ingest" / "registry.tsv")
     citing, cited, scores = io_export.read_hot_link_arrays(reports, len(names))
     # The network is simple: hot self-citations (--keep-loops) stay in reports/.
@@ -291,8 +291,6 @@ def stage_network(config: RunConfig) -> None:
         for family, sets in _overlay_sets(journal_flags["flagged"]).items():
             io_export.write_overlay(sets, basemap, OVERLAY_COLORS, outdir / f"overlay_{family}.txt")
 
-    with open_utf8(config.out / "ingest" / "corpus_stats.json") as handle:
-        corpus_stats = json.load(handle)
     summary = {
         "format_version": io_export.FORMAT_VERSION,
         # The analysis options are those the flag stage recorded, not this

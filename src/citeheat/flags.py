@@ -19,7 +19,8 @@ read their statistics from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,8 +99,9 @@ def _below_lower(values: np.ndarray, threshold: ThresholdSpec) -> frozenset[int]
 
 def flag_links(
     triangle: TriangleCells, threshold: ThresholdSpec, drop_loops: bool = True
-) -> tuple[tuple[int, int, float], ...]:
-    """Cells whose triangle score is strictly below ``threshold.lower``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells whose triangle score is strictly below ``threshold.lower``, as
+    three read-only arrays in cell order: citing ids, cited ids and scores.
 
     ``build_flag_report`` takes the threshold over all evaluated cells, the
     diagonal included; with ``drop_loops`` the self-citation cells are
@@ -108,8 +110,7 @@ def flag_links(
     hot = triangle.values < threshold.lower
     if drop_loops:
         hot &= triangle.citing != triangle.cited
-    columns = (triangle.citing[hot], triangle.cited[hot], triangle.values[hot])
-    return tuple(zip(*(column.tolist() for column in columns)))
+    return tuple(read_only(a[hot]) for a in (triangle.citing, triangle.cited, triangle.values))
 
 
 def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTensor:
@@ -202,7 +203,9 @@ class FlagReport:
     hold internal node ids of ``tensor.registry`` (the post-outlier-removal
     registry). ``thresholds`` holds the one mean and SD of each value set.
     The indicator arrays are the tensor's cached, read-only ones; each
-    report has its own dicts.
+    report has its own dicts. ``links`` holds the hot links as ``flag_links``
+    returns them, read-only arrays in cell order; ``hot_links`` is the same
+    links as ``(int, int, float)`` tuples, built on first read.
     """
 
     tensor: AlignedTensor
@@ -221,8 +224,12 @@ class FlagReport:
     monotonic_down: dict[str, frozenset[int]]
     revision_flagged: dict[str, frozenset[int]]
     triangle_flagged_nodes: dict[str, frozenset[int]]
-    hot_links: tuple[tuple[int, int, float], ...] = field(default=())
+    links: tuple[np.ndarray, np.ndarray, np.ndarray]
     loops_flagged: int = 0
+
+    @cached_property
+    def hot_links(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(*(column.tolist() for column in self.links)))
 
 
 def build_flag_report(
@@ -292,6 +299,6 @@ def build_flag_report(
             d: _below_lower(ind.triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
             for d in DIRECTIONS
         },
-        hot_links=flag_links(triangle, thresholds["links"], drop_loops),
+        links=flag_links(triangle, thresholds["links"], drop_loops),
         loops_flagged=loops_flagged,
     )

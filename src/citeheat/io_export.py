@@ -15,7 +15,7 @@ stage reads them back. They round to 6 decimals in the reporting unit:
 * margins_<dir>.csv:      journal, kl_<y0>_<y1>_<u>, kl_<y1>_<y2>_<u>, kl_<y0>_<y2>_<u>, monotonic
 * revision_<dir>.csv:     journal, revision_<u>, flagged
 * triangle_nodes_<dir>.csv: journal, triangle_<u>, flagged
-* hot_links.csv:          citing, cited, triangle_<u>
+* hot_links.csv:          citing, cited, triangle_<u>  (the FlagReport.links arrays)
 * degree_ranking.csv:     journal, degree            (giant component only)
 * components.csv:         component, size, members   (members "; "-joined)
 * communities.csv:        journal, component, community
@@ -101,6 +101,16 @@ def _read_lines(path: str | Path) -> list[str]:
         return [line.rstrip("\n") for line in handle]
 
 
+def _decimal(text: str) -> int:
+    """The integer that ``text`` spells in ASCII decimal digits, with an
+    optional "-", as the writers spell it; int() alone would also read
+    "+1", "1_0", " 3" or an Arabic-Indic digit. Else ValueError."""
+    digits = text.removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def fmt_sig6(x: float) -> str:
     """Positional formatting with 6 significant digits (stable under
     re-parsing, so re-exports are byte-identical)."""
@@ -139,7 +149,7 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | Non
                 out.write(f"{i} {j} {w}\n")
 
 
-_VERTEX_RE = re.compile(r'^(\d+)\s+"([^"]*)"\s*$')
+_VERTEX_RE = re.compile(r'^([0-9]+)\s+"([^"]*)"\s*$')
 
 
 def _check_edge(seen: dict, i: int, j: int, path, lineno: int) -> None:
@@ -165,7 +175,7 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise DataError(f"{path}:1: expected *Vertices header")
     try:
-        n_vertices = int(lines[0].split()[1])
+        n_vertices = _decimal(lines[0].split()[1])
     except (IndexError, ValueError):
         raise DataError(f"{path}:1: malformed *Vertices header") from None
     section = "vertices"
@@ -185,7 +195,7 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
         else:
             try:
                 i, j, w = line.split()
-                i, j, w = int(i), int(j), float(w)
+                i, j, w = _decimal(i), _decimal(j), float(w)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed edge line") from None
             if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
@@ -217,16 +227,17 @@ def read_pajek_clu(path: str | Path) -> list[int]:
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise DataError(f"{path}:1: expected *Vertices header")
     try:
-        n = int(lines[0].split()[1])
+        n = _decimal(lines[0].split()[1])
     except (IndexError, ValueError):
         raise DataError(f"{path}:1: malformed *Vertices header") from None
     clusters = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        if not line.strip().isdecimal() or int(line) < 1:
+        digits = line.strip()
+        if not (digits.isdigit() and digits.isascii()) or int(digits) < 1:
             raise DataError(f"{path}:{lineno}: malformed cluster number, not an integer >= 1")
-        clusters.append(int(line) - 1)
+        clusters.append(int(digits) - 1)
     if len(clusters) != n:
         raise DataError(f"{path}: expected {n} cluster lines, found {len(clusters)}")
     return clusters
@@ -384,7 +395,7 @@ def read_vosviewer_files(
             continue
         fields = line.split("\t")
         try:
-            node_id, cluster = int(fields[col["id"]]), int(fields[col["cluster"]])
+            node_id, cluster = _decimal(fields[col["id"]]), _decimal(fields[col["cluster"]])
             label = fields[col["label"]]
         except (IndexError, ValueError):
             raise DataError(f"{map_path}:{lineno}: malformed map line") from None
@@ -402,7 +413,7 @@ def read_vosviewer_files(
                 continue
             try:
                 i, j, w = line.rstrip("\n").split("\t")
-                i, j, w = int(i), int(j), float(w)
+                i, j, w = _decimal(i), _decimal(j), float(w)
             except ValueError:
                 raise DataError(f"{network_path}:{lineno}: malformed edge line") from None
             if not (1 <= i <= len(labels) and 1 <= j <= len(labels)):
@@ -573,17 +584,6 @@ def read_hot_link_arrays(
     return ids[0], ids[1], scores
 
 
-def write_hot_links_csv(
-    path: str | Path, hot_links: Sequence[tuple[str, str, float]], unit: str
-) -> None:
-    """Label-keyed flagged cells, one row each, in the order given."""
-    _write_csv(
-        path,
-        ["citing", "cited", f"triangle_{unit}"],
-        ((citing, cited, fmt_dec6(to_unit(score, unit))) for citing, cited, score in hot_links),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Report tables
 # ---------------------------------------------------------------------------
@@ -607,13 +607,23 @@ def write_json(path: str | Path, payload: dict) -> None:
         out.write(text + "\n")
 
 
-def read_sidecar(path: str | Path) -> dict:
-    """Load a JSON sidecar of the current FORMAT_VERSION."""
+def read_json(path: str | Path):
+    """Load a JSON file as strict as write_json writes it: bad JSON, or a
+    ``NaN``, ``Infinity`` or ``-Infinity`` token, is a DataError naming it."""
+
+    def refuse(token: str):
+        raise DataError(f"{path}: invalid JSON: {token} is not a JSON number")
+
     try:
         with open_utf8(path) as handle:
-            payload = json.load(handle)
+            return json.load(handle, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+
+
+def read_sidecar(path: str | Path) -> dict:
+    """Load a JSON sidecar of the current FORMAT_VERSION."""
+    payload = read_json(path)
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != FORMAT_VERSION:
         raise DataError(
@@ -735,7 +745,7 @@ def _dec6_column(values: np.ndarray, unit: str) -> list[str]:
 def write_link_flag_reports(
     outdir: str | Path, report: FlagReport
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Emit hot_links.csv (label-keyed) and the link_flags.json sidecar.
+    """Emit hot_links.csv (label-keyed) from ``report.links`` and link_flags.json.
 
     Links rank hottest first: score ascending, then citing and cited label.
     Registry names are sorted, so ``np.lexsort`` on the ids ranks by label.
@@ -745,16 +755,18 @@ def write_link_flag_reports(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = report.tensor.registry.names
-    hot, n = report.hot_links, len(report.hot_links)
-    citing = np.fromiter((c for c, _, _ in hot), dtype=np.int64, count=n)
-    cited = np.fromiter((d for _, d, _ in hot), dtype=np.int64, count=n)
-    scores = np.fromiter((s for _, _, s in hot), dtype=np.float64, count=n)
+    citing, cited, scores = report.links
     order = np.lexsort((cited, citing, scores))
     citing, cited, scores = citing[order], cited[order], scores[order]
-    ranked = zip(
-        [names[i] for i in citing.tolist()], [names[i] for i in cited.tolist()], scores.tolist()
+    _write_csv(
+        outdir / "hot_links.csv",
+        ["citing", "cited", f"triangle_{report.unit}"],
+        zip(
+            [names[i] for i in citing.tolist()],
+            [names[i] for i in cited.tolist()],
+            _dec6_column(scores, report.unit),
+        ),
     )
-    write_hot_links_csv(outdir / "hot_links.csv", ranked, report.unit)
     write_json(
         outdir / "link_flags.json",
         {
@@ -765,7 +777,7 @@ def write_link_flag_reports(
             "outliers_removed": list(report.outliers_removed),
             "threshold": _threshold_json(report.thresholds["links"], report.unit),
             "evaluated_cells": int(report.triangle.values.shape[0]),
-            "hot_links": len(report.hot_links),
+            "hot_links": len(scores),
             "loops_flagged": report.loops_flagged,
         },
     )

@@ -159,6 +159,13 @@ def triangle_of(tensor: AlignedTensor):
     )
 
 
+def link_triples(links) -> tuple:
+    """The citing, cited and score arrays of ``flag_links`` as one
+    ``(int, int, float)`` tuple per link, in array order."""
+    citing, cited, scores = links
+    return tuple((int(c), int(d), float(s)) for c, d, s in zip(citing, cited, scores))
+
+
 # ---------------------------------------------------------------------------
 # Bit-identity oracles: the earlier per-formula and per-element code paths
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from citeheat.netgraph import HotLinkGraph, build_graph, connected_components, l
 from helpers import (
     best_partition_q,
     dyad_fixture_cells,
+    link_triples,
     make_tensor,
     oracle_pair,
     oracle_triangle,
@@ -72,7 +73,7 @@ def test_criterion_1_triangle_anchor_arithmetic():
     assert score_mbits == pytest.approx(-1.012, abs=0.0005)
 
     reported_threshold = ThresholdSpec(k=1.0, mean=0.0, sd=0.0, upper=0.0, lower=-0.935e-3)
-    hot = flag_links(cells, threshold=reported_threshold, drop_loops=False)
+    hot = link_triples(flag_links(cells, threshold=reported_threshold, drop_loops=False))
     assert (0, 1) in {(c, d) for c, d, _ in hot}
     assert time.perf_counter() - started < 1.0
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import citeheat
 from citeheat import cli, io_export, netgraph
 from citeheat.cli import main
+from citeheat.flags import FlagReport
 from citeheat.io_export import (
     FORMAT_VERSION,
     read_hot_link_arrays,
@@ -243,6 +245,14 @@ class TestRun:
         assert main(["run", *_year_args(dyad_year_files), "--out", out]) == 0
         assert calls == {"build_flag_report": 1, "read_tensor_cache": 1}
         assert main(["flag-journals", "--out", out]) == 1
+
+    def test_run_never_builds_the_hot_link_tuples(self, dyad_year_files, tmp_path, monkeypatch):
+        builds = count_cached_builds(monkeypatch, FlagReport, ("hot_links",))
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text("utf-8"))["links"]["hot_links"] > 0
+        # The flag stage writes reports/ from the link arrays alone.
+        assert builds == {"hot_links": 0}
 
     def test_summary_config_describes_the_flag_files(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"
@@ -591,6 +601,33 @@ class TestConfigHandling:
         capsys.readouterr()
         assert main(["network", "--out", str(out)]) == 2
         assert "link_flags.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rel, old, new",
+        [
+            ("reports/link_flags.json", '"k": 1.0', '"k": NaN'),
+            ("reports/journal_flags.json", '"k": 1.0', '"k": Infinity'),
+            ("ingest/corpus_stats.json", "{", '{"extra": -Infinity, '),
+        ],
+        ids=["link-flags-nan", "journal-flags-infinity", "corpus-stats-minus-infinity"],
+    )
+    def test_non_finite_json_number_exits_2_before_writing(
+        self, dyad_year_files, tmp_path, capsys, rel, old, new
+    ):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out)]) == 0
+        path = out / rel
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        for stale in ("network", "export"):
+            shutil.rmtree(out / stale)
+        (out / "summary.json").unlink()
+        capsys.readouterr()
+        assert main(["network", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: invalid JSON" in err and "Traceback" not in err
+        assert not any((out / name).exists() for name in ("network", "export", "summary.json"))
 
     @pytest.mark.parametrize(
         "name, edit",

@@ -30,6 +30,7 @@ from citeheat.flags import (
 from helpers import (
     add_at_margins,
     dyad_fixture_cells,
+    link_triples,
     make_tensor,
     oracle_triangle,
     per_index_links,
@@ -52,7 +53,9 @@ def _revision_flags_of(values, k=1.0):
 
 
 def _hot(triangle, k=1.0, drop_loops=True):
-    return flag_links(triangle, compute_threshold(triangle.values, k), drop_loops=drop_loops)
+    return link_triples(
+        flag_links(triangle, compute_threshold(triangle.values, k), drop_loops=drop_loops)
+    )
 
 
 def _triangle_of(values) -> TriangleCells:
@@ -144,7 +147,7 @@ class TestFlagLinks:
     def test_worked_threshold_from_reported_dyad(self):
         cells = _triangle_of([(1.251 + 2.465 - 4.728) / 1000.0, 0.0, 0.0])
         explicit = ThresholdSpec(k=1.0, mean=0.0, sd=0.0, upper=0.0, lower=-0.935e-3)
-        hot = flag_links(cells, explicit, drop_loops=False)
+        hot = link_triples(flag_links(cells, explicit, drop_loops=False))
         assert [(c, d) for c, d, _ in hot] == [(0, 1)]
 
     def test_boundary_equal_not_flagged(self):
@@ -561,6 +564,8 @@ class TestIndicatorCache:
         arrays += list(report.margins.values())
         arrays += list(report.revision_node_margins.values())
         arrays += list(report.triangle_node_margins.values())
+        assert report.links[0].size
+        arrays += list(report.links)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0

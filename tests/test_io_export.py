@@ -21,7 +21,6 @@ from citeheat.io_export import (
     read_vosviewer_files,
     write_flag_journal_reports,
     write_hot_link_arrays,
-    write_hot_links_csv,
     write_link_flag_reports,
     write_overlay,
     write_pajek_clu,
@@ -113,11 +112,26 @@ class TestPajekNet:
         with pytest.raises(DataError, match=r"bad\.net:5: edge weight .* not finite"):
             read_pajek_net(path)
 
-    @pytest.mark.parametrize("edge", ["1 x 1.0", "1 2 heavy", "1 2"])
+    @pytest.mark.parametrize(
+        "edge", ["1 x 1.0", "1 2 heavy", "1 2", "\u0661 2 1.0", "1 +2 1.0", "1_0 2 1.0"]
+    )
     def test_malformed_edge_field(self, tmp_path, edge):
         path = tmp_path / "bad.net"
         path.write_text(f'*Vertices 2\n1 "A"\n2 "B"\n*Edges\n{edge}\n', encoding="utf-8")
         with pytest.raises(DataError, match=r"bad\.net:5: malformed edge line"):
+            read_pajek_net(path)
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [('*Vertices \u0662\n1 "A"\n2 "B"\n', r"bad\.net:1: malformed \*Vertices header"),
+         ('*Vertices +2\n1 "A"\n2 "B"\n', r"bad\.net:1: malformed \*Vertices header"),
+         ('*Vertices 2\n1 "A"\n\u0662 "B"\n', r"bad\.net:3: malformed vertex line")],
+        ids=["arabic-indic-count", "signed-count", "arabic-indic-vertex-id"],
+    )
+    def test_vertex_count_and_ids_take_ascii_digits_only(self, tmp_path, text, problem):
+        path = tmp_path / "bad.net"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=problem):
             read_pajek_net(path)
 
     @pytest.mark.parametrize(
@@ -165,7 +179,8 @@ class TestPajekClu:
 
     def test_malformed_lines(self, tmp_path):
         path = tmp_path / "p.clu"
-        for text in ("*Vertices\n", "*Vertices 2\n1\none\n"):
+        for text in ("*Vertices\n", "*Vertices 2\n1\none\n", "*Vertices 2\n1\n\u0663\n",
+                     "*Vertices 2\n1\n+2\n", "*Vertices \u0662\n1\n1\n"):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(DataError, match="malformed"):
                 read_pajek_clu(path)
@@ -250,6 +265,11 @@ class TestVosviewer:
             ("id\tlabel\tcluster\tweight\n1\tA\tone\t1.0\n", "", r"m\.txt:2: malformed map line"),
             ("id\tlabel\tcluster\tweight\n1\tA\t1\t1.0\n2\tB\t1\t1.0\n",
              "1\t2\theavy\n", r"n\.txt:1: malformed edge line"),
+            ("id\tlabel\tcluster\tweight\n1\tA\t+1\t1.0\n", "", r"m\.txt:2: malformed map line"),
+            ("id\tlabel\tcluster\tweight\n\u0661\tA\t1\t1.0\n", "",
+             r"m\.txt:2: malformed map line"),
+            ("id\tlabel\tcluster\tweight\n1\tA\t1\t1.0\n2\tB\t1\t1.0\n",
+             "1\t\u0662\t1.0\n", r"n\.txt:1: malformed edge line"),
         ],
     )
     def test_malformed_lines(self, tmp_path, map_text, network_text, where):
@@ -463,14 +483,6 @@ class TestHotLinksCsv:
         assert rows[1:] == [f"{names[c]},{names[d]},{to_unit(s, 'mbits'):.6f}"
                             for c, d, s in zip(citing, cited, scores.tolist())]
 
-    def test_writer_keeps_the_given_order(self, tmp_path):
-        links = [("B", "C", -0.002), ("A", "B", -0.005), ("C", "A", -0.001)]
-        path = tmp_path / "hot_links.csv"
-        write_hot_links_csv(path, links, "mbits")
-        rows = path.read_text(encoding="utf-8").splitlines()
-        assert rows == ["citing,cited,triangle_mbits", "B,C,-2.000000", "A,B,-5.000000",
-                        "C,A,-1.000000"]
-
 
 class TestSidecars:
     def test_links_carry_exact_bit_scores_in_report_order(self, tmp_path, rng):
@@ -499,8 +511,12 @@ class TestSidecars:
             "[2]\n",
             '{"format_version": 2, "li',
             "",
+            '{"format_version": 3, "k": NaN}\n',
+            '{"format_version": 3, "threshold": {"lower": -Infinity}}\n',
+            '{"format_version": 3, "threshold": {"upper": Infinity}}\n',
         ],
-        ids=["version-1", "no-version", "not-an-object", "truncated", "empty"],
+        ids=["version-1", "no-version", "not-an-object", "truncated", "empty", "nan",
+             "minus-infinity", "infinity"],
     )
     def test_other_versions_and_broken_json_are_data_errors(self, tmp_path, text):
         path = tmp_path / "link_flags.json"
