@@ -237,25 +237,67 @@ def stage_flag(config: RunConfig) -> None:
     io_export.write_hot_link_arrays(reports, to_ingest[citing], to_ingest[cited], scores)
 
 
-def _overlay_sets(flagged: dict) -> dict[str, dict[str, list[str]]]:
+def _lookup(path: Path, payload, *keys):
+    """``payload[keys[0]][keys[1]]...`` of a JSON payload read from ``path``;
+    a DataError names the file and the first key path it lacks."""
+    for depth, key in enumerate(keys):
+        try:
+            payload = payload[key]
+        except (KeyError, IndexError, TypeError):
+            where = ".".join(map(str, keys[: depth + 1]))
+            raise DataError(f"{path}: no key {where!r}; re-run the stage that writes it") from None
+    return payload
+
+
+def _overlay_sets(path: Path, journal_flags: dict) -> dict[str, dict[str, list[str]]]:
     """Overlay categories per family, from journal_flags.json "flagged"."""
+
+    def flagged(family: str, d: str) -> list[str]:
+        return _lookup(path, journal_flags, "flagged", family, d)
+
     return {
         "monotonic": {
-            f"{d}_{trend}": flagged[f"monotonic_{trend}"][d]
+            f"{d}_{trend}": flagged(f"monotonic_{trend}", d)
             for d in DIRECTIONS
             for trend in ("up", "down")
         },
-        "revision": {d: flagged["revision_flagged"][d] for d in DIRECTIONS},
-        "triangle": {d: flagged["triangle_flagged_nodes"][d] for d in DIRECTIONS},
+        "revision": {d: flagged("revision_flagged", d) for d in DIRECTIONS},
+        "triangle": {d: flagged("triangle_flagged_nodes", d) for d in DIRECTIONS},
     }
 
 
 def stage_network(config: RunConfig) -> None:
     config.validate(need_years=False)
     reports = config.out / "reports"
-    journal_flags = io_export.read_sidecar(reports / "journal_flags.json")
-    link_flags = io_export.read_sidecar(reports / "link_flags.json")
-    corpus_stats = io_export.read_json(config.out / "ingest" / "corpus_stats.json")
+    journal_path = reports / "journal_flags.json"
+    link_path = reports / "link_flags.json"
+    stats_path = config.out / "ingest" / "corpus_stats.json"
+    journal_flags = io_export.read_sidecar(journal_path)
+    link_flags = io_export.read_sidecar(link_path)
+    corpus_stats = io_export.read_json(stats_path)
+    # Every sidecar key is read before anything is written, so a sidecar of
+    # the wrong shape leaves --out as it was.
+    overlays = _overlay_sets(journal_path, journal_flags)
+    summary = {
+        "format_version": io_export.FORMAT_VERSION,
+        # The analysis options are those the flag stage recorded, not this
+        # invocation's: a staged network with other options describes
+        # reports/. The seed is this invocation's, the partition's.
+        "config": {
+            **{key: _lookup(link_path, link_flags, key)
+               for key in ("k", "unit", "drop_loops", "outliers_removed")},
+            "seed": config.seed,
+            "basemap": config.basemap,
+            # ingest writes one row per year, three of them.
+            "year_labels": [_lookup(stats_path, corpus_stats, "years", i, "label")
+                            for i in range(3)],
+        },
+        "corpus": corpus_stats,
+        "journal_flags": {key: _lookup(journal_path, journal_flags, key) for key in
+                          ("thresholds", "counts", "revision_excluded_cells", "journals")},
+        "links": {key: _lookup(link_path, link_flags, key) for key in
+                  ("threshold", "evaluated_cells", "hot_links", "loops_flagged")},
+    }
     names = io_export.read_registry(config.out / "ingest" / "registry.tsv")
     citing, cited, scores = io_export.read_hot_link_arrays(reports, len(names))
     # The network is simple: hot self-citations (--keep-loops) stay in reports/.
@@ -288,34 +330,17 @@ def stage_network(config: RunConfig) -> None:
         unmatched_path=outdir / "vosviewer_unmatched.txt",
     )
     if basemap is not None:
-        for family, sets in _overlay_sets(journal_flags["flagged"]).items():
+        for family, sets in overlays.items():
             io_export.write_overlay(sets, basemap, OVERLAY_COLORS, outdir / f"overlay_{family}.txt")
 
-    summary = {
-        "format_version": io_export.FORMAT_VERSION,
-        # The analysis options are those the flag stage recorded, not this
-        # invocation's: a staged network with other options describes
-        # reports/. The seed is this invocation's, the partition's.
-        "config": {
-            **{key: link_flags[key] for key in ("k", "unit", "drop_loops", "outliers_removed")},
-            "seed": config.seed,
-            "basemap": config.basemap,
-            "year_labels": [row["label"] for row in corpus_stats["years"]],
-        },
-        "corpus": corpus_stats,
-        "journal_flags": {key: journal_flags[key] for key in
-                          ("thresholds", "counts", "revision_excluded_cells", "journals")},
-        "links": {key: link_flags[key] for key in
-                  ("threshold", "evaluated_cells", "hot_links", "loops_flagged")},
-        "network": {
-            "nodes": len(graph.nodes),
-            "edges": graph.weights.size,
-            "components": len(components.components),
-            "giant_size": len(components.components[0]) if components.components else 0,
-            "communities": len(set(communities.assignment.values())),
-            "modularity": communities.q,
-            "unmatched_basemap_nodes": len(unmatched) if basemap is not None else None,
-        },
+    summary["network"] = {
+        "nodes": len(graph.nodes),
+        "edges": graph.weights.size,
+        "components": len(components.components),
+        "giant_size": len(components.components[0]) if components.components else 0,
+        "communities": len(set(communities.assignment.values())),
+        "modularity": communities.q,
+        "unmatched_basemap_nodes": len(unmatched) if basemap is not None else None,
     }
     io_export.write_json(config.out / "summary.json", summary)
 

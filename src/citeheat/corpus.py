@@ -18,7 +18,6 @@ integer keys ``citing * N + cited``.
 
 from __future__ import annotations
 
-import logging
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ from .errors import DataError
 if TYPE_CHECKING:
     from .flags import Indicators
 
-log = logging.getLogger(__name__)
 
 # Year-pair transitions, as (prior index, posterior index) into the ordered
 # three-year window: t0->t1, t1->t2, t0->t2.
@@ -248,7 +246,11 @@ def _resolve_renames(renames: Iterable[tuple[str, str]]) -> dict[str, str]:
     for old, new in renames:
         old, new = normalize_name(old), normalize_name(new)
         if old == new:
-            log.warning("ignoring self-rename of %r", old)
+            # logging (with traceback and string) is imported for this
+            # warning only, so a run without a self-rename never loads it.
+            import logging
+
+            logging.getLogger(__name__).warning("ignoring self-rename of %r", old)
             continue
         if old in direct and direct[old] != new:
             raise DataError(f"conflicting renames for {old!r}: {direct[old]!r} vs {new!r}")

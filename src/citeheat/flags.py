@@ -7,13 +7,15 @@ comparisons are strict: a value exactly on a threshold is not flagged
 
 ``compute_threshold`` is the only code that takes a mean or SD. A flag
 report has two halves. ``evaluate_indicators`` computes the half that does
-not depend on k: the per-cell indicators, the journal margins and the mean
-and SD of each of the 11 value sets. It runs once per tensor, and the tensor
-keeps the result (``AlignedTensor.indicators``), so a k sweep over one
-tensor pays only for the second half. ``build_flag_report`` then derives
-each threshold from the stored mean and SD, keeps the thresholds in
-``FlagReport.thresholds`` and applies them to every flag rule; the reports
-read their statistics from there.
+not depend on k: the per-cell indicators, the journal margins, the
+self-citation scores and the mean and SD of each of the 11 value sets. It
+runs once per tensor, and the tensor keeps the result
+(``AlignedTensor.indicators``), so a k sweep over one tensor pays only for
+the second half. ``build_flag_report`` then derives each threshold from the
+stored mean and SD, keeps the thresholds in ``FlagReport.thresholds`` and
+applies them to every flag rule; the reports read their statistics from
+there. Per k, each flag rule compares its value set to the threshold once
+and gathers only the flagged entries.
 """
 
 from __future__ import annotations
@@ -106,10 +108,12 @@ def flag_links(
     ``build_flag_report`` takes the threshold over all evaluated cells, the
     diagonal included; with ``drop_loops`` the self-citation cells are
     removed from the flagged set afterwards, matching the network analysis.
+    One comparison over the scores gives the flagged cells' indices; the
+    loop test and the three gathers touch those cells only.
     """
-    hot = triangle.values < threshold.lower
+    hot = np.flatnonzero(triangle.values < threshold.lower)
     if drop_loops:
-        hot &= triangle.citing != triangle.cited
+        hot = hot[triangle.citing[hot] != triangle.cited[hot]]
     return tuple(read_only(a[hot]) for a in (triangle.citing, triangle.cited, triangle.values))
 
 
@@ -146,7 +150,9 @@ class Indicators:
     """The k-independent half of a flag report, computed once per tensor.
 
     ``statistics`` holds each value set's threshold at k = 0: its mean and
-    SD serve every k. Every array is read-only.
+    SD serve every k. ``loop_scores`` holds the triangle scores of the
+    self-citation cells in cell order, which ``FlagReport.loops_flagged``
+    counts. Every array is read-only.
     """
 
     transitions: dict[tuple[int, int], TransitionCells]
@@ -155,6 +161,7 @@ class Indicators:
     revision_node_margins: dict[str, np.ndarray]
     triangle: TriangleCells
     triangle_node_margins: dict[str, np.ndarray]
+    loop_scores: np.ndarray
     statistics: dict[str, ThresholdSpec]
 
 
@@ -189,6 +196,7 @@ def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
         revision_node_margins=revision_node_margins,
         triangle=triangle,
         triangle_node_margins=triangle_node_margins,
+        loop_scores=read_only(triangle.values[triangle.citing == triangle.cited]),
         statistics={key: compute_threshold(values, 0.0) for key, values in value_sets.items()},
     )
 
@@ -206,6 +214,8 @@ class FlagReport:
     report has its own dicts. ``links`` holds the hot links as ``flag_links``
     returns them, read-only arrays in cell order; ``hot_links`` is the same
     links as ``(int, int, float)`` tuples, built on first read.
+    ``loops_flagged`` counts the self-citation cells below the link threshold
+    that ``drop_loops`` left out (0 without it).
     """
 
     tensor: AlignedTensor
@@ -273,8 +283,7 @@ def build_flag_report(
 
     loops_flagged = 0
     if drop_loops:
-        loop_scores = triangle.values[triangle.citing == triangle.cited]
-        loops_flagged = int(np.count_nonzero(loop_scores < thresholds["links"].lower))
+        loops_flagged = int(np.count_nonzero(ind.loop_scores < thresholds["links"].lower))
 
     return FlagReport(
         tensor=tensor,

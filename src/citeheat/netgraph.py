@@ -163,8 +163,12 @@ def _intern(links: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         citing.append(u)
         cited.append(v)
         values.append(w)
-    names = sorted(set(citing).union(cited))
-    index = dict(zip(names, range(len(names))))
+    # The distinct labels in order of first appearance: links in cell order
+    # give the citing labels as one ascending run, which the sort passes
+    # over instead of re-sorting a hash order. The dict then becomes the index.
+    index = dict.fromkeys(citing + cited)
+    names = sorted(index)
+    index.update(zip(names, range(len(names))))
     return (
         np.fromiter(map(index.__getitem__, citing), np.int64, len(citing)),
         np.fromiter(map(index.__getitem__, cited), np.int64, len(cited)),

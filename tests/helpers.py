@@ -197,6 +197,23 @@ def per_index_links(triangle, lower: float, drop_loops: bool) -> tuple:
     )
 
 
+def mask_flag_links(triangle, lower: float, drop_loops: bool) -> tuple:
+    """``flag_links`` as boolean masks over every cell: the scores strictly
+    below ``lower``, less the loops with ``drop_loops``, gathered by mask."""
+    hot = triangle.values < lower
+    if drop_loops:
+        hot &= triangle.citing != triangle.cited
+    return tuple(a[hot] for a in (triangle.citing, triangle.cited, triangle.values))
+
+
+def mask_loops_flagged(triangle, lower: float, drop_loops: bool) -> int:
+    """``FlagReport.loops_flagged`` from a diagonal mask over every cell."""
+    if not drop_loops:
+        return 0
+    loop_scores = triangle.values[triangle.citing == triangle.cited]
+    return int(np.count_nonzero(loop_scores < lower))
+
+
 def exact_float_sum(values) -> float:
     """Correctly rounded sum of finite floats via one exact rational."""
     scale = 2 ** 1074  # every finite double times 2^1074 is an integer

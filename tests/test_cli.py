@@ -304,6 +304,19 @@ class TestRun:
         assert proc.stdout.split()[-2:] == ["0", "False"]
         assert (tmp_path / "out" / "export" / "overlay_triangle.txt").is_file()
 
+    def test_import_leaves_logging_unimported(self):
+        # corpus imports logging (and with it traceback and string) only to
+        # warn of a self-rename, so a start without one does not pay for it.
+        script = "import sys\nimport citeheat.cli\nprint('logging' in sys.modules)\n"
+        src = Path(citeheat.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     def test_two_runs_byte_identical(self, dyad_year_files, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = [*_year_args(dyad_year_files), "--seed", "11"]
@@ -630,6 +643,37 @@ class TestConfigHandling:
         assert not any((out / name).exists() for name in ("network", "export", "summary.json"))
 
     @pytest.mark.parametrize(
+        "rel, edit, key",
+        [
+            ("ingest/corpus_stats.json", lambda payload: [2], "years"),
+            ("reports/link_flags.json", lambda payload: _without(payload, "threshold"),
+             "threshold"),
+            ("reports/journal_flags.json",
+             lambda payload: _without(payload, "flagged", "monotonic_up", "cited"),
+             "flagged.monotonic_up.cited"),
+        ],
+        ids=["corpus-stats-not-an-object", "link-flags-without-threshold",
+             "journal-flags-without-a-flag-set"],
+    )
+    def test_sidecar_missing_a_key_exits_2_and_changes_nothing(
+        self, dyad_year_files, tmp_path, capsys, rel, edit, key
+    ):
+        out = tmp_path / "out"
+        basemap = str(_write_basemap(tmp_path))
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out),
+                     "--basemap", basemap]) == 0
+        path = out / rel
+        path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))),
+                        encoding="utf-8")
+        # Stale network outputs stay in --out and must survive untouched.
+        before = _tree(out)
+        capsys.readouterr()
+        assert main(["network", "--out", str(out), "--basemap", basemap]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: no key {key!r}" in err and "Traceback" not in err
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize(
         "name, edit",
         [
             ("hot_link_ids.npy", lambda a: _set(a, (0, 0), 99)),
@@ -721,6 +765,15 @@ class TestConfigHandling:
         for name in ("vosviewer_map.txt", "vosviewer_network.txt"):
             kept_file = (run_kept / "export" / name).read_bytes()
             assert kept_file == (run_dropped / "export" / name).read_bytes()
+
+
+def _without(payload: dict, *keys: str) -> dict:
+    """``payload`` with the key at the path ``keys`` deleted."""
+    inner = payload
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return payload
 
 
 def _set(array, index, value):

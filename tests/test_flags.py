@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citeheat import flags
 from citeheat.corpus import (
@@ -14,6 +18,7 @@ from citeheat.corpus import (
     YearMatrix,
     apply_name_changes,
     build_common_set,
+    read_only,
 )
 from citeheat.entropy import TriangleCells, margin_totals
 from citeheat.errors import DataError
@@ -32,6 +37,8 @@ from helpers import (
     dyad_fixture_cells,
     link_triples,
     make_tensor,
+    mask_flag_links,
+    mask_loops_flagged,
     oracle_triangle,
     per_index_links,
     random_active_grids,
@@ -184,6 +191,79 @@ class TestFlagLinks:
         without = _hot(cells, drop_loops=True)
         assert {(c, d) for c, d, _ in with_loops} == {(0, 0), (1, 2)}
         assert {(c, d) for c, d, _ in without} == {(1, 2)}
+
+
+LINK_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# Few distinct scores, so that ties (with each other and with the lower
+# bound) are common; signed zeros and infinities included.
+_SCORES = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False, width=64),
+)
+
+
+@st.composite
+def _triangles(draw, min_cells=0):
+    """Triangle cells in cell order, loops among them, over 1 to 6 nodes."""
+    n = draw(st.integers(1, 6))
+    cells = sorted(draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=min_cells, max_size=30, unique=True,
+    )))
+    pool = draw(st.lists(_SCORES, min_size=1, max_size=4))
+    values = [draw(st.sampled_from(pool)) for _ in cells]
+    return TriangleCells(
+        citing=np.array([c for c, _ in cells], dtype=np.int64),
+        cited=np.array([d for _, d in cells], dtype=np.int64),
+        values=np.array(values, dtype=np.float64),
+        n_nodes=n,
+    )
+
+
+def _assert_same_links(links, expected) -> None:
+    assert len(links) == 3
+    for array, want, dtype in zip(links, expected, (np.int64, np.int64, np.float64)):
+        assert array.dtype == dtype
+        assert array.tobytes() == want.tobytes()
+        assert not array.flags.writeable
+
+
+class TestLinkRuleAgainstTheMaskRule:
+    """``flag_links`` and ``loops_flagged`` give, bit for bit, what boolean
+    masks over every cell gave."""
+
+    @LINK_SETTINGS
+    @given(_triangles(), st.data(), st.booleans())
+    def test_flag_links_is_the_mask_rule(self, triangle, data, drop_loops):
+        # The bound is often one of the scores, so ties at it are common.
+        lower = data.draw(st.one_of(st.sampled_from(triangle.values.tolist() or [0.0]), _SCORES))
+        spec = ThresholdSpec(k=1.0, mean=0.0, sd=0.0, upper=0.0, lower=lower)
+        links = flag_links(triangle, spec, drop_loops)
+        _assert_same_links(links, mask_flag_links(triangle, lower, drop_loops))
+        citing, cited, _ = links
+        assert not (drop_loops and (citing == cited).any())
+        order = citing * triangle.n_nodes + cited
+        assert (np.diff(order) > 0).all()  # cell order
+
+    @LINK_SETTINGS
+    @given(_triangles(min_cells=1), st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
+    def test_report_links_and_loop_count_are_the_mask_rule(self, triangle, k, drop_loops):
+        # The triangle stands in for the tensor's own, so that its scores can
+        # tie with mean - k*sd (k = 0 makes the bound the mean) or be infinite
+        # or huge; the mean and SD of those overflow or are NaN.
+        tensor = make_tensor([np.ones((triangle.n_nodes,) * 2, dtype=np.int64)] * 3)
+        with mock.patch.object(flags, "triangle_evaluation", return_value=triangle), \
+                np.errstate(over="ignore", invalid="ignore"):
+            report = build_flag_report(tensor, k=k, drop_loops=drop_loops)
+        lower = report.thresholds["links"].lower
+        assert report.triangle is triangle
+        _assert_same_links(report.links, mask_flag_links(triangle, lower, drop_loops))
+        assert report.loops_flagged == mask_loops_flagged(triangle, lower, drop_loops)
+        loop_scores = tensor.indicators.loop_scores
+        expected = triangle.values[triangle.citing == triangle.cited]
+        assert loop_scores.dtype == np.float64 and not loop_scores.flags.writeable
+        assert loop_scores.tobytes() == expected.tobytes()
 
 
 class TestRemoveOutliers:
@@ -503,11 +583,24 @@ class TestIndicatorCache:
 
         for name in calls:
             counting(name)
+        # The stored loop scores are swapped for three flagged at every k, so
+        # a count taken from a mask rebuilt per report would differ.
+        evaluate = flags.evaluate_indicators
+        evaluated = []
+
+        def marked(tensor):
+            evaluated.append(tensor)
+            return dataclasses.replace(
+                evaluate(tensor), loop_scores=read_only(np.full(3, -np.inf))
+            )
+
+        monkeypatch.setattr(flags, "evaluate_indicators", marked)
         for k in (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
-            build_flag_report(small_tensor, k=k)
+            assert build_flag_report(small_tensor, k=k).loops_flagged == 3
         assert calls == {
             "cell_divergence": 3, "revision_of_prediction": 1, "triangle_evaluation": 1,
         }
+        assert len(evaluated) == 1 and evaluated[0] is small_tensor
 
     def test_sweep_on_a_reduced_tensor_equals_removal_per_call(self, rng):
         tensor = make_tensor(random_active_grids(rng, 10, density=0.7, high=50))

@@ -143,6 +143,24 @@ def labelled_links(draw):
     return pool, [(a, b, s) for (a, b), s in zip(pairs, scores)]
 
 
+@st.composite
+def cell_order_links(draw):
+    """Links as a flag report gives them: distinct (citing, cited) cells in
+    cell order, so sorted by citing label, then by cited label. Only some
+    labels of the pool cite; the others occur only as cited, or not at all."""
+    label = draw(st.sampled_from([st.integers(-40, 40), st.text("aBz é", max_size=3)]))
+    pool = draw(st.lists(label, min_size=2, max_size=12, unique=True))
+    citers = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    pair = st.tuples(st.sampled_from(citers), st.sampled_from(pool)).filter(lambda p: p[0] != p[1])
+    pairs = sorted(draw(st.lists(pair, max_size=30, unique=True)))
+    score = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    scores = draw(st.lists(score, min_size=len(pairs), max_size=len(pairs)))
+    return pool, [(a, b, s) for (a, b), s in zip(pairs, scores)]
+
+
+ANY_LINKS = st.one_of(labelled_links(), cell_order_links())
+
+
 def _assert_same_graph(graph, nodes, edges):
     """Same nodes, same edge triples with the same weight bits, same
     total weight bits, and views that agree with the arrays."""
@@ -161,7 +179,7 @@ class TestArrayGraph:
     """The array form against the plain label-keyed algorithms."""
 
     @GRAPH_SETTINGS
-    @given(labelled_links(), st.randoms(use_true_random=False))
+    @given(ANY_LINKS, st.randoms(use_true_random=False))
     def test_build_graph_and_its_results_match_the_label_oracles(self, pool_links, rnd):
         _, links = pool_links
         graph = build_graph(links)
@@ -184,7 +202,7 @@ class TestArrayGraph:
             edges, partition).hex()
 
     @GRAPH_SETTINGS
-    @given(labelled_links())
+    @given(ANY_LINKS)
     def test_from_edges_and_from_ids_match_the_dict_merge(self, pool_links):
         pool, links = pool_links
         _assert_same_graph(HotLinkGraph.from_edges(links), *dict_merge_graph(links))
