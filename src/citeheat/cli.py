@@ -38,13 +38,14 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io_export
 from .corpus import (
+    PAIRS,
     apply_name_changes,
     build_common_set,
     open_utf8,
@@ -52,7 +53,7 @@ from .corpus import (
     parse_rename_file,
 )
 from .entropy import DIRECTIONS, UNIT_SCALE
-from .errors import CiteHeatError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .flags import build_flag_report
 from .netgraph import HotLinkGraph, connected_components, degree_centrality, louvain
 
@@ -70,15 +71,15 @@ OVERLAY_COLORS = {
 
 @dataclass
 class RunConfig:
-    years: tuple[tuple[str, str], ...] = ()
-    renames: str | None = None
-    k: float = 1.0
-    unit: str = "mbits"
-    excludes: tuple[str, ...] = ()
-    drop_loops: bool = True
-    seed: int = 0
-    out: Path = field(default_factory=lambda: Path("citeheat_out"))
-    basemap: str | None = None
+    years: tuple[tuple[str, str], ...]
+    renames: str | None
+    k: float
+    unit: str
+    excludes: tuple[str, ...]
+    drop_loops: bool
+    seed: int
+    out: Path
+    basemap: str | None
 
     def validate(self, need_years: bool) -> None:
         if not (math.isfinite(self.k) and self.k >= 0):
@@ -197,7 +198,7 @@ def stage_ingest(config: RunConfig) -> None:
         "common_journals": tensor.n_nodes,
         "valid_transition_cells": {
             tensor.pair_label(pair): int(tensor.pair_valid(pair).sum())
-            for pair in ((0, 1), (1, 2), (0, 2))
+            for pair in PAIRS
         },
         "all_years_cells": int(tensor.tri_valid.sum()),
     }
@@ -231,9 +232,10 @@ def stage_flag(config: RunConfig) -> None:
     io_export.write_flag_journal_reports(reports, report)
     citing, cited, scores = io_export.write_link_flag_reports(reports, report)
     # The report's ids index the registry after --exclude, the arrays'
-    # ingest/registry.tsv; both are sorted, so the map keeps the order.
-    kept = report.tensor.registry.names
-    to_ingest = np.array([tensor.registry.id_of(name) for name in kept], dtype=np.int64)
+    # ingest/registry.tsv. Both are sorted and every kept name is an ingest
+    # name, so the kept names' ingest positions, in order, are the map.
+    kept = set(report.tensor.registry.names)
+    to_ingest = np.flatnonzero([name in kept for name in tensor.registry.names])
     io_export.write_hot_link_arrays(reports, to_ingest[citing], to_ingest[cited], scores)
 
 
@@ -275,8 +277,8 @@ def stage_network(config: RunConfig) -> None:
     journal_flags = io_export.read_sidecar(journal_path)
     link_flags = io_export.read_sidecar(link_path)
     corpus_stats = io_export.read_json(stats_path)
-    # Every sidecar key is read before anything is written, so a sidecar of
-    # the wrong shape leaves --out as it was.
+    # Every input, the base map included, is read before anything is
+    # written, so a missing or malformed one leaves --out as it was.
     overlays = _overlay_sets(journal_path, journal_flags)
     summary = {
         "format_version": io_export.FORMAT_VERSION,
@@ -300,6 +302,7 @@ def stage_network(config: RunConfig) -> None:
     }
     names = io_export.read_registry(config.out / "ingest" / "registry.tsv")
     citing, cited, scores = io_export.read_hot_link_arrays(reports, len(names))
+    basemap = io_export.read_basemap(config.basemap) if config.basemap else None
     # The network is simple: hot self-citations (--keep-loops) stay in reports/.
     simple = citing != cited
     graph = HotLinkGraph.from_ids(citing[simple], cited[simple], scores[simple], names)
@@ -320,7 +323,6 @@ def stage_network(config: RunConfig) -> None:
     if outdir.exists():
         shutil.rmtree(outdir)
     outdir.mkdir(parents=True)
-    basemap = io_export.read_basemap(config.basemap) if config.basemap else None
     unmatched = io_export.write_vosviewer_files(
         graph,
         communities.assignment,
@@ -414,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (DataError, UnicodeDecodeError) as exc:
         print(f"citeheat: data error: {exc}", file=sys.stderr)
-        return 2
-    except CiteHeatError as exc:
-        print(f"citeheat: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"citeheat: i/o error: {exc}", file=sys.stderr)

@@ -118,7 +118,6 @@ class _ReadOnlyArrays:
 class TransitionCells(_ReadOnlyArrays):
     """Per-cell KL contributions (bits) for one ordered year pair."""
 
-    pair: tuple[int, int]
     pair_label: str
     citing: np.ndarray
     cited: np.ndarray
@@ -166,7 +165,6 @@ def cell_divergence(tensor: AlignedTensor, pair: tuple[int, int]) -> TransitionC
     q = tensor.frequencies(post_idx)[mask]
     values = kl_term(q, p)
     return TransitionCells(
-        pair=pair,
         pair_label=tensor.pair_label(pair),
         citing=tensor.citing[mask],
         cited=tensor.cited[mask],
@@ -223,8 +221,7 @@ def triangle_evaluation(
     if not np.any(mask):
         raise DataError("no cell has a positive count in all three years")
     t01, t12, t02 = (
-        transitions[pair].values[mask[tensor.pair_valid(pair)]]
-        for pair in ((0, 1), (1, 2), (0, 2))
+        transitions[pair].values[mask[tensor.pair_valid(pair)]] for pair in PAIRS
     )
     return TriangleCells(
         citing=tensor.citing[mask],

@@ -13,9 +13,12 @@ runs once per tensor, and the tensor keeps the result
 (``AlignedTensor.indicators``), so a k sweep over one tensor pays only for
 the second half. ``build_flag_report`` then derives each threshold from the
 stored mean and SD, keeps the thresholds in ``FlagReport.thresholds`` and
-applies them to every flag rule; the reports read their statistics from
-there. Per k, each flag rule compares its value set to the threshold once
-and gathers only the flagged entries.
+applies them to every flag rule. Per k, each flag rule compares its value
+set to the threshold once and gathers only the flagged entries.
+
+A ``FlagReport`` is an ``Indicators`` that adds the second half: it exposes
+the tensor's own indicator objects, ``loop_scores`` and ``statistics``
+included, and every report on a tensor shares their read-only mappings.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -152,17 +156,18 @@ class Indicators:
     ``statistics`` holds each value set's threshold at k = 0: its mean and
     SD serve every k. ``loop_scores`` holds the triangle scores of the
     self-citation cells in cell order, which ``FlagReport.loops_flagged``
-    counts. Every array is read-only.
+    counts. Every array is read-only and every mapping a read-only
+    ``MappingProxyType``, so the reports on a tensor share them safely.
     """
 
-    transitions: dict[tuple[int, int], TransitionCells]
-    margins: dict[tuple[tuple[int, int], str], np.ndarray]
+    transitions: Mapping[tuple[int, int], TransitionCells]
+    margins: Mapping[tuple[tuple[int, int], str], np.ndarray]
     revision: RevisionCells
-    revision_node_margins: dict[str, np.ndarray]
+    revision_node_margins: Mapping[str, np.ndarray]
     triangle: TriangleCells
-    triangle_node_margins: dict[str, np.ndarray]
+    triangle_node_margins: Mapping[str, np.ndarray]
     loop_scores: np.ndarray
-    statistics: dict[str, ThresholdSpec]
+    statistics: Mapping[str, ThresholdSpec]
 
 
 def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
@@ -190,32 +195,34 @@ def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
         value_sets[threshold_key("triangle", d)] = triangle_node_margins[d]
     value_sets["links"] = triangle.values
     return Indicators(
-        transitions=transitions,
-        margins=margins,
+        transitions=MappingProxyType(transitions),
+        margins=MappingProxyType(margins),
         revision=revision,
-        revision_node_margins=revision_node_margins,
+        revision_node_margins=MappingProxyType(revision_node_margins),
         triangle=triangle,
-        triangle_node_margins=triangle_node_margins,
+        triangle_node_margins=MappingProxyType(triangle_node_margins),
         loop_scores=read_only(triangle.values[triangle.citing == triangle.cited]),
-        statistics={key: compute_threshold(values, 0.0) for key, values in value_sets.items()},
+        statistics=MappingProxyType(
+            {key: compute_threshold(values, 0.0) for key, values in value_sets.items()}
+        ),
     )
 
 
 @dataclass(frozen=True)
-class FlagReport:
-    """Every indicator, threshold and flag set for one analysis run.
+class FlagReport(Indicators):
+    """A tensor's indicators plus every threshold and flag set at one k.
 
-    Raw values stay in bits; ``unit`` only records how reports should be
-    serialized. The journal arrays (``margins``, ``revision_node_margins``,
-    ``triangle_node_margins``) hold one value per node, and the flag sets
-    hold internal node ids of ``tensor.registry`` (the post-outlier-removal
-    registry). ``thresholds`` holds the one mean and SD of each value set.
-    The indicator arrays are the tensor's cached, read-only ones; each
-    report has its own dicts. ``links`` holds the hot links as ``flag_links``
-    returns them, read-only arrays in cell order; ``hot_links`` is the same
-    links as ``(int, int, float)`` tuples, built on first read.
-    ``loops_flagged`` counts the self-citation cells below the link threshold
-    that ``drop_loops`` left out (0 without it).
+    The inherited ``Indicators`` fields, ``loop_scores`` and ``statistics``
+    included, are the tensor's own objects, shared read-only by every report
+    on it. Raw values stay in bits; ``unit`` only records how reports should
+    be serialized. The journal arrays hold one value per node, and the flag
+    sets hold internal node ids of ``tensor.registry`` (the
+    post-outlier-removal registry). ``thresholds`` holds the one mean and SD
+    of each value set, with this report's k. ``links`` holds the hot links
+    as ``flag_links`` returns them, read-only arrays in cell order;
+    ``hot_links`` is the same links as ``(int, int, float)`` tuples, built
+    on first read. ``loops_flagged`` counts the self-citation cells below
+    the link threshold that ``drop_loops`` left out (0 without it).
     """
 
     tensor: AlignedTensor
@@ -223,12 +230,6 @@ class FlagReport:
     k: float
     drop_loops: bool
     outliers_removed: tuple[str, ...]
-    transitions: dict[tuple[int, int], TransitionCells]
-    margins: dict[tuple[tuple[int, int], str], np.ndarray]
-    revision: RevisionCells
-    revision_node_margins: dict[str, np.ndarray]
-    triangle: TriangleCells
-    triangle_node_margins: dict[str, np.ndarray]
     thresholds: dict[str, ThresholdSpec]
     monotonic_up: dict[str, frozenset[int]]
     monotonic_down: dict[str, frozenset[int]]
@@ -270,13 +271,12 @@ def build_flag_report(
 
     ind = tensor.indicators
     thresholds = {key: ThresholdSpec.of(s.mean, s.sd, k) for key, s in ind.statistics.items()}
-    margins, triangle = ind.margins, ind.triangle
 
     monotonic_up: dict[str, frozenset[int]] = {}
     monotonic_down: dict[str, frozenset[int]] = {}
     for d in DIRECTIONS:
         monotonic_up[d], monotonic_down[d] = _monotonic(
-            margins[((0, 1), d)], margins[((1, 2), d)],
+            ind.margins[((0, 1), d)], ind.margins[((1, 2), d)],
             thresholds[threshold_key("margin", d, (0, 1))],
             thresholds[threshold_key("margin", d, (1, 2))],
         )
@@ -285,18 +285,14 @@ def build_flag_report(
     if drop_loops:
         loops_flagged = int(np.count_nonzero(ind.loop_scores < thresholds["links"].lower))
 
+    # An Indicators caches nothing, so its vars are exactly its fields.
     return FlagReport(
+        **vars(ind),
         tensor=tensor,
         unit=unit,
         k=k,
         drop_loops=drop_loops,
         outliers_removed=outliers,
-        transitions=dict(ind.transitions),
-        margins=dict(margins),
-        revision=ind.revision,
-        revision_node_margins=dict(ind.revision_node_margins),
-        triangle=triangle,
-        triangle_node_margins=dict(ind.triangle_node_margins),
         thresholds=thresholds,
         monotonic_up=monotonic_up,
         monotonic_down=monotonic_down,
@@ -308,6 +304,6 @@ def build_flag_report(
             d: _below_lower(ind.triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
             for d in DIRECTIONS
         },
-        links=flag_links(triangle, thresholds["links"], drop_loops),
+        links=flag_links(ind.triangle, thresholds["links"], drop_loops),
         loops_flagged=loops_flagged,
     )

@@ -70,7 +70,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AlignedTensor, JournalRegistry, normalize_name, open_utf8
+from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name, open_utf8
 from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
 from .errors import DataError
 from .flags import FlagReport, ThresholdSpec, threshold_key
@@ -265,10 +265,6 @@ class BaseMap:
     index: dict[str, BaseMapRow]
     has_cluster: bool
     has_weight: bool
-
-    @property
-    def rows(self) -> tuple[BaseMapRow, ...]:
-        return tuple(self.index.values())
 
 
 def read_basemap(path: str | Path) -> BaseMap:
@@ -659,16 +655,15 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     )
 
     labels = tensor.year_labels
-    pairs = ((0, 1), (1, 2), (0, 2))
     for direction in DIRECTIONS:
-        margins = [report.margins[(pair, direction)] for pair in pairs]
+        margins = [report.margins[(pair, direction)] for pair in PAIRS]
         up = report.monotonic_up[direction]
         down = report.monotonic_down[direction]
         order = np.argsort(-margins[2], kind="stable")
         ids = order.tolist()
         _write_csv(
             outdir / f"margins_{direction}.csv",
-            ["journal", *(f"kl_{labels[a]}_{labels[b]}_{unit}" for a, b in pairs), "monotonic"],
+            ["journal", *(f"kl_{labels[a]}_{labels[b]}_{unit}" for a, b in PAIRS), "monotonic"],
             zip(
                 [names[i] for i in ids],
                 *(_dec6_column(m[order], unit) for m in margins),

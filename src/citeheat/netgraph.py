@@ -54,9 +54,8 @@ class HotLinkGraph:
     joins positions ``u[e] < v[e]`` with weight ``weights[e]``; edges are
     in (u, v) order, so in label order, and the three arrays are
     read-only. Derived views, each built on first use and kept: ``edges``
-    (the (u, v, w) label triples), ``index`` (label -> position) and
-    ``adjacency`` (per position, neighbour position -> weight; read-only,
-    for Louvain).
+    (the (u, v, w) label triples) and ``adjacency`` (per position,
+    neighbour position -> weight; read-only, for Louvain).
     """
 
     nodes: tuple
@@ -106,10 +105,6 @@ class HotLinkGraph:
             (nodes[i], nodes[j], w)
             for i, j, w in zip(self.u.tolist(), self.v.tolist(), self.weights.tolist())
         ])
-
-    @cached_property
-    def index(self) -> dict:
-        return {v: i for i, v in enumerate(self.nodes)}
 
     @cached_property
     def adjacency(self) -> list[dict[int, float]]:

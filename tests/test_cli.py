@@ -782,6 +782,29 @@ def _set(array, index, value):
 
 
 class TestBasemapExport:
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [(None, 3, "i/o error"),
+         ("label\ty\nJ\t0.5\n", 2, "base map header must name label, x and y")],
+        ids=["missing", "no-x-column"],
+    )
+    def test_bad_basemap_exits_before_writing(
+        self, dyad_year_files, tmp_path, capsys, text, code, message
+    ):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out),
+                     "--basemap", str(_write_basemap(tmp_path))]) == 0
+        bad = tmp_path / "bad_base.txt"
+        if text is not None:
+            bad.write_text(text, encoding="utf-8")
+        before = _tree(out)
+        assert any(rel.startswith("export") for rel in before)
+        capsys.readouterr()
+        assert main(["network", "--seed", "4", "--out", str(out), "--basemap", str(bad)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert _tree(out) == before
+
     def test_overlays_written(self, dyad_year_files, tmp_path):
         basemap = _write_basemap(tmp_path)
         out = tmp_path / "out"

@@ -665,8 +665,24 @@ class TestIndicatorCache:
         assert build_flag_report(small_tensor).thresholds == report.thresholds
 
     def test_report_dicts_are_its_own(self, small_tensor):
+        # The indicator mappings are shared read-only: no report can change
+        # what a later report on the tensor reads.
         report = build_flag_report(small_tensor)
-        report.margins.clear()
-        report.transitions.clear()
+        for name in ("transitions", "margins", "revision_node_margins",
+                     "triangle_node_margins", "statistics"):
+            mapping = getattr(report, name)
+            with pytest.raises(TypeError):
+                mapping[next(iter(mapping))] = None
+            with pytest.raises(AttributeError):
+                mapping.clear()
         again = build_flag_report(small_tensor)
         assert len(again.margins) == 6 and len(again.transitions) == 3
+
+    def test_reports_are_the_tensors_indicators_plus_flags(self, small_tensor):
+        ind = small_tensor.indicators
+        inherited = [f.name for f in dataclasses.fields(flags.Indicators)]
+        for k in (0.0, 1.0, 2.5):
+            report = build_flag_report(small_tensor, k=k)
+            for name in inherited:
+                assert getattr(report, name) is getattr(ind, name), name
+        assert not set(inherited) & set(vars(flags.FlagReport)["__annotations__"])

@@ -386,11 +386,11 @@ class TestLinesBreakOnlyAtNewline:
     def test_basemap_round_trip_through_overlay(self, tmp_path, char):
         (tmp_path / "base.txt").write_text(f"label\tx\ty\nC{char}D\t0.1\t0.2\nE\t1\t2\n", "utf-8")
         basemap = read_basemap(tmp_path / "base.txt")
-        assert [row.label for row in basemap.rows] == [f"C{char}D", "E"]
+        assert [row.label for row in basemap.index.values()] == [f"C{char}D", "E"]
         write_overlay({"cited": {f"C{char}D"}}, basemap, {"cited": "red"}, tmp_path / "o.txt")
         again = read_basemap(tmp_path / "o.txt")
-        assert [(row.label, row.x, row.y) for row in again.rows] == [
-            (row.label, row.x, row.y) for row in basemap.rows
+        assert [(row.label, row.x, row.y) for row in again.index.values()] == [
+            (row.label, row.x, row.y) for row in basemap.index.values()
         ]
 
     def test_tensor_cache_year_labels(self, tmp_path, rng, char):

@@ -1,0 +1,44 @@
+"""Smoke test of the benchmark's library path: the unchanged flag-sweep child
+(``perfbench/child.py sweep``) on a tiny generated corpus.
+
+It runs ``build_flag_report``, ``build_graph``, ``connected_components``,
+``louvain`` and the Pajek writers as the README's library example does, so
+a change to one of them that the flag-sweep workload would trip over fails
+here first.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_flag_sweep_child_runs_on_a_tiny_corpus(tmp_path):
+    corpus = tmp_path / "corpus"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "gen.py"), "--seed", "3", "--n", "80", "--m", "600",
+         "--out", str(corpus)],
+        check=True, capture_output=True,
+    )
+    result, partition = tmp_path / "result.json", tmp_path / "partition"
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "sweep", "--corpus", str(corpus),
+         "--seconds", "0.3", "--setups", "1", "--result", str(result),
+         "--partition", str(partition)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+    payload = json.loads(result.read_text(encoding="utf-8"))
+    assert payload["ops"]
+    for op in payload["ops"]:
+        assert op["edges"] <= op["hot_links"]
+        assert len(op["kl_bits"]) == 3 and all(map(math.isfinite, op["kl_bits"]))
+    assert math.isfinite(payload["final"]["q"])
+    assert (partition / "graph.net").is_file()
+    assert (partition / "communities.clu").is_file()

@@ -80,7 +80,7 @@ class TestBuildGraph:
         links = [("A", "B", -1.0), ("B", "C", -2.0), ("C", "A", -0.5),
                  ("D", "E", -1.5), ("E", "D", -0.5), ("A", "D", -0.25)]
         graph = build_graph(links)
-        assert graph.index == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
+        assert {v: i for i, v in enumerate(graph.nodes)} == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
         assert graph.adjacency == [
             {1: 1.0, 2: 0.5, 3: 0.25},
             {0: 1.0, 2: 2.0},
@@ -574,6 +574,7 @@ class TestDegreeCentrality:
         graph = HotLinkGraph.from_edges(edges)
         degrees = degree_centrality(graph)
         assert list(degrees) == list(graph.nodes)
+        index = {v: i for i, v in enumerate(graph.nodes)}
         for v in graph.nodes:
-            assert degrees[v] == len(graph.adjacency[graph.index[v]])
+            assert degrees[v] == len(graph.adjacency[index[v]])
             assert degrees[v] == sum(v in (a, b) for a, b, _ in edges)
