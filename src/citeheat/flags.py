@@ -11,10 +11,13 @@ not depend on k: the per-cell indicators, the journal margins, the
 self-citation scores and the mean and SD of each of the 11 value sets. It
 runs once per tensor, and the tensor keeps the result
 (``AlignedTensor.indicators``), so a k sweep over one tensor pays only for
-the second half. ``build_flag_report`` then derives each threshold from the
-stored mean and SD, keeps the thresholds in ``FlagReport.thresholds`` and
-applies them to every flag rule. Per k, each flag rule compares its value
-set to the threshold once and gathers only the flagged entries.
+the second half. ``build_flag_report`` derives the link threshold from the
+stored mean and SD and applies the link rule; that is all a report builds
+up front. The journal families and ``FlagReport.thresholds`` are views,
+each derived from the same stored statistics and k on first read, so a
+caller that reads only the links never pays for them. Each flag rule
+compares its value set to its threshold once and gathers only the flagged
+entries.
 
 A ``FlagReport`` is an ``Indicators`` that adds the second half: it exposes
 the tensor's own indicator objects, ``loop_scores`` and ``statistics``
@@ -215,14 +218,19 @@ class FlagReport(Indicators):
     The inherited ``Indicators`` fields, ``loop_scores`` and ``statistics``
     included, are the tensor's own objects, shared read-only by every report
     on it. Raw values stay in bits; ``unit`` only records how reports should
-    be serialized. The journal arrays hold one value per node, and the flag
-    sets hold internal node ids of ``tensor.registry`` (the
-    post-outlier-removal registry). ``thresholds`` holds the one mean and SD
-    of each value set, with this report's k. ``links`` holds the hot links
-    as ``flag_links`` returns them, read-only arrays in cell order;
-    ``hot_links`` is the same links as ``(int, int, float)`` tuples, built
-    on first read. ``loops_flagged`` counts the self-citation cells below
-    the link threshold that ``drop_loops`` left out (0 without it).
+    be serialized. ``links`` holds the hot links as ``flag_links`` returns
+    them, read-only arrays in cell order, and ``loops_flagged`` counts the
+    self-citation cells below the link threshold that ``drop_loops`` left
+    out (0 without it); both are built with the report.
+
+    The rest are views, each built on first read and kept. ``thresholds``
+    holds the one mean and SD of each value set, with this report's k, as a
+    read-only mapping; its ``links`` entry equals the threshold the link
+    rule used. The four
+    journal families (``monotonic_up``, ``monotonic_down``,
+    ``revision_flagged``, ``triangle_flagged_nodes``) map each direction to
+    internal node ids of ``tensor.registry`` (the post-outlier-removal
+    registry). ``hot_links`` is ``links`` as ``(int, int, float)`` tuples.
     """
 
     tensor: AlignedTensor
@@ -230,13 +238,53 @@ class FlagReport(Indicators):
     k: float
     drop_loops: bool
     outliers_removed: tuple[str, ...]
-    thresholds: dict[str, ThresholdSpec]
-    monotonic_up: dict[str, frozenset[int]]
-    monotonic_down: dict[str, frozenset[int]]
-    revision_flagged: dict[str, frozenset[int]]
-    triangle_flagged_nodes: dict[str, frozenset[int]]
     links: tuple[np.ndarray, np.ndarray, np.ndarray]
     loops_flagged: int = 0
+
+    @cached_property
+    def thresholds(self) -> Mapping[str, ThresholdSpec]:
+        # Read-only: the journal families read it on their first read.
+        k = self.k
+        return MappingProxyType(
+            {key: ThresholdSpec.of(s.mean, s.sd, k) for key, s in self.statistics.items()}
+        )
+
+    @cached_property
+    def _monotonic_sets(self) -> dict[str, tuple[frozenset[int], frozenset[int]]]:
+        # One rule gives both trends, so the two views share its result.
+        thresholds = self.thresholds
+        return {
+            d: _monotonic(
+                self.margins[((0, 1), d)], self.margins[((1, 2), d)],
+                thresholds[threshold_key("margin", d, (0, 1))],
+                thresholds[threshold_key("margin", d, (1, 2))],
+            )
+            for d in DIRECTIONS
+        }
+
+    @cached_property
+    def monotonic_up(self) -> dict[str, frozenset[int]]:
+        return {d: up for d, (up, _) in self._monotonic_sets.items()}
+
+    @cached_property
+    def monotonic_down(self) -> dict[str, frozenset[int]]:
+        return {d: down for d, (_, down) in self._monotonic_sets.items()}
+
+    @cached_property
+    def revision_flagged(self) -> dict[str, frozenset[int]]:
+        return self._below_lower_family("revision", self.revision_node_margins)
+
+    @cached_property
+    def triangle_flagged_nodes(self) -> dict[str, frozenset[int]]:
+        return self._below_lower_family("triangle", self.triangle_node_margins)
+
+    def _below_lower_family(
+        self, family: str, margins: Mapping[str, np.ndarray]
+    ) -> dict[str, frozenset[int]]:
+        thresholds = self.thresholds
+        return {
+            d: _below_lower(margins[d], thresholds[threshold_key(family, d)]) for d in DIRECTIONS
+        }
 
     @cached_property
     def hot_links(self) -> tuple[tuple[int, int, float], ...]:
@@ -257,7 +305,9 @@ def build_flag_report(
     new, so its indicators are computed afresh. To sweep k with outliers
     removed, call ``remove_outliers`` once and pass its tensor. Threshold
     keys are ``threshold_key`` names and ``links``; the link threshold is
-    taken over every evaluated cell, loops included.
+    taken over every evaluated cell, loops included. Only the links and
+    ``loops_flagged`` are computed here; the thresholds and the journal
+    flag sets are built on first read (see ``FlagReport``).
     """
     if not (math.isfinite(k) and k >= 0):
         raise ValueError(f"k must be a finite number >= 0, got {k}")
@@ -270,20 +320,11 @@ def build_flag_report(
         tensor = remove_outliers(tensor, outliers)
 
     ind = tensor.indicators
-    thresholds = {key: ThresholdSpec.of(s.mean, s.sd, k) for key, s in ind.statistics.items()}
-
-    monotonic_up: dict[str, frozenset[int]] = {}
-    monotonic_down: dict[str, frozenset[int]] = {}
-    for d in DIRECTIONS:
-        monotonic_up[d], monotonic_down[d] = _monotonic(
-            ind.margins[((0, 1), d)], ind.margins[((1, 2), d)],
-            thresholds[threshold_key("margin", d, (0, 1))],
-            thresholds[threshold_key("margin", d, (1, 2))],
-        )
-
+    stats = ind.statistics["links"]
+    threshold = ThresholdSpec.of(stats.mean, stats.sd, k)
     loops_flagged = 0
     if drop_loops:
-        loops_flagged = int(np.count_nonzero(ind.loop_scores < thresholds["links"].lower))
+        loops_flagged = int(np.count_nonzero(ind.loop_scores < threshold.lower))
 
     # An Indicators caches nothing, so its vars are exactly its fields.
     return FlagReport(
@@ -293,17 +334,6 @@ def build_flag_report(
         k=k,
         drop_loops=drop_loops,
         outliers_removed=outliers,
-        thresholds=thresholds,
-        monotonic_up=monotonic_up,
-        monotonic_down=monotonic_down,
-        revision_flagged={
-            d: _below_lower(ind.revision_node_margins[d], thresholds[threshold_key("revision", d)])
-            for d in DIRECTIONS
-        },
-        triangle_flagged_nodes={
-            d: _below_lower(ind.triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
-            for d in DIRECTIONS
-        },
-        links=flag_links(ind.triangle, thresholds["links"], drop_loops),
+        links=flag_links(ind.triangle, threshold, drop_loops),
         loops_flagged=loops_flagged,
     )

@@ -432,10 +432,16 @@ def write_overlay(
     A node flagged in several categories gets the first matching one in
     ``flag_sets`` order; unflagged rows keep neutral styling.
     """
-    normalized = {
-        category: {normalize_name(n) for n in names}
-        for category, names in flag_sets.items()
-    }
+    # Each distinct name is normalized once. Names enter ``first`` in
+    # ``flag_sets`` order, so the first name to claim a key carries the
+    # key's first category.
+    first: dict[str, str] = {}
+    for category, names in flag_sets.items():
+        for name in names:
+            first.setdefault(name, category)
+    category_of: dict[str, str] = {}
+    for name, category in first.items():
+        category_of.setdefault(normalize_name(name), category)
     columns = ["label", "x", "y"]
     if basemap.has_cluster:
         columns.append("cluster")
@@ -446,10 +452,9 @@ def write_overlay(
         out.write("\t".join(columns) + "\n")
         for key, row in basemap.index.items():
             category, color = "", NEUTRAL_COLOR
-            for name, members in normalized.items():
-                if key in members:
-                    category, color = name, colors[name]
-                    break
+            if key in category_of:
+                category = category_of[key]
+                color = colors[category]
             fields = [row.label, row.x, row.y]
             if basemap.has_cluster:
                 fields.append(row.cluster)
@@ -787,7 +792,8 @@ def write_network_reports(
     degrees: Mapping,
 ) -> None:
     """Component listing, community assignment and the degree ranking of
-    the giant component, over a label-keyed graph."""
+    the giant component, over a label-keyed graph. ``components`` is the
+    graph's own partition: its ``component`` array is read by position."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -802,7 +808,10 @@ def write_network_reports(
     _write_csv(
         outdir / "communities.csv",
         ["journal", "component", "community"],
-        ((v, components.assignment[v], communities.assignment[v]) for v in graph.nodes),
+        (
+            (v, c, communities.assignment[v])
+            for v, c in zip(graph.nodes, components.component.tolist())
+        ),
     )
     giant = components.components[0] if components.components else ()
     ranked = sorted(giant, key=lambda v: (-degrees[v], v))

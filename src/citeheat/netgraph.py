@@ -24,7 +24,8 @@ hook and shortcut after Shiloach & Vishkin 1982) finds both the components
 and the connected pieces of Louvain's communities, and one array core
 (``_modularity``) gives every Q. Louvain aggregates levels as edge arrays
 too (``_merge``, the graph builder's edge merge); only its local moves walk
-positional adjacency dicts.
+positional adjacency dicts. Labels cross into and out of positions in one
+C-level ``operator.itemgetter`` call each way (``_gather``).
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -129,14 +131,33 @@ def _merge(
     """The simple graph on positions 0..n-1 of the pairs (a[e], b[e]), none
     a loop: edges (u, v) with u < v in (u, v) order, each weighing the sum
     of its pairs' weights."""
-    # An edge's key is min*n + max, np.unique sorts the keys and a
-    # sequential np.bincount sums the weights per key in pair order, as a
-    # running float sum per edge would.
-    keys, inverse = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    # An edge's key is min*n + max. Sorting the keys and marking where the
+    # sorted run changes gives the distinct keys and each pair's edge, as
+    # np.unique(return_inverse=True) would, without its wrapper cost. A
+    # sequential np.bincount then sums the weights per edge in pair order,
+    # as a running float sum per edge would, so the sort's order does not
+    # reach the bits.
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    keys = ordered[first]
     # (bincount gives int64 for no keys at all)
     weights = np.bincount(inverse, weights=weights, minlength=keys.size).astype(np.float64)
     u, v = np.divmod(keys, n)
     return u, v, weights
+
+
+def _gather(items, keys) -> tuple:
+    """``items[key]`` for each key, as a tuple, in one C-level call where
+    ``itemgetter`` allows (it returns a bare item for a single key)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(items)
+    return tuple(items[key] for key in keys)
 
 
 def _adjacency(n: int, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> list[dict[int, float]]:
@@ -160,16 +181,15 @@ def _intern(links: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         values.append(w)
     # The distinct labels in order of first appearance: links in cell order
     # give the citing labels as one ascending run, which the sort passes
-    # over instead of re-sorting a hash order. The dict then becomes the index.
-    index = dict.fromkeys(citing + cited)
+    # over instead of re-sorting a hash order. The dict then becomes the
+    # index, and one lookup call maps both label lists to ids.
+    labels = citing + cited
+    index = dict.fromkeys(labels)
     names = sorted(index)
     index.update(zip(names, range(len(names))))
-    return (
-        np.fromiter(map(index.__getitem__, citing), np.int64, len(citing)),
-        np.fromiter(map(index.__getitem__, cited), np.int64, len(cited)),
-        np.array(values, dtype=np.float64),
-        names,
-    )
+    ids = np.fromiter(_gather(index, labels), np.int64, len(labels))
+    values = np.fromiter(values, np.float64, len(values))
+    return ids[: len(citing)], ids[len(citing):], values, names
 
 
 def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
@@ -181,10 +201,22 @@ def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
 @dataclass(frozen=True)
 class ComponentPartition:
     """Connectivity partition; components ordered by size descending,
-    ties broken by smallest member."""
+    ties broken by smallest member.
 
-    assignment: dict
+    ``component[i]`` is the component number of ``nodes[i]``, a read-only
+    array over the graph's node positions; ``assignment`` (label ->
+    component number) is a view of it, built on first read. Two partitions
+    are equal when their ``nodes`` and ``components`` are, which fix the
+    assignment.
+    """
+
+    nodes: tuple
+    component: np.ndarray = field(compare=False)
     components: tuple
+
+    @cached_property
+    def assignment(self) -> dict:
+        return dict(zip(self.nodes, self.component.tolist()))
 
 
 def _pieces(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -222,12 +254,10 @@ def connected_components(graph: HotLinkGraph) -> ComponentPartition:
     # gives the (-size, smallest member) order.
     order = np.argsort(-sizes, kind="stable")
     component = np.argsort(order)[pieces]
-    members = [nodes[i] for i in np.argsort(component, kind="stable").tolist()]
+    members = _gather(nodes, np.argsort(component, kind="stable").tolist())
     bounds = np.cumsum(sizes[order]).tolist()
-    components = tuple(tuple(members[a:b]) for a, b in zip([0, *bounds], bounds))
-    return ComponentPartition(
-        assignment=dict(zip(nodes, component.tolist())), components=components
-    )
+    components = tuple(members[a:b] for a, b in zip([0, *bounds], bounds))
+    return ComponentPartition(nodes=nodes, component=read_only(component), components=components)
 
 
 def degree_centrality(graph: HotLinkGraph) -> dict:

@@ -21,7 +21,8 @@ import numpy as np
 
 from citeheat import netgraph
 from citeheat.corpus import PAIRS, AlignedTensor, JournalRegistry
-from citeheat.entropy import cell_divergence, triangle_evaluation
+from citeheat.entropy import DIRECTIONS, cell_divergence, triangle_evaluation
+from citeheat.flags import ThresholdSpec, _below_lower, _monotonic, flag_links, threshold_key
 
 mpmath.mp.dps = 40
 
@@ -214,6 +215,39 @@ def mask_loops_flagged(triangle, lower: float, drop_loops: bool) -> int:
     return int(np.count_nonzero(loop_scores < lower))
 
 
+def eager_flag_report(tensor: AlignedTensor, k: float, drop_loops: bool) -> dict:
+    """Every threshold and flag set of a report, computed up front as
+    ``build_flag_report`` once did: all 11 thresholds, the four journal
+    families, the links and ``loops_flagged``, keyed by report attribute."""
+    ind = tensor.indicators
+    thresholds = {key: ThresholdSpec.of(s.mean, s.sd, k) for key, s in ind.statistics.items()}
+    monotonic_up, monotonic_down = {}, {}
+    for d in DIRECTIONS:
+        monotonic_up[d], monotonic_down[d] = _monotonic(
+            ind.margins[((0, 1), d)], ind.margins[((1, 2), d)],
+            thresholds[threshold_key("margin", d, (0, 1))],
+            thresholds[threshold_key("margin", d, (1, 2))],
+        )
+    loops_flagged = 0
+    if drop_loops:
+        loops_flagged = int(np.count_nonzero(ind.loop_scores < thresholds["links"].lower))
+    return {
+        "thresholds": thresholds,
+        "monotonic_up": monotonic_up,
+        "monotonic_down": monotonic_down,
+        "revision_flagged": {
+            d: _below_lower(ind.revision_node_margins[d], thresholds[threshold_key("revision", d)])
+            for d in DIRECTIONS
+        },
+        "triangle_flagged_nodes": {
+            d: _below_lower(ind.triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
+            for d in DIRECTIONS
+        },
+        "links": flag_links(ind.triangle, thresholds["links"], drop_loops),
+        "loops_flagged": loops_flagged,
+    }
+
+
 def exact_float_sum(values) -> float:
     """Correctly rounded sum of finite floats via one exact rational."""
     scale = 2 ** 1074  # every finite double times 2^1074 is an integer
@@ -344,6 +378,16 @@ def dict_merge_graph(edges) -> tuple[tuple, tuple]:
         merged[key] = merged.get(key, 0.0) + w
     edge_tuple = tuple((u, v, merged[(u, v)]) for u, v in sorted(merged))
     return tuple(sorted({x for u, v, _ in edge_tuple for x in (u, v)})), edge_tuple
+
+
+def unique_merge(a, b, weights, n: int) -> tuple:
+    """The edge merge as ``netgraph._merge`` once did it: ``np.unique`` of
+    the keys min*n + max, then a sequential ``np.bincount`` of the weights
+    over the inverse, in pair order."""
+    keys, inverse = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    weights = np.bincount(inverse, weights=weights, minlength=keys.size).astype(np.float64)
+    u, v = np.divmod(keys, n)
+    return u, v, weights
 
 
 def running_sum_modularity(edges, partition) -> float:

@@ -22,7 +22,7 @@ from citeheat.io_export import (
     read_sidecar,
     read_tensor_cache,
 )
-from citeheat.netgraph import HotLinkGraph
+from citeheat.netgraph import ComponentPartition, HotLinkGraph
 
 from helpers import (
     count_cached_builds,
@@ -253,6 +253,20 @@ class TestRun:
         assert json.loads((out / "summary.json").read_text("utf-8"))["links"]["hot_links"] > 0
         # The flag stage writes reports/ from the link arrays alone.
         assert builds == {"hot_links": 0}
+
+    def test_run_builds_each_report_view_once_and_no_component_dict(
+        self, dyad_year_files, tmp_path, monkeypatch
+    ):
+        views = ("thresholds", "monotonic_up", "monotonic_down", "revision_flagged",
+                 "triangle_flagged_nodes")
+        builds = count_cached_builds(monkeypatch, FlagReport, views)
+        assignments = count_cached_builds(monkeypatch, ComponentPartition, ("assignment",))
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out)]) == 0
+        assert (out / "network" / "communities.csv").is_file()
+        assert builds == dict.fromkeys(views, 1)
+        # communities.csv reads the component numbers by position.
+        assert assignments == {"assignment": 0}
 
     def test_summary_config_describes_the_flag_files(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"

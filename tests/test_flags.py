@@ -23,6 +23,7 @@ from citeheat.corpus import (
 from citeheat.entropy import TriangleCells, margin_totals
 from citeheat.errors import DataError
 from citeheat.flags import (
+    FlagReport,
     ThresholdSpec,
     _below_lower,
     _monotonic,
@@ -34,7 +35,9 @@ from citeheat.flags import (
 
 from helpers import (
     add_at_margins,
+    count_cached_builds,
     dyad_fixture_cells,
+    eager_flag_report,
     link_triples,
     make_tensor,
     mask_flag_links,
@@ -686,3 +689,63 @@ class TestIndicatorCache:
             for name in inherited:
                 assert getattr(report, name) is getattr(ind, name), name
         assert not set(inherited) & set(vars(flags.FlagReport)["__annotations__"])
+
+
+# The report attributes built on first read, not by build_flag_report.
+LAZY_VIEWS = ("thresholds", "monotonic_up", "monotonic_down", "revision_flagged",
+              "triangle_flagged_nodes")
+
+
+class TestLazyViews:
+    """The thresholds and journal families are views: equal to what an
+    eager report computed, and built only when read."""
+
+    @pytest.mark.parametrize("drop_loops", [True, False])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.5])
+    def test_views_equal_the_eager_report(self, k, drop_loops):
+        flagged = 0
+        for tensor in _pin_tensors():
+            report = build_flag_report(tensor, k=k, drop_loops=drop_loops)
+            eager = eager_flag_report(tensor, k, drop_loops)
+            for name in LAZY_VIEWS:
+                assert getattr(report, name) == eager[name], name
+            for got, want in zip(report.links, eager["links"]):
+                assert got.tobytes() == want.tobytes()
+            assert report.loops_flagged == eager["loops_flagged"]
+            flagged += sum(len(s) for name in LAZY_VIEWS[1:] for s in eager[name].values())
+        assert flagged
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.5])
+    def test_link_threshold_view_is_the_one_the_link_rule_used(self, rng, k, monkeypatch):
+        used = []
+        inner = flags.flag_links
+
+        def recording(triangle, threshold, drop_loops=True):
+            used.append(threshold)
+            return inner(triangle, threshold, drop_loops)
+
+        monkeypatch.setattr(flags, "flag_links", recording)
+        report = build_flag_report(make_tensor(random_active_grids(rng, 9)), k=k)
+        (threshold,) = used
+        assert report.thresholds["links"] == threshold
+        assert report.thresholds["links"].lower.hex() == threshold.lower.hex()
+
+    def test_thresholds_are_read_only(self, small_tensor):
+        # The journal families read the thresholds on first read, so a
+        # writable mapping would let a caller change them first.
+        report = build_flag_report(small_tensor, k=1.0)
+        with pytest.raises(TypeError):
+            report.thresholds["revision_cited"] = ThresholdSpec.of(0.0, 0.0, 1.0)
+        eager = eager_flag_report(small_tensor, 1.0, True)
+        assert report.revision_flagged == eager["revision_flagged"]
+
+    def test_a_sweep_reading_only_the_links_builds_no_view(self, small_tensor, monkeypatch):
+        builds = count_cached_builds(
+            monkeypatch, FlagReport, (*LAZY_VIEWS, "_monotonic_sets", "hot_links")
+        )
+        ks = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+        for k in ks:
+            report = build_flag_report(small_tensor, k=k)
+            assert len(report.hot_links) == report.links[0].size
+        assert builds == {**dict.fromkeys((*LAZY_VIEWS, "_monotonic_sets"), 0),
+                          "hot_links": len(ks)}

@@ -351,6 +351,26 @@ class TestOverlay:
         assert sum(1 for c in categories.values() if c == "cited") == 2
         assert sum(1 for c in categories.values() if c == "citing") == 1
 
+    def test_each_distinct_name_is_normalized_once(self, tmp_path, monkeypatch):
+        (tmp_path / "base.txt").write_text(BASEMAP_TSV, encoding="utf-8")
+        basemap = read_basemap(tmp_path / "base.txt")
+        calls = []
+        normalize_name = io_export.normalize_name
+        monkeypatch.setattr(
+            io_export, "normalize_name", lambda name: calls.append(name) or normalize_name(name)
+        )
+        # "Pers Med" is in two categories; " Nature" and "Nature" are two
+        # names with one key, whose first category is "citing".
+        flag_sets = {"cited": ["Genet Med", "Pers Med"], "citing": ["Pers Med", " Nature"],
+                     "other": ["Nature"]}
+        colors = {"cited": "red", "citing": "blue", "other": "green"}
+        write_overlay(flag_sets, basemap, colors, tmp_path / "o.txt")
+        assert sorted(calls) == sorted({n for names in flag_sets.values() for n in names})
+        rows = (tmp_path / "o.txt").read_text(encoding="utf-8").splitlines()[1:]
+        categories = {row.split("\t")[0]: row.split("\t")[5:] for row in rows}
+        assert categories == {"Genet Med": ["cited", "red"], "Pers Med": ["cited", "red"],
+                              "Nature": ["citing", "blue"]}
+
     def test_duplicate_basemap_labels_rejected(self, tmp_path):
         bad = "label\tx\ty\nA\t0\t0\nA\t1\t1\n"
         (tmp_path / "base.txt").write_text(bad, encoding="utf-8")

@@ -4,7 +4,10 @@
 It runs ``build_flag_report``, ``build_graph``, ``connected_components``,
 ``louvain`` and the Pajek writers as the README's library example does, so
 a change to one of them that the flag-sweep workload would trip over fails
-here first.
+here first. Every operation is judged by the benchmark's own checker
+(``perfbench/check.py``) against the generator's truth arrays, so a flag
+rule or graph builder that miscounts hot links, nodes, edges, components
+or the giant component fails here too.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import check  # noqa: E402
+import gen  # noqa: E402
 
 
 def test_flag_sweep_child_runs_on_a_tiny_corpus(tmp_path):
@@ -36,9 +43,15 @@ def test_flag_sweep_child_runs_on_a_tiny_corpus(tmp_path):
 
     payload = json.loads(result.read_text(encoding="utf-8"))
     assert payload["ops"]
+    cells = check.Cells.from_truth(gen.Truth.load(corpus))
     for op in payload["ops"]:
         assert op["edges"] <= op["hot_links"]
         assert len(op["kl_bits"]) == 3 and all(map(math.isfinite, op["kl_bits"]))
-    assert math.isfinite(payload["final"]["q"])
-    assert (partition / "graph.net").is_file()
-    assert (partition / "communities.clu").is_file()
+        assert check.check_sweep_op(op, check.SweepExpectation.build(cells, op["k"])) == []
+    final = payload["final"]
+    assert math.isfinite(final["q"])
+    problems, q = check.check_partition(
+        partition / "graph.net", partition / "communities.clu", final["q"],
+        cells.hot_links(final["k"]).graph(),
+    )
+    assert problems == [] and q is not None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import citeheat
@@ -37,6 +37,7 @@ from helpers import (
     modularity_oracle,
     random_graph_edges,
     running_sum_modularity,
+    unique_merge,
     unrefined_louvain_q,
 )
 
@@ -173,6 +174,47 @@ def _assert_same_graph(graph, nodes, edges):
     assert [(graph.nodes[i], graph.nodes[j]) for i, j in zip(graph.u, graph.v)] == [
         (a, b) for a, b, _ in edges
     ]
+
+
+@st.composite
+def merge_input(draw):
+    """Loop-free position pairs over n nodes, with reversed pairs and
+    repeats, and weights that include +-0.0 and magnitudes near the
+    overflow range; n below 2 gives no pairs at all."""
+    n = draw(st.integers(0, 12))
+    pairs = []
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, max_size=30))
+        if pairs:
+            pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))]
+            pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+        pairs = draw(st.permutations(pairs))
+    weight = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16, 1.7e308, -1.7e308, 5e-324]),
+    )
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    return n, pairs, weights
+
+
+class TestMerge:
+    @GRAPH_SETTINGS
+    @given(merge_input())
+    # One edge whose three pairs sum to 0.0 in pair order and to 1.0 in
+    # reverse order.
+    @example((2, [(0, 1), (1, 0), (0, 1)], [1.0, 1e16, -1e16]))
+    def test_merge_is_the_unique_merge_bit_for_bit(self, merge_case):
+        n, pairs, weights = merge_case
+        a = np.array([p[0] for p in pairs], dtype=np.int64)
+        b = np.array([p[1] for p in pairs], dtype=np.int64)
+        w = np.array(weights, dtype=np.float64)
+        got, want = netgraph._merge(a, b, w, n), unique_merge(a, b, w, n)
+        for x, y in zip(got[:2], want[:2]):
+            assert x.dtype == y.dtype and x.tolist() == y.tolist()
+        assert got[2].dtype == np.float64
+        assert [x.hex() for x in got[2].tolist()] == [y.hex() for y in want[2].tolist()]
 
 
 class TestArrayGraph:
