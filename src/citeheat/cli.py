@@ -302,6 +302,9 @@ def stage_network(config: RunConfig) -> None:
     }
     names = io_export.read_registry(config.out / "ingest" / "registry.tsv")
     citing, cited, scores = io_export.read_hot_link_arrays(reports, len(names))
+    if citing.size != summary["links"]["hot_links"]:
+        raise DataError(f"{reports / 'hot_link_ids.npy'}: {citing.size} hot links, "
+                        f"but {link_path} counts {summary['links']['hot_links']}")
     basemap = io_export.read_basemap(config.basemap) if config.basemap else None
     # The network is simple: hot self-citations (--keep-loops) stay in reports/.
     simple = citing != cited

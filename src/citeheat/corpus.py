@@ -129,10 +129,11 @@ def _coalesce(year_label, names, citing, cited, counts, table=None) -> YearMatri
 
 @contextmanager
 def open_utf8(path: str | Path) -> Iterator[TextIO]:
-    """Open a user-supplied text file; bytes that are not UTF-8 raise a
-    DataError naming the file. The text is decoded in chunks, so the
-    message cannot name the line."""
-    with open(path, encoding="utf-8") as handle:
+    """Open a user-supplied text file; a leading UTF-8 byte-order mark is
+    dropped, and bytes that are not UTF-8 raise a DataError naming the
+    file. The text is decoded in chunks, so the message cannot name the
+    line."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:

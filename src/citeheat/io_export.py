@@ -46,8 +46,9 @@ corpus_stats.json and summary.json) is one line with sorted keys.
   The network stage builds its graph from these arrays, so network/ and
   export/ do not depend on the unit. read_hot_link_arrays treats them as
   outside input: .npy format only, no pickles, those dtypes and shapes, ids
-  in [0, N) of the registry and finite scores, else DataError naming the
-  file.
+  in [0, N) of the registry, distinct (citing, cited) pairs and finite
+  scores, else DataError naming the file. The network stage also refuses
+  arrays whose length is not link_flags.json hot_links.
 
 Stage cache (ingest/): registry.tsv (``id<TAB>name``, ids dense, names
 strictly increasing), years.txt (the three labels, one per line) and
@@ -65,6 +66,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -129,6 +131,45 @@ def fmt_dec6(x: float) -> str:
 # Pajek
 # ---------------------------------------------------------------------------
 
+def _write_edges(out, graph: HotLinkGraph, sep: str) -> None:
+    """One ``i<sep>j<sep>w`` line per edge, 1-based, with the 6-digit weight."""
+    for i, j, w in zip((graph.u + 1).tolist(), (graph.v + 1).tolist(), graph.sig6_weights):
+        out.write(f"{i}{sep}{j}{sep}{w}\n")
+
+
+def _read_edge(fields: list[str], n: int, seen: dict, path, lineno: int, out_of_range: str):
+    """0-based endpoints and weight of an edge line's three ``fields``: ASCII
+    decimal endpoints in 1..``n``, a finite weight, and neither a loop nor a
+    repeat of a line in ``seen`` (the writers write neither). Else DataError
+    at ``path:lineno``, with ``out_of_range`` as the endpoint message."""
+    try:
+        i, j, w = fields
+        i, j, w = _decimal(i), _decimal(j), float(w)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: malformed edge line") from None
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise DataError(f"{path}:{lineno}: {out_of_range}")
+    if not math.isfinite(w):
+        raise DataError(f"{path}:{lineno}: edge weight {w} is not finite")
+    if i == j:
+        raise DataError(f"{path}:{lineno}: self-loop on vertex {i}")
+    key = (i, j) if i < j else (j, i)
+    if key in seen:
+        raise DataError(f"{path}:{lineno}: repeats the edge {i}-{j} of line {seen[key]}")
+    seen[key] = lineno
+    return i - 1, j - 1, w
+
+
+def _read_vertices_header(lines: list[str], path) -> int:
+    """N of the ``*Vertices N`` line that opens a Pajek file."""
+    if not lines or not lines[0].lower().startswith("*vertices"):
+        raise DataError(f"{path}:1: expected *Vertices header")
+    try:
+        return _decimal(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise DataError(f"{path}:1: malformed *Vertices header") from None
+
+
 def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | None = None) -> None:
     """Emit `*Vertices N` with 1-based ids and quoted labels, then `*Edges`.
 
@@ -145,22 +186,10 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | Non
             out.write(f'{i} "{label}"\n')
         if graph.weights.size:
             out.write("*Edges\n")
-            for i, j, w in zip((graph.u + 1).tolist(), (graph.v + 1).tolist(), graph.sig6_weights):
-                out.write(f"{i} {j} {w}\n")
+            _write_edges(out, graph, " ")
 
 
 _VERTEX_RE = re.compile(r'^([0-9]+)\s+"([^"]*)"\s*$')
-
-
-def _check_edge(seen: dict, i: int, j: int, path, lineno: int) -> None:
-    """Refuse a loop or a repeated edge in an interchange file: the writers
-    write neither, so a reader that took them would not be their inverse."""
-    if i == j:
-        raise DataError(f"{path}:{lineno}: self-loop on vertex {i}")
-    key = (i, j) if i < j else (j, i)
-    if key in seen:
-        raise DataError(f"{path}:{lineno}: repeats the edge {i}-{j} of line {seen[key]}")
-    seen[key] = lineno
 
 
 def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
@@ -172,12 +201,7 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
     edges: list[tuple[int, int, float]] = []
     seen: dict = {}
     lines = _read_lines(path)
-    if not lines or not lines[0].lower().startswith("*vertices"):
-        raise DataError(f"{path}:1: expected *Vertices header")
-    try:
-        n_vertices = _decimal(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DataError(f"{path}:1: malformed *Vertices header") from None
+    n_vertices = _read_vertices_header(lines, path)
     section = "vertices"
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -193,17 +217,8 @@ def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
                 raise DataError(f"{path}:{lineno}: vertex ids must be sequential")
             labels.append(match.group(2))
         else:
-            try:
-                i, j, w = line.split()
-                i, j, w = _decimal(i), _decimal(j), float(w)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed edge line") from None
-            if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
-                raise DataError(f"{path}:{lineno}: edge endpoint out of range")
-            if not math.isfinite(w):
-                raise DataError(f"{path}:{lineno}: edge weight {w} is not finite")
-            _check_edge(seen, i, j, path, lineno)
-            edges.append((i - 1, j - 1, w))
+            edges.append(_read_edge(line.split(), n_vertices, seen, path, lineno,
+                                    "edge endpoint out of range"))
     if len(labels) != n_vertices:
         raise DataError(f"{path}: vertex count mismatch: header says {n_vertices}")
     return HotLinkGraph.from_edges(edges), labels
@@ -224,12 +239,7 @@ def write_pajek_clu(
 def read_pajek_clu(path: str | Path) -> list[int]:
     """Inverse of write_pajek_clu; returns 0-based cluster ids."""
     lines = _read_lines(path)
-    if not lines or not lines[0].lower().startswith("*vertices"):
-        raise DataError(f"{path}:1: expected *Vertices header")
-    try:
-        n = _decimal(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DataError(f"{path}:1: malformed *Vertices header") from None
+    n = _read_vertices_header(lines, path)
     clusters = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -260,16 +270,17 @@ class BaseMapRow:
 class BaseMap:
     """A fixed global map to overlay results on; labels unique after the
     same normalization the registry applies. Coordinates are kept verbatim.
-    ``index`` maps each row's normalized label to the row, in file order."""
+    ``index`` maps each row's normalized label to the row, in file order;
+    ``columns`` names the BaseMapRow fields the file has, in field order."""
 
     index: dict[str, BaseMapRow]
-    has_cluster: bool
-    has_weight: bool
+    columns: tuple[str, ...]
 
 
 def read_basemap(path: str | Path) -> BaseMap:
     """Parse a tab-separated map file with a header naming at least
-    label, x and y columns (id, cluster and weight are recognized too)."""
+    label, x and y columns (cluster and weight are kept too, other columns
+    such as id are not)."""
     lines = _read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty base map")
@@ -278,8 +289,7 @@ def read_basemap(path: str | Path) -> BaseMap:
         col = {name: header.index(name) for name in ("label", "x", "y")}
     except ValueError as exc:
         raise DataError(f"{path}: base map header must name label, x and y ({exc})") from None
-    cluster_idx = header.index("cluster") if "cluster" in header else None
-    weight_idx = header.index("weight") if "weight" in header else None
+    col.update((name, header.index(name)) for name in ("cluster", "weight") if name in header)
     index: dict[str, BaseMapRow] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -287,22 +297,12 @@ def read_basemap(path: str | Path) -> BaseMap:
         fields = line.split("\t")
         if len(fields) < len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-        label = fields[col["label"]]
-        key = normalize_name(label)
+        row = BaseMapRow(**{name: fields[i] for name, i in col.items()})
+        key = normalize_name(row.label)
         if key in index:
-            raise DataError(f"{path}:{lineno}: duplicate label {label!r}")
-        index[key] = BaseMapRow(
-            label=label,
-            x=fields[col["x"]],
-            y=fields[col["y"]],
-            cluster=fields[cluster_idx] if cluster_idx is not None else "",
-            weight=fields[weight_idx] if weight_idx is not None else "",
-        )
-    return BaseMap(
-        index=index,
-        has_cluster=cluster_idx is not None,
-        has_weight=weight_idx is not None,
-    )
+            raise DataError(f"{path}:{lineno}: duplicate label {row.label!r}")
+        index[key] = row
+    return BaseMap(index=index, columns=tuple(col))
 
 
 def write_vosviewer_files(
@@ -333,38 +333,30 @@ def write_vosviewer_files(
         weights=np.repeat(declared, 2),
         minlength=len(nodes),
     ).tolist()
+    names = [str(labels[v]) if labels is not None else str(v) for v in nodes]
 
-    def label_of(v) -> str:
-        return str(labels[v]) if labels is not None else str(v)
-
+    xy: list[tuple[str, ...]] = [()] * len(nodes)
     unmatched = []
     if basemap is not None:
-        rows = [basemap.index.get(normalize_name(label_of(v))) for v in nodes]
+        rows = [basemap.index.get(normalize_name(label)) for label in names]
         unmatched = [v for v, row in zip(nodes, rows) if row is None]
+        xy = [(row.x, row.y) if row is not None else ("", "") for row in rows]
 
     with _open_w(map_path) as out:
-        if basemap is None:
-            out.write("id\tlabel\tcluster\tweight\n")
-        else:
-            out.write("id\tlabel\tx\ty\tcluster\tweight\n")
+        coords = ("x", "y") if basemap is not None else ()
+        out.write("\t".join(("id", "label", *coords, "cluster", "weight")) + "\n")
         for i, v in enumerate(nodes):
-            cluster = partition[v] + 1
-            weight = fmt_sig6(strength[i])
-            if basemap is None:
-                out.write(f"{i + 1}\t{label_of(v)}\t{cluster}\t{weight}\n")
-            else:
-                row = rows[i]
-                x, y = (row.x, row.y) if row is not None else ("", "")
-                out.write(f"{i + 1}\t{label_of(v)}\t{x}\t{y}\t{cluster}\t{weight}\n")
+            fields = (str(i + 1), names[i], *xy[i], str(partition[v] + 1), fmt_sig6(strength[i]))
+            out.write("\t".join(fields) + "\n")
 
     with _open_w(network_path) as out:
-        for i, j, w in zip((graph.u + 1).tolist(), (graph.v + 1).tolist(), graph.sig6_weights):
-            out.write(f"{i}\t{j}\t{w}\n")
+        _write_edges(out, graph, "\t")
 
     if basemap is not None and unmatched_path is not None:
         with _open_w(unmatched_path) as out:
-            for v in unmatched:
-                out.write(f"{label_of(v)}\n")
+            for label, row in zip(names, rows):
+                if row is None:
+                    out.write(f"{label}\n")
     return unmatched
 
 
@@ -403,21 +395,10 @@ def read_vosviewer_files(
         clusters[node_id - 1] = cluster - 1
     edges = []
     seen: dict = {}
-    with open_utf8(network_path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                i, j, w = line.rstrip("\n").split("\t")
-                i, j, w = _decimal(i), _decimal(j), float(w)
-            except ValueError:
-                raise DataError(f"{network_path}:{lineno}: malformed edge line") from None
-            if not (1 <= i <= len(labels) and 1 <= j <= len(labels)):
-                raise DataError(f"{network_path}:{lineno}: edge endpoint not an id of the map")
-            if not math.isfinite(w):
-                raise DataError(f"{network_path}:{lineno}: edge weight {w} is not finite")
-            _check_edge(seen, i, j, network_path, lineno)
-            edges.append((i - 1, j - 1, w))
+    for lineno, line in enumerate(_read_lines(network_path), start=1):
+        if line.strip():
+            edges.append(_read_edge(line.split("\t"), len(labels), seen, network_path, lineno,
+                                    "edge endpoint not an id of the map"))
     return HotLinkGraph.from_edges(edges), clusters, labels
 
 
@@ -427,7 +408,8 @@ def write_overlay(
     colors: Mapping[str, str],
     path: str | Path,
 ) -> None:
-    """Annotate base-map rows with flag categories for visual overlay.
+    """Annotate base-map rows with flag categories for visual overlay: the
+    base map's ``columns``, then category and color.
 
     A node flagged in several categories gets the first matching one in
     ``flag_sets`` order; unflagged rows keep neutral styling.
@@ -442,26 +424,15 @@ def write_overlay(
     category_of: dict[str, str] = {}
     for name, category in first.items():
         category_of.setdefault(normalize_name(name), category)
-    columns = ["label", "x", "y"]
-    if basemap.has_cluster:
-        columns.append("cluster")
-    if basemap.has_weight:
-        columns.append("weight")
-    columns += ["category", "color"]
+    values = attrgetter(*basemap.columns)
     with _open_w(path) as out:
-        out.write("\t".join(columns) + "\n")
+        out.write("\t".join((*basemap.columns, "category", "color")) + "\n")
         for key, row in basemap.index.items():
             category, color = "", NEUTRAL_COLOR
             if key in category_of:
                 category = category_of[key]
                 color = colors[category]
-            fields = [row.label, row.x, row.y]
-            if basemap.has_cluster:
-                fields.append(row.cluster)
-            if basemap.has_weight:
-                fields.append(row.weight)
-            fields += [category, color]
-            out.write("\t".join(fields) + "\n")
+            out.write("\t".join(values(row)) + f"\t{category}\t{color}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +468,9 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
         raise DataError(f"{years_path}: expected 3 year labels, found {labels}")
 
     cells_path = directory / "cells.npy"
-    cells = _read_npy(cells_path)
     n = len(names)
-    if cells.dtype != np.dtype("<i8") or cells.ndim != 2 or cells.shape[0] != 5:
-        raise DataError(
-            f"{cells_path}: expected int64 of shape (5, n), got {cells.dtype} {cells.shape}"
-        )
+    cells = _read_id_array(cells_path, 5, n)
     citing, cited, counts = cells[0], cells[1], cells[2:]
-    if not ((cells[:2] >= 0) & (cells[:2] < n)).all():
-        raise DataError(f"{cells_path}: journal id outside [0, {n})")
     if not (np.diff(citing * n + cited) > 0).all():
         raise DataError(f"{cells_path}: cells are not strictly increasing by (citing, cited)")
     if (counts < 0).any():
@@ -525,16 +490,15 @@ def read_registry(path: str | Path) -> list[str]:
     """The journal names of ingest/registry.tsv, in id order; ids must be
     dense and names strictly increasing, else DataError naming the file."""
     names: list[str] = []
-    with open_utf8(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: malformed entry")
-            if fields[0] != str(len(names)):
-                raise DataError(f"{path}:{lineno}: ids must be dense")
-            names.append(fields[1])
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if line.startswith("#") or not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError(f"{path}:{lineno}: malformed entry")
+        if fields[0] != str(len(names)):
+            raise DataError(f"{path}:{lineno}: ids must be dense")
+        names.append(fields[1])
     if any(a >= b for a, b in zip(names, names[1:])):
         raise DataError(f"{path}: names are not strictly increasing")
     return names
@@ -548,6 +512,19 @@ def _read_npy(path: Path) -> np.ndarray:
             return np.lib.format.read_array(handle, allow_pickle=False)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from None
+
+
+def _read_id_array(path: Path, rows: int, n_journals: int) -> np.ndarray:
+    """The int64 array of shape (``rows``, n) in ``path`` whose first two
+    rows are journal ids in [0, ``n_journals``), else a DataError naming it."""
+    array = _read_npy(path)
+    if array.dtype != np.dtype("<i8") or array.ndim != 2 or array.shape[0] != rows:
+        raise DataError(
+            f"{path}: expected int64 of shape ({rows}, n), got {array.dtype} {array.shape}"
+        )
+    if not ((array[:2] >= 0) & (array[:2] < n_journals)).all():
+        raise DataError(f"{path}: journal id outside [0, {n_journals})")
+    return array
 
 
 def write_hot_link_arrays(
@@ -570,18 +547,19 @@ def read_hot_link_arrays(
     directory = Path(directory)
     ids_path = directory / "hot_link_ids.npy"
     scores_path = directory / "hot_link_scores.npy"
-    ids, scores = _read_npy(ids_path), _read_npy(scores_path)
-    if ids.dtype != np.dtype("<i8") or ids.ndim != 2 or ids.shape[0] != 2:
-        raise DataError(f"{ids_path}: expected int64 of shape (2, n), got {ids.dtype} {ids.shape}")
+    ids = _read_id_array(ids_path, 2, n_journals)
+    scores = _read_npy(scores_path)
     if scores.dtype != np.dtype("<f8") or scores.shape != ids.shape[1:]:
         raise DataError(
             f"{scores_path}: expected float64 of shape ({ids.shape[1]},), "
             f"got {scores.dtype} {scores.shape}"
         )
-    if not ((ids >= 0) & (ids < n_journals)).all():
-        raise DataError(f"{ids_path}: journal id outside [0, {n_journals})")
     if not np.isfinite(scores).all():
         raise DataError(f"{scores_path}: score is not finite")
+    # A sort and a neighbour compare: a flag-less np.unique imports numpy.ma.
+    keys = np.sort(ids[0] * n_journals + ids[1])
+    if (keys[1:] == keys[:-1]).any():
+        raise DataError(f"{ids_path}: a (citing, cited) pair appears twice")
     return ids[0], ids[1], scores
 
 

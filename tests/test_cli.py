@@ -705,6 +705,34 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"{path}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda ids, scores: (np.hstack([ids, ids[:, :5]]), np.append(scores, scores[:5])),
+             "a (citing, cited) pair appears twice"),
+            (lambda ids, scores: (ids[:, 1:].copy(), scores[1:]), "hot links, but"),
+        ],
+        ids=["five-repeated-pairs", "one-link-short"],
+    )
+    def test_link_arrays_that_disagree_with_link_flags_exit_2_and_change_nothing(
+        self, dyad_year_files, tmp_path, capsys, edit, problem
+    ):
+        out = tmp_path / "out"
+        basemap = str(_write_basemap(tmp_path))
+        assert main(["run", *_year_args(dyad_year_files), "--k", "0", "--out", str(out),
+                     "--basemap", basemap]) == 0
+        ids_path = out / "reports" / "hot_link_ids.npy"
+        scores_path = out / "reports" / "hot_link_scores.npy"
+        ids, scores = edit(np.load(ids_path), np.load(scores_path))
+        np.save(ids_path, ids, allow_pickle=False)
+        np.save(scores_path, scores, allow_pickle=False)
+        before = _tree(out)
+        capsys.readouterr()
+        assert main(["network", "--out", str(out), "--basemap", basemap]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {ids_path}: " in err and problem in err and "Traceback" not in err
+        assert _tree(out) == before
+
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         paths = {label: tmp_path / f"missing{label}.tsv" for label in ("2011", "2012", "2013")}
         rc = main(["run", *_year_args(paths), "--out", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,59 @@ class TestVosviewer:
             read_vosviewer_files(tmp_path / "m.txt", tmp_path / "n.txt")
 
 
+# Bad edge lines, each after the good line "1 2 0.5" in a file over the two
+# vertices A and B; None stands for the reader's own endpoint message.
+BAD_EDGE_LINES = [
+    (("1", "x", "1.0"), "malformed edge line"),
+    (("1", "2"), "malformed edge line"),
+    (("1", "2", "1.0", "9"), "malformed edge line"),
+    (("0", "2", "1.0"), None),
+    (("1", "3", "1.0"), None),
+    (("1", "2", "inf"), "edge weight inf is not finite"),
+    (("1", "2", "-inf"), "edge weight -inf is not finite"),
+    (("1", "2", "nan"), "edge weight nan is not finite"),
+    (("2", "2", "1.0"), "self-loop on vertex 2"),
+    (("2", "1", "1.0"), "repeats the edge 2-1 of line {first}"),
+    (("1", "2", "0.5"), "repeats the edge 1-2 of line {first}"),
+]
+
+
+def _pajek_reader(tmp_path, edges):
+    path = tmp_path / "g.net"
+    path.write_text(f'*Vertices 2\n1 "A"\n2 "B"\n*Edges\n{edges}', encoding="utf-8")
+    return path, 5, lambda: read_pajek_net(path)
+
+
+def _vosviewer_reader(tmp_path, edges):
+    (tmp_path / "m.txt").write_text(
+        "id\tlabel\tcluster\tweight\n1\tA\t1\t1.0\n2\tB\t1\t1.0\n", encoding="utf-8"
+    )
+    path = tmp_path / "n.txt"
+    path.write_text(edges, encoding="utf-8")
+    return path, 1, lambda: read_vosviewer_files(tmp_path / "m.txt", path)
+
+
+# reader: (field separator, endpoint message, file writer)
+EDGE_READERS = {
+    "pajek": (" ", "edge endpoint out of range", _pajek_reader),
+    "vosviewer": ("\t", "edge endpoint not an id of the map", _vosviewer_reader),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(EDGE_READERS))
+@pytest.mark.parametrize(
+    "fields, problem", BAD_EDGE_LINES,
+    ids=["letter", "two-fields", "four-fields", "endpoint-0", "endpoint-n+1", "inf", "-inf",
+         "nan", "loop", "reversed-repeat", "repeat"],
+)
+def test_both_graph_readers_refuse_a_bad_edge_line(tmp_path, reader, fields, problem):
+    sep, out_of_range, write = EDGE_READERS[reader]
+    path, first, read = write(tmp_path, f"1{sep}2{sep}0.5\n{sep.join(fields)}\n")
+    message = (problem or out_of_range).format(first=first)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:{first + 1}: {message}')}$"):
+        read()
+
+
 class TestOverlay:
     def test_empty_flag_sets_keep_neutral_styling(self, tmp_path):
         (tmp_path / "base.txt").write_text(BASEMAP_TSV, encoding="utf-8")
@@ -376,6 +430,63 @@ class TestOverlay:
         (tmp_path / "base.txt").write_text(bad, encoding="utf-8")
         with pytest.raises(DataError, match="duplicate"):
             read_basemap(tmp_path / "base.txt")
+
+
+# Base maps whose optional columns differ: (text, (cluster, weight) per row,
+# expected overlay bytes).
+BASEMAP_COLUMN_CASES = {
+    "reordered": (
+        "weight\ty\tid\tlabel\tx\n5\t-0.20\t1\tGenet Med\t0.10\n3\t0.40\t2\tPers Med\t0.30\n",
+        [("", "5"), ("", "3")],
+        "label\tx\ty\tweight\tcategory\tcolor\n"
+        "Genet Med\t0.10\t-0.20\t5\t\t#c8c8c8\nPers Med\t0.30\t0.40\t3\tcited\tred\n",
+    ),
+    "id-and-unknown": (
+        "id\tlabel\tnote\tx\ty\n1\tGenet Med\tgenetics\t0.10\t-0.20\n"
+        "2\tPers Med\tmedicine\t0.30\t0.40\n",
+        [("", ""), ("", "")],
+        "label\tx\ty\tcategory\tcolor\n"
+        "Genet Med\t0.10\t-0.20\t\t#c8c8c8\nPers Med\t0.30\t0.40\tcited\tred\n",
+    ),
+    "weight-without-cluster": (
+        "label\tx\ty\tweight\nGenet Med\t0.10\t-0.20\t5\nPers Med\t0.30\t0.40\t3\n",
+        [("", "5"), ("", "3")],
+        "label\tx\ty\tweight\tcategory\tcolor\n"
+        "Genet Med\t0.10\t-0.20\t5\t\t#c8c8c8\nPers Med\t0.30\t0.40\t3\tcited\tred\n",
+    ),
+    "cluster-without-weight": (
+        "label\tx\ty\tcluster\nGenet Med\t0.10\t-0.20\t1\nPers Med\t0.30\t0.40\t2\n",
+        [("1", ""), ("2", "")],
+        "label\tx\ty\tcluster\tcategory\tcolor\n"
+        "Genet Med\t0.10\t-0.20\t1\t\t#c8c8c8\nPers Med\t0.30\t0.40\t2\tcited\tred\n",
+    ),
+}
+
+# The VOSviewer map takes only x and y from a base map, whatever else it has.
+BASEMAP_VOSVIEWER_MAP = (
+    "id\tlabel\tx\ty\tcluster\tweight\n"
+    "1\tGenet Med\t0.10\t-0.20\t1\t0.00150000\n"
+    "2\tPers Med\t0.30\t0.40\t1\t0.00350000\n"
+    "3\tUnknown J\t\t\t1\t0.00200000\n"
+)
+
+
+@pytest.mark.parametrize("case", list(BASEMAP_COLUMN_CASES))
+def test_basemap_columns_keep_their_values_and_bytes(tmp_path, case):
+    text, cluster_weight, overlay = BASEMAP_COLUMN_CASES[case]
+    (tmp_path / "base.txt").write_text(text, encoding="utf-8")
+    basemap = read_basemap(tmp_path / "base.txt")
+    rows = list(basemap.index.values())
+    assert [(row.label, row.x, row.y) for row in rows] == [
+        ("Genet Med", "0.10", "-0.20"), ("Pers Med", "0.30", "0.40")
+    ]
+    assert [(row.cluster, row.weight) for row in rows] == cluster_weight
+    write_overlay({"cited": {"Pers Med"}}, basemap, {"cited": "red"}, tmp_path / "o.txt")
+    assert (tmp_path / "o.txt").read_bytes() == overlay.encode()
+    graph = build_graph([("Genet Med", "Pers Med", -1.5e-3), ("Pers Med", "Unknown J", -2e-3)])
+    write_vosviewer_files(graph, {v: 0 for v in graph.nodes}, tmp_path / "m.txt",
+                          tmp_path / "n.txt", basemap=basemap)
+    assert (tmp_path / "m.txt").read_bytes() == BASEMAP_VOSVIEWER_MAP.encode()
 
 
 # Characters at which str.splitlines breaks a line but "\n"-only reading
@@ -585,6 +696,17 @@ class TestHotLinkArrays:
         np.save(path, edit(np.load(path, allow_pickle=False)), allow_pickle=True)
         with pytest.raises(DataError, match=name):
             read_hot_link_arrays(tmp_path, n)
+
+    def test_repeated_pair_is_a_data_error(self, tmp_path):
+        citing, cited = np.array([3, 0, 2, 0]), np.array([1, 2, 0, 2])
+        write_hot_link_arrays(tmp_path, citing, cited, np.array([-3.5, -1.25, -1.0, -1.0]))
+        with pytest.raises(DataError, match=r"hot_link_ids\.npy: a \(citing, cited\) pair "
+                                            r"appears twice"):
+            read_hot_link_arrays(tmp_path, 4)
+
+    def test_reversed_pair_is_not_a_repeat(self, tmp_path):
+        write_hot_link_arrays(tmp_path, np.array([0, 2]), np.array([2, 0]), np.array([-2.0, -1.0]))
+        assert read_hot_link_arrays(tmp_path, 4)[0].tolist() == [0, 2]
 
 
 class TestReports:
