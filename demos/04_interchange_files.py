@@ -1,9 +1,9 @@
-"""Every interchange format, written and read back.
+"""Every interchange format, written and printed.
 
 Pajek .net/.clu for the network tools, the VOSviewer map/network pair for
 the web viewer, and a flag overlay onto a fixed base map. All writers are
-deterministic (LF, fixed orderings, fixed float formats) and each reader is
-the exact inverse of its writer on its own output.
+deterministic (LF, fixed orderings, fixed float formats). citeheat hands
+these files to Pajek and VOSviewer and never reads them back.
 
 Run: python demos/04_interchange_files.py
 """
@@ -14,9 +14,6 @@ from pathlib import Path
 from citeheat import build_graph, connected_components, louvain
 from citeheat.io_export import (
     read_basemap,
-    read_pajek_clu,
-    read_pajek_net,
-    read_vosviewer_files,
     write_overlay,
     write_pajek_clu,
     write_pajek_net,
@@ -41,12 +38,8 @@ write_pajek_net(graph, net_path)
 write_pajek_clu(communities.assignment, clu_path, nodes=graph.nodes)
 print("hot.net:")
 print(net_path.read_text(encoding="utf-8"))
-parsed, labels = read_pajek_net(net_path)
-clusters = read_pajek_clu(clu_path)
-assert labels == list(graph.nodes)
-assert clusters == [communities.assignment[v] for v in graph.nodes]
-print(f"round trip ok: {len(labels)} vertices, {len(parsed.edges)} edges, "
-      f"{len(set(clusters))} clusters")
+print("hot.clu (one 1-based community per vertex, in vertex order):")
+print(clu_path.read_text(encoding="utf-8"))
 
 # --- VOSviewer --------------------------------------------------------------
 map_path = workdir / "vos_map.txt"
@@ -54,9 +47,8 @@ network_path = workdir / "vos_net.txt"
 write_vosviewer_files(graph, communities.assignment, map_path, network_path)
 print("\nvos_map.txt (no base map, so no x,y columns):")
 print(map_path.read_text(encoding="utf-8"))
-vgraph, vclusters, vlabels = read_vosviewer_files(map_path, network_path)
-assert vlabels == list(graph.nodes)
-print(f"round trip ok: {len(vlabels)} rows, {len(vgraph.edges)} edges")
+print("vos_net.txt (map ids and the 6-digit weight):")
+print(network_path.read_text(encoding="utf-8"))
 
 # --- Overlay onto a base map -------------------------------------------------
 base_path = workdir / "base_map.txt"

@@ -2,9 +2,10 @@
 
 Every writer is deterministic: LF line endings, fixed orderings, fixed float
 formats (6 significant digits in network files, 6 decimals in CSVs), so
-identical input produces byte-identical files on any platform. The readers
-of the interchange formats (Pajek, VOSviewer, base maps) are exact inverses
-of the writers on their own output.
+identical input produces byte-identical files on any platform. citeheat
+reads neither Pajek nor VOSviewer files: they go out to those programs.
+tests/interchange.py pins the round trip with strict readers of both, and
+a re-export of what they read is byte-identical.
 
 Human reports (CSV, comma-separated, one header row) are write-only: no
 stage reads them back. They round to 6 decimals in the reporting unit:
@@ -63,8 +64,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import re
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -103,16 +102,6 @@ def _read_lines(path: str | Path) -> list[str]:
         return [line.rstrip("\n") for line in handle]
 
 
-def _decimal(text: str) -> int:
-    """The integer that ``text`` spells in ASCII decimal digits, with an
-    optional "-", as the writers spell it; int() alone would also read
-    "+1", "1_0", " 3" or an Arabic-Indic digit. Else ValueError."""
-    digits = text.removeprefix("-")
-    if not (digits.isdigit() and digits.isascii()):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
-
-
 def fmt_sig6(x: float) -> str:
     """Positional formatting with 6 significant digits (stable under
     re-parsing, so re-exports are byte-identical)."""
@@ -137,46 +126,13 @@ def _write_edges(out, graph: HotLinkGraph, sep: str) -> None:
         out.write(f"{i}{sep}{j}{sep}{w}\n")
 
 
-def _read_edge(fields: list[str], n: int, seen: dict, path, lineno: int, out_of_range: str):
-    """0-based endpoints and weight of an edge line's three ``fields``: ASCII
-    decimal endpoints in 1..``n``, a finite weight, and neither a loop nor a
-    repeat of a line in ``seen`` (the writers write neither). Else DataError
-    at ``path:lineno``, with ``out_of_range`` as the endpoint message."""
-    try:
-        i, j, w = fields
-        i, j, w = _decimal(i), _decimal(j), float(w)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: malformed edge line") from None
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DataError(f"{path}:{lineno}: {out_of_range}")
-    if not math.isfinite(w):
-        raise DataError(f"{path}:{lineno}: edge weight {w} is not finite")
-    if i == j:
-        raise DataError(f"{path}:{lineno}: self-loop on vertex {i}")
-    key = (i, j) if i < j else (j, i)
-    if key in seen:
-        raise DataError(f"{path}:{lineno}: repeats the edge {i}-{j} of line {seen[key]}")
-    seen[key] = lineno
-    return i - 1, j - 1, w
-
-
-def _read_vertices_header(lines: list[str], path) -> int:
-    """N of the ``*Vertices N`` line that opens a Pajek file."""
-    if not lines or not lines[0].lower().startswith("*vertices"):
-        raise DataError(f"{path}:1: expected *Vertices header")
-    try:
-        return _decimal(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DataError(f"{path}:1: malformed *Vertices header") from None
-
-
-def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | None = None) -> None:
+def write_pajek_net(graph: HotLinkGraph, path: str | Path) -> None:
     """Emit `*Vertices N` with 1-based ids and quoted labels, then `*Edges`.
 
     Vertex order is ascending node id; edge endpoints reference vertex
     positions. Labels containing a double quote cannot be represented.
     """
-    names = [str(labels[v]) if labels is not None else str(v) for v in graph.nodes]
+    names = list(map(str, graph.nodes))
     for label in names:
         if '"' in label:
             raise DataError(f"label not representable in Pajek: {label!r}")
@@ -189,68 +145,12 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path, labels: Mapping | Non
             _write_edges(out, graph, " ")
 
 
-_VERTEX_RE = re.compile(r'^([0-9]+)\s+"([^"]*)"\s*$')
-
-
-def read_pajek_net(path: str | Path) -> tuple[HotLinkGraph, list[str]]:
-    """Inverse of write_pajek_net; nodes come back as 0-based positions.
-
-    A malformed line, an endpoint out of range, a non-finite weight, a loop
-    or a repeated edge is a DataError naming ``path:line``."""
-    labels: list[str] = []
-    edges: list[tuple[int, int, float]] = []
-    seen: dict = {}
-    lines = _read_lines(path)
-    n_vertices = _read_vertices_header(lines, path)
-    section = "vertices"
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.lower().startswith("*edges"):
-            section = "edges"
-            continue
-        if section == "vertices":
-            match = _VERTEX_RE.match(line)
-            if not match:
-                raise DataError(f"{path}:{lineno}: malformed vertex line")
-            if int(match.group(1)) != len(labels) + 1:
-                raise DataError(f"{path}:{lineno}: vertex ids must be sequential")
-            labels.append(match.group(2))
-        else:
-            edges.append(_read_edge(line.split(), n_vertices, seen, path, lineno,
-                                    "edge endpoint out of range"))
-    if len(labels) != n_vertices:
-        raise DataError(f"{path}: vertex count mismatch: header says {n_vertices}")
-    return HotLinkGraph.from_edges(edges), labels
-
-
-def write_pajek_clu(
-    assignment: Mapping, path: str | Path, nodes: Sequence | None = None
-) -> None:
-    """One 1-based cluster id per line, in ascending-node vertex order."""
-    if nodes is None:
-        nodes = sorted(assignment)
+def write_pajek_clu(assignment: Mapping, path: str | Path, nodes: Sequence) -> None:
+    """One 1-based cluster id per line, in the vertex order of ``nodes``."""
     with _open_w(path) as out:
         out.write(f"*Vertices {len(nodes)}\n")
         for v in nodes:
             out.write(f"{assignment[v] + 1}\n")
-
-
-def read_pajek_clu(path: str | Path) -> list[int]:
-    """Inverse of write_pajek_clu; returns 0-based cluster ids."""
-    lines = _read_lines(path)
-    n = _read_vertices_header(lines, path)
-    clusters = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        digits = line.strip()
-        if not (digits.isdigit() and digits.isascii()) or int(digits) < 1:
-            raise DataError(f"{path}:{lineno}: malformed cluster number, not an integer >= 1")
-        clusters.append(int(digits) - 1)
-    if len(clusters) != n:
-        raise DataError(f"{path}: expected {n} cluster lines, found {len(clusters)}")
-    return clusters
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +210,6 @@ def write_vosviewer_files(
     partition: Mapping,
     map_path: str | Path,
     network_path: str | Path,
-    labels: Mapping | None = None,
     basemap: BaseMap | None = None,
     unmatched_path: str | Path | None = None,
 ) -> list:
@@ -333,7 +232,7 @@ def write_vosviewer_files(
         weights=np.repeat(declared, 2),
         minlength=len(nodes),
     ).tolist()
-    names = [str(labels[v]) if labels is not None else str(v) for v in nodes]
+    names = list(map(str, nodes))
 
     xy: list[tuple[str, ...]] = [()] * len(nodes)
     unmatched = []
@@ -358,48 +257,6 @@ def write_vosviewer_files(
                 if row is None:
                     out.write(f"{label}\n")
     return unmatched
-
-
-def read_vosviewer_files(
-    map_path: str | Path, network_path: str | Path
-) -> tuple[HotLinkGraph, dict[int, int], list[str]]:
-    """Inverse of write_vosviewer_files on its own output.
-
-    Cluster numbers are integers >= 1, edge endpoints ids of the map, edge
-    weights finite and no edge a loop or a repeat, else DataError naming
-    ``path:line``."""
-    lines = _read_lines(map_path)
-    if not lines:
-        raise DataError(f"{map_path}: empty map file")
-    header = lines[0].split("\t")
-    col = {name: i for i, name in enumerate(header)}
-    for required in ("id", "label", "cluster"):
-        if required not in col:
-            raise DataError(f"{map_path}: missing column {required!r}")
-    labels: list[str] = []
-    clusters: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        try:
-            node_id, cluster = _decimal(fields[col["id"]]), _decimal(fields[col["cluster"]])
-            label = fields[col["label"]]
-        except (IndexError, ValueError):
-            raise DataError(f"{map_path}:{lineno}: malformed map line") from None
-        if node_id != len(labels) + 1:
-            raise DataError(f"{map_path}:{lineno}: ids must be sequential")
-        if cluster < 1:
-            raise DataError(f"{map_path}:{lineno}: cluster number {cluster} is below 1")
-        labels.append(label)
-        clusters[node_id - 1] = cluster - 1
-    edges = []
-    seen: dict = {}
-    for lineno, line in enumerate(_read_lines(network_path), start=1):
-        if line.strip():
-            edges.append(_read_edge(line.split("\t"), len(labels), seen, network_path, lineno,
-                                    "edge endpoint not an id of the map"))
-    return HotLinkGraph.from_edges(edges), clusters, labels
 
 
 def write_overlay(

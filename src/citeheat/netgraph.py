@@ -66,12 +66,6 @@ class HotLinkGraph:
     weights: np.ndarray
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple]) -> "HotLinkGraph":
-        """Merge (u, v, w) label triples: an edge and its reverse or a
-        repeat sum their weights in the order given."""
-        return cls._build(*_intern(edges))
-
-    @classmethod
     def from_ids(
         cls, citing: np.ndarray, cited: np.ndarray, scores: np.ndarray, names: Sequence[str]
     ) -> "HotLinkGraph":
@@ -169,13 +163,13 @@ def _adjacency(n: int, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> lis
     return adj
 
 
-def _intern(links: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Id arrays over the sorted labels of (citing, cited, value) triples,
-    with the values as float64 in link order, and those labels."""
+def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
+    """Symmetrize flagged (citing, cited, score) cells; weight = |score|.
+    An edge and its reverse or a repeat sum their weights in link order."""
     # One triple at a time: holding them all at once would hand the cyclic
     # garbage collector thousands of short-lived tuples to promote.
     citing, cited, values = [], [], []
-    for u, v, w in links:
+    for u, v, w in hot_links:
         citing.append(u)
         cited.append(v)
         values.append(w)
@@ -189,13 +183,7 @@ def _intern(links: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     index.update(zip(names, range(len(names))))
     ids = np.fromiter(_gather(index, labels), np.int64, len(labels))
     values = np.fromiter(values, np.float64, len(values))
-    return ids[: len(citing)], ids[len(citing):], values, names
-
-
-def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
-    """Symmetrize flagged (citing, cited, score) cells; weight = |score|."""
-    citing, cited, scores, names = _intern(hot_links)
-    return HotLinkGraph._build(citing, cited, np.abs(scores), names)
+    return HotLinkGraph._build(ids[: len(citing)], ids[len(citing):], np.abs(values), names)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,7 @@ from citeheat.entropy import (
     to_unit,
 )
 from citeheat.flags import ThresholdSpec, build_flag_report, flag_links
-from citeheat.io_export import (
-    read_pajek_clu,
-    read_pajek_net,
-    read_vosviewer_files,
-    write_pajek_clu,
-    write_pajek_net,
-    write_vosviewer_files,
-)
+from citeheat.io_export import write_pajek_clu, write_pajek_net, write_vosviewer_files
 from citeheat.netgraph import HotLinkGraph, build_graph, connected_components, louvain
 
 from helpers import (
@@ -46,6 +39,7 @@ from helpers import (
     triangle_of,
     write_edge_list,
 )
+from interchange import read_pajek_clu, read_pajek_net, read_vosviewer_files
 
 
 def test_criterion_1_triangle_anchor_arithmetic():
@@ -240,7 +234,7 @@ def test_criterion_6_louvain_reaches_brute_force_optimum():
                 ]
                 if not weighted:
                     continue
-                graph = HotLinkGraph.from_edges(weighted)
+                graph = build_graph(weighted)
                 result = louvain(graph, seed=17)
                 best = best_partition_q(graph.nodes, graph.edges)
                 assert result.q <= best + 1e-9
@@ -250,7 +244,7 @@ def test_criterion_6_louvain_reaches_brute_force_optimum():
     assert total >= 100
     assert optimal / total >= 0.95, f"{optimal}/{total} optimal"
 
-    bridge = HotLinkGraph.from_edges(
+    bridge = build_graph(
         [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
          (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0), (2, 3, 1.0)]
     )
@@ -271,7 +265,7 @@ def test_criterion_7_format_round_trips(tmp_path):
         weighted = [
             (labels[u], labels[v], round(rng.uniform(1e-4, 5.0), 6)) for u, v, w in edges
         ]
-        graph = HotLinkGraph.from_edges(weighted)
+        graph = build_graph(weighted)
         partition = {v: rng.randrange(3) for v in graph.nodes}
 
         net = tmp_path / f"g{trial}.net"
@@ -287,7 +281,8 @@ def test_criterion_7_format_round_trips(tmp_path):
             # 6 significant digits bound the relative rounding by 5e-6
             assert back[key] == pytest.approx(w, rel=5e-6)
         net2 = tmp_path / f"g{trial}_again.net"
-        write_pajek_net(parsed, net2, labels=dict(enumerate(parsed_labels)))
+        reparsed = HotLinkGraph.from_ids(parsed.u, parsed.v, parsed.weights, parsed_labels)
+        write_pajek_net(reparsed, net2)
         assert net2.read_bytes() == net.read_bytes()
 
         clu = tmp_path / f"g{trial}.clu"
@@ -309,11 +304,10 @@ def test_criterion_7_format_round_trips(tmp_path):
         vmap2 = tmp_path / f"g{trial}_map2.txt"
         vnet2 = tmp_path / f"g{trial}_net2.txt"
         write_vosviewer_files(
-            vgraph,
-            vclusters,
+            HotLinkGraph.from_ids(vgraph.u, vgraph.v, vgraph.weights, vlabels),
+            {vlabels[i]: c for i, c in vclusters.items()},
             vmap2,
             vnet2,
-            labels=dict(enumerate(vlabels)),
         )
         assert vmap2.read_bytes() == vmap.read_bytes()
         assert vnet2.read_bytes() == vnet.read_bytes()

@@ -10,12 +10,11 @@ from citeheat.corpus import parse_edge_list, parse_rename_file
 from citeheat.io_export import (
     read_basemap,
     read_json,
-    read_pajek_clu,
-    read_pajek_net,
     read_registry,
     read_sidecar,
-    read_vosviewer_files,
 )
+
+from interchange import read_pajek_clu, read_pajek_net, read_vosviewer_files
 
 BOM = "\ufeff"
 

@@ -163,8 +163,8 @@ class TestRun:
 
     def test_run_reads_builds_and_formats_the_graph_once(self, tmp_path, rng, monkeypatch):
         calls = dict.fromkeys((
-            "read_hot_link_arrays", "from_ids", "from_edges", "connected_components",
-            "louvain", "modularity outside louvain", "read_pajek_clu", "fmt_sig6",
+            "read_hot_link_arrays", "from_ids", "connected_components",
+            "louvain", "modularity outside louvain", "fmt_sig6",
             "adjacency inside connected_components",
         ), 0)
         inside_louvain = False
@@ -197,9 +197,7 @@ class TestRun:
         monkeypatch.setattr(netgraph, "modularity", modularity)
         counted(io_export, "read_hot_link_arrays")
         counted(HotLinkGraph, "from_ids")
-        counted(HotLinkGraph, "from_edges")
         counted(cli, "connected_components")
-        counted(io_export, "read_pajek_clu")
         counted(io_export, "fmt_sig6")
         builds = count_cached_builds(monkeypatch, HotLinkGraph, ("adjacency", "edges"))
         real_components = cli.connected_components
@@ -220,9 +218,9 @@ class TestRun:
         fmt_calls = calls.pop("fmt_sig6")
         assert fmt_calls <= network["edges"] + network["nodes"]
         assert calls == {
-            "read_hot_link_arrays": 1, "from_ids": 1, "from_edges": 0,
+            "read_hot_link_arrays": 1, "from_ids": 1,
             "connected_components": 1, "louvain": 1, "modularity outside louvain": 0,
-            "read_pajek_clu": 0, "adjacency inside connected_components": 0,
+            "adjacency inside connected_components": 0,
         }
         # Louvain alone walks the adjacency dicts; nothing needs the label triples.
         assert builds == {"adjacency": 1, "edges": 0}

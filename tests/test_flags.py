@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from citeheat import flags
@@ -20,7 +20,7 @@ from citeheat.corpus import (
     build_common_set,
     read_only,
 )
-from citeheat.entropy import TriangleCells, margin_totals
+from citeheat.entropy import DIRECTIONS, TriangleCells, margin_totals
 from citeheat.errors import DataError
 from citeheat.flags import (
     FlagReport,
@@ -31,6 +31,7 @@ from citeheat.flags import (
     compute_threshold,
     flag_links,
     remove_outliers,
+    threshold_key,
 )
 
 from helpers import (
@@ -319,7 +320,72 @@ class TestRemoveOutliers:
             assert reduced.registry == JournalRegistry.from_names(kept)
 
 
+K_PAIR_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+FAMILIES = ("monotonic_up", "monotonic_down", "revision_flagged", "triangle_flagged_nodes")
+
+
+def _value_sets(ind) -> dict[str, np.ndarray]:
+    """Each thresholded value set of the indicators, by threshold key."""
+    sets = {"links": ind.triangle.values}
+    for d in DIRECTIONS:
+        for pair in PAIRS:
+            sets[threshold_key("margin", d, pair)] = ind.margins[(pair, d)]
+        sets[threshold_key("revision", d)] = ind.revision_node_margins[d]
+        sets[threshold_key("triangle", d)] = ind.triangle_node_margins[d]
+    return sets
+
+
+@st.composite
+def _tensor_and_k_pair(draw):
+    """A random_active_grids tensor and k1 < k2. k2 is the margin
+    |mean - v|/sd of an observed value v, or a float next to it, so that v
+    lies on or next to its threshold at k2; k1 is 0, the float below k2,
+    a smaller margin or any smaller k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = random_active_grids(rng, draw(st.integers(3, 9)),
+                                density=draw(st.sampled_from([0.3, 0.6, 0.9])), high=40)
+    if draw(st.booleans()):
+        for g in grids:
+            np.fill_diagonal(g, 7)  # live self-citation cells
+    tensor = make_tensor(grids)
+    statistics = tensor.indicators.statistics
+    margins = sorted({
+        abs(statistics[key].mean - v) / statistics[key].sd
+        for key, values in _value_sets(tensor.indicators).items() if statistics[key].sd > 0
+        for v in values.tolist()
+    })
+    assume(margins)
+    k2 = draw(st.sampled_from(margins))
+    k2 = draw(st.sampled_from([k2, float(np.nextafter(k2, 0)), float(np.nextafter(k2, np.inf))]))
+    k1 = draw(st.one_of(
+        st.sampled_from([0.0, float(np.nextafter(k2, 0))]),
+        st.sampled_from([k for k in margins if k < k2] or [0.0]),
+        st.floats(0.0, k2),
+    ))
+    assume(k1 < k2)
+    return tensor, k1, k2
+
+
 class TestReportAndProperties:
+    @K_PAIR_SETTINGS
+    @given(_tensor_and_k_pair(), st.booleans())
+    def test_every_flag_set_at_a_larger_k_is_a_subset(self, tensor_and_ks, drop_loops):
+        # mean + k*sd and mean - k*sd round monotonically in k, so a value
+        # beyond the bound at k2 is beyond it at every smaller k.
+        tensor, k1, k2 = tensor_and_ks
+        low, high = (build_flag_report(tensor, k=k, drop_loops=drop_loops) for k in (k1, k2))
+        for family in FAMILIES:
+            for d in DIRECTIONS:
+                assert getattr(high, family)[d] <= getattr(low, family)[d], (family, d)
+
+        def pairs(report):
+            citing, cited, _ = report.links
+            return set(zip(citing.tolist(), cited.tolist()))
+
+        assert pairs(high) <= pairs(low)
+        assert high.loops_flagged <= low.loops_flagged
+
     def test_flag_sets_antitone_in_k(self, rng):
         grids = random_active_grids(rng, 10, density=0.7, high=50)
         tensor = make_tensor(grids)

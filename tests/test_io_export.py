@@ -15,11 +15,8 @@ from citeheat.io_export import (
     fmt_sig6,
     read_basemap,
     read_hot_link_arrays,
-    read_pajek_clu,
-    read_pajek_net,
     read_sidecar,
     read_tensor_cache,
-    read_vosviewer_files,
     write_flag_journal_reports,
     write_hot_link_arrays,
     write_link_flag_reports,
@@ -33,6 +30,7 @@ from citeheat.io_export import (
 from citeheat.netgraph import HotLinkGraph, build_graph
 
 from helpers import make_tensor, oracle_pair, random_active_grids
+from interchange import read_pajek_clu, read_pajek_net, read_vosviewer_files
 
 
 def labeled_edges(graph: HotLinkGraph, labels) -> dict:
@@ -91,7 +89,7 @@ class TestPajekNet:
             labeled_edges(graph, {v: v for v in graph.nodes})
         )
         again = tmp_path / "g2.net"
-        write_pajek_net(parsed, again, labels=dict(enumerate(labels)))
+        write_pajek_net(HotLinkGraph.from_ids(parsed.u, parsed.v, parsed.weights, labels), again)
         assert again.read_bytes() == path.read_bytes()
 
     def test_malformed_header(self, tmp_path):
@@ -157,18 +155,18 @@ class TestPajekNet:
 class TestPajekClu:
     def test_one_based_shift(self, tmp_path):
         path = tmp_path / "p.clu"
-        write_pajek_clu({"A": 0, "B": 0, "C": 1}, path)
+        write_pajek_clu({"A": 0, "B": 0, "C": 1}, path, nodes=["A", "B", "C"])
         assert path.read_text(encoding="utf-8") == "*Vertices 3\n1\n1\n2\n"
 
     def test_empty(self, tmp_path):
         path = tmp_path / "p.clu"
-        write_pajek_clu({}, path)
+        write_pajek_clu({}, path, nodes=[])
         assert path.read_text(encoding="utf-8") == "*Vertices 0\n"
 
     def test_round_trip(self, tmp_path):
         assignment = {f"N{i}": i % 3 for i in range(10)}
         path = tmp_path / "p.clu"
-        write_pajek_clu(assignment, path)
+        write_pajek_clu(assignment, path, nodes=sorted(assignment))
         clusters = read_pajek_clu(path)
         assert clusters == [assignment[v] for v in sorted(assignment)]
 

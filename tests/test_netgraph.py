@@ -245,10 +245,8 @@ class TestArrayGraph:
 
     @GRAPH_SETTINGS
     @given(ANY_LINKS)
-    def test_from_edges_and_from_ids_match_the_dict_merge(self, pool_links):
+    def test_from_ids_matches_the_dict_merge(self, pool_links):
         pool, links = pool_links
-        _assert_same_graph(HotLinkGraph.from_edges(links), *dict_merge_graph(links))
-
         names = sorted(pool)
         position = {name: i for i, name in enumerate(names)}
         citing, cited = (
@@ -262,7 +260,7 @@ class TestArrayGraph:
     def test_louvain_q_is_the_running_sum_q_of_its_partition(self, seed):
         rng = random.Random(seed)
         edges = [(u, v, rng.uniform(0.5, 2.0)) for u, v, _ in random_graph_edges(rng, 41, 0.1)]
-        graph = HotLinkGraph.from_edges(_scrambled_labels(edges, 41))
+        graph = build_graph(_scrambled_labels(edges, 41))
         result = louvain(graph, seed=seed)
         assert len(set(result.assignment.values())) > 1
         assert result.q.hex() == running_sum_modularity(graph.edges, result.assignment).hex()
@@ -272,7 +270,7 @@ class TestArrayGraph:
         # case for labels that spread one hop per round.
         labels = [f"J{i:05d}" for i in range(20_000)]
         random.Random(12).shuffle(labels)
-        graph = HotLinkGraph.from_edges((a, b, 1.0) for a, b in zip(labels, labels[1:]))
+        graph = build_graph((a, b, 1.0) for a, b in zip(labels, labels[1:]))
         parts = connected_components(graph)
         assert parts.components == (tuple(sorted(labels)),)
         assert set(parts.assignment.values()) == {0}
@@ -298,7 +296,7 @@ class TestArrayGraph:
 
 class TestComponents:
     def test_two_paths(self):
-        graph = HotLinkGraph.from_edges(
+        graph = build_graph(
             [("A", "B", 1.0), ("B", "C", 1.0), ("D", "E", 1.0)]
         )
         parts = connected_components(graph)
@@ -310,7 +308,7 @@ class TestComponents:
         rng = random.Random(5)
         edges = [(i, i + 1, 1.0) for i in range(9)]
         edges += random_graph_edges(rng, 10, 0.3)
-        graph = HotLinkGraph.from_edges(edges)
+        graph = build_graph(edges)
         assert len(connected_components(graph).components) == 1
 
     def test_planted_components_match_union_find(self):
@@ -325,7 +323,7 @@ class TestComponents:
             if size == 3 and rng.random() < 0.5:
                 edges.append((members[0], members[2], 1.0))
             node += size
-        graph = HotLinkGraph.from_edges(edges)
+        graph = build_graph(edges)
         parts = connected_components(graph)
 
         uf = UnionFind([v for e in edges for v in e[:2]])
@@ -335,12 +333,12 @@ class TestComponents:
 
     def test_idempotent_and_order_independent(self):
         edges = [("B", "C", 1.0), ("A", "B", 1.0), ("E", "D", 2.0)]
-        a = connected_components(HotLinkGraph.from_edges(edges))
-        b = connected_components(HotLinkGraph.from_edges(edges[::-1]))
+        a = connected_components(build_graph(edges))
+        b = connected_components(build_graph(edges[::-1]))
         assert a == b
 
     def test_size_ties_break_on_smallest_member(self):
-        graph = HotLinkGraph.from_edges([("C", "D", 1.0), ("A", "B", 1.0)])
+        graph = build_graph([("C", "D", 1.0), ("A", "B", 1.0)])
         parts = connected_components(graph)
         assert parts.components == (("A", "B"), ("C", "D"))
 
@@ -352,11 +350,11 @@ class TestModularity:
             edges = random_graph_edges(rng, n, 0.6)
             if not edges:
                 continue
-            graph = HotLinkGraph.from_edges(edges)
+            graph = build_graph(edges)
             assert modularity(graph, {v: 0 for v in graph.nodes}) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_triangle_bridge_split(self):
-        graph = HotLinkGraph.from_edges(TWO_TRIANGLES)
+        graph = build_graph(TWO_TRIANGLES)
         partition = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         assert modularity(graph, partition) == pytest.approx(6 / 7 - 1 / 2, rel=1e-12)
         assert modularity(graph, partition) == pytest.approx(0.357143, abs=1e-6)
@@ -367,20 +365,20 @@ class TestModularity:
             edges = random_graph_edges(rng, 7, 0.5)
             if not edges:
                 continue
-            graph = HotLinkGraph.from_edges(edges)
+            graph = build_graph(edges)
             assignment = {v: rng.randrange(3) for v in graph.nodes}
             expected = modularity_oracle(graph.nodes, graph.edges, assignment)
             assert modularity(graph, assignment) == pytest.approx(expected, abs=1e-12)
 
     def test_missing_node_errors(self):
-        graph = HotLinkGraph.from_edges([("A", "B", 1.0)])
+        graph = build_graph([("A", "B", 1.0)])
         with pytest.raises(DataError, match="missing"):
             modularity(graph, {"A": 0})
 
 
 class TestLouvain:
     def test_two_triangle_bridge(self):
-        graph = HotLinkGraph.from_edges(TWO_TRIANGLES)
+        graph = build_graph(TWO_TRIANGLES)
         result = louvain(graph, seed=0)
         assert result.q == pytest.approx(0.357143, abs=1e-6)
         assert result.q == pytest.approx(best_partition_q(graph.nodes, graph.edges), abs=1e-9)
@@ -390,7 +388,7 @@ class TestLouvain:
         assert left != right
 
     def test_single_edge_merges(self):
-        graph = HotLinkGraph.from_edges([("A", "B", 1.0)])
+        graph = build_graph([("A", "B", 1.0)])
         result = louvain(graph, seed=0)
         assert result.assignment["A"] == result.assignment["B"]
         assert result.q == pytest.approx(0.0, abs=1e-15)
@@ -398,7 +396,7 @@ class TestLouvain:
 
     def test_clique_of_four_single_community(self):
         edges = [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)]
-        graph = HotLinkGraph.from_edges(edges)
+        graph = build_graph(edges)
         result = louvain(graph, seed=1)
         assert len(set(result.assignment.values())) == 1
         assert result.q == pytest.approx(0.0, abs=1e-15)
@@ -410,7 +408,7 @@ class TestLouvain:
             edges = random_graph_edges(rng, 8, 0.4)
             if not edges:
                 continue
-            graph = HotLinkGraph.from_edges(edges)
+            graph = build_graph(edges)
             singleton_q = modularity(graph, {v: i for i, v in enumerate(graph.nodes)})
             assert louvain(graph, seed=2).q >= singleton_q - 1e-12
 
@@ -425,7 +423,7 @@ class TestLouvain:
             ]
             if not edges:
                 continue
-            graph = HotLinkGraph.from_edges(edges)
+            graph = build_graph(edges)
             comm = _move_nodes(graph.adjacency, graph.total_weight, random.Random(rng.randrange(2**32)))
             singleton_q = modularity(graph, {v: i for i, v in enumerate(graph.nodes)})
             assert modularity(graph, dict(zip(graph.nodes, comm))) >= singleton_q - 1e-12
@@ -443,7 +441,7 @@ class TestLouvain:
             ]
             if not edges:
                 continue
-            graph = HotLinkGraph.from_edges(edges)
+            graph = build_graph(edges)
             size = len(graph.nodes)
             start = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
             seed = rng.randrange(2**32)
@@ -463,7 +461,7 @@ class TestLouvain:
             edges = [(u, v, rng.uniform(0.1, 5.0)) for u, v, _ in random_graph_edges(rng, n, 0.3)]
             if not edges:
                 continue
-            graph = HotLinkGraph.from_edges(edges)
+            graph = build_graph(edges)
             size = len(graph.nodes)
             comm = [rng.randrange(size) for _ in range(size)]
             k = [sum(nbrs.values()) for nbrs in graph.adjacency]
@@ -486,14 +484,14 @@ class TestLouvain:
             return _move_nodes(adj, m, rng, start, k)
 
         monkeypatch.setattr(netgraph, "_move_nodes", counted)
-        louvain(HotLinkGraph.from_edges(TWO_TRIANGLES), seed=17)
+        louvain(build_graph(TWO_TRIANGLES), seed=17)
         assert calls == [6, 2, 6] * 3
 
     @pytest.mark.parametrize("exponent", [-1000, -600, -500, 0, 500, 600, 1000])
     def test_weight_scale_changes_nothing(self, exponent):
-        bridge = HotLinkGraph.from_edges(TWO_TRIANGLES)
+        bridge = build_graph(TWO_TRIANGLES)
         expected = louvain(bridge, seed=17)
-        scaled = HotLinkGraph.from_edges((u, v, w * 2.0**exponent) for u, v, w in TWO_TRIANGLES)
+        scaled = build_graph((u, v, w * 2.0**exponent) for u, v, w in TWO_TRIANGLES)
         result = louvain(scaled, seed=17)
         assert result.assignment == expected.assignment
         assert result.q == expected.q
@@ -501,7 +499,7 @@ class TestLouvain:
     def test_seed_determinism(self):
         rng = random.Random(7)
         edges = random_graph_edges(rng, 12, 0.3) or [(0, 1, 1.0)]
-        graph = HotLinkGraph.from_edges(edges)
+        graph = build_graph(edges)
         a = louvain(graph, seed=42)
         b = louvain(graph, seed=42)
         assert a.assignment == b.assignment
@@ -512,7 +510,7 @@ class TestLouvain:
         edges = random_graph_edges(rng, 6, 0.5)
         edges = [(u, v, w) for u, v, w in edges] + [(u + 6, v + 6, w) for u, v, w in edges]
         edges = edges or [(0, 1, 1.0), (6, 7, 1.0)]
-        graph = HotLinkGraph.from_edges(_scrambled_labels(edges, 12))
+        graph = build_graph(_scrambled_labels(edges, 12))
         result = louvain(graph, seed=3)
         comp = connected_components(graph).assignment
         neighbours: dict[str, set] = {}
@@ -545,7 +543,7 @@ class TestLouvain:
         # Community 5 holds the paths 0-2-4 and 1-3-5; community 0 holds
         # 6-7, joined to 5 by an edge that must not merge pieces.
         edges = [(0, 2), (2, 4), (1, 3), (3, 5), (6, 7), (5, 6)]
-        graph = HotLinkGraph.from_edges((u, v, 1.0) for u, v in edges)
+        graph = build_graph((u, v, 1.0) for u, v in edges)
         comm = np.array([5, 5, 5, 5, 5, 5, 0, 0])
         assert _split_disconnected(graph, comm).tolist() == [0, 1, 0, 1, 0, 1, 2, 2]
 
@@ -554,8 +552,8 @@ class TestLouvain:
         edges = [(f"J{u:02d}", f"J{v:02d}", w) for u, v, w in random_graph_edges(rng, 60, 0.08)]
         script = (
             "import json, sys\n"
-            "from citeheat.netgraph import HotLinkGraph, louvain\n"
-            "result = louvain(HotLinkGraph.from_edges(json.load(sys.stdin)), seed=3)\n"
+            "from citeheat.netgraph import build_graph, louvain\n"
+            "result = louvain(build_graph(json.load(sys.stdin)), seed=3)\n"
             "print(json.dumps([sorted(result.assignment.items()), repr(result.q)]))\n"
         )
         outputs = []
@@ -585,7 +583,7 @@ class TestLouvain:
         )
         # networkx's Q spreads by about 0.01 over its seeds on these graphs,
         # so the mean of five is known to within about half that.
-        assert louvain(HotLinkGraph.from_edges(edges), seed=0).q >= nx_q - 0.005
+        assert louvain(build_graph(edges), seed=0).q >= nx_q - 0.005
 
     def test_q_at_least_that_of_eight_unrefined_restarts(self):
         # Refinement with fewer restarts may lose on a single graph, but
@@ -593,7 +591,7 @@ class TestLouvain:
         rng = random.Random(2011)
         q_new, q_old = [], []
         for n in range(20, 151, 10):
-            graph = HotLinkGraph.from_edges(_planted_partition_edges(rng, n))
+            graph = build_graph(_planted_partition_edges(rng, n))
             for seed in range(5):
                 q_new.append(louvain(graph, seed=seed).q)
                 q_old.append(unrefined_louvain_q(graph, seed))
@@ -603,7 +601,7 @@ class TestLouvain:
 class TestDegreeCentrality:
     def test_star(self):
         edges = [("C", leaf, 1.0) for leaf in ("L1", "L2", "L3", "L4", "L5")]
-        degrees = degree_centrality(HotLinkGraph.from_edges(edges))
+        degrees = degree_centrality(build_graph(edges))
         assert degrees["C"] == 5
         assert all(degrees[leaf] == 1 for leaf in ("L1", "L2", "L3", "L4", "L5"))
 
@@ -613,7 +611,7 @@ class TestDegreeCentrality:
     def test_matches_adjacency_row_sums(self):
         rng = random.Random(31)
         edges = _scrambled_labels(random_graph_edges(rng, 9, 0.4) or [(0, 1, 1.0)], 9)
-        graph = HotLinkGraph.from_edges(edges)
+        graph = build_graph(edges)
         degrees = degree_centrality(graph)
         assert list(degrees) == list(graph.nodes)
         index = {v: i for i, v in enumerate(graph.nodes)}
