@@ -57,7 +57,7 @@ print(f"2011 frequency mass: {freqs.sum():.12f}")
 
 for pair in PAIRS:
     cells = cell_divergence(tensor, pair)
-    print(f"\n{cells.pair_label}: total information generation "
+    print(f"\n{tensor.pair_label(pair)}: total information generation "
           f"{to_unit(cells.grand_sum, 'mbits'):.3f} mbits over {len(cells.values)} cells")
     cited = margin_totals(cells, "cited")
     citing = margin_totals(cells, "citing")

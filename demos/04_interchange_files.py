@@ -6,9 +6,9 @@ deterministic (LF, fixed orderings, fixed float formats). citeheat hands
 these files to Pajek and VOSviewer and never reads them back.
 
 Run: python demos/04_interchange_files.py
+(writes into demo_output/ under the working directory)
 """
 
-import tempfile
 from pathlib import Path
 
 from citeheat import build_graph, connected_components, louvain
@@ -28,7 +28,8 @@ links = [
 ]
 graph = build_graph(links)
 communities = louvain(graph, seed=0)
-workdir = Path(tempfile.mkdtemp(prefix="citeheat_demo_"))
+workdir = Path("demo_output")
+workdir.mkdir(exist_ok=True)
 print(f"writing into {workdir}\n")
 
 # --- Pajek -----------------------------------------------------------------

@@ -21,9 +21,8 @@ from .corpus import (
 from .entropy import (
     DIRECTIONS,
     UNIT_SCALE,
+    Cells,
     RevisionCells,
-    TransitionCells,
-    TriangleCells,
     cell_divergence,
     kl_term,
     margin_totals,
@@ -60,9 +59,8 @@ __all__ = [
     "AlignedTensor",
     "JournalRegistry",
     "YearMatrix",
-    "TransitionCells",
+    "Cells",
     "RevisionCells",
-    "TriangleCells",
     "ThresholdSpec",
     "FlagReport",
     "HotLinkGraph",

@@ -66,7 +66,9 @@ class JournalRegistry:
         return {name: i for i, name in enumerate(self.names)}
 
     def resolve(self, name: str) -> str:
-        """Map any historical name to its canonical form (idempotent)."""
+        """Map a known name to its canonical form (idempotent). Only the
+        registry of ``apply_name_changes`` knows historical names; a tensor's
+        knows the names after renames, which ``--exclude`` therefore takes."""
         name = normalize_name(name)
         try:
             return self.alias_map[name]
@@ -263,11 +265,9 @@ def _resolve_renames(renames: Iterable[tuple[str, str]]) -> dict[str, str]:
         current = start
         while current in direct:
             current = direct[current]
-            if current == start:
-                raise DataError(f"rename cycle through {start!r}")
+            if current in seen:
+                raise DataError(f"rename cycle through {current!r}")
             seen.append(current)
-            if len(seen) > len(direct) + 1:
-                raise DataError(f"rename cycle through {start!r}")
         for name in seen[:-1]:
             terminal[name] = current
     return terminal

@@ -5,14 +5,14 @@ deliberately unnormalized by row or column so that no a priori grouping is
 imposed. Everything is computed in bits (log base 2) and only converted to
 reporting units (mbits, microbits) at the serialization boundary.
 
-The quantities:
+Each per-cell quantity is a ``Cells`` (the revision's a ``RevisionCells``,
+which also counts the cells its rule leaves out). The quantities:
 
 * per-cell divergence for a year pair: q * log2(q / p), prior p, posterior q;
   a posterior zero contributes exactly 0 bits, a prior zero makes the cell
   invalid for the pair (mask rule, enforced upstream);
 * journal margins: row (cited) or column (citing) partial sums of the cell
-  values — the cell sums decompose exactly into either margin family.
-  ``margin_totals`` takes divergence, revision or triangle cells alike;
+  values — the cell sums decompose exactly into either margin family;
 * revision of the prediction per journal: the margin of the per-cell terms
   q * log2(p'/p), p' the in-between year, equal to I(q|p) - I(q|p') over
   the same cells; negative values mean the in-between year made the
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,28 +107,43 @@ def kl_term(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ReadOnlyArrays:
-    """Frozen cells whose array fields are read-only views."""
+@dataclass(frozen=True)
+class Cells:
+    """One value (bits) per cell of a subset of a tensor's cells.
+
+    ``citing`` and ``cited`` are the cells' node ids in the tensor's
+    ascending (citing, cited) order and ``values`` their values; the three
+    arrays are read-only. ``grand_sum`` is built on first read and kept.
+    """
+
+    citing: np.ndarray
+    cited: np.ndarray
+    values: np.ndarray
+    n_nodes: int
 
     def __post_init__(self) -> None:
         for name in ("citing", "cited", "values"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
+    @classmethod
+    def of(cls, tensor: AlignedTensor, mask: np.ndarray, values: np.ndarray, **fields) -> Cells:
+        """The cells of ``tensor`` that ``mask`` selects, with ``values``."""
+        return cls(
+            citing=tensor.citing[mask],
+            cited=tensor.cited[mask],
+            values=values,
+            n_nodes=tensor.n_nodes,
+            **fields,
+        )
+
+    @cached_property
+    def grand_sum(self) -> float:
+        """The exactly rounded sum of the values."""
+        return ordered_fsum(self.values)
+
 
 @dataclass(frozen=True)
-class TransitionCells(_ReadOnlyArrays):
-    """Per-cell KL contributions (bits) for one ordered year pair."""
-
-    pair_label: str
-    citing: np.ndarray
-    cited: np.ndarray
-    values: np.ndarray
-    grand_sum: float
-    n_nodes: int
-
-
-@dataclass(frozen=True)
-class RevisionCells(_ReadOnlyArrays):
+class RevisionCells(Cells):
     """Per-cell revision terms q * log2(p'/p) over the revision cell set.
 
     Included: prior and in-between counts both positive (posterior may be
@@ -137,46 +153,19 @@ class RevisionCells(_ReadOnlyArrays):
     infinite.
     """
 
-    citing: np.ndarray
-    cited: np.ndarray
-    values: np.ndarray
-    grand_sum: float
     excluded_cells: int
-    n_nodes: int
 
 
-@dataclass(frozen=True)
-class TriangleCells(_ReadOnlyArrays):
-    """Per-cell triangle scores over cells live in all three years."""
-
-    citing: np.ndarray
-    cited: np.ndarray
-    values: np.ndarray
-    n_nodes: int
-
-
-def cell_divergence(tensor: AlignedTensor, pair: tuple[int, int]) -> TransitionCells:
-    """KL contribution of every pair-valid cell, posterior given prior."""
-    if pair not in PAIRS:
-        raise ValueError(f"unknown year pair {pair!r}")
+def cell_divergence(tensor: AlignedTensor, pair: tuple[int, int]) -> Cells:
+    """KL contribution (bits) of every pair-valid cell, posterior given prior."""
     mask = tensor.pair_valid(pair)
     prior_idx, post_idx = pair
     p = tensor.frequencies(prior_idx)[mask]
     q = tensor.frequencies(post_idx)[mask]
-    values = kl_term(q, p)
-    return TransitionCells(
-        pair_label=tensor.pair_label(pair),
-        citing=tensor.citing[mask],
-        cited=tensor.cited[mask],
-        values=values,
-        grand_sum=ordered_fsum(values),
-        n_nodes=tensor.n_nodes,
-    )
+    return Cells.of(tensor, mask, kl_term(q, p))
 
 
-def margin_totals(
-    cells: TransitionCells | RevisionCells | TriangleCells, direction: str
-) -> np.ndarray:
+def margin_totals(cells: Cells, direction: str) -> np.ndarray:
     """Row (cited) or column (citing) sums of the cell values, one per node.
 
     Every node of the common set gets an entry, including nodes whose margin
@@ -199,19 +188,13 @@ def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:
     values = np.zeros(p.shape, dtype=float)
     nz = q > 0
     values[nz] = q[nz] * np.log2(p_mid[nz] / p[nz])
-    return RevisionCells(
-        citing=tensor.citing[included],
-        cited=tensor.cited[included],
-        values=values,
-        grand_sum=ordered_fsum(values),
-        excluded_cells=int(np.count_nonzero((tensor.counts[2] > 0) & ~included)),
-        n_nodes=tensor.n_nodes,
-    )
+    excluded = int(np.count_nonzero((tensor.counts[2] > 0) & ~included))
+    return RevisionCells.of(tensor, included, values, excluded_cells=excluded)
 
 
 def triangle_evaluation(
-    tensor: AlignedTensor, transitions: dict[tuple[int, int], TransitionCells]
-) -> TriangleCells:
+    tensor: AlignedTensor, transitions: dict[tuple[int, int], Cells]
+) -> Cells:
     """Per-cell KL(p'|p) + KL(q|p') - KL(q|p) over the all-years cells.
 
     The three terms are the ``cell_divergence`` values of the pairs (0, 1),
@@ -223,9 +206,4 @@ def triangle_evaluation(
     t01, t12, t02 = (
         transitions[pair].values[mask[tensor.pair_valid(pair)]] for pair in PAIRS
     )
-    return TriangleCells(
-        citing=tensor.citing[mask],
-        cited=tensor.cited[mask],
-        values=t01 + t12 - t02,
-        n_nodes=tensor.n_nodes,
-    )
+    return Cells.of(tensor, mask, t01 + t12 - t02)

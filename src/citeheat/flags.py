@@ -38,9 +38,8 @@ from .corpus import PAIRS, AlignedTensor, JournalRegistry, read_only
 from .entropy import (
     DIRECTIONS,
     UNIT_SCALE,
+    Cells,
     RevisionCells,
-    TransitionCells,
-    TriangleCells,
     cell_divergence,
     margin_totals,
     revision_of_prediction,
@@ -107,7 +106,7 @@ def _below_lower(values: np.ndarray, threshold: ThresholdSpec) -> frozenset[int]
 
 
 def flag_links(
-    triangle: TriangleCells, threshold: ThresholdSpec, drop_loops: bool = True
+    triangle: Cells, threshold: ThresholdSpec, drop_loops: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cells whose triangle score is strictly below ``threshold.lower``, as
     three read-only arrays in cell order: citing ids, cited ids and scores.
@@ -156,6 +155,8 @@ def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTenso
 class Indicators:
     """The k-independent half of a flag report, computed once per tensor.
 
+    Its ``entropy.Cells`` build each ``grand_sum`` on first read and keep
+    it, so the reports on a tensor share one sum per cell set.
     ``statistics`` holds each value set's threshold at k = 0: its mean and
     SD serve every k. ``loop_scores`` holds the triangle scores of the
     self-citation cells in cell order, which ``FlagReport.loops_flagged``
@@ -163,11 +164,11 @@ class Indicators:
     ``MappingProxyType``, so the reports on a tensor share them safely.
     """
 
-    transitions: Mapping[tuple[int, int], TransitionCells]
+    transitions: Mapping[tuple[int, int], Cells]
     margins: Mapping[tuple[tuple[int, int], str], np.ndarray]
     revision: RevisionCells
     revision_node_margins: Mapping[str, np.ndarray]
-    triangle: TriangleCells
+    triangle: Cells
     triangle_node_margins: Mapping[str, np.ndarray]
     loop_scores: np.ndarray
     statistics: Mapping[str, ThresholdSpec]

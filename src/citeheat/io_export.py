@@ -478,7 +478,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     names = tensor.registry.names
 
     transitions = [
-        (cells.pair_label, "margin", pair, cells.grand_sum)
+        (tensor.pair_label(pair), "margin", pair, cells.grand_sum)
         for pair, cells in report.transitions.items()
     ]
     transitions.append(("revision_of_prediction", "revision", None, report.revision.grand_sum))

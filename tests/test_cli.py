@@ -488,6 +488,15 @@ class TestRun:
         assert flags["outliers_removed"] == ["Pers Med"]
         assert flags["journals"] == 11
 
+    def test_exclude_takes_the_name_after_renames(self, dyad_year_files, tmp_path, capsys):
+        # The ingest registry holds terminal names only.
+        renames = tmp_path / "renames.tsv"
+        renames.write_text("Pers Med\tJ Pers Med\n", encoding="utf-8")
+        base = ["run", *_year_args(dyad_year_files), "--renames", str(renames)]
+        assert main([*base, "--exclude", "Pers Med", "--out", str(tmp_path / "old")]) == 2
+        assert "unknown journal name: 'Pers Med'" in capsys.readouterr().err
+        assert main([*base, "--exclude", "J Pers Med", "--out", str(tmp_path / "new")]) == 0
+
     def test_exclude_keeps_ingest_ids_in_the_link_arrays(self, tmp_path, rng):
         out = tmp_path / "out"
         years = _random_year_files(tmp_path, rng)

@@ -224,8 +224,11 @@ class TestApplyNameChanges:
 
     def test_cycle_is_an_error(self):
         matrix = _matrix("2011", {("A", "B"): 1})
-        with pytest.raises(DataError, match="cycle"):
+        with pytest.raises(DataError, match="rename cycle through 'A'"):
             apply_name_changes([matrix], [("A", "B"), ("B", "A")])
+        # X -> A is a valid rename into the cycle, so the error names A or B.
+        with pytest.raises(DataError, match="rename cycle through '[AB]'"):
+            apply_name_changes([matrix], [("X", "A"), ("A", "B"), ("B", "A")])
 
     def test_self_rename_warns_and_is_ignored(self, caplog):
         matrix = _matrix("2011", {("A", "B"): 1})

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from citeheat import flags
+from citeheat import entropy, flags
+from citeheat.cli import main
 from citeheat.corpus import (
     PAIRS,
     JournalRegistry,
@@ -20,7 +21,7 @@ from citeheat.corpus import (
     build_common_set,
     read_only,
 )
-from citeheat.entropy import DIRECTIONS, TriangleCells, margin_totals
+from citeheat.entropy import DIRECTIONS, Cells, margin_totals
 from citeheat.errors import DataError
 from citeheat.flags import (
     FlagReport,
@@ -69,10 +70,10 @@ def _hot(triangle, k=1.0, drop_loops=True):
     )
 
 
-def _triangle_of(values) -> TriangleCells:
+def _triangle_of(values) -> Cells:
     values = np.asarray(values, dtype=float)
     n = len(values)
-    return TriangleCells(
+    return Cells(
         citing=np.arange(n, dtype=np.int64),
         cited=np.arange(1, n + 1, dtype=np.int64) % n,
         values=values,
@@ -185,7 +186,7 @@ class TestFlagLinks:
 
     def test_drop_loops_removes_diagonal(self):
         values = np.array([-5.0, -4.9, 1.0, 1.2, 0.8, 0.9])
-        cells = TriangleCells(
+        cells = Cells(
             citing=np.array([0, 1, 2, 3, 4, 5]),
             cited=np.array([0, 2, 3, 4, 5, 1]),  # first cell is a loop
             values=values,
@@ -217,7 +218,7 @@ def _triangles(draw, min_cells=0):
     )))
     pool = draw(st.lists(_SCORES, min_size=1, max_size=4))
     values = [draw(st.sampled_from(pool)) for _ in cells]
-    return TriangleCells(
+    return Cells(
         citing=np.array([c for c, _ in cells], dtype=np.int64),
         cited=np.array([d for _, d in cells], dtype=np.int64),
         values=np.array(values, dtype=np.float64),
@@ -544,18 +545,19 @@ class TestBitIdentityWithEarlierFormulas:
     per-index link tuples gave."""
 
     @pytest.mark.parametrize("drop_loops", [True, False])
-    def test_report_equals_the_earlier_code_paths(self, drop_loops):
+    def test_report_equals_the_earlier_code_paths(
+        self, drop_loops, monkeypatch, tmp_path, dyad_year_files
+    ):
         for tensor in _pin_tensors():
             report = build_flag_report(tensor, k=0.5, drop_loops=drop_loops)
             assert report.triangle.values.tobytes() == three_term_triangle(tensor).tobytes()
             for pair in PAIRS:
                 cells = report.transitions[pair]
-                assert cells.grand_sum.hex() == math.fsum(cells.values.tolist()).hex()
                 for d in ("cited", "citing"):
                     expected = add_at_margins(cells, d).tobytes()
                     assert report.margins[(pair, d)].tobytes() == expected
-            assert report.revision.grand_sum.hex() == math.fsum(
-                report.revision.values.tolist()).hex()
+            for cells in (*report.transitions.values(), report.revision, report.triangle):
+                assert cells.grand_sum.hex() == math.fsum(cells.values.tolist()).hex()
             for d in ("cited", "citing"):
                 for cells, arrays in (
                     (report.revision, report.revision_node_margins),
@@ -570,6 +572,36 @@ class TestBitIdentityWithEarlierFormulas:
             assert report.loops_flagged == (loops if drop_loops else 0)
             for link in report.hot_links:
                 assert tuple(map(type, link)) == (int, int, float)
+
+        # A grand sum is computed on its first read, once per cell set.
+        summed, triangles = [], []
+        fsum, evaluate_triangle = entropy.ordered_fsum, flags.triangle_evaluation
+
+        def counted_fsum(values):
+            summed.append(values)
+            return fsum(values)
+
+        def kept_triangle(*args):
+            triangles.append(evaluate_triangle(*args))
+            return triangles[-1]
+
+        monkeypatch.setattr(entropy, "ordered_fsum", counted_fsum)
+        monkeypatch.setattr(flags, "triangle_evaluation", kept_triangle)
+        years = [a for label in sorted(dyad_year_files)
+                 for a in ("--year", f"{label}={dyad_year_files[label]}")]
+        loops = [] if drop_loops else ["--keep-loops"]
+        assert main(["run", *years, *loops, "--out", str(tmp_path / "out")]) == 0
+        # The three transition sums and the revision sum; never the triangle's.
+        assert len(summed) == 4 and len(triangles) == 1
+        assert not any(values is triangles[0].values for values in summed)
+
+        summed.clear()
+        tensor = _dyad_tensor()
+        for k in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+            report = build_flag_report(tensor, k=k, drop_loops=drop_loops)
+            for pair in PAIRS:
+                assert math.isfinite(report.transitions[pair].grand_sum)
+        assert len(summed) == 3
 
     def test_dyad_pins_are_not_vacuous(self):
         report = build_flag_report(_dyad_tensor(), k=0.5)

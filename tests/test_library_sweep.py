@@ -23,6 +23,35 @@ sys.path.insert(0, str(PERFBENCH))
 
 import check  # noqa: E402
 import gen  # noqa: E402
+import spans  # noqa: E402
+
+# Benchmark trace targets that the program does not define. The set may
+# shrink; a target that goes missing would read 0 in its per-layer metric.
+ABSENT_TARGETS = {
+    "citeheat.cli.stage_flag_journals",
+    "citeheat.cli.stage_flag_links",
+    "citeheat.cli.stage_graph",
+    "citeheat.cli.stage_export",
+    "citeheat.cli.build_graph",
+    "citeheat.corpus.AlignedTensor.from_year_cells",
+    "citeheat.io_export.parse_edge_list",
+    "citeheat.io_export.read_hot_links_csv",
+    "citeheat.io_export.read_flag_table",
+    "citeheat.io_export.read_monotonic_column",
+    "citeheat.flags.flag_monotonic",
+    "citeheat.flags.flag_revision",
+    "citeheat.flags.flag_triangle_nodes",
+    "citeheat.flags.triangle_margins",
+}
+
+
+def test_no_trace_target_goes_missing():
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        assert set(tracer.absent) <= ABSENT_TARGETS
+    finally:
+        uninstall()
 
 
 def test_flag_sweep_child_runs_on_a_tiny_corpus(tmp_path):
