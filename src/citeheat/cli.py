@@ -8,7 +8,8 @@ reports/: it builds the flag report once and writes both its halves.
 network reads the hot links once, builds the graph once and runs Louvain
 once, and writes network/, export/ and summary.json from what it holds, so
 the summary's seed is the seed of the partition. Options can come from a
-flat key=value config file; command-line flags win over the file.
+flat key=value config file, read by the same parser as the flags; a flag
+wins over the file key by key.
 
 Artifact tree (all under --out):
 
@@ -38,6 +39,7 @@ import os
 import re
 import shutil
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,48 +73,41 @@ OVERLAY_COLORS = {
 
 @dataclass
 class RunConfig:
-    years: tuple[tuple[str, str], ...]
-    renames: str | None
-    k: float
-    unit: str
-    excludes: tuple[str, ...]
-    drop_loops: bool
-    seed: int
+    """One invocation's options: a field per option, named as its dest."""
     out: Path
-    basemap: str | None
-
-    def validate(self, need_years: bool) -> None:
-        if not (math.isfinite(self.k) and self.k >= 0):
-            raise ConfigError(f"--k must be a finite number >= 0, got {self.k}")
-        if self.unit not in UNIT_SCALE:
-            raise ConfigError(
-                f"--unit must be one of {sorted(UNIT_SCALE)}, got {self.unit!r}"
-            )
-        if need_years:
-            if len(self.years) != 3:
-                raise ConfigError(
-                    f"--year must be given exactly 3 times, got {len(self.years)}"
-                )
-            labels = [label for label, _ in self.years]
-            if sorted(labels) != labels or len(set(labels)) != 3:
-                raise ConfigError(f"--year labels must be strictly increasing: {labels}")
-            for label in labels:
-                if not _LABEL_RE.match(label):
-                    raise ConfigError(
-                        f"--year label {label!r} must match {_LABEL_RE.pattern}"
-                    )
+    year: Sequence[tuple[str, str]] = ()
+    renames: str | None = None
+    k: float = 1.0
+    unit: str = "mbits"
+    exclude: Sequence[str] = ()
+    keep_loops: bool = False
+    seed: int = 0
+    basemap: str | None = None
 
 
 def _parse_year_spec(spec: str) -> tuple[str, str]:
     label, sep, path = spec.partition("=")
     if not sep or not label or not path:
-        raise ConfigError(f"--year expects <label>=<path>, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expects <label>=<path>, got {spec!r}")
     return label, path
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Flat key = value file; `year` and `exclude` may repeat."""
-    values: dict = {"year": [], "exclude": []}
+def _parse_k(text: str) -> float:
+    try:
+        k = float(text)
+    except ValueError:
+        k = math.nan
+    if not (math.isfinite(k) and k >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return k
+
+
+def load_config_file(path: str | Path) -> list[str]:
+    """Flat key = value file, as command-line tokens. A key is an option's
+    name with ``_`` for ``-``; `year` and `exclude` may repeat, and
+    ``keep_loops = true|false`` stands for ``--keep-loops`` or nothing."""
+    options = {a.dest: a for a in _options()._actions if a.dest != "config"}
+    tokens = []
     with open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -122,50 +117,43 @@ def load_config_file(path: str | Path) -> dict:
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, value = key.strip(), value.strip()
-            if key in ("year", "exclude"):
-                values[key].append(value)
-            elif key in ("renames", "k", "unit", "seed", "out", "basemap"):
-                values[key] = value
-            elif key == "keep_loops":
-                if value not in ("true", "false"):
-                    raise ConfigError(f"{path}:{lineno}: keep_loops must be true or false")
-                values[key] = value == "true"
-            else:
+            if key not in options:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    return values
+            flag = options[key].option_strings[0]
+            if options[key].nargs != 0:
+                tokens.append(f"{flag}={value}")
+            elif value in ("true", "false"):
+                tokens += [flag] * (value == "true")
+            else:
+                raise ConfigError(f"{path}:{lineno}: {key} must be true or false")
+    return tokens
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
-    if args.config:
-        file_values = load_config_file(args.config)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values and file_values[key] not in ([], None):
-            return file_values[key]
-        return default
-
-    year_specs = pick(args.year or None, "year", [])
-    out = args.out or file_values.get("out") or os.environ.get("CITEHEAT_OUT") or "citeheat_out"
-    try:
-        k = float(pick(args.k, "k", 1.0))
-        seed = int(pick(args.seed, "seed", 0))
-    except ValueError as exc:
-        raise ConfigError(f"invalid numeric option: {exc}") from None
-    keep_loops = bool(args.keep_loops or file_values.get("keep_loops", False))
-    return RunConfig(
-        years=tuple(_parse_year_spec(s) for s in year_specs),
-        renames=pick(args.renames, "renames", None),
-        k=k,
-        unit=pick(args.unit, "unit", "mbits"),
-        excludes=tuple(pick(args.exclude or None, "exclude", [])),
-        drop_loops=not keep_loops,
-        seed=seed,
-        out=Path(out),
-        basemap=pick(args.basemap, "basemap", None),
-    )
+    """The command line's options over the config file's: the file's go
+    through the same parser, so each value is converted and checked once."""
+    options = {"config": None, **vars(args)}
+    if options["config"]:
+        # A flag wins key by key, so the file's value for its key is not read.
+        given = {f"--{dest.replace('_', '-')}" for dest in options}
+        tokens = [t for t in load_config_file(args.config) if t.partition("=")[0] not in given]
+        try:
+            options = {**vars(_build_parser().parse_args([args.command, *tokens])), **options}
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
+    del options["command"], options["config"]
+    out = options.pop("out", None) or os.environ.get("CITEHEAT_OUT") or "citeheat_out"
+    config = RunConfig(Path(out), **options)
+    if args.command in ("run", "ingest"):  # they read three years, in label order
+        labels = [label for label, _ in config.year]
+        if len(labels) != 3:
+            raise ConfigError(f"--year must be given exactly 3 times, got {len(labels)}")
+        if sorted(set(labels)) != labels:
+            raise ConfigError(f"--year labels must be strictly increasing: {labels}")
+        for label in labels:
+            if not _LABEL_RE.match(label):
+                raise ConfigError(f"--year label {label!r} must match {_LABEL_RE.pattern}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +161,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def stage_ingest(config: RunConfig) -> None:
-    config.validate(need_years=True)
-    matrices = [parse_edge_list(path, label) for label, path in config.years]
+    matrices = [parse_edge_list(path, label) for label, path in config.year]
     renames = parse_rename_file(config.renames) if config.renames else []
     registry, renamed = apply_name_changes(matrices, renames)
     tensor = build_common_set(registry, renamed)
@@ -219,14 +206,13 @@ def _print_corpus_stats(stats: dict) -> None:
 
 
 def stage_flag(config: RunConfig) -> None:
-    config.validate(need_years=False)
     tensor = io_export.read_tensor_cache(config.out / "ingest")
     report = build_flag_report(
         tensor,
         k=config.k,
         unit=config.unit,
-        drop_loops=config.drop_loops,
-        outliers=config.excludes,
+        drop_loops=not config.keep_loops,
+        outliers=config.exclude,
     )
     reports = config.out / "reports"
     io_export.write_flag_journal_reports(reports, report)
@@ -269,7 +255,6 @@ def _overlay_sets(path: Path, journal_flags: dict) -> dict[str, dict[str, list[s
 
 
 def stage_network(config: RunConfig) -> None:
-    config.validate(need_years=False)
     reports = config.out / "reports"
     journal_path = reports / "journal_flags.json"
     link_path = reports / "link_flags.json"
@@ -277,8 +262,8 @@ def stage_network(config: RunConfig) -> None:
     journal_flags = io_export.read_sidecar(journal_path)
     link_flags = io_export.read_sidecar(link_path)
     corpus_stats = io_export.read_json(stats_path)
-    # Every input, the base map included, is read before anything is
-    # written, so a missing or malformed one leaves --out as it was.
+    # Every input, the base map and the graph's Pajek labels included, is
+    # checked before anything is written, so a bad one leaves --out as it was.
     overlays = _overlay_sets(journal_path, journal_flags)
     summary = {
         "format_version": io_export.FORMAT_VERSION,
@@ -309,6 +294,7 @@ def stage_network(config: RunConfig) -> None:
     # The network is simple: hot self-citations (--keep-loops) stay in reports/.
     simple = citing != cited
     graph = HotLinkGraph.from_ids(citing[simple], cited[simple], scores[simple], names)
+    io_export.pajek_labels(graph)
     components = connected_components(graph)
     communities = louvain(graph, seed=config.seed)
 
@@ -367,26 +353,33 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="citeheat", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--year", action="append", metavar="LABEL=PATH",
+def _options() -> argparse.ArgumentParser:
+    """Every subcommand's options, also those of a config file; only those
+    given reach the namespace (RunConfig holds the defaults)."""
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--year", action="append", type=_parse_year_spec, metavar="LABEL=PATH",
                         help="year edge list, exactly 3 times (for run/ingest)")
     common.add_argument("--renames", metavar="PATH", help="old/new name table")
-    common.add_argument("--k", type=float, default=None, metavar="FLOAT",
+    common.add_argument("--k", type=_parse_k, metavar="FLOAT",
                         help="SD multiplier for all thresholds (default 1.0)")
-    common.add_argument("--unit", choices=sorted(UNIT_SCALE), default=None,
+    common.add_argument("--unit", choices=sorted(UNIT_SCALE),
                         help="reporting unit (default mbits)")
     common.add_argument("--exclude", action="append", metavar="NAME",
                         help="journal to remove as an outlier (repeatable)")
-    common.add_argument("--keep-loops", action="store_true", default=False,
+    common.add_argument("--keep-loops", action="store_true",
                         help="keep self-citation cells among the hot links")
-    common.add_argument("--seed", type=int, default=None, metavar="INT",
+    common.add_argument("--seed", type=int, metavar="INT",
                         help="community-detection seed (default 0)")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default $CITEHEAT_OUT or citeheat_out)")
     common.add_argument("--basemap", metavar="PATH", help="map file for overlays")
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
+    return common
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="citeheat", description=__doc__.splitlines()[0])
+    common = _options()
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

@@ -126,16 +126,22 @@ def _write_edges(out, graph: HotLinkGraph, sep: str) -> None:
         out.write(f"{i}{sep}{j}{sep}{w}\n")
 
 
+def pajek_labels(graph: HotLinkGraph) -> list[str]:
+    """The graph's vertex labels; a DataError for one Pajek cannot quote."""
+    names = list(map(str, graph.nodes))
+    for label in names:
+        if '"' in label:
+            raise DataError(f"label not representable in Pajek: {label!r}")
+    return names
+
+
 def write_pajek_net(graph: HotLinkGraph, path: str | Path) -> None:
     """Emit `*Vertices N` with 1-based ids and quoted labels, then `*Edges`.
 
     Vertex order is ascending node id; edge endpoints reference vertex
     positions. Labels containing a double quote cannot be represented.
     """
-    names = list(map(str, graph.nodes))
-    for label in names:
-        if '"' in label:
-            raise DataError(f"label not representable in Pajek: {label!r}")
+    names = pajek_labels(graph)
     with _open_w(path) as out:
         out.write(f"*Vertices {len(names)}\n")
         for i, label in enumerate(names, start=1):

@@ -477,6 +477,34 @@ class TestRun:
             "communities": 0, "modularity": 0.0, "unmatched_basemap_nodes": None,
         }
 
+    @staticmethod
+    def _years_renaming(tmp_path: Path, journal: str) -> list[str]:
+        """The dyad fixture's year arguments with ``journal`` named Annals "Q"."""
+        paths = {}
+        for label, cells in dyad_fixture_cells().items():
+            cells = {tuple('Annals "Q"' if n == journal else n for n in pair): count
+                     for pair, count in cells.items()}
+            paths[label] = tmp_path / f"quoted_{label}.tsv"
+            write_edge_list(paths[label], cells)
+        return _year_args(paths)
+
+    def test_a_hot_label_pajek_cannot_quote_fails_network_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", *self._years_renaming(tmp_path, "Pers Med"), "--out", str(out)]) == 0
+        assert main(["flag", "--out", str(out)]) == 0
+        before = sorted(out.rglob("*")), _tree(out)
+        capsys.readouterr()
+        assert main(["network", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "label not representable in Pajek: 'Annals \"Q\"'" in err
+        assert (sorted(out.rglob("*")), _tree(out)) == before
+
+    def test_a_label_pajek_cannot_quote_outside_the_graph_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", *self._years_renaming(tmp_path, "Bkg03"), "--out", str(out)]) == 0
+        assert 'Annals "Q"' in read_registry(out / "ingest" / "registry.tsv")
+        assert [(c, d) for c, d, _ in _hot_links(out)] == [("Pers Med", "Genet Med")]
+
     def test_exclude_outlier(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"
         rc = main([
@@ -764,6 +792,61 @@ class TestConfigHandling:
         assert summary["config"]["k"] == 1.0          # flag wins
         assert summary["config"]["unit"] == "microbits"  # file value survives
         assert summary["config"]["seed"] == 9
+
+    def test_config_file_and_flags_give_one_tree(self, dyad_year_files, tmp_path):
+        renames = tmp_path / "renames.tsv"
+        renames.write_text("Bkg09\tBkg Nine\n", encoding="utf-8")
+        basemap = _write_basemap(tmp_path)
+        flags = {"--year": [f"{label}={path}" for label, path in sorted(dyad_year_files.items())],
+                 "--renames": [renames], "--k": ["0"], "--unit": ["bits"],
+                 "--exclude": ["Bkg00", "Bkg01"], "--seed": ["7"], "--basemap": [basemap]}
+
+        def as_argv(options):
+            return [token for flag, values in options.items()
+                    for v in values for token in (flag, str(v))]
+
+        def as_file(name, options, extra=()):
+            lines = [f"{flag[2:]} = {v}" for flag, values in options.items() for v in values]
+            path = tmp_path / name
+            path.write_text("\n".join([*lines, *extra]) + "\n", encoding="utf-8")
+            return str(path)
+
+        trees = {}
+        out = tmp_path / "flags"
+        assert main(["run", *as_argv(flags), "--keep-loops", "--out", str(out)]) == 0
+        trees["flags"] = _tree(out)
+        out = tmp_path / "file"
+        config = as_file("all.cfg", flags, ["keep_loops = true", f"out = {out}"])
+        assert main(["run", "--config", config]) == 0
+        trees["file"] = _tree(out)
+        # The flags win key by key; a repeated flag replaces the file's whole list.
+        out = tmp_path / "mixed"
+        in_file = {key: flags[key] for key in ("--year", "--renames", "--unit", "--basemap")}
+        config = as_file("mixed.cfg", in_file, ["k = 5", "exclude = Bkg00", "exclude = Nowhere",
+                                                 "keep_loops = false", "seed = 7",
+                                                 f"out = {tmp_path / 'unused'}"])
+        assert main(["run", "--config", config, "--k", "0", "--exclude", "Bkg00",
+                     "--exclude", "Bkg01", "--keep-loops", "--out", str(out)]) == 0
+        trees["mixed"] = _tree(out)
+        assert not (tmp_path / "unused").exists()
+        assert trees["file"] == trees["flags"] and trees["mixed"] == trees["flags"]
+        summary = json.loads(trees["flags"]["summary.json"])["config"]
+        assert (summary["k"], summary["unit"], summary["seed"], summary["drop_loops"]) == (
+            0.0, "bits", 7, False)
+        assert summary["outliers_removed"] == ["Bkg00", "Bkg01"]
+
+    @pytest.mark.parametrize("line, option", [("k = abc", "--k"), ("unit = foo", "--unit")])
+    def test_bad_config_value_exits_1_naming_file_and_option(
+        self, dyad_year_files, tmp_path, capsys, line, option
+    ):
+        config = tmp_path / "run.cfg"
+        lines = [f"year = {label}={dyad_year_files[label]}" for label in sorted(dyad_year_files)]
+        config.write_text("\n".join([*lines, line, f"out = {tmp_path / 'o'}"]) + "\n",
+                          encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: argument {option}: " in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
