@@ -398,21 +398,18 @@ def build_common_set(
     edge in every year; retained nodes keep both their rows and columns,
     everything else is dropped. Ids are reassigned lexicographically over the
     retained names, so the result is independent of input order. Every
-    name in the matrices' name tables must be in the registry.
+    matrix's name table must be the registry's, as ``apply_name_changes``
+    returns them, so its ids are registry ids.
     """
     if len(matrices) != 3:
         raise DataError(f"exactly 3 year matrices required, got {len(matrices)}")
 
-    ids = registry._ids
-    years = []
     common = np.ones(len(registry), dtype=bool)
     for matrix in matrices:
-        if unknown := [name for name in matrix.names if name not in ids]:
-            raise DataError(f"matrices contain names outside the registry: {unknown[:5]}")
-        remap = np.fromiter((ids[name] for name in matrix.names), np.int64, len(matrix.names))
-        citing = remap[matrix.citing]
-        years.append((citing, remap[matrix.cited], matrix.counts))
-        common &= np.bincount(citing, minlength=len(registry)) > 0
+        if matrix.names != registry.names:
+            raise DataError(f"year {matrix.year_label!r}: its name table is not the registry's; "
+                            "pass the years apply_name_changes returns")
+        common &= np.bincount(matrix.citing, minlength=len(registry)) > 0
     if not common.any():
         raise DataError("no journal is actively citing in all three years")
 
@@ -422,10 +419,10 @@ def build_common_set(
     n = len(sub_registry)
     new_id = np.cumsum(common, dtype=np.int64) - 1
     keys, kept = [], []
-    for citing, cited, counts in years:
-        keep = common[citing] & common[cited]
-        keys.append(new_id[citing[keep]] * n + new_id[cited[keep]])
-        kept.append(counts[keep])
+    for matrix in matrices:
+        keep = common[matrix.citing] & common[matrix.cited]
+        keys.append(new_id[matrix.citing[keep]] * n + new_id[matrix.cited[keep]])
+        kept.append(matrix.counts[keep])
     unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     aligned = np.zeros((3, unique.size), dtype=np.int64)
     aligned[np.repeat(np.arange(3), [k.size for k in keys]), inverse] = np.concatenate(kept)

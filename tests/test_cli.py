@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import re
 import os
 import shutil
 import subprocess
@@ -575,6 +577,21 @@ class TestConfigHandling:
         assert "--k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k, unit", [("1.7e308", "mbits"), ("1e306", "microbits")])
+    def test_k_past_the_float_range_exits_1_and_leaves_reports(
+        self, dyad_year_files, tmp_path, capsys, k, unit
+    ):
+        out = tmp_path / "out"
+        args = ["run", *_year_args(dyad_year_files), "--out", str(out)]
+        assert main(args) == 0
+        before = _tree(out / "reports")
+        capsys.readouterr()
+        assert main([*args, "--k", k, "--unit", unit]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"citeheat: configuration error: --k {float(k)!r} puts a threshold "
+                       f"beyond the float range in {unit}\n")
+        assert _tree(out / "reports") == before
+
     def test_config_k_nan_exits_1(self, dyad_year_files, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         lines = [f"year = {label}={dyad_year_files[label]}" for label in sorted(dyad_year_files)]
@@ -989,3 +1006,54 @@ class TestBasemapExport:
                 assert row[category] == expected, (family, row[label])
                 seen_categories.add(row[category])
         assert len(seen_categories - {""}) >= 2
+
+
+def _malformed_year_files(tmp_path: Path) -> dict:
+    paths = {}
+    for label in ("2011", "2012", "2013"):
+        paths[label] = tmp_path / f"bad{label}.tsv"
+        paths[label].write_text("A\tB\tbogus\n", encoding="utf-8")
+    return paths
+
+
+class TestProcessEntry:
+    """``console_main``, the entry of the executable and of ``python -m``,
+    and ``main``, the in-process one."""
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("negative-k", 1), ("malformed-year-line", 2), ("missing-year-file", 3)],
+    )
+    def test_exit_codes_and_messages_match_main(
+        self, dyad_year_files, tmp_path, capsys, case, code
+    ):
+        if case == "negative-k":
+            paths, extra = dyad_year_files, ["--k", "-1"]
+        elif case == "malformed-year-line":
+            paths, extra = _malformed_year_files(tmp_path), []
+        else:
+            paths = {label: tmp_path / f"missing{label}.tsv" for label in ("2011", "2012", "2013")}
+            extra = []
+        args = ["run", *_year_args(paths), *extra, "--out", str(tmp_path / "out")]
+        assert main(args) == code
+        expected = capsys.readouterr().err
+        assert expected.count("\n") == 1
+        src = Path(citeheat.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "citeheat.cli", *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (code, expected)
+
+    def test_main_leaves_the_collector_as_it_found_it(self, dyad_year_files, tmp_path):
+        # Only the process entry freezes: in a process that goes on after
+        # main (pytest, a benchmark child), frozen objects are never freed.
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(tmp_path / "out")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_the_console_script_is_the_process_entry(self):
+        pyproject = Path(citeheat.__file__).resolve().parents[2] / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        assert re.search(r'^citeheat = "citeheat\.cli:console_main"$', text, re.M)

@@ -332,6 +332,15 @@ class TestBuildCommonSet:
         with pytest.raises(DataError, match="exactly 3"):
             build_common_set(registry, renamed)
 
+    def test_a_year_off_the_registry_name_table_is_a_data_error(self):
+        base = {("A", "B"): 1, ("B", "A"): 1}
+        years = [base, {**base, ("C", "A"): 1}, base]
+        matrices = [_matrix(l, c) for l, c in zip(("2011", "2012", "2013"), years)]
+        registry, renamed = apply_name_changes(matrices, [])
+        assert matrices[0].names != registry.names
+        with pytest.raises(DataError, match="year '2011': its name table is not the registry's"):
+            build_common_set(registry, [matrices[0], *renamed[1:]])
+
     def test_empty_intersection(self):
         years = [{("A", "B"): 1}, {("B", "A"): 1}, {("A", "B"): 1}]
         matrices = [_matrix(l, c) for l, c in zip(("2011", "2012", "2013"), years)]

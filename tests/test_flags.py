@@ -21,7 +21,7 @@ from citeheat.corpus import (
     build_common_set,
     read_only,
 )
-from citeheat.entropy import DIRECTIONS, Cells, margin_totals
+from citeheat.entropy import DIRECTIONS, Cells, margin_totals, to_unit
 from citeheat.errors import DataError
 from citeheat.flags import (
     FlagReport,
@@ -614,6 +614,15 @@ class TestKValidation:
     def test_non_finite_or_negative_k_raises(self, small_tensor, k):
         with pytest.raises(ValueError, match="k must be"):
             build_flag_report(small_tensor, k=k)
+
+    def test_a_k_past_the_float_range_is_accepted_and_flags_nothing(self):
+        # In mbits, mean - k*sd overflows to -inf; the library keeps such a k,
+        # and only the CLI, whose JSON sidecars cannot hold an infinity,
+        # refuses it.
+        report = build_flag_report(_dyad_tensor(), k=1.7e308)
+        assert to_unit(report.thresholds["links"].lower, report.unit) == -math.inf
+        assert report.hot_links == ()
+        assert not any(report.monotonic_up.values())
 
     def test_unknown_unit_raises(self, small_tensor):
         expected = r"unit must be one of \['bits', 'mbits', 'microbits'\], got 'furlongs'"
