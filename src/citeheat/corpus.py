@@ -84,7 +84,7 @@ class JournalRegistry:
         return cls(names=canon, alias_map={n: n for n in canon})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YearMatrix:
     """One year of citation counts as coordinate arrays over a name table.
 
@@ -305,7 +305,7 @@ def read_only(array) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedTensor:
     """Three year-aligned sparse count matrices over one common id space.
 

@@ -107,7 +107,7 @@ def kl_term(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cells:
     """One value (bits) per cell of a subset of a tensor's cells.
 
@@ -142,7 +142,7 @@ class Cells:
         return ordered_fsum(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RevisionCells(Cells):
     """Per-cell revision terms q * log2(p'/p) over the revision cell set.
 

@@ -130,6 +130,8 @@ def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTenso
     relative frequencies, masks and downstream thresholds) change. Ids are
     reassigned contiguously over the surviving names.
     """
+    if isinstance(nodes, str):
+        raise ValueError(f"outliers must be a list of journal names, got the string {nodes!r}")
     if not nodes:
         return tensor
     drop_names = {tensor.registry.resolve(n) for n in nodes}
@@ -151,7 +153,7 @@ def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTenso
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Indicators:
     """The k-independent half of a flag report, computed once per tensor.
 
@@ -212,7 +214,7 @@ def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlagReport(Indicators):
     """A tensor's indicators plus every threshold and flag set at one k.
 
@@ -232,6 +234,8 @@ class FlagReport(Indicators):
     ``revision_flagged``, ``triangle_flagged_nodes``) map each direction to
     internal node ids of ``tensor.registry`` (the post-outlier-removal
     registry). ``hot_links`` is ``links`` as ``(int, int, float)`` tuples.
+    ``outliers_removed`` names each removed journal once, by its registry
+    name, in registry order.
     """
 
     tensor: AlignedTensor
@@ -314,11 +318,12 @@ def build_flag_report(
         raise ValueError(f"k must be a finite number >= 0, got {k}")
     if unit not in UNIT_SCALE:
         raise ValueError(f"unit must be one of {sorted(UNIT_SCALE)}, got {unit!r}")
-    if isinstance(outliers, str):
-        raise ValueError(f"outliers must be a list of journal names, got the string {outliers!r}")
-    outliers = tuple(outliers)
+    # A bare string goes on to remove_outliers, which refuses it.
+    outliers = outliers if isinstance(outliers, str) else tuple(outliers)
+    removed, names = (), tensor.registry.names
     if outliers:
         tensor = remove_outliers(tensor, outliers)
+        removed = tuple(sorted(set(names).difference(tensor.registry.names)))
 
     ind = tensor.indicators
     stats = ind.statistics["links"]
@@ -334,7 +339,7 @@ def build_flag_report(
         unit=unit,
         k=k,
         drop_loops=drop_loops,
-        outliers_removed=outliers,
+        outliers_removed=removed,
         links=flag_links(ind.triangle, threshold, drop_loops),
         loops_flagged=loops_flagged,
     )

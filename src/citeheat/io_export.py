@@ -2,7 +2,11 @@
 
 Every writer is deterministic: LF line endings, fixed orderings, fixed float
 formats (6 significant digits in network files, 6 decimals in CSVs), so
-identical input produces byte-identical files on any platform. citeheat
+identical input produces byte-identical files on any platform. A writer
+builds each file as whole columns of strings, one format map per numeric
+column, joins the rows and writes the file in one call. A CSV report
+quotes each distinct name once, through ``csv.writer``, so csv's own
+minimal quoting rule decides which names are quoted. citeheat
 reads neither Pajek nor VOSviewer files: they go out to those programs.
 tests/interchange.py pins the round trip with strict readers of both, and
 a re-export of what they read is byte-identical.
@@ -65,8 +69,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,17 +88,25 @@ FORMAT_VERSION = 3
 NEUTRAL_COLOR = "#c8c8c8"
 
 
-def _open_w(path: str | Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """The lines, each ended by LF, in one UTF-8 write."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("\n".join([*lines, ""]))
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One CSV report: the header row, then ``rows``, comma-separated with
-    LF line ends."""
-    with _open_w(path) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_fields(fields: Iterable[str]) -> list[str]:
+    """Each field as ``csv.writer`` writes it in a row, quoted by csv's own
+    minimal rule. A second, empty field keeps a lone empty field unquoted."""
+    rows: list[str] = []
+    sink = SimpleNamespace(write=rows.append)
+    csv.writer(sink, lineterminator="\n").writerows(zip(fields, repeat("")))
+    return [row[:-2] for row in rows]
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """One CSV report: the header row, then ``rows`` of finished fields
+    (names quoted by ``_csv_fields``), comma-separated with LF line ends."""
+    _write_lines(path, [",".join(_csv_fields(header)), *map(",".join, rows)])
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -112,18 +126,38 @@ def fmt_sig6(x: float) -> str:
     return f"{x:.{decimals}f}"
 
 
-def fmt_dec6(x: float) -> str:
-    return f"{x:.6f}"
+def fmt_sig6_column(values: np.ndarray) -> list[str]:
+    """``fmt_sig6`` of each value: exponents from ``np.log10``, one format
+    map per decimal count. Zeros, non-finite values and values within a
+    rounding step of a decade edge go through ``fmt_sig6``."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log10(np.abs(values))
+        exponent = np.floor(log)
+        # Within a rounding step of the next decade, %.5e may carry into it.
+        keep = log - exponent < np.log10(9.99999)
+        decimals = np.where(keep, np.maximum(5 - exponent, 0), -1).astype(np.int64)
+    out = np.empty(values.size, dtype=object)
+    # np.bincount, since a flag-less np.unique imports numpy.ma.
+    for d in (np.flatnonzero(np.bincount(decimals + 1)) - 1).tolist():
+        at = np.flatnonzero(decimals == d)
+        x = values[at].tolist()
+        out[at] = list(map(fmt_sig6, x) if d < 0 else map(float.__format__, x, repeat(f".{d}f")))
+    return out.tolist()
+
+
+fmt_dec6 = "{:.6f}".format
 
 
 # ---------------------------------------------------------------------------
 # Pajek
 # ---------------------------------------------------------------------------
 
-def _write_edges(out, graph: HotLinkGraph, sep: str) -> None:
+def _edge_lines(graph: HotLinkGraph, sep: str) -> Iterable[str]:
     """One ``i<sep>j<sep>w`` line per edge, 1-based, with the 6-digit weight."""
-    for i, j, w in zip((graph.u + 1).tolist(), (graph.v + 1).tolist(), graph.sig6_weights):
-        out.write(f"{i}{sep}{j}{sep}{w}\n")
+    ids = np.array(list(map(str, range(1, len(graph.nodes) + 1))), dtype=object)
+    ends = (ids[side].tolist() for side in (graph.u, graph.v))
+    return map(sep.join, zip(*ends, graph.sig6_weights))
 
 
 def pajek_labels(graph: HotLinkGraph) -> list[str]:
@@ -142,21 +176,16 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path) -> None:
     positions. Labels containing a double quote cannot be represented.
     """
     names = pajek_labels(graph)
-    with _open_w(path) as out:
-        out.write(f"*Vertices {len(names)}\n")
-        for i, label in enumerate(names, start=1):
-            out.write(f'{i} "{label}"\n')
-        if graph.weights.size:
-            out.write("*Edges\n")
-            _write_edges(out, graph, " ")
+    lines = [f"*Vertices {len(names)}", *map('{} "{}"'.format, range(1, len(names) + 1), names)]
+    if graph.weights.size:
+        lines += ["*Edges", *_edge_lines(graph, " ")]
+    _write_lines(path, lines)
 
 
 def write_pajek_clu(assignment: Mapping, path: str | Path, nodes: Sequence) -> None:
     """One 1-based cluster id per line, in the vertex order of ``nodes``."""
-    with _open_w(path) as out:
-        out.write(f"*Vertices {len(nodes)}\n")
-        for v in nodes:
-            out.write(f"{assignment[v] + 1}\n")
+    clusters = np.fromiter(map(assignment.__getitem__, nodes), np.int64, len(nodes)) + 1
+    _write_lines(path, [f"*Vertices {len(nodes)}", *map(str, clusters.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +210,8 @@ class BaseMap:
 
     index: dict[str, BaseMapRow]
     columns: tuple[str, ...]
+
+
 
 
 def read_basemap(path: str | Path) -> BaseMap:
@@ -237,31 +268,22 @@ def write_vosviewer_files(
         np.column_stack((graph.u, graph.v)).ravel(),
         weights=np.repeat(declared, 2),
         minlength=len(nodes),
-    ).tolist()
+    )
     names = list(map(str, nodes))
-
-    xy: list[tuple[str, ...]] = [()] * len(nodes)
-    unmatched = []
+    clusters = np.fromiter(map(partition.__getitem__, nodes), np.int64, len(nodes)) + 1
+    header, coords, unmatched = ["id", "label", "cluster", "weight"], [], []
     if basemap is not None:
-        rows = [basemap.index.get(normalize_name(label)) for label in names]
-        unmatched = [v for v, row in zip(nodes, rows) if row is None]
-        xy = [(row.x, row.y) if row is not None else ("", "") for row in rows]
-
-    with _open_w(map_path) as out:
-        coords = ("x", "y") if basemap is not None else ()
-        out.write("\t".join(("id", "label", *coords, "cluster", "weight")) + "\n")
-        for i, v in enumerate(nodes):
-            fields = (str(i + 1), names[i], *xy[i], str(partition[v] + 1), fmt_sig6(strength[i]))
-            out.write("\t".join(fields) + "\n")
-
-    with _open_w(network_path) as out:
-        _write_edges(out, graph, "\t")
-
+        missing = BaseMapRow(label="", x="", y="")
+        rows = list(map(basemap.index.get, map(normalize_name, names), repeat(missing)))
+        unmatched = [v for v, row in zip(nodes, rows) if row is missing]
+        coords = [map(attrgetter("x"), rows), map(attrgetter("y"), rows)]
+        header[2:2] = ["x", "y"]
+    ids = map(str, range(1, len(nodes) + 1))
+    table = zip(ids, names, *coords, map(str, clusters.tolist()), fmt_sig6_column(strength))
+    _write_lines(map_path, ["\t".join(header), *map("\t".join, table)])
+    _write_lines(network_path, _edge_lines(graph, "\t"))
     if basemap is not None and unmatched_path is not None:
-        with _open_w(unmatched_path) as out:
-            for label, row in zip(names, rows):
-                if row is None:
-                    out.write(f"{label}\n")
+        _write_lines(unmatched_path, map(str, unmatched))
     return unmatched
 
 
@@ -287,15 +309,12 @@ def write_overlay(
     category_of: dict[str, str] = {}
     for name, category in first.items():
         category_of.setdefault(normalize_name(name), category)
-    values = attrgetter(*basemap.columns)
-    with _open_w(path) as out:
-        out.write("\t".join((*basemap.columns, "category", "color")) + "\n")
-        for key, row in basemap.index.items():
-            category, color = "", NEUTRAL_COLOR
-            if key in category_of:
-                category = category_of[key]
-                color = colors[category]
-            out.write("\t".join(values(row)) + f"\t{category}\t{color}\n")
+    found = list(map(category_of.get, basemap.index))
+    style = {category: f"{category}\t{colors[category]}" for category in set(found) - {None}}
+    style[None] = f"\t{NEUTRAL_COLOR}"
+    rows = map("\t".join, map(attrgetter(*basemap.columns), basemap.index.values()))
+    lines = map("{}\t{}".format, rows, map(style.__getitem__, found))
+    _write_lines(path, ["\t".join((*basemap.columns, "category", "color")), *lines])
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +325,11 @@ def write_tensor_cache(tensor: AlignedTensor, directory: str | Path) -> None:
     """Persist the aligned tensor as registry.tsv, years.txt and cells.npy."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with _open_w(directory / "registry.tsv") as out:
-        out.write("# id\tname\n")
-        for i, name in enumerate(tensor.registry.names):
-            out.write(f"{i}\t{name}\n")
-    with _open_w(directory / "years.txt") as out:
-        out.write("".join(f"{label}\n" for label in tensor.year_labels))
+    names = tensor.registry.names
+    _write_lines(
+        directory / "registry.tsv", ["# id\tname", *map("{}\t{}".format, range(len(names)), names)]
+    )
+    _write_lines(directory / "years.txt", tensor.year_labels)
     cells = np.vstack([tensor.citing, tensor.cited, tensor.counts]).astype("<i8", copy=False)
     np.save(directory / "cells.npy", cells, allow_pickle=False)
 
@@ -444,9 +462,7 @@ def write_json(path: str | Path, payload: dict) -> None:
     """One line of strict JSON with sorted keys: a NaN or infinity is a
     ``ValueError``, never a ``NaN`` token. ``json.dumps`` without an indent
     uses the C encoder; ``json.dump`` never does."""
-    text = json.dumps(payload, sort_keys=True, allow_nan=False)
-    with _open_w(path) as out:
-        out.write(text + "\n")
+    _write_lines(path, [json.dumps(payload, sort_keys=True, allow_nan=False)])
 
 
 def read_json(path: str | Path):
@@ -493,7 +509,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
         cited = report.thresholds[threshold_key(family, "cited", pair)]
         citing = report.thresholds[threshold_key(family, "citing", pair)]
         values = (cited.mean, cited.sd, citing.sd, grand_sum)
-        summary.append([label] + [fmt_dec6(to_unit(x, unit)) for x in values])
+        summary.append(_csv_fields([label]) + [fmt_dec6(to_unit(x, unit)) for x in values])
     _write_csv(
         outdir / "transition_summary.csv",
         ["transition", f"mean_{unit}", f"sd_cited_{unit}", f"sd_citing_{unit}", f"sum_{unit}"],
@@ -501,6 +517,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     )
 
     labels = tensor.year_labels
+    quoted = np.array(_csv_fields(names), dtype=object)
     for direction in DIRECTIONS:
         margins = [report.margins[(pair, direction)] for pair in PAIRS]
         up = report.monotonic_up[direction]
@@ -511,7 +528,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
             outdir / f"margins_{direction}.csv",
             ["journal", *(f"kl_{labels[a]}_{labels[b]}_{unit}" for a, b in PAIRS), "monotonic"],
             zip(
-                [names[i] for i in ids],
+                quoted[order].tolist(),
                 *(_dec6_column(m[order], unit) for m in margins),
                 ["up" if i in up else "down" if i in down else "" for i in ids],
             ),
@@ -520,7 +537,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
         _write_flag_table(
             outdir / f"revision_{direction}.csv",
             "revision",
-            names,
+            quoted,
             report.revision_node_margins[direction],
             report.revision_flagged[direction],
             unit,
@@ -528,7 +545,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
         _write_flag_table(
             outdir / f"triangle_nodes_{direction}.csv",
             "triangle",
-            names,
+            quoted,
             report.triangle_node_margins[direction],
             report.triangle_flagged_nodes[direction],
             unit,
@@ -563,24 +580,24 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     )
 
 
-def _write_flag_table(path, column, names, values, flagged, unit):
+def _write_flag_table(path, column, quoted, values, flagged, unit):
     order = np.argsort(values, kind="stable")
     ids = order.tolist()
     _write_csv(
         path,
         ["journal", f"{column}_{unit}", "flagged"],
         zip(
-            [names[i] for i in ids],
+            quoted[order].tolist(),
             _dec6_column(values[order], unit),
             ["true" if i in flagged else "false" for i in ids],
         ),
     )
 
 
-def _dec6_column(values: np.ndarray, unit: str) -> list[str]:
+def _dec6_column(values: np.ndarray, unit: str) -> Iterable[str]:
     """fmt_dec6 of each value, converted from bits to ``unit`` by one array
     multiply, the same float multiply as to_unit."""
-    return [fmt_dec6(x) for x in (values * UNIT_SCALE[unit]).tolist()]
+    return map(float.__format__, (values * UNIT_SCALE[unit]).tolist(), repeat(".6f"))
 
 
 def write_link_flag_reports(
@@ -599,12 +616,13 @@ def write_link_flag_reports(
     citing, cited, scores = report.links
     order = np.lexsort((cited, citing, scores))
     citing, cited, scores = citing[order], cited[order], scores[order]
+    quoted = np.array(_csv_fields(names), dtype=object)
     _write_csv(
         outdir / "hot_links.csv",
         ["citing", "cited", f"triangle_{report.unit}"],
         zip(
-            [names[i] for i in citing.tolist()],
-            [names[i] for i in cited.tolist()],
+            quoted[citing].tolist(),
+            quoted[cited].tolist(),
             _dec6_column(scores, report.unit),
         ),
     )
@@ -638,23 +656,20 @@ def write_network_reports(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    comps = components.components
     _write_csv(
         outdir / "components.csv",
         ["component", "size", "members"],
-        (
-            (i, len(comp), "; ".join(str(v) for v in comp))
-            for i, comp in enumerate(components.components)
-        ),
+        zip(map(str, range(len(comps))), map(str, map(len, comps)),
+            _csv_fields("; ".join(map(str, comp)) for comp in comps)),
     )
+    quoted = dict(zip(graph.nodes, _csv_fields(map(str, graph.nodes))))
     _write_csv(
         outdir / "communities.csv",
         ["journal", "component", "community"],
-        (
-            (v, c, communities.assignment[v])
-            for v, c in zip(graph.nodes, components.component.tolist())
-        ),
+        zip(quoted.values(), map(str, components.component.tolist()),
+            map(str, map(communities.assignment.__getitem__, graph.nodes))),
     )
-    giant = components.components[0] if components.components else ()
-    ranked = sorted(giant, key=lambda v: (-degrees[v], v))
-    _write_csv(outdir / "degree_ranking.csv", ["journal", "degree"], ((v, degrees[v]) for v in ranked))
-
+    ranked = sorted(comps[0] if comps else (), key=lambda v: (-degrees[v], v))
+    _write_csv(outdir / "degree_ranking.csv", ["journal", "degree"],
+               zip(map(quoted.__getitem__, ranked), map(str, map(degrees.__getitem__, ranked))))

@@ -116,7 +116,7 @@ class HotLinkGraph:
         formatted once for the Pajek and both VOSviewer writers."""
         from . import io_export  # io_export imports this module
 
-        return tuple(map(io_export.fmt_sig6, self.weights.tolist()))
+        return tuple(io_export.fmt_sig6_column(self.weights))
 
 
 def _merge(

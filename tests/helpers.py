@@ -9,6 +9,8 @@ check.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import unicodedata
 from collections import defaultdict
@@ -78,6 +80,19 @@ def write_edge_list(path: Path, cells: dict, comment: str = "") -> None:
     for (citing, cited), count in sorted(cells.items()):
         lines.append(f"{citing}\t{cited}\t{count}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def csv_writer_rows(path) -> list[list[str]]:
+    """The rows of a CSV report, after checking that the file is exactly
+    what csv.writer writes for them and that each row is as wide as the
+    header."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    return rows[1:]
 
 
 def dyad_fixture_cells() -> dict[str, dict]:

@@ -28,6 +28,7 @@ from citeheat.netgraph import ComponentPartition, HotLinkGraph
 
 from helpers import (
     count_cached_builds,
+    csv_writer_rows,
     dyad_fixture_cells,
     node_names,
     oracle_triangle,
@@ -145,6 +146,31 @@ class TestRun:
             assert main([stage, *base, "--out", str(staged)]) == 0
         assert _tree(full) == _tree(staged)
 
+    def test_names_csv_quotes_read_back_whole_in_run_and_staged(self, tmp_path, rng):
+        # Pajek cannot quote '"', and the reader trims ASCII whitespace at a
+        # name's ends, so these names carry the other cases csv must get right.
+        names = ["Comma, Journal of", "Form\x0cFeed Letters", "\u2028Separator Review",
+                 "\u00a0No-Break Annals\u00a0", *node_names(5)]
+        years = {}
+        for label, grid in zip(("2011", "2012", "2013"),
+                               random_active_grids(rng, len(names), 0.7)):
+            years[label] = tmp_path / f"{label}.tsv"
+            write_edge_list(years[label], {(names[c], names[d]): int(grid[c, d])
+                                           for c, d in zip(*np.nonzero(grid))})
+        base = [*_year_args(years), "--k", "0"]
+        full, staged = tmp_path / "full", tmp_path / "staged"
+        assert main(["run", *base, "--out", str(full)]) == 0
+        for stage in ("ingest", "flag", "network"):
+            assert main([stage, *base, "--out", str(staged)]) == 0
+        assert _tree(full) == _tree(staged)
+
+        tables = sorted((full / "reports").glob("*.csv")) + sorted((full / "network").glob("*.csv"))
+        assert len(tables) == 11
+        rows = {path.name: csv_writer_rows(path) for path in tables}
+        assert {row[0] for row in rows["margins_cited.csv"]} == set(names)
+        assert {name for row in rows["hot_links.csv"] for name in row[:2]} == set(names)
+        assert {row[0] for row in rows["communities.csv"]} == set(names)
+
     def test_graph_and_export_are_unknown_subcommands(self, dyad_year_files, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["run", *_year_args(dyad_year_files), "--out", out]) == 0
@@ -166,7 +192,7 @@ class TestRun:
     def test_run_reads_builds_and_formats_the_graph_once(self, tmp_path, rng, monkeypatch):
         calls = dict.fromkeys((
             "read_hot_link_arrays", "from_ids", "connected_components",
-            "louvain", "modularity outside louvain", "fmt_sig6",
+            "louvain", "modularity outside louvain", "fmt_sig6", "fmt_sig6_column",
             "adjacency inside connected_components",
         ), 0)
         inside_louvain = False
@@ -201,6 +227,7 @@ class TestRun:
         counted(HotLinkGraph, "from_ids")
         counted(cli, "connected_components")
         counted(io_export, "fmt_sig6")
+        counted(io_export, "fmt_sig6_column")
         builds = count_cached_builds(monkeypatch, HotLinkGraph, ("adjacency", "edges"))
         real_components = cli.connected_components
 
@@ -223,6 +250,8 @@ class TestRun:
             "read_hot_link_arrays": 1, "from_ids": 1,
             "connected_components": 1, "louvain": 1, "modularity outside louvain": 0,
             "adjacency inside connected_components": 0,
+            # The edge weights once for all three network files, the VOSviewer strengths once.
+            "fmt_sig6_column": 2,
         }
         # Louvain alone walks the adjacency dicts; nothing needs the label triples.
         assert builds == {"adjacency": 1, "edges": 0}
@@ -317,6 +346,9 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["0", "False"]
         assert (tmp_path / "out" / "export" / "overlay_triangle.txt").is_file()
+        # The network files were written, so fmt_sig6_column ran too.
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text("utf-8"))
+        assert summary["network"]["edges"] > 0
 
     def test_import_leaves_logging_unimported(self):
         # corpus imports logging (and with it traceback and string) only to
@@ -517,6 +549,16 @@ class TestRun:
         flags = json.loads((out / "reports" / "journal_flags.json").read_text("utf-8"))
         assert flags["outliers_removed"] == ["Pers Med"]
         assert flags["journals"] == 11
+
+    def test_exclude_spellings_of_one_journal_write_one_tree(self, dyad_year_files, tmp_path):
+        trees = []
+        for spellings in (["Pers Med"], ["  Pers Med "], ["Pers Med", "Pers Med"]):
+            out = tmp_path / f"out{len(trees)}"
+            excludes = [arg for name in spellings for arg in ("--exclude", name)]
+            assert main(["run", *_year_args(dyad_year_files), *excludes, "--out", str(out)]) == 0
+            trees.append(_tree(out))
+        assert trees[1] == trees[0] == trees[2]
+        assert json.loads(trees[0]["summary.json"])["config"]["outliers_removed"] == ["Pers Med"]
 
     def test_exclude_takes_the_name_after_renames(self, dyad_year_files, tmp_path, capsys):
         # The ingest registry holds terminal names only.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import sys
@@ -290,6 +291,13 @@ class TestRemoveOutliers:
         with pytest.raises(DataError, match="unknown"):
             remove_outliers(small_tensor, ["Nope"])
 
+    def test_bare_string_is_refused(self, rng):
+        # Iterated as characters, "AB" would drop A and B and keep AB.
+        tensor = make_tensor(random_active_grids(rng, 3, density=0.9))
+        tensor = dataclasses.replace(tensor, registry=JournalRegistry.from_names(["A", "AB", "B"]))
+        with pytest.raises(ValueError, match="list of journal names, got the string 'AB'"):
+            remove_outliers(tensor, "AB")
+
     def test_borderline_cell_crosses_after_removal(self):
         tensor = _hub_fixture_tensor()
         hot_before = {(c, d) for c, d, _ in _hot(triangle_of(tensor))}
@@ -452,6 +460,12 @@ class TestReportAndProperties:
         report = build_flag_report(tensor, outliers=["J004"])
         assert report.outliers_removed == ("J004",)
         assert report.tensor.n_nodes == 4
+
+    def test_outliers_recorded_once_by_registry_name_in_registry_order(self):
+        tensor = _hub_fixture_tensor()
+        report = build_flag_report(tensor, outliers=iter([" J004\t", "J001", "J004"]))
+        assert report.outliers_removed == ("J001", "J004")
+        assert report.tensor.registry.names == ("J000", "J002", "J003")
 
     def test_revision_of_prediction_runs_once(self, small_tensor, monkeypatch):
         calls = []
@@ -856,3 +870,16 @@ class TestLazyViews:
             assert len(report.hot_links) == report.links[0].size
         assert builds == {**dict.fromkeys((*LAZY_VIEWS, "_monotonic_sets"), 0),
                           "hot_links": len(ks)}
+
+
+def test_array_holders_compare_and_hash_by_identity(small_tensor):
+    # Field-wise == on arrays raises, or compares one-cell arrays by value.
+    report = build_flag_report(small_tensor)
+    year = YearMatrix.from_cells("2011", {("A", "B"): 1})
+    holders = [year, small_tensor, report.triangle, report.revision, small_tensor.indicators,
+               report]
+    for holder in holders:
+        twin = copy.copy(holder)
+        assert holder == holder and holder != twin
+        assert holder in [twin, holder] and twin not in [holder]
+        assert len({holder, twin, holder}) == 2

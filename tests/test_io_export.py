@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citeheat import io_export
+from citeheat.corpus import JournalRegistry
 from citeheat.entropy import to_unit
 from citeheat.errors import DataError
 from citeheat.flags import build_flag_report
 from citeheat.io_export import (
     fmt_dec6,
     fmt_sig6,
+    fmt_sig6_column,
     read_basemap,
     read_hot_link_arrays,
     read_sidecar,
@@ -20,6 +26,7 @@ from citeheat.io_export import (
     write_flag_journal_reports,
     write_hot_link_arrays,
     write_link_flag_reports,
+    write_network_reports,
     write_overlay,
     write_pajek_clu,
     write_pajek_net,
@@ -27,9 +34,15 @@ from citeheat.io_export import (
     write_json,
     write_vosviewer_files,
 )
-from citeheat.netgraph import HotLinkGraph, build_graph
+from citeheat.netgraph import (
+    HotLinkGraph,
+    build_graph,
+    connected_components,
+    degree_centrality,
+    louvain,
+)
 
-from helpers import make_tensor, oracle_pair, random_active_grids
+from helpers import csv_writer_rows, make_tensor, oracle_pair, random_active_grids
 from interchange import read_pajek_clu, read_pajek_net, read_vosviewer_files
 
 
@@ -60,6 +73,54 @@ class TestFmt:
     def test_six_decimals(self):
         assert fmt_dec6(1.5) == "1.500000"
         assert fmt_dec6(-0.0000004) == "-0.000000"
+
+
+def _ulps(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Values a few ulps around the places where %.5e carries into the next
+# exponent (9.999995 * 10**e) or where log10 is at an integer (10**e).
+_DECADE_EDGE = st.builds(
+    lambda sign, mantissa, e, steps: sign * _ulps(mantissa * 10.0**e, steps),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from([1.0, 9.999995, 9.9999949999, 9.99999, 9.9999999, 10.0]),
+    st.integers(-323, 307),
+    st.integers(-3, 3),
+)
+_EDGE_CASES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0),
+    1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+    *(9.999995 * 10.0**e for e in range(-24, 25)),
+    *(math.nextafter(10.0**e, 0) for e in range(-24, 25)),
+]
+
+
+class TestFmtSig6Column:
+    """fmt_sig6_column against the scalar fmt_sig6, its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _DECADE_EDGE, max_size=40))
+    @example(_EDGE_CASES)
+    def test_matches_the_scalar(self, values):
+        column = fmt_sig6_column(np.array(values, dtype=np.float64))
+        assert column == [fmt_sig6(x) for x in values]
+
+    def test_wide_random_range(self, rng):
+        values = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-24, 24, 20_000)
+        assert fmt_sig6_column(values) == list(map(fmt_sig6, values.tolist()))
+
+    def test_empty(self):
+        assert fmt_sig6_column(np.array([])) == []
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_fails_where_the_scalar_fails(self, bad):
+        with pytest.raises(IndexError):
+            fmt_sig6(bad)
+        with pytest.raises(IndexError):
+            fmt_sig6_column(np.array([1.0, bad]))
 
 
 class TestPajekNet:
@@ -807,6 +868,42 @@ class TestReports:
         assert to_unit(1e-6, "microbits") == pytest.approx(1.0)
         with pytest.raises(ValueError):
             to_unit(1.0, "nanobits")
+
+
+# Names csv.writer must quote (a comma, a quote) or must not (spaces at
+# either end, a form feed, a line separator that only str.splitlines breaks at).
+QUOTING_NAMES = [
+    "  Leading Spaces", "Trailing Spaces  ", "Comma, Journal of", 'The "Quoted" Review',
+    "Form\x0cFeed Letters", "\u2028Separator Review", "Plain Annals",
+]
+
+
+def test_names_in_reports_are_quoted_as_csv_writer_quotes_them(tmp_path, rng):
+    tensor = make_tensor(random_active_grids(rng, len(QUOTING_NAMES), density=0.8))
+    tensor = dataclasses.replace(tensor, registry=JournalRegistry.from_names(QUOTING_NAMES))
+    report = build_flag_report(tensor, k=0.0)
+    write_flag_journal_reports(tmp_path, report)
+    citing, cited, scores = write_link_flag_reports(tmp_path, report)
+    graph = HotLinkGraph.from_ids(citing, cited, scores, tensor.registry.names)
+    components = connected_components(graph)
+    write_network_reports(tmp_path, graph, components, louvain(graph), degree_centrality(graph))
+
+    names = set(QUOTING_NAMES)
+    journal_tables = [
+        f"{table}_{direction}.csv"
+        for table in ("margins", "revision", "triangle_nodes")
+        for direction in ("cited", "citing")
+    ]
+    for table in journal_tables:
+        assert {row[0] for row in csv_writer_rows(tmp_path / table)} == names
+    links = csv_writer_rows(tmp_path / "hot_links.csv")
+    assert {name for row in links for name in row[:2]} == names
+    assert [row[0] for row in csv_writer_rows(tmp_path / "communities.csv")] == list(graph.nodes)
+    assert {row[0] for row in csv_writer_rows(tmp_path / "degree_ranking.csv")} == names
+    assert [row[2] for row in csv_writer_rows(tmp_path / "components.csv")] == [
+        "; ".join(members) for members in components.components
+    ]
+    csv_writer_rows(tmp_path / "transition_summary.csv")
 
 
 class TestWriteJson:
