@@ -4,8 +4,10 @@ Two instruments are compared on the same data:
 
 * revision of the prediction, per journal: sum of q*log2(p'/p); negative
   means the in-between year makes the final year HARDER to predict;
-* the per-cell triangle score KL(p'|p) + KL(q|p') - KL(q|p); negative means
-  the two-step information path is shorter than the direct one.
+* the per-cell triangle score KL(p'|p) + KL(q|p') - KL(q|p), computed in
+  its closed form (p' - q) * log2(p'/p); it is negative exactly when the
+  link's share moves strictly monotonically (p < p' < q or p > p' > q), and
+  0 when p' equals p or q.
 
 The fixture plants one link that accelerates (29 -> 54 -> 106 citations)
 inside an otherwise static background, the same arithmetic as the worked

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -56,14 +56,10 @@ class JournalRegistry:
     """
 
     names: tuple[str, ...]
-    alias_map: Mapping[str, str]
+    alias_map: Mapping[str, str] = field(hash=False)
 
     def __len__(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def _ids(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
 
     def resolve(self, name: str) -> str:
         """Map a known name to its canonical form (idempotent). Only the
@@ -74,9 +70,6 @@ class JournalRegistry:
             return self.alias_map[name]
         except KeyError:
             raise DataError(f"unknown journal name: {name!r}") from None
-
-    def id_of(self, name: str) -> int:
-        return self._ids[self.resolve(name)]
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "JournalRegistry":

@@ -18,10 +18,15 @@ which also counts the cells its rule leaves out). The quantities:
   the same cells; negative values mean the in-between year made the
   forecast worse. ``revision_of_prediction`` computes the cells once for
   both directions;
-* per-cell triangle score: KL(p'|p) + KL(q|p') - KL(q|p); negative values
-  flag a candidate critical transition, which is the cell-level instrument
-  because the per-cell revision identity q*log2(p'/p) + q*log2(q/p') =
-  q*log2(q/p) makes cell-level revision vacuous.
+* per-cell triangle score: KL(p'|p) + KL(q|p') - KL(q|p), computed in its
+  closed form (p' - q) * log2(p'/p), to which the three terms reduce in real
+  arithmetic. It is negative exactly when the cell's share moves strictly
+  monotonically over the three years (p < p' < q or p > p' > q), and its
+  size is the second step's share change times the first step's log ratio.
+  Negative values flag a candidate critical transition, which is the
+  cell-level instrument because the per-cell revision identity
+  q*log2(p'/p) + q*log2(q/p') = q*log2(q/p) makes cell-level revision
+  vacuous.
 
 Grand sums are exactly rounded (``ordered_fsum``), so they do not depend on
 summation order; margins add cells in the canonical ascending (citing,
@@ -41,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import PAIRS, AlignedTensor, read_only
+from .corpus import AlignedTensor, read_only
 from .errors import DataError
 
 DIRECTIONS = ("cited", "citing")
@@ -192,18 +197,15 @@ def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:
     return RevisionCells.of(tensor, included, values, excluded_cells=excluded)
 
 
-def triangle_evaluation(
-    tensor: AlignedTensor, transitions: dict[tuple[int, int], Cells]
-) -> Cells:
-    """Per-cell KL(p'|p) + KL(q|p') - KL(q|p) over the all-years cells.
+def triangle_evaluation(tensor: AlignedTensor) -> Cells:
+    """Per-cell KL(p'|p) + KL(q|p') - KL(q|p) over the all-years cells, in
+    its closed form (p' - q) * log2(p'/p); all three shares are positive.
 
-    The three terms are the ``cell_divergence`` values of the pairs (0, 1),
-    (1, 2) and (0, 2) of ``tensor``; every all-years cell is valid for each.
+    A score is negative exactly when the share moves strictly monotonically
+    (p < p' < q or p > p' > q); shares equal to within rounding score 0.
     """
     mask = tensor.tri_valid
     if not np.any(mask):
         raise DataError("no cell has a positive count in all three years")
-    t01, t12, t02 = (
-        transitions[pair].values[mask[tensor.pair_valid(pair)]] for pair in PAIRS
-    )
-    return Cells.of(tensor, mask, t01 + t12 - t02)
+    p, p_mid, q = (tensor.frequencies(year)[mask] for year in range(3))
+    return Cells.of(tensor, mask, (p_mid - q) * np.log2(p_mid / p))

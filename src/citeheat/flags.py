@@ -42,6 +42,7 @@ from .entropy import (
     RevisionCells,
     cell_divergence,
     margin_totals,
+    ordered_fsum,
     revision_of_prediction,
     triangle_evaluation,
 )
@@ -68,12 +69,14 @@ def compute_threshold(values: np.ndarray, k: float) -> ThresholdSpec:
     """Population mean/SD of a value set and the derived flag bounds.
 
     Population SD (divide by N): the node or cell set is the full population.
+    Both sums are exactly rounded and the SD takes two passes, so the strict
+    flag comparisons do not depend on the platform's summation order.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise DataError("cannot compute a threshold over an empty value set")
-    mean = float(np.mean(values))
-    sd = float(np.std(values))
+    mean = ordered_fsum(values) / values.size
+    sd = math.sqrt(ordered_fsum((values - mean) ** 2) / values.size)
     return ThresholdSpec.of(mean, sd, k)
 
 
@@ -101,7 +104,7 @@ def _monotonic(
 def _below_lower(values: np.ndarray, threshold: ThresholdSpec) -> frozenset[int]:
     """Journal flags strictly below mean - k*sd. For the revision, the
     in-between year significantly worsens the prediction (a discontinuity);
-    for the triangle margins, as for the links, the two-step path is short."""
+    for the triangle margins, as for the links, shares moved monotonically."""
     return frozenset(np.flatnonzero(values < threshold.lower).tolist())
 
 
@@ -190,7 +193,7 @@ def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
     }
     revision = revision_of_prediction(tensor)
     revision_node_margins = {d: read_only(margin_totals(revision, d)) for d in DIRECTIONS}
-    triangle = triangle_evaluation(tensor, transitions)
+    triangle = triangle_evaluation(tensor)
     triangle_node_margins = {d: read_only(margin_totals(triangle, d)) for d in DIRECTIONS}
 
     value_sets = {

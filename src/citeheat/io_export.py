@@ -606,7 +606,8 @@ def write_link_flag_reports(
     """Emit hot_links.csv (label-keyed) from ``report.links`` and link_flags.json.
 
     Links rank hottest first: score ascending, then citing and cited label.
-    Registry names are sorted, so ``np.lexsort`` on the ids ranks by label.
+    ``report.links`` is in (citing, cited) id order and registry names are
+    sorted, so a stable sort on the scores alone breaks ties by label.
     Returns the ranked citing ids, cited ids and scores, with ids over
     ``report.tensor.registry``, for ``write_hot_link_arrays``.
     """
@@ -614,7 +615,7 @@ def write_link_flag_reports(
     outdir.mkdir(parents=True, exist_ok=True)
     names = report.tensor.registry.names
     citing, cited, scores = report.links
-    order = np.lexsort((cited, citing, scores))
+    order = np.argsort(scores, kind="stable")
     citing, cited, scores = citing[order], cited[order], scores[order]
     quoted = np.array(_csv_fields(names), dtype=object)
     _write_csv(

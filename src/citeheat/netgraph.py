@@ -296,7 +296,7 @@ def modularity(graph: HotLinkGraph, partition: Mapping) -> float:
 class CommunityPartition:
     """Modularity partition; every community is internally connected."""
 
-    assignment: dict
+    assignment: dict = field(hash=False)
     q: float
     seed: int
 

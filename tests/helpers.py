@@ -22,8 +22,8 @@ import mpmath
 import numpy as np
 
 from citeheat import netgraph
-from citeheat.corpus import PAIRS, AlignedTensor, JournalRegistry
-from citeheat.entropy import DIRECTIONS, cell_divergence, triangle_evaluation
+from citeheat.corpus import AlignedTensor, JournalRegistry
+from citeheat.entropy import DIRECTIONS
 from citeheat.flags import ThresholdSpec, _below_lower, _monotonic, flag_links, threshold_key
 
 mpmath.mp.dps = 40
@@ -167,14 +167,6 @@ def reference_ingest(year_texts: dict[str, str], renames) -> dict:
     }
 
 
-def triangle_of(tensor: AlignedTensor):
-    """``triangle_evaluation`` fed with the tensor's own transitions, as
-    ``build_flag_report`` calls it."""
-    return triangle_evaluation(
-        tensor, {pair: cell_divergence(tensor, pair) for pair in PAIRS}
-    )
-
-
 def link_triples(links) -> tuple:
     """The citing, cited and score arrays of ``flag_links`` as one
     ``(int, int, float)`` tuple per link, in array order."""
@@ -183,16 +175,34 @@ def link_triples(links) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity oracles: the earlier per-formula and per-element code paths
+# Bit-identity oracles: per-formula and per-element code paths
 # ---------------------------------------------------------------------------
+
+def _all_years_shares(tensor: AlignedTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shares p, p', q of the all-years cells, each count over its year
+    total, where every share is positive."""
+    mask = (tensor.counts > 0).all(axis=0)
+    return tuple(tensor.counts[y][mask] / int(tensor.counts[y].sum()) for y in range(3))
+
 
 def three_term_triangle(tensor: AlignedTensor) -> np.ndarray:
     """KL(p'|p) + KL(q|p') - KL(q|p) from three fresh q * log2(q / p) terms
-    over the all-years cells, where every frequency is positive."""
-    mask = (tensor.counts > 0).all(axis=0)
-    p, p_mid, q = (tensor.counts[y] / int(tensor.counts[y].sum()) for y in range(3))
-    p, p_mid, q = p[mask], p_mid[mask], q[mask]
+    over the all-years cells."""
+    p, p_mid, q = _all_years_shares(tensor)
     return p_mid * np.log2(p_mid / p) + q * np.log2(q / p_mid) - q * np.log2(q / p)
+
+
+def three_term_scale(tensor: AlignedTensor) -> np.ndarray:
+    """The largest of each all-years cell's three KL terms, in magnitude."""
+    p, p_mid, q = _all_years_shares(tensor)
+    terms = (p_mid * np.log2(p_mid / p), q * np.log2(q / p_mid), q * np.log2(q / p))
+    return np.max(np.abs(terms), axis=0)
+
+
+def closed_form_triangle(tensor: AlignedTensor) -> np.ndarray:
+    """(p' - q) * log2(p'/p) over the all-years cells."""
+    p, p_mid, q = _all_years_shares(tensor)
+    return (p_mid - q) * np.log2(p_mid / p)
 
 
 def add_at_margins(cells, direction: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from citeheat.entropy import (
     margin_totals,
     revision_of_prediction,
     to_unit,
+    triangle_evaluation,
 )
 from citeheat.flags import ThresholdSpec, build_flag_report, flag_links
 from citeheat.io_export import write_pajek_clu, write_pajek_net, write_vosviewer_files
@@ -36,7 +37,6 @@ from helpers import (
     random_active_grids,
     random_graph_edges,
     triangle_anchor_tensor,
-    triangle_of,
     write_edge_list,
 )
 from interchange import read_pajek_clu, read_pajek_net, read_vosviewer_files
@@ -47,7 +47,7 @@ def test_criterion_1_triangle_anchor_arithmetic():
     the -0.935 mbits threshold; tolerance 0.0005 mbits; under 1 second."""
     started = time.perf_counter()
     tensor = triangle_anchor_tensor(terms_mbits=(1.251, 2.465, 4.728))
-    cells = triangle_of(tensor)
+    cells = triangle_evaluation(tensor)
     idx = next(
         i for i in range(len(cells.values))
         if (cells.citing[i], cells.cited[i]) == (0, 1)
@@ -362,8 +362,8 @@ def test_criterion_9_scale_invariance_of_flags_and_entropy():
         assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-18)
         assert a.grand_sum == pytest.approx(b.grand_sum, rel=1e-12, abs=1e-18)
     assert np.allclose(
-        triangle_of(base).values,
-        triangle_of(scaled).values,
+        triangle_evaluation(base).values,
+        triangle_evaluation(scaled).values,
         rtol=1e-12,
         atol=1e-18,
     )

@@ -406,8 +406,8 @@ class TestRun:
         assert rc == 0
         tensor = read_tensor_cache(out / "ingest")
         assert "Old Name" not in tensor.registry.names
-        pm = tensor.registry.id_of("Pers Med")
-        b0 = tensor.registry.id_of("Bkg00")
+        pm = tensor.registry.names.index("Pers Med")
+        b0 = tensor.registry.names.index("Bkg00")
         idx = next(
             i for i in range(tensor.n_cells)
             if tensor.citing[i] == pm and tensor.cited[i] == b0

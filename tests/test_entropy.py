@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from citeheat.entropy import (
     ordered_fsum,
     revision_of_prediction,
     to_unit,
+    triangle_evaluation,
 )
 from citeheat.errors import DataError
 from citeheat.flags import compute_threshold
@@ -25,12 +27,15 @@ from helpers import (
     oracle_triangle,
     random_active_grids,
     triangle_anchor_tensor,
-    triangle_of,
 )
 
 
 def _grid(rows):
     return np.array(rows, dtype=np.int64)
+
+
+def _sign(x) -> int:
+    return int(x > 0) - int(x < 0)
 
 
 class TestKlTerm:
@@ -181,14 +186,36 @@ class TestRevision:
 
 
 class TestTriangle:
+    def test_sign_rule_on_small_counts(self, rng):
+        # sign(score) = sign(p' - q) * sign(p' - p): negative exactly when the
+        # share moves strictly monotonically, 0 when p' equals an end. Shares
+        # are compared as exact fractions; small counts make ties common.
+        signs = set()
+        for trial in range(60):
+            n = int(rng.integers(1, 7))
+            if trial % 2:
+                grids = random_active_grids(rng, n, density=0.7, high=4)
+            else:
+                grid = rng.integers(1, 4, size=(n, n))
+                shuffled = [rng.permutation(grid.ravel()).reshape(n, n) for _ in range(2)]
+                grids = [grid, shuffled[0], 2 * shuffled[1]]
+            cells = triangle_evaluation(make_tensor(grids))
+            totals = [int(g.sum()) for g in grids]
+            for c, d, score in zip(cells.citing, cells.cited, cells.values):
+                p, p_mid, q = (Fraction(int(g[c, d]), t) for g, t in zip(grids, totals))
+                sign = _sign(p_mid - q) * _sign(p_mid - p)
+                assert _sign(score) == sign
+                signs.add(sign)
+        assert signs == {-1, 0, 1}
+
     def test_static_cell_scores_zero(self):
         grid = _grid([[0, 3], [5, 0]])
-        cells = triangle_of(make_tensor([grid, grid, grid]))
+        cells = triangle_evaluation(make_tensor([grid, grid, grid]))
         assert np.all(cells.values == 0.0)
 
     def test_worked_dyad_example(self):
         tensor = triangle_anchor_tensor()
-        cells = triangle_of(tensor)
+        cells = triangle_evaluation(tensor)
         idx = [i for i in range(len(cells.values))
                if (cells.citing[i], cells.cited[i]) == (0, 1)][0]
         score_mbits = to_unit(float(cells.values[idx]), "mbits")
@@ -197,7 +224,7 @@ class TestTriangle:
     def test_scores_match_high_precision_oracle(self, rng):
         grids = random_active_grids(rng, 8, density=0.95, high=50)
         tensor = make_tensor(grids)
-        cells = triangle_of(tensor)
+        cells = triangle_evaluation(tensor)
         assert len(cells.values) >= 50
         oracle = oracle_triangle(grids)
         for i in range(len(cells.values)):
@@ -216,7 +243,7 @@ class TestTriangle:
         grids[2][0, 1] = 0
         grids[0][1, 0] = 0  # no cell is positive in all three years
         with pytest.raises(DataError, match="all three"):
-            triangle_of(make_tensor(grids))
+            triangle_evaluation(make_tensor(grids))
 
     def test_margins_single_cell(self):
         tensor = make_tensor([
@@ -224,7 +251,7 @@ class TestTriangle:
             _grid([[0, 5], [3, 0]]),
             _grid([[0, 7], [1, 0]]),
         ])
-        cells = triangle_of(tensor)
+        cells = triangle_evaluation(tensor)
         cited = margin_totals(cells, "cited")
         citing = margin_totals(cells, "citing")
         ab = [i for i in range(len(cells.values))
@@ -235,7 +262,7 @@ class TestTriangle:
     def test_margins_match_dense_oracle(self, rng):
         grids = random_active_grids(rng, 6, density=0.9, high=30)
         tensor = make_tensor(grids)
-        cells = triangle_of(tensor)
+        cells = triangle_evaluation(tensor)
         oracle = oracle_triangle(grids)
         dense = np.nan_to_num(oracle["scores"], nan=0.0)
         assert margin_totals(cells, "cited") == pytest.approx(
@@ -289,7 +316,7 @@ class TestProperties:
             assert np.array_equal(a.values, b.values)
             assert a.grand_sum == b.grand_sum
         assert np.array_equal(
-            triangle_of(base).values, triangle_of(bumped).values
+            triangle_evaluation(base).values, triangle_evaluation(bumped).values
         )
 
     def test_determinism_bit_identical(self, small_tensor):

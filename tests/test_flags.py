@@ -7,9 +7,10 @@ import sys
 import threading
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from citeheat import entropy, flags
@@ -22,7 +23,7 @@ from citeheat.corpus import (
     build_common_set,
     read_only,
 )
-from citeheat.entropy import DIRECTIONS, Cells, margin_totals, to_unit
+from citeheat.entropy import DIRECTIONS, Cells, margin_totals, to_unit, triangle_evaluation
 from citeheat.errors import DataError
 from citeheat.flags import (
     FlagReport,
@@ -35,9 +36,11 @@ from citeheat.flags import (
     remove_outliers,
     threshold_key,
 )
+from citeheat.netgraph import CommunityPartition
 
 from helpers import (
     add_at_margins,
+    closed_form_triangle,
     count_cached_builds,
     dyad_fixture_cells,
     eager_flag_report,
@@ -48,8 +51,8 @@ from helpers import (
     oracle_triangle,
     per_index_links,
     random_active_grids,
+    three_term_scale,
     three_term_triangle,
-    triangle_of,
 )
 
 
@@ -119,6 +122,27 @@ class TestComputeThreshold:
         with pytest.raises(DataError, match="empty"):
             compute_threshold(np.array([]), k=1.0)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+        min_size=1, max_size=40,
+    ))
+    @example([1e16, 1.0, -1e16])  # a left-to-right sum loses the 1
+    @example([1e100, 0.1, -1e100, 0.2, 3e-100])
+    @example([1.0 + i * 2.0**-52 for i in range(9)])
+    def test_mean_and_sd_match_high_precision_oracle(self, values):
+        # The mean is the exactly rounded sum over n: two roundings. The SD
+        # is within a few roundings of the SD about the computed mean, which
+        # is at most the mean's error away from the true SD.
+        spec = compute_threshold(np.array(values), k=0.0)
+        with mpmath.workprec(2400):  # exact for any sum of 40 such doubles
+            n = len(values)
+            mean = mpmath.fsum(mpmath.mpf(v) for v in values) / n
+            sd = mpmath.sqrt(mpmath.fsum((mpmath.mpf(v) - mean) ** 2 for v in values) / n)
+            mean_error = abs(spec.mean - mean)
+            assert mean_error <= 2.0**-52 * abs(mean)
+            assert abs(spec.sd - sd) <= 2.0**-50 * sd + mean_error
+
 
 class TestFlagMonotonic:
     def test_requires_both_intervals(self):
@@ -172,7 +196,7 @@ class TestFlagLinks:
         for grid, count in zip(grids, (20, 45, 130)):  # inject a hot cell
             grid[2, 6] = count
         tensor = make_tensor(grids)
-        cells = triangle_of(tensor)
+        cells = triangle_evaluation(tensor)
         oracle = oracle_triangle(grids)
         scores = oracle["scores"]
         lower = oracle["mean"] - oracle["sd"]
@@ -300,14 +324,14 @@ class TestRemoveOutliers:
 
     def test_borderline_cell_crosses_after_removal(self):
         tensor = _hub_fixture_tensor()
-        hot_before = {(c, d) for c, d, _ in _hot(triangle_of(tensor))}
+        hot_before = {(c, d) for c, d, _ in _hot(triangle_evaluation(tensor))}
         assert hot_before == {(4, 0)}  # only the hub cell
 
         reduced = remove_outliers(tensor, ["J004"])
         names = reduced.registry.names
         hot_after = {
             (names[c], names[d])
-            for c, d, _ in _hot(triangle_of(reduced))
+            for c, d, _ in _hot(triangle_evaluation(reduced))
         }
         assert hot_after == {("J000", "J001")}
 
@@ -502,7 +526,8 @@ class TestReportAndProperties:
         assert set(report.thresholds) == set(value_sets)
         bounds = {}
         for key, values in value_sets.items():
-            mean, sd = float(np.mean(values)), float(np.std(values))
+            mean = math.fsum(values.tolist()) / len(values)
+            sd = math.sqrt(math.fsum(((values - mean) ** 2).tolist()) / len(values))
             bounds[key] = (mean - 0.5 * sd, mean + 0.5 * sd)
             spec = report.thresholds[key]
             assert (spec.k, spec.mean, spec.sd) == (0.5, mean, sd)
@@ -555,8 +580,8 @@ def _pin_tensors():
 
 class TestBitIdentityWithEarlierFormulas:
     """The report's arrays, sums and links equal, byte for byte, what the
-    three-term triangle, ``np.add.at`` margins, ``math.fsum`` over a list and
-    per-index link tuples gave."""
+    closed-form triangle from counts and totals, ``np.add.at`` margins,
+    ``math.fsum`` over a list and per-index link tuples gave."""
 
     @pytest.mark.parametrize("drop_loops", [True, False])
     def test_report_equals_the_earlier_code_paths(
@@ -564,7 +589,7 @@ class TestBitIdentityWithEarlierFormulas:
     ):
         for tensor in _pin_tensors():
             report = build_flag_report(tensor, k=0.5, drop_loops=drop_loops)
-            assert report.triangle.values.tobytes() == three_term_triangle(tensor).tobytes()
+            assert report.triangle.values.tobytes() == closed_form_triangle(tensor).tobytes()
             for pair in PAIRS:
                 cells = report.transitions[pair]
                 for d in ("cited", "citing"):
@@ -616,6 +641,13 @@ class TestBitIdentityWithEarlierFormulas:
             for pair in PAIRS:
                 assert math.isfinite(report.transitions[pair].grand_sum)
         assert len(summed) == 3
+
+    def test_triangle_equals_the_three_kl_sum(self):
+        # The three terms cancel, so each score is held to its largest term.
+        for tensor in _pin_tensors():
+            scores = tensor.indicators.triangle.values
+            error = np.abs(scores - three_term_triangle(tensor))
+            assert np.all(error <= 1e-12 * three_term_scale(tensor))
 
     def test_dyad_pins_are_not_vacuous(self):
         report = build_flag_report(_dyad_tensor(), k=0.5)
@@ -870,6 +902,17 @@ class TestLazyViews:
             assert len(report.hot_links) == report.links[0].size
         assert builds == {**dict.fromkeys((*LAZY_VIEWS, "_monotonic_sets"), 0),
                           "hot_links": len(ks)}
+
+
+def test_registry_and_partition_hash_as_they_compare():
+    # Their dict fields stay out of the hash, and == still compares them.
+    for make in (lambda: JournalRegistry.from_names(["A", "B"]),
+                 lambda: CommunityPartition({"A": 0}, 0.1, 0)):
+        one, two = make(), make()
+        assert one == two and hash(one) == hash(two) and len({one, two}) == 1
+    registry = JournalRegistry.from_names(["A"])
+    aliased = JournalRegistry(registry.names, {"A": "A", "Old A": "A"})
+    assert aliased != registry and len({registry, aliased}) == 2
 
 
 def test_array_holders_compare_and_hash_by_identity(small_tensor):
