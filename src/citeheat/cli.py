@@ -38,6 +38,15 @@ skips every object still alive (mostly numpy's and the standard library's
 module objects) and the OS reclaims them with the process. That saves
 20-30 ms per process, about a tenth of a ``run`` on one window's ~16k cells
 (README, "Command line").
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
+unless the variable is already set or numpy is already imported. OpenBLAS
+otherwise starts a worker thread per extra CPU while numpy imports, and on
+2 CPUs that worker can slow the rest of the import by about 70 ms, a sixth
+of a window-sized ``run`` (README, "Command line"). citeheat makes no BLAS call (no matrix product, no
+``linalg``), so its results do not depend on the thread count, which
+tests/test_cli.py pins. ``import citeheat`` alone leaves the environment
+alone, so a library caller keeps BLAS threads for their own linear algebra.
 """
 
 from __future__ import annotations
@@ -54,7 +63,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
-import numpy as np
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread default)
 
 from . import io_export
 from .corpus import (

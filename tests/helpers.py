@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
+import subprocess
+import sys
 import unicodedata
 from collections import defaultdict
 from fractions import Fraction
@@ -29,6 +32,18 @@ from citeheat.flags import ThresholdSpec, _below_lower, _monotonic, flag_links, 
 mpmath.mp.dps = 40
 
 LABELS = ("2011", "2012", "2013")
+SRC = Path(netgraph.__file__).resolve().parents[1]
+
+
+def run_python(*args: str, cwd: Path | None = None, **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports citeheat from this
+    checkout. The process inherits the environment without
+    ``OPENBLAS_NUM_THREADS``, so only ``env`` can set that."""
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env={**inherited, "PYTHONPATH": str(SRC), **env},
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 # ---------------------------------------------------------------------------

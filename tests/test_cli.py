@@ -4,10 +4,7 @@ import csv
 import gc
 import json
 import re
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +30,7 @@ from helpers import (
     node_names,
     oracle_triangle,
     random_active_grids,
+    run_python,
     write_edge_list,
 )
 
@@ -315,12 +313,7 @@ class TestRun:
                 "--basemap", str(basemap)]
         plain, optimized = tmp_path / "plain", tmp_path / "optimized"
         assert main(["run", *args, "--out", str(plain)]) == 0
-        src = Path(citeheat.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "citeheat.cli", "run", *args, "--out", str(optimized)],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-O", "-m", "citeheat.cli", "run", *args, "--out", str(optimized))
         assert proc.returncode == 0, proc.stderr
         assert (plain / "export" / "overlay_triangle.txt").is_file()
         assert _tree(plain) == _tree(optimized)
@@ -337,12 +330,7 @@ class TestRun:
             "import sys\nfrom citeheat.cli import main\n"
             "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n"
         )
-        src = Path(citeheat.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "run", *args],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-c", script, "run", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["0", "False"]
         assert (tmp_path / "out" / "export" / "overlay_triangle.txt").is_file()
@@ -354,14 +342,56 @@ class TestRun:
         # corpus imports logging (and with it traceback and string) only to
         # warn of a self-rename, so a start without one does not pay for it.
         script = "import sys\nimport citeheat.cli\nprint('logging' in sys.modules)\n"
-        src = Path(citeheat.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
+
+    def test_library_import_leaves_numpy_and_blas_threads_alone(self, dyad_year_files):
+        # Names load on first use, and only cli sets the BLAS thread default:
+        # a library caller keeps OpenBLAS's threads for their own algebra.
+        script = (
+            "import os, sys\nimport citeheat\n"
+            "def show():\n"
+            "    print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+            "show()\n"
+            "years = [citeheat.parse_edge_list(p, p[-8:-4]) for p in sys.argv[1:]]\n"
+            "tensor = citeheat.build_common_set(*citeheat.apply_name_changes(years, []))\n"
+            "print(len(citeheat.build_flag_report(tensor, k=0).hot_links) > 0)\n"
+            "show()\n"
+        )
+        proc = run_python("-c", script, *(str(dyad_year_files[y]) for y in sorted(dyad_year_files)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "True", "True", "False"]
+
+    def test_cli_import_defaults_blas_to_one_thread(self):
+        # A user's value wins. After numpy, OpenBLAS has already started, so
+        # a late setting would only mislead child processes: leave it unset.
+        show = "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        outputs = []
+        for script, env in (
+            ("import os\nimport citeheat.cli\n", {}),
+            ("import os\nimport citeheat.cli\n", {"OPENBLAS_NUM_THREADS": "3"}),
+            ("import os\nimport numpy, citeheat.cli\n", {}),
+        ):
+            proc = run_python("-c", script + show, **env)
+            assert proc.returncode == 0, proc.stderr
+            outputs += proc.stdout.split()
+        assert outputs == ["1", "3", "None"]
+
+    def test_tree_does_not_depend_on_blas_threads(self, dyad_year_files, tmp_path):
+        # The one-thread default is safe because citeheat makes no BLAS call
+        # whose result could depend on the thread count.
+        args = [*_year_args(dyad_year_files), "--k", "0", "--exclude", "Bkg00",
+                "--basemap", str(_write_basemap(tmp_path))]
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_python("-m", "citeheat.cli", "run", *args, "--out", str(out),
+                              OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            trees.append(_tree(out))
+        assert (tmp_path / "threads1" / "export" / "overlay_triangle.txt").is_file()
+        assert trees[0] == trees[1]
 
     def test_two_runs_byte_identical(self, dyad_year_files, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1080,12 +1110,7 @@ class TestProcessEntry:
         assert main(args) == code
         expected = capsys.readouterr().err
         assert expected.count("\n") == 1
-        src = Path(citeheat.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "citeheat.cli", *args],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "citeheat.cli", *args)
         assert (proc.returncode, proc.stderr) == (code, expected)
 
     def test_main_leaves_the_collector_as_it_found_it(self, dyad_year_files, tmp_path):

@@ -22,7 +22,7 @@ from citeheat.corpus import (
 )
 from citeheat.errors import DataError
 
-from helpers import cells_of, exact_frequencies, reference_ingest
+from helpers import cells_of, exact_frequencies, reference_ingest, run_python
 
 
 def _matrix(label, cells):
@@ -549,6 +549,36 @@ class TestIngestOracle:
 def test_public_api_names_resolve():
     missing = [name for name in citeheat.__all__ if not hasattr(citeheat, name)]
     assert missing == []
+    # In a fresh process, a bare import resolves each name on first use.
+    # The submodules and dir() come first, before any name is loaded.
+    script = """
+import json, types
+import citeheat
+submodules = ("corpus", "entropy", "errors", "flags", "netgraph")
+result = {
+    "submodules": [m for m in submodules
+                   if isinstance(getattr(citeheat, m, None), types.ModuleType)],
+    "undir": sorted(set(citeheat.__all__) - set(dir(citeheat))),
+    "missing": [name for name in citeheat.__all__ if not hasattr(citeheat, name)],
+}
+star = {}
+exec("from citeheat import *", star)
+result["star"] = sorted(set(star) - {"__builtins__"}) == sorted(citeheat.__all__)
+try:
+    citeheat.no_such_name
+except AttributeError as exc:
+    result["error"] = str(exc)
+print(json.dumps(result))
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "submodules": ["corpus", "entropy", "errors", "flags", "netgraph"],
+        "missing": [],
+        "undir": [],
+        "star": True,
+        "error": "module 'citeheat' has no attribute 'no_such_name'",
+    }
 
 
 class TestReadOnlyTensor:
