@@ -5,11 +5,14 @@ run. Stages compose exclusively via files under the output directory, and
 ``run`` simply executes them in sequence, so a full run and a staged run
 produce byte-identical artifact trees. flag is the only writer of
 reports/: it builds the flag report once and writes both its halves.
-network reads the hot links once, builds the graph once and runs Louvain
-once, and writes network/, export/ and summary.json from what it holds, so
-the summary's seed is the seed of the partition. Options can come from a
-flat key=value config file, read by the same parser as the flags; a flag
-wins over the file key by key.
+network reads and checks its inputs, calls ``network_of`` once on the
+hot-link arrays (graph, components, communities, degrees) and writes
+network/, export/ and summary.json from that ``Network``, so the summary's
+seed is the seed of the partition. ``network_of`` serves library callers
+too; it lives here because it calls the graph functions by this module's
+names, which the tests and the benchmark's tracer replace to count and
+time them. Options can come from a flat key=value config file, read by the
+same parser as the flags; a flag wins over the file key by key.
 
 Artifact tree (all under --out):
 
@@ -80,7 +83,7 @@ from .corpus import (
 from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
 from .errors import ConfigError, DataError
 from .flags import build_flag_report
-from .netgraph import HotLinkGraph, connected_components, degree_centrality, louvain
+from .netgraph import HotLinkGraph, Network, connected_components, degree_centrality, louvain
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -284,6 +287,17 @@ def _overlay_sets(path: Path, journal_flags: dict) -> dict[str, dict[str, list[s
     }
 
 
+def network_of(citing: np.ndarray, cited: np.ndarray, scores: np.ndarray,
+               names: Sequence[str], seed: int = 0) -> Network:
+    """The network of hot links given as id arrays over the sorted ``names``:
+    its graph, components, Louvain communities (``seed``) and degrees."""
+    # The network is simple: hot self-citations (--keep-loops) stay in reports/.
+    simple = citing != cited
+    graph = HotLinkGraph.from_ids(citing[simple], cited[simple], scores[simple], names)
+    return Network(graph, connected_components(graph), louvain(graph, seed=seed),
+                   degree_centrality(graph))
+
+
 def stage_network(config: RunConfig) -> None:
     reports = config.out / "reports"
     journal_path = reports / "journal_flags.json"
@@ -321,20 +335,15 @@ def stage_network(config: RunConfig) -> None:
         raise DataError(f"{reports / 'hot_link_ids.npy'}: {citing.size} hot links, "
                         f"but {link_path} counts {summary['links']['hot_links']}")
     basemap = io_export.read_basemap(config.basemap) if config.basemap else None
-    # The network is simple: hot self-citations (--keep-loops) stay in reports/.
-    simple = citing != cited
-    graph = HotLinkGraph.from_ids(citing[simple], cited[simple], scores[simple], names)
+    network = network_of(citing, cited, scores, names, seed=config.seed)
+    graph, assignment = network.graph, network.communities.assignment
     io_export.pajek_labels(graph)
-    components = connected_components(graph)
-    communities = louvain(graph, seed=config.seed)
 
     outdir = config.out / "network"
     outdir.mkdir(parents=True, exist_ok=True)
     io_export.write_pajek_net(graph, outdir / "graph.net")
-    io_export.write_pajek_clu(communities.assignment, outdir / "communities.clu", nodes=graph.nodes)
-    io_export.write_network_reports(
-        outdir, graph, components, communities, degree_centrality(graph)
-    )
+    io_export.write_pajek_clu(assignment, outdir / "communities.clu", nodes=graph.nodes)
+    io_export.write_network_reports(outdir, network)
 
     # export/ has no other writer, so replace it whole: files of an earlier
     # run (say, overlays from a run with --basemap) must not survive.
@@ -344,7 +353,7 @@ def stage_network(config: RunConfig) -> None:
     outdir.mkdir(parents=True)
     unmatched = io_export.write_vosviewer_files(
         graph,
-        communities.assignment,
+        assignment,
         outdir / "vosviewer_map.txt",
         outdir / "vosviewer_network.txt",
         basemap=basemap,
@@ -355,12 +364,7 @@ def stage_network(config: RunConfig) -> None:
             io_export.write_overlay(sets, basemap, OVERLAY_COLORS, outdir / f"overlay_{family}.txt")
 
     summary["network"] = {
-        "nodes": len(graph.nodes),
-        "edges": graph.weights.size,
-        "components": len(components.components),
-        "giant_size": len(components.components[0]) if components.components else 0,
-        "communities": len(set(communities.assignment.values())),
-        "modularity": communities.q,
+        **network.counts(),
         "unmatched_basemap_nodes": len(unmatched) if basemap is not None else None,
     }
     io_export.write_json(config.out / "summary.json", summary)

@@ -81,7 +81,7 @@ from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name, open_
 from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
 from .errors import DataError
 from .flags import FlagReport, ThresholdSpec, threshold_key
-from .netgraph import CommunityPartition, ComponentPartition, HotLinkGraph
+from .netgraph import HotLinkGraph, Network
 
 FORMAT_VERSION = 3
 
@@ -644,19 +644,14 @@ def write_link_flag_reports(
     return citing, cited, scores
 
 
-def write_network_reports(
-    outdir: str | Path,
-    graph: HotLinkGraph,
-    components: ComponentPartition,
-    communities: CommunityPartition,
-    degrees: Mapping,
-) -> None:
+def write_network_reports(outdir: str | Path, network: Network) -> None:
     """Component listing, community assignment and the degree ranking of
-    the giant component, over a label-keyed graph. ``components`` is the
-    graph's own partition: its ``component`` array is read by position."""
+    the giant component. The ``component`` array of ``network.components``
+    is read by position over ``network.graph.nodes``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    graph, components, degrees = network.graph, network.components, network.degrees
     comps = components.components
     _write_csv(
         outdir / "components.csv",
@@ -669,8 +664,8 @@ def write_network_reports(
         outdir / "communities.csv",
         ["journal", "component", "community"],
         zip(quoted.values(), map(str, components.component.tolist()),
-            map(str, map(communities.assignment.__getitem__, graph.nodes))),
+            map(str, map(network.communities.assignment.__getitem__, graph.nodes))),
     )
-    ranked = sorted(comps[0] if comps else (), key=lambda v: (-degrees[v], v))
+    ranked = sorted(network.giant, key=lambda v: (-degrees[v], v))
     _write_csv(outdir / "degree_ranking.csv", ["journal", "degree"],
                zip(map(quoted.__getitem__, ranked), map(str, map(degrees.__getitem__, ranked))))

@@ -469,3 +469,29 @@ def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
             best_pieces, best_q = pieces, q
     assignment = dict(zip(graph.nodes, best_pieces.tolist()))
     return CommunityPartition(assignment=assignment, q=best_q, seed=seed)
+
+
+@dataclass(frozen=True, eq=False)
+class Network:
+    """The hot-link graph with its components, communities and degrees."""
+
+    graph: HotLinkGraph
+    components: ComponentPartition
+    communities: CommunityPartition
+    degrees: dict
+
+    @property
+    def giant(self) -> tuple:
+        """The main component's members; an empty graph has none."""
+        return self.components.components[0] if self.components.components else ()
+
+    def counts(self) -> dict:
+        """The network block of summary.json, without the base map's count."""
+        return {
+            "nodes": len(self.graph.nodes),
+            "edges": self.graph.weights.size,
+            "components": len(self.components.components),
+            "giant_size": len(self.giant),
+            "communities": len(set(self.communities.assignment.values())),
+            "modularity": self.communities.q,
+        }

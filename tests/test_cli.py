@@ -75,6 +75,17 @@ def _random_year_files(tmp_path: Path, rng) -> dict:
     return paths
 
 
+def _loop_year_files(tmp_path: Path) -> dict:
+    """The dyad fixture plus a self-citation cell of Bkg00 hot enough to flag."""
+    loop = {"2011": 10, "2012": 40, "2013": 160}
+    paths = {}
+    for label, cells in dyad_fixture_cells().items():
+        cells[("Bkg00", "Bkg00")] = loop[label]
+        paths[label] = tmp_path / f"y{label}.tsv"
+        write_edge_list(paths[label], cells)
+    return paths
+
+
 def _write_basemap(tmp_path: Path) -> Path:
     """A base map holding every journal of the dyad and the random corpus."""
     basemap = tmp_path / "base.txt"
@@ -189,7 +200,7 @@ class TestRun:
 
     def test_run_reads_builds_and_formats_the_graph_once(self, tmp_path, rng, monkeypatch):
         calls = dict.fromkeys((
-            "read_hot_link_arrays", "from_ids", "connected_components",
+            "read_hot_link_arrays", "from_ids", "connected_components", "degree_centrality",
             "louvain", "modularity outside louvain", "fmt_sig6", "fmt_sig6_column",
             "adjacency inside connected_components",
         ), 0)
@@ -224,6 +235,7 @@ class TestRun:
         counted(io_export, "read_hot_link_arrays")
         counted(HotLinkGraph, "from_ids")
         counted(cli, "connected_components")
+        counted(cli, "degree_centrality")
         counted(io_export, "fmt_sig6")
         counted(io_export, "fmt_sig6_column")
         builds = count_cached_builds(monkeypatch, HotLinkGraph, ("adjacency", "edges"))
@@ -246,7 +258,8 @@ class TestRun:
         assert fmt_calls <= network["edges"] + network["nodes"]
         assert calls == {
             "read_hot_link_arrays": 1, "from_ids": 1,
-            "connected_components": 1, "louvain": 1, "modularity outside louvain": 0,
+            "connected_components": 1, "degree_centrality": 1, "louvain": 1,
+            "modularity outside louvain": 0,
             "adjacency inside connected_components": 0,
             # The edge weights once for all three network files, the VOSviewer strengths once.
             "fmt_sig6_column": 2,
@@ -617,6 +630,62 @@ class TestRun:
         assert sum(1 for line in graph_net if line.count(" ") == 2) == len(edges)
 
 
+class TestNetworkOf:
+    """``network_of`` over the hot-link arrays is the network that the
+    network stage writes, so its counts are the summary's."""
+
+    @staticmethod
+    def _network(out: Path, seed: int) -> netgraph.Network:
+        names = read_registry(out / "ingest" / "registry.tsv")
+        return cli.network_of(*read_hot_link_arrays(out / "reports", len(names)), names, seed)
+
+    @staticmethod
+    def _written_counts(out: Path) -> dict:
+        network = json.loads((out / "summary.json").read_text("utf-8"))["network"]
+        del network["unmatched_basemap_nodes"]
+        return network
+
+    def test_counts_are_the_summary_on_the_dyad(self, dyad_year_files, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--seed", "3", "--out", str(out)]) == 0
+        assert self._network(out, 3).counts() == self._written_counts(out)
+
+    def test_counts_are_the_summary_on_a_random_corpus(self, tmp_path, rng):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(_random_year_files(tmp_path, rng)), "--k", "0",
+                     "--seed", "4", "--basemap", str(_write_basemap(tmp_path)),
+                     "--out", str(out)]) == 0
+        network = self._network(out, 4)
+        written = self._written_counts(out)
+        assert written["communities"] > 1 and written["edges"] > written["nodes"]
+        assert network.counts() == written
+        ranked = _read_csv(out / "network" / "degree_ranking.csv")[1:]
+        assert sorted(row[0] for row in ranked) == sorted(network.giant)
+
+    def test_no_links_count_zero_and_have_no_giant(self):
+        none = np.zeros(0, dtype=np.int64)
+        network = cli.network_of(none, none, np.zeros(0), node_names(3))
+        assert network.giant == ()
+        assert network.counts() == {
+            "nodes": 0, "edges": 0, "components": 0, "giant_size": 0,
+            "communities": 0, "modularity": 0.0,
+        }
+
+    def test_a_hot_self_citation_is_no_edge(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(_loop_year_files(tmp_path)), "--keep-loops",
+                     "--out", str(out)]) == 0
+        names = read_registry(out / "ingest" / "registry.tsv")
+        citing, cited, scores = read_hot_link_arrays(out / "reports", len(names))
+        loops = citing == cited
+        assert [names[i] for i in citing[loops].tolist()] == ["Bkg00"]
+        graph = cli.network_of(citing, cited, scores, names).graph
+        simple = cli.network_of(citing[~loops], cited[~loops], scores[~loops], names).graph
+        assert "Bkg00" not in graph.nodes
+        assert graph.nodes == simple.nodes
+        assert graph.edges == simple.edges
+
+
 class TestConfigHandling:
     def test_missing_year_flag_exits_1_and_names_flag(self, dyad_year_files, tmp_path, capsys):
         labels = sorted(dyad_year_files)
@@ -952,15 +1021,7 @@ class TestConfigHandling:
         assert "increasing" in capsys.readouterr().err
 
     def test_keep_loops_flag(self, tmp_path):
-        # A self-citation cell hot enough to flag.
-        years = dyad_fixture_cells()
-        loop = {"2011": 10, "2012": 40, "2013": 160}
-        paths = {}
-        for label, cells in years.items():
-            cells[("Bkg00", "Bkg00")] = loop[label]
-            path = tmp_path / f"y{label}.tsv"
-            write_edge_list(path, cells)
-            paths[label] = path
+        paths = _loop_year_files(tmp_path)
         dropped = tmp_path / "dropped"
         kept = tmp_path / "kept"
         # stages need the ingest cache; a missing cache is an I/O failure

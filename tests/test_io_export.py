@@ -36,6 +36,7 @@ from citeheat.io_export import (
 )
 from citeheat.netgraph import (
     HotLinkGraph,
+    Network,
     build_graph,
     connected_components,
     degree_centrality,
@@ -886,7 +887,9 @@ def test_names_in_reports_are_quoted_as_csv_writer_quotes_them(tmp_path, rng):
     citing, cited, scores = write_link_flag_reports(tmp_path, report)
     graph = HotLinkGraph.from_ids(citing, cited, scores, tensor.registry.names)
     components = connected_components(graph)
-    write_network_reports(tmp_path, graph, components, louvain(graph), degree_centrality(graph))
+    write_network_reports(
+        tmp_path, Network(graph, components, louvain(graph), degree_centrality(graph))
+    )
 
     names = set(QUOTING_NAMES)
     journal_tables = [

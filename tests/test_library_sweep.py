@@ -7,7 +7,10 @@ a change to one of them that the flag-sweep workload would trip over fails
 here first. Every operation is judged by the benchmark's own checker
 (``perfbench/check.py``) against the generator's truth arrays, so a flag
 rule or graph builder that miscounts hot links, nodes, edges, components
-or the giant component fails here too.
+or the giant component fails here too. The benchmark's trace targets are
+checked here as well: none goes missing beyond the known absent ones, and
+a CLI run calls every present target in ``cli``, ``io_export`` and
+``flags``, so no per-layer metric reads 0 for want of a caller.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+
+from citeheat import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -52,6 +57,29 @@ def test_no_trace_target_goes_missing():
         assert set(tracer.absent) <= ABSENT_TARGETS
     finally:
         uninstall()
+
+
+def test_every_present_run_target_records_a_span(tmp_path):
+    """A target that is present but never called reads 0, as an absent one
+    does. A CLI run with renames, a base map and one exclude (the window-run
+    workload's options) calls every present target of the modules it runs."""
+    corpus = gen.generate(3, 80, 600, tmp_path / "corpus")
+    # Each target under its own name, since several share one metric.
+    targets = [(module, attribute, f"{module}.{attribute}", layer)
+               for module, attribute, _, layer in spans.TARGETS
+               if module in ("citeheat.cli", "citeheat.io_export", "citeheat.flags")]
+    tracer = spans.Tracer()
+    uninstall = tracer.install(targets)
+    try:
+        years = [arg for label, path in corpus.years for arg in ("--year", f"{label}={path}")]
+        assert cli.main(["run", *years, "--renames", str(corpus.renames),
+                         "--basemap", str(corpus.basemap), "--exclude", corpus.truth.exclude,
+                         "--out", str(tmp_path / "out")]) == 0
+    finally:
+        uninstall()
+    present = {metric for _, _, metric, _ in targets} - set(tracer.absent)
+    assert len(present) > 20
+    assert present - {span["metric"] for span in tracer.spans} == set()
 
 
 def test_flag_sweep_child_runs_on_a_tiny_corpus(tmp_path):
