@@ -47,8 +47,12 @@ names = tensor.registry.names
 # --- Journal-level view ----------------------------------------------------
 print("revision of the prediction (citing direction, mbits):")
 revision = report.revision_node_margins["citing"]
+# A journal family is an ascending array of registry ids; one fancy
+# assignment turns it into a mask over every journal.
+flagged = np.zeros(len(names), dtype=bool)
+flagged[report.revision_flagged["citing"]] = True
 for i in np.argsort(revision):
-    marker = "  <- flagged" if i in report.revision_flagged["citing"] else ""
+    marker = "  <- flagged" if flagged[i] else ""
     print(f"  {names[i]:12s} {to_unit(revision[i], 'mbits'):9.4f}{marker}")
 threshold = report.thresholds["revision_citing"]
 print(f"  threshold: mean - sd = {to_unit(threshold.lower, 'mbits'):.4f} mbits")

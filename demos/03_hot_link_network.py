@@ -1,9 +1,10 @@
 """From flagged links to network structure: components, communities, degree.
 
 A synthetic tensor plants two separate groups of discontinuous links inside
-random background traffic. After flagging, the hot links are symmetrized
-into an undirected graph; connected components separate the two stories and
-modularity optimization recovers the planted grouping inside the larger one.
+random background traffic. After flagging, the hot links' id arrays are
+symmetrized into an undirected graph; connected components separate the
+two stories and modularity optimization recovers the planted grouping
+inside the larger one.
 
 Run: python demos/03_hot_link_network.py
 """
@@ -11,8 +12,8 @@ Run: python demos/03_hot_link_network.py
 import numpy as np
 
 from citeheat import (
+    HotLinkGraph,
     build_flag_report,
-    build_graph,
     connected_components,
     degree_centrality,
     louvain,
@@ -59,7 +60,9 @@ print(f"{len(labeled)} hot links after loop removal:")
 for citing, cited, score in labeled:
     print(f"  {citing} -> {cited}  ({score * 1000:.3f} mbits)")
 
-graph = build_graph(labeled)
+# The graph is built from the report's id arrays, as the network stage
+# builds it: no ids turn into labels and back.
+graph = HotLinkGraph.from_ids(*report.links, names)
 parts = connected_components(graph)
 print(f"\ncomponents (size order): {[len(c) for c in parts.components]}")
 for i, comp in enumerate(parts.components):

@@ -90,22 +90,22 @@ def threshold_key(family: str, direction: str, pair: tuple[int, int] | None = No
 
 def _monotonic(
     values_01: np.ndarray, values_12: np.ndarray, t01: ThresholdSpec, t12: ThresholdSpec
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Nodes beyond the per-pair thresholds in BOTH consecutive intervals.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ids beyond the per-pair thresholds in BOTH consecutive intervals.
 
     Up: above mean + k*sd in both t0->t1 and t1->t2; down: below mean - k*sd
     in both. Thresholds are computed per pair, never pooled.
     """
     up = (values_01 > t01.upper) & (values_12 > t12.upper)
     down = (values_01 < t01.lower) & (values_12 < t12.lower)
-    return frozenset(np.flatnonzero(up).tolist()), frozenset(np.flatnonzero(down).tolist())
+    return read_only(np.flatnonzero(up)), read_only(np.flatnonzero(down))
 
 
-def _below_lower(values: np.ndarray, threshold: ThresholdSpec) -> frozenset[int]:
-    """Journal flags strictly below mean - k*sd. For the revision, the
-    in-between year significantly worsens the prediction (a discontinuity);
-    for the triangle margins, as for the links, shares moved monotonically."""
-    return frozenset(np.flatnonzero(values < threshold.lower).tolist())
+def _below_lower(values: np.ndarray, threshold: ThresholdSpec) -> np.ndarray:
+    """Ids strictly below mean - k*sd. For the revision, the in-between
+    year significantly worsens the prediction (a discontinuity); for the
+    triangle margins, as for the links, shares moved monotonically."""
+    return read_only(np.flatnonzero(values < threshold.lower))
 
 
 def flag_links(
@@ -232,13 +232,13 @@ class FlagReport(Indicators):
     The rest are views, each built on first read and kept. ``thresholds``
     holds the one mean and SD of each value set, with this report's k, as a
     read-only mapping; its ``links`` entry equals the threshold the link
-    rule used. The four
-    journal families (``monotonic_up``, ``monotonic_down``,
-    ``revision_flagged``, ``triangle_flagged_nodes``) map each direction to
-    internal node ids of ``tensor.registry`` (the post-outlier-removal
-    registry). ``hot_links`` is ``links`` as ``(int, int, float)`` tuples.
-    ``outliers_removed`` names each removed journal once, by its registry
-    name, in registry order.
+    rule used. The four journal families (``monotonic_up``,
+    ``monotonic_down``, ``revision_flagged``, ``triangle_flagged_nodes``)
+    map each direction to a read-only, ascending int64 array of ids over
+    ``tensor.registry`` (the post-outlier-removal registry), as ``links``
+    holds its ids. ``hot_links`` is ``links`` as ``(int, int, float)``
+    tuples. ``outliers_removed`` names each removed journal once, by its
+    registry name, in registry order.
     """
 
     tensor: AlignedTensor
@@ -258,7 +258,7 @@ class FlagReport(Indicators):
         )
 
     @cached_property
-    def _monotonic_sets(self) -> dict[str, tuple[frozenset[int], frozenset[int]]]:
+    def _monotonic_sets(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         # One rule gives both trends, so the two views share its result.
         thresholds = self.thresholds
         return {
@@ -271,24 +271,24 @@ class FlagReport(Indicators):
         }
 
     @cached_property
-    def monotonic_up(self) -> dict[str, frozenset[int]]:
+    def monotonic_up(self) -> dict[str, np.ndarray]:
         return {d: up for d, (up, _) in self._monotonic_sets.items()}
 
     @cached_property
-    def monotonic_down(self) -> dict[str, frozenset[int]]:
+    def monotonic_down(self) -> dict[str, np.ndarray]:
         return {d: down for d, (_, down) in self._monotonic_sets.items()}
 
     @cached_property
-    def revision_flagged(self) -> dict[str, frozenset[int]]:
+    def revision_flagged(self) -> dict[str, np.ndarray]:
         return self._below_lower_family("revision", self.revision_node_margins)
 
     @cached_property
-    def triangle_flagged_nodes(self) -> dict[str, frozenset[int]]:
+    def triangle_flagged_nodes(self) -> dict[str, np.ndarray]:
         return self._below_lower_family("triangle", self.triangle_node_margins)
 
     def _below_lower_family(
         self, family: str, margins: Mapping[str, np.ndarray]
-    ) -> dict[str, frozenset[int]]:
+    ) -> dict[str, np.ndarray]:
         thresholds = self.thresholds
         return {
             d: _below_lower(margins[d], thresholds[threshold_key(family, d)]) for d in DIRECTIONS

@@ -520,17 +520,17 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     quoted = np.array(_csv_fields(names), dtype=object)
     for direction in DIRECTIONS:
         margins = [report.margins[(pair, direction)] for pair in PAIRS]
-        up = report.monotonic_up[direction]
-        down = report.monotonic_down[direction]
+        trend = np.full(len(names), "", dtype=object)
+        trend[report.monotonic_up[direction]] = "up"
+        trend[report.monotonic_down[direction]] = "down"
         order = np.argsort(-margins[2], kind="stable")
-        ids = order.tolist()
         _write_csv(
             outdir / f"margins_{direction}.csv",
             ["journal", *(f"kl_{labels[a]}_{labels[b]}_{unit}" for a, b in PAIRS), "monotonic"],
             zip(
                 quoted[order].tolist(),
                 *(_dec6_column(m[order], unit) for m in margins),
-                ["up" if i in up else "down" if i in down else "" for i in ids],
+                trend[order].tolist(),
             ),
         )
 
@@ -569,10 +569,11 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
                 key: _threshold_json(spec, unit) for key, spec in report.thresholds.items()
             },
             "counts": {
-                key: {d: len(ids) for d, ids in sets.items()} for key, sets in flag_sets.items()
+                key: {d: ids.size for d, ids in sets.items()} for key, sets in flag_sets.items()
             },
+            # Ids ascend and registry names are sorted, so the names are too.
             "flagged": {
-                key: {d: sorted(names[i] for i in ids) for d, ids in sets.items()}
+                key: {d: [names[i] for i in ids.tolist()] for d, ids in sets.items()}
                 for key, sets in flag_sets.items()
             },
             "revision_excluded_cells": report.revision.excluded_cells,
@@ -582,15 +583,12 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
 
 def _write_flag_table(path, column, quoted, values, flagged, unit):
     order = np.argsort(values, kind="stable")
-    ids = order.tolist()
+    marks = np.full(values.size, "false", dtype=object)
+    marks[flagged] = "true"
     _write_csv(
         path,
         ["journal", f"{column}_{unit}", "flagged"],
-        zip(
-            quoted[order].tolist(),
-            _dec6_column(values[order], unit),
-            ["true" if i in flagged else "false" for i in ids],
-        ),
+        zip(quoted[order].tolist(), _dec6_column(values[order], unit), marks[order].tolist()),
     )
 
 

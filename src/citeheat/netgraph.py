@@ -23,7 +23,7 @@ those positions. One array component routine (``_pieces``, min-label
 hook and shortcut after Shiloach & Vishkin 1982) finds both the components
 and the connected pieces of Louvain's communities, and one array core
 (``_modularity``) gives every Q. Louvain aggregates levels as edge arrays
-too (``_merge``, the graph builder's edge merge); only its local moves walk
+too (``_merge``, ``from_ids``'s edge merge); only its local moves walk
 positional adjacency dicts. Labels cross into and out of positions in one
 C-level ``operator.itemgetter`` call each way (``_gather``).
 """
@@ -69,9 +69,10 @@ class HotLinkGraph:
     def from_ids(
         cls, citing: np.ndarray, cited: np.ndarray, scores: np.ndarray, names: Sequence[str]
     ) -> "HotLinkGraph":
-        """The graph ``build_graph`` makes of the labelled links, built from
-        id arrays over the sorted ``names``; journals without a link are
-        left out."""
+        """The graph of the links given as id arrays over the sorted
+        ``names``; weight = |score|, and an edge and its reverse or a repeat
+        sum their weights in link order. Journals without a link are left
+        out."""
         citing = np.asarray(citing, dtype=np.int64)
         cited = np.asarray(cited, dtype=np.int64)
         linked = np.zeros(len(names), dtype=bool)
@@ -80,18 +81,12 @@ class HotLinkGraph:
             position = np.cumsum(linked) - 1
             citing, cited = position[citing], position[cited]
             names = [names[i] for i in np.flatnonzero(linked).tolist()]
-        return cls._build(citing, cited, np.abs(scores), names)
-
-    @classmethod
-    def _build(
-        cls, citing: np.ndarray, cited: np.ndarray, weights: np.ndarray, names: Sequence
-    ) -> "HotLinkGraph":
         # names is sorted and each one is linked, so id order is label order.
         loops = citing == cited
         if loops.any():
             label = names[citing[loops.argmax()]]
             raise DataError(f"self-loop on {label!r}; loops must be removed upstream")
-        u, v, weights = _merge(citing, cited, weights, len(names))
+        u, v, weights = _merge(citing, cited, np.abs(scores), len(names))
         return cls(nodes=tuple(names), u=read_only(u), v=read_only(v), weights=read_only(weights))
 
     @cached_property
@@ -164,8 +159,8 @@ def _adjacency(n: int, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> lis
 
 
 def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
-    """Symmetrize flagged (citing, cited, score) cells; weight = |score|.
-    An edge and its reverse or a repeat sum their weights in link order."""
+    """``HotLinkGraph.from_ids`` over flagged (citing, cited, score) label
+    triples: the labels are interned as ids over their sorted set."""
     # One triple at a time: holding them all at once would hand the cyclic
     # garbage collector thousands of short-lived tuples to promote.
     citing, cited, values = [], [], []
@@ -183,7 +178,7 @@ def build_graph(hot_links: Iterable[tuple]) -> HotLinkGraph:
     index.update(zip(names, range(len(names))))
     ids = np.fromiter(_gather(index, labels), np.int64, len(labels))
     values = np.fromiter(values, np.float64, len(values))
-    return HotLinkGraph._build(ids[: len(citing)], ids[len(citing):], np.abs(values), names)
+    return HotLinkGraph.from_ids(ids[: len(citing)], ids[len(citing):], values, names)
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,22 @@ def eager_flag_report(tensor: AlignedTensor, k: float, drop_loops: bool) -> dict
     }
 
 
+def ids_of(array) -> list[int]:
+    """The ids of a journal family's direction as a list, after checking
+    that they form a read-only, strictly ascending, one-dimensional int64
+    array, the form every family holds."""
+    assert isinstance(array, np.ndarray), type(array)
+    assert array.dtype == np.int64 and array.ndim == 1, (array.dtype, array.shape)
+    assert not array.flags.writeable
+    assert (np.diff(array) > 0).all(), array
+    return array.tolist()
+
+
+def families_of(family) -> dict[str, list[int]]:
+    """A journal family, direction -> id array, as direction -> ``ids_of``."""
+    return {d: ids_of(ids) for d, ids in family.items()}
+
+
 def exact_float_sum(values) -> float:
     """Correctly rounded sum of finite floats via one exact rational."""
     scale = 2 ** 1074  # every finite double times 2^1074 is an integer

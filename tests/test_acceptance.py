@@ -30,6 +30,7 @@ from citeheat.netgraph import HotLinkGraph, build_graph, connected_components, l
 from helpers import (
     best_partition_q,
     dyad_fixture_cells,
+    families_of,
     link_triples,
     make_tensor,
     oracle_pair,
@@ -371,11 +372,5 @@ def test_criterion_9_scale_invariance_of_flags_and_entropy():
     report_a = build_flag_report(base)
     report_b = build_flag_report(scaled)
     assert report_a.hot_links == report_b.hot_links
-    for direction in ("cited", "citing"):
-        assert report_a.monotonic_up[direction] == report_b.monotonic_up[direction]
-        assert report_a.monotonic_down[direction] == report_b.monotonic_down[direction]
-        assert report_a.revision_flagged[direction] == report_b.revision_flagged[direction]
-        assert (
-            report_a.triangle_flagged_nodes[direction]
-            == report_b.triangle_flagged_nodes[direction]
-        )
+    for family in ("monotonic_up", "monotonic_down", "revision_flagged", "triangle_flagged_nodes"):
+        assert families_of(getattr(report_a, family)) == families_of(getattr(report_b, family))

@@ -27,6 +27,7 @@ from helpers import (
     count_cached_builds,
     csv_writer_rows,
     dyad_fixture_cells,
+    ids_of,
     node_names,
     oracle_triangle,
     random_active_grids,
@@ -524,6 +525,66 @@ class TestRun:
                 assert flagged[f"monotonic_{trend}"][direction] == sorted(
                     r[0] for r in rows if r[4] == trend
                 )
+
+    def test_journal_families_are_id_arrays_and_the_reports_agree(
+        self, tmp_path, rng, monkeypatch
+    ):
+        built, inner = [], cli.build_flag_report
+
+        def recording(*args, **kwargs):
+            built.append(inner(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_flag_report", recording)
+        out = tmp_path / "out"
+        years = _random_year_files(tmp_path, rng)
+        excluded = node_names(14)[4]
+        rc = main(["run", *_year_args(years), "--out", str(out), "--k", "0.5",
+                   "--exclude", excluded])
+        assert rc == 0
+        (report,) = built
+        names = report.tensor.registry.names
+        assert excluded not in names and len(names) == 13
+        t = report.thresholds
+
+        def margin(pair, d):
+            return report.margins[(pair, d)]
+
+        rules = {}
+        for d in ("cited", "citing"):
+            t01, t12 = (t[f"margin_{pair}_{d}"] for pair in ("01", "12"))
+            rules["monotonic_up", d] = (
+                (margin((0, 1), d) > t01.upper) & (margin((1, 2), d) > t12.upper))
+            rules["monotonic_down", d] = (
+                (margin((0, 1), d) < t01.lower) & (margin((1, 2), d) < t12.lower))
+            rules["revision_flagged", d] = (
+                report.revision_node_margins[d] < t[f"revision_{d}"].lower)
+            rules["triangle_flagged_nodes", d] = (
+                report.triangle_node_margins[d] < t[f"triangle_{d}"].lower)
+        families = {}
+        for (family, d), rule in rules.items():
+            ids = getattr(report, family)[d]
+            assert ids_of(ids) == np.flatnonzero(rule).tolist(), (family, d)
+            families[family, d] = ids.tolist()
+        assert 0 < sum(map(len, families.values())) < 8 * len(names)
+
+        reports = out / "reports"
+        journal_flags = read_sidecar(reports / "journal_flags.json")
+        for (family, d), ids in families.items():
+            assert journal_flags["flagged"][family][d] == [names[i] for i in ids]
+            assert journal_flags["counts"][family][d] == len(ids)
+        for d in ("cited", "citing"):
+            trend = {names[i]: "up" for i in families["monotonic_up", d]}
+            trend.update({names[i]: "down" for i in families["monotonic_down", d]})
+            rows = _read_csv(reports / f"margins_{d}.csv")[1:]
+            assert sorted(r[0] for r in rows) == list(names)
+            assert {r[0]: r[4] for r in rows} == {n: trend.get(n, "") for n in names}
+            for family, table in (("revision_flagged", "revision"),
+                                  ("triangle_flagged_nodes", "triangle_nodes")):
+                rows = _read_csv(reports / f"{table}_{d}.csv")[1:]
+                flagged = {names[i] for i in families[family, d]}
+                assert {r[0]: r[2] for r in rows} == {
+                    n: "true" if n in flagged else "false" for n in names}
 
     @pytest.mark.parametrize("unit", ["bits", "mbits", "microbits"])
     def test_transition_summary_statistics_are_the_thresholds(self, tmp_path, rng, unit):

@@ -44,6 +44,8 @@ from helpers import (
     count_cached_builds,
     dyad_fixture_cells,
     eager_flag_report,
+    families_of,
+    ids_of,
     link_triples,
     make_tensor,
     mask_flag_links,
@@ -147,37 +149,37 @@ class TestComputeThreshold:
 class TestFlagMonotonic:
     def test_requires_both_intervals(self):
         up, down = _monotonic_of([0, 0, 0, 0, 0, 10], [1, 1, 1, 1, 1, 1])
-        assert up == frozenset()
-        assert down == frozenset()
+        assert ids_of(up) == []
+        assert ids_of(down) == []
 
     def test_degenerate_equal_values_flag_nothing(self):
         up, down = _monotonic_of([3, 3, 3, 3], [3, 3, 3, 3])
-        assert up == frozenset() and down == frozenset()
+        assert ids_of(up) == [] and ids_of(down) == []
 
     def test_injected_climber_is_the_only_flag(self):
         up, down = _monotonic_of([0, 0, 0, 0, 0, 10], [1, 0, 1, 0, 1, 12])
-        assert up == frozenset({5})
-        assert down == frozenset()
+        assert ids_of(up) == [5]
+        assert ids_of(down) == []
 
     def test_decliner(self):
         up, down = _monotonic_of([0, 0, 0, 0, 0, -10], [0, 1, 0, 1, 0, -12])
-        assert down == frozenset({5})
-        assert up == frozenset()
+        assert ids_of(down) == [5]
+        assert ids_of(up) == []
 
 
 class TestFlagRevision:
     def test_all_zero_flags_nothing(self):
-        assert _revision_flags_of([0.0] * 5) == frozenset()
+        assert ids_of(_revision_flags_of([0.0] * 5)) == []
 
     def test_strongly_negative_node_flagged(self):
         values = [0.1, 0.2, 0.0, -0.1, 0.1, -5.0]
-        assert _revision_flags_of(values) == frozenset({5})
+        assert ids_of(_revision_flags_of(values)) == [5]
 
     def test_matches_brute_force_filter(self, rng):
         values = rng.normal(0, 1, size=10)
         mean, sd = values.mean(), values.std()
-        expected = frozenset(int(i) for i in range(10) if values[i] < mean - 1.0 * sd)
-        assert _revision_flags_of(values) == expected
+        expected = [i for i in range(10) if values[i] < mean - 1.0 * sd]
+        assert ids_of(_revision_flags_of(values)) == expected
 
 
 class TestFlagLinks:
@@ -410,7 +412,8 @@ class TestReportAndProperties:
         low, high = (build_flag_report(tensor, k=k, drop_loops=drop_loops) for k in (k1, k2))
         for family in FAMILIES:
             for d in DIRECTIONS:
-                assert getattr(high, family)[d] <= getattr(low, family)[d], (family, d)
+                high_ids, low_ids = (ids_of(getattr(r, family)[d]) for r in (high, low))
+                assert set(high_ids) <= set(low_ids), (family, d)
 
         def pairs(report):
             citing, cited, _ = report.links
@@ -443,27 +446,22 @@ class TestReportAndProperties:
         base = build_flag_report(make_tensor(grids))
         scaled = build_flag_report(make_tensor([grids[0], 7 * grids[1], grids[2]]))
         assert base.hot_links == scaled.hot_links
-        for direction in ("cited", "citing"):
-            assert base.monotonic_up[direction] == scaled.monotonic_up[direction]
-            assert base.monotonic_down[direction] == scaled.monotonic_down[direction]
-            assert base.revision_flagged[direction] == scaled.revision_flagged[direction]
-            assert (
-                base.triangle_flagged_nodes[direction]
-                == scaled.triangle_flagged_nodes[direction]
-            )
+        for family in FAMILIES:
+            assert families_of(getattr(base, family)) == families_of(getattr(scaled, family))
 
     def test_rerun_is_deterministic(self, small_tensor):
         a = build_flag_report(small_tensor)
         b = build_flag_report(small_tensor)
         assert a.hot_links == b.hot_links
-        assert a.monotonic_up == b.monotonic_up
+        assert families_of(a.monotonic_up) == families_of(b.monotonic_up)
         assert a.thresholds == b.thresholds
 
     def test_monotonic_sets_disjoint_and_strict(self, rng):
         grids = random_active_grids(rng, 9, density=0.6, high=60)
         report = build_flag_report(make_tensor(grids))
         for direction in ("cited", "citing"):
-            assert not (report.monotonic_up[direction] & report.monotonic_down[direction])
+            up, down = (ids_of(f[direction]) for f in (report.monotonic_up, report.monotonic_down))
+            assert not set(up) & set(down)
 
     def test_hot_links_within_tri_valid_and_loopless(self, rng):
         grids = random_active_grids(rng, 8, density=0.8, high=40)
@@ -540,10 +538,12 @@ class TestReportAndProperties:
             return {i for i in range(n) if value_sets[key][i] > bounds[key][1]}
 
         for d in ("cited", "citing"):
-            assert report.monotonic_up[d] == above(f"margin_01_{d}") & above(f"margin_12_{d}")
-            assert report.monotonic_down[d] == below(f"margin_01_{d}") & below(f"margin_12_{d}")
-            assert report.revision_flagged[d] == below(f"revision_{d}")
-            assert report.triangle_flagged_nodes[d] == below(f"triangle_{d}")
+            up = above(f"margin_01_{d}") & above(f"margin_12_{d}")
+            down = below(f"margin_01_{d}") & below(f"margin_12_{d}")
+            assert ids_of(report.monotonic_up[d]) == sorted(up)
+            assert ids_of(report.monotonic_down[d]) == sorted(down)
+            assert ids_of(report.revision_flagged[d]) == sorted(below(f"revision_{d}"))
+            assert ids_of(report.triangle_flagged_nodes[d]) == sorted(below(f"triangle_{d}"))
         triangle = report.triangle
         hot = [
             (int(c), int(d), float(s))
@@ -668,7 +668,7 @@ class TestKValidation:
         report = build_flag_report(_dyad_tensor(), k=1.7e308)
         assert to_unit(report.thresholds["links"].lower, report.unit) == -math.inf
         assert report.hot_links == ()
-        assert not any(report.monotonic_up.values())
+        assert not any(ids.size for ids in report.monotonic_up.values())
 
     def test_unknown_unit_raises(self, small_tensor):
         expected = r"unit must be one of \['bits', 'mbits', 'microbits'\], got 'furlongs'"
@@ -719,9 +719,10 @@ class TestIndicatorCache:
             assert _report_arrays(cached) == _report_arrays(fresh)
             assert cached.thresholds == fresh.thresholds
             assert all(spec.k == k for spec in cached.thresholds.values())
-            for name in ("monotonic_up", "monotonic_down", "revision_flagged",
-                         "triangle_flagged_nodes", "hot_links", "loops_flagged"):
-                assert getattr(cached, name) == getattr(fresh, name), name
+            for name in FAMILIES:
+                assert families_of(getattr(cached, name)) == families_of(getattr(fresh, name))
+            assert cached.hot_links == fresh.hot_links
+            assert cached.loops_flagged == fresh.loops_flagged
             assert cached.outliers_removed == fresh.outliers_removed == outliers
 
     def test_k_sweep_evaluates_indicators_once(self, small_tensor, monkeypatch):
@@ -860,12 +861,13 @@ class TestLazyViews:
         for tensor in _pin_tensors():
             report = build_flag_report(tensor, k=k, drop_loops=drop_loops)
             eager = eager_flag_report(tensor, k, drop_loops)
-            for name in LAZY_VIEWS:
-                assert getattr(report, name) == eager[name], name
+            assert report.thresholds == eager["thresholds"]
+            for name in FAMILIES:
+                assert families_of(getattr(report, name)) == families_of(eager[name]), name
             for got, want in zip(report.links, eager["links"]):
                 assert got.tobytes() == want.tobytes()
             assert report.loops_flagged == eager["loops_flagged"]
-            flagged += sum(len(s) for name in LAZY_VIEWS[1:] for s in eager[name].values())
+            flagged += sum(ids.size for name in FAMILIES for ids in eager[name].values())
         assert flagged
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.5])
@@ -890,7 +892,7 @@ class TestLazyViews:
         with pytest.raises(TypeError):
             report.thresholds["revision_cited"] = ThresholdSpec.of(0.0, 0.0, 1.0)
         eager = eager_flag_report(small_tensor, 1.0, True)
-        assert report.revision_flagged == eager["revision_flagged"]
+        assert families_of(report.revision_flagged) == families_of(eager["revision_flagged"])
 
     def test_a_sweep_reading_only_the_links_builds_no_view(self, small_tensor, monkeypatch):
         builds = count_cached_builds(

@@ -42,3 +42,62 @@ def test_the_check_sees_an_unused_import(tmp_path):
                       "from typing import Mapping\n\ndef f(x: Mapping):\n    return os.sep\n",
                       encoding="utf-8")
     assert _unused_imports(source) == ["module.py:2: numpy", "module.py:3: io"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of each private module-level function, class and
+    constant of a module, and of each private method of its classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, item.name) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def _unread_private_names(paths: list[Path]) -> list[str]:
+    """``file:line: name`` for each private definition (see
+    ``_private_definitions``) in ``paths`` that no expression in any of
+    them reads, as a bare name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{path.name}:{line}: {name}" for path, tree in trees.items()
+            for line, name in _private_definitions(tree) if name not in read]
+
+
+def test_every_private_name_is_read_in_src():
+    # A private name that nothing reads is code that neither the CLI nor
+    # the public API reaches.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert sum(len(_private_definitions(ast.parse(p.read_text(encoding="utf-8"))))
+               for p in modules) > 30
+    assert _unread_private_names(modules) == []
+
+
+def test_the_check_sees_an_unread_private_name(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("_LIMIT = 3\n_UNUSED: int = 4\n\n"
+                      "def _helper():\n    return _LIMIT\n\n"
+                      "def _unread_helper():\n    return 1\n\n"
+                      "class _Holder:\n"
+                      "    def __init__(self):\n        self._x = self._read()\n\n"
+                      "    def _read(self):\n        return _helper()\n\n"
+                      "    def _unread(self):\n        return self._x\n\n"
+                      "def public():\n    return _Holder()\n",
+                      encoding="utf-8")
+    assert _unread_private_names([source]) == [
+        "module.py:2: _UNUSED", "module.py:7: _unread_helper", "module.py:17: _unread",
+    ]
