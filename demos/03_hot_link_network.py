@@ -77,11 +77,13 @@ for node, community in sorted(communities.assignment.items()):
 for community, members in sorted(groups.items()):
     print(f"  community {community}: {', '.join(members)}")
 
+# Degrees are an array over node positions, which are in label order, so a
+# stable sort on the degrees ranks equal degrees by label.
 degrees = degree_centrality(graph)
-ranked = sorted(graph.nodes, key=lambda v: (-degrees[v], v))
+ranked = np.argsort(-degrees, kind="stable")
 print("\ndegree ranking (hot-link ties per journal):")
-for node in ranked:
-    print(f"  {node}: {degrees[node]}")
+for i in ranked.tolist():
+    print(f"  {graph.nodes[i]}: {degrees[i]}")
 
 assert {"J10", "J11"} in [set(c) for c in parts.components]
 print("\nThe dyad J10-J11 stays a separate component: a candidate hot spot "

@@ -274,7 +274,10 @@ def _overlay_sets(path: Path, journal_flags: dict) -> dict[str, dict[str, list[s
     """Overlay categories per family, from journal_flags.json "flagged"."""
 
     def flagged(family: str, d: str) -> list[str]:
-        return _lookup(path, journal_flags, "flagged", family, d)
+        names = _lookup(path, journal_flags, "flagged", family, d)
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise DataError(f"{path}: 'flagged.{family}.{d}' is not a list of names")
+        return names
 
     return {
         "monotonic": {

@@ -22,7 +22,9 @@ stage reads them back. They round to 6 decimals in the reporting unit:
 * triangle_nodes_<dir>.csv: journal, triangle_<u>, flagged
 * hot_links.csv:          citing, cited, triangle_<u>  (the FlagReport.links arrays)
 * degree_ranking.csv:     journal, degree            (giant component only)
-* components.csv:         component, size, members   (members "; "-joined)
+* components.csv:         component, size, members   (members "; "-joined:
+  a main component's field can pass csv's default field_size_limit of
+  131,072 characters, and a name may hold "; ", so parse communities.csv)
 * communities.csv:        journal, component, community
 
 with <u> the configured unit (bits | mbits | microbits) and <dir> cited or
@@ -70,7 +72,6 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
@@ -193,25 +194,15 @@ def write_pajek_clu(assignment: Mapping, path: str | Path, nodes: Sequence) -> N
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BaseMapRow:
-    label: str
-    x: str
-    y: str
-    cluster: str = ""
-    weight: str = ""
-
-
-@dataclass(frozen=True)
 class BaseMap:
     """A fixed global map to overlay results on; labels unique after the
-    same normalization the registry applies. Coordinates are kept verbatim.
-    ``index`` maps each row's normalized label to the row, in file order;
-    ``columns`` names the BaseMapRow fields the file has, in field order."""
+    same normalization the registry applies. Fields are kept verbatim.
+    ``index`` maps each row's normalized label, in file order, to its fields
+    as a tuple in ``columns`` order: label, x, y, then cluster and weight if
+    the file has them."""
 
-    index: dict[str, BaseMapRow]
+    index: dict[str, tuple[str, ...]]
     columns: tuple[str, ...]
-
-
 
 
 def read_basemap(path: str | Path) -> BaseMap:
@@ -227,17 +218,17 @@ def read_basemap(path: str | Path) -> BaseMap:
     except ValueError as exc:
         raise DataError(f"{path}: base map header must name label, x and y ({exc})") from None
     col.update((name, header.index(name)) for name in ("cluster", "weight") if name in header)
-    index: dict[str, BaseMapRow] = {}
+    index: dict[str, tuple[str, ...]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) < len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-        row = BaseMapRow(**{name: fields[i] for name, i in col.items()})
-        key = normalize_name(row.label)
+        row = tuple(fields[i] for i in col.values())
+        key = normalize_name(row[0])
         if key in index:
-            raise DataError(f"{path}:{lineno}: duplicate label {row.label!r}")
+            raise DataError(f"{path}:{lineno}: duplicate label {row[0]!r}")
         index[key] = row
     return BaseMap(index=index, columns=tuple(col))
 
@@ -273,10 +264,10 @@ def write_vosviewer_files(
     clusters = np.fromiter(map(partition.__getitem__, nodes), np.int64, len(nodes)) + 1
     header, coords, unmatched = ["id", "label", "cluster", "weight"], [], []
     if basemap is not None:
-        missing = BaseMapRow(label="", x="", y="")
+        missing = ("", "", "")
         rows = list(map(basemap.index.get, map(normalize_name, names), repeat(missing)))
         unmatched = [v for v, row in zip(nodes, rows) if row is missing]
-        coords = [map(attrgetter("x"), rows), map(attrgetter("y"), rows)]
+        coords = [[row[1] for row in rows], [row[2] for row in rows]]
         header[2:2] = ["x", "y"]
     ids = map(str, range(1, len(nodes) + 1))
     table = zip(ids, names, *coords, map(str, clusters.tolist()), fmt_sig6_column(strength))
@@ -312,7 +303,7 @@ def write_overlay(
     found = list(map(category_of.get, basemap.index))
     style = {category: f"{category}\t{colors[category]}" for category in set(found) - {None}}
     style[None] = f"\t{NEUTRAL_COLOR}"
-    rows = map("\t".join, map(attrgetter(*basemap.columns), basemap.index.values()))
+    rows = map("\t".join, basemap.index.values())
     lines = map("{}\t{}".format, rows, map(style.__getitem__, found))
     _write_lines(path, ["\t".join((*basemap.columns, "category", "color")), *lines])
 
@@ -644,26 +635,27 @@ def write_link_flag_reports(
 
 def write_network_reports(outdir: str | Path, network: Network) -> None:
     """Component listing, community assignment and the degree ranking of
-    the giant component. The ``component`` array of ``network.components``
-    is read by position over ``network.graph.nodes``."""
+    the giant component, read by position over ``network.graph.nodes``;
+    positions are in label order, so degree ties rank by journal name."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    graph, components, degrees = network.graph, network.components, network.degrees
-    comps = components.components
+    graph, component, degrees = network.graph, network.components.component, network.degrees
+    comps = network.components.components
     _write_csv(
         outdir / "components.csv",
         ["component", "size", "members"],
         zip(map(str, range(len(comps))), map(str, map(len, comps)),
             _csv_fields("; ".join(map(str, comp)) for comp in comps)),
     )
-    quoted = dict(zip(graph.nodes, _csv_fields(map(str, graph.nodes))))
+    quoted = np.array(_csv_fields(map(str, graph.nodes)), dtype=object)
     _write_csv(
         outdir / "communities.csv",
         ["journal", "component", "community"],
-        zip(quoted.values(), map(str, components.component.tolist()),
+        zip(quoted.tolist(), map(str, component.tolist()),
             map(str, map(network.communities.assignment.__getitem__, graph.nodes))),
     )
-    ranked = sorted(network.giant, key=lambda v: (-degrees[v], v))
+    giant = np.flatnonzero(component == 0)
+    ranked = giant[np.argsort(-degrees[giant], kind="stable")]
     _write_csv(outdir / "degree_ranking.csv", ["journal", "degree"],
-               zip(map(quoted.__getitem__, ranked), map(str, map(degrees.__getitem__, ranked))))
+               zip(quoted[ranked].tolist(), map(str, degrees[ranked].tolist())))

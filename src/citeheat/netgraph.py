@@ -18,14 +18,15 @@ community id, so each move raises Q. The result is fully deterministic for
 a given seed: every queue starts in a seeded shuffled order.
 
 A node's id is its position in the sorted ``HotLinkGraph.nodes``, as a
-journal's is in ``AlignedTensor``, and the graph is stored as arrays over
-those positions. One array component routine (``_pieces``, min-label
-hook and shortcut after Shiloach & Vishkin 1982) finds both the components
-and the connected pieces of Louvain's communities, and one array core
-(``_modularity``) gives every Q. Louvain aggregates levels as edge arrays
-too (``_merge``, ``from_ids``'s edge merge); only its local moves walk
-positional adjacency dicts. Labels cross into and out of positions in one
-C-level ``operator.itemgetter`` call each way (``_gather``).
+journal's is in ``AlignedTensor``; the graph, its component numbers and
+its degrees are arrays over those positions. One array component routine
+(``_pieces``, min-label hook and shortcut after Shiloach & Vishkin 1982)
+finds both the components and the connected pieces of Louvain's
+communities, and one array core (``_modularity``) gives every Q. Louvain
+aggregates levels as edge arrays too (``_merge``, ``from_ids``'s edge
+merge); only its local moves walk positional adjacency dicts. Labels cross
+into and out of positions in one C-level ``operator.itemgetter`` call each
+way (``_gather``).
 """
 
 from __future__ import annotations
@@ -187,19 +188,13 @@ class ComponentPartition:
     ties broken by smallest member.
 
     ``component[i]`` is the component number of ``nodes[i]``, a read-only
-    array over the graph's node positions; ``assignment`` (label ->
-    component number) is a view of it, built on first read. Two partitions
-    are equal when their ``nodes`` and ``components`` are, which fix the
-    assignment.
+    array over the graph's node positions. Two partitions are equal when
+    their ``nodes`` and ``components`` are, which fix ``component``.
     """
 
     nodes: tuple
     component: np.ndarray = field(compare=False)
     components: tuple
-
-    @cached_property
-    def assignment(self) -> dict:
-        return dict(zip(self.nodes, self.component.tolist()))
 
 
 def _pieces(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -243,11 +238,10 @@ def connected_components(graph: HotLinkGraph) -> ComponentPartition:
     return ComponentPartition(nodes=nodes, component=read_only(component), components=components)
 
 
-def degree_centrality(graph: HotLinkGraph) -> dict:
-    """Unweighted incident-edge count per node."""
+def degree_centrality(graph: HotLinkGraph) -> np.ndarray:
+    """Unweighted incident-edge count per node position, read-only int64."""
     n = len(graph.nodes)
-    degrees = np.bincount(graph.u, minlength=n) + np.bincount(graph.v, minlength=n)
-    return dict(zip(graph.nodes, degrees.tolist()))
+    return read_only(np.bincount(graph.u, minlength=n) + np.bincount(graph.v, minlength=n))
 
 
 def _modularity(graph: HotLinkGraph, comm: np.ndarray) -> float:
@@ -473,7 +467,7 @@ class Network:
     graph: HotLinkGraph
     components: ComponentPartition
     communities: CommunityPartition
-    degrees: dict
+    degrees: np.ndarray
 
     @property
     def giant(self) -> tuple:

@@ -21,7 +21,7 @@ from citeheat.io_export import (
     read_sidecar,
     read_tensor_cache,
 )
-from citeheat.netgraph import ComponentPartition, HotLinkGraph
+from citeheat.netgraph import HotLinkGraph
 
 from helpers import (
     count_cached_builds,
@@ -301,13 +301,10 @@ class TestRun:
         views = ("thresholds", "monotonic_up", "monotonic_down", "revision_flagged",
                  "triangle_flagged_nodes")
         builds = count_cached_builds(monkeypatch, FlagReport, views)
-        assignments = count_cached_builds(monkeypatch, ComponentPartition, ("assignment",))
         out = tmp_path / "out"
         assert main(["run", *_year_args(dyad_year_files), "--out", str(out)]) == 0
         assert (out / "network" / "communities.csv").is_file()
         assert builds == dict.fromkeys(views, 1)
-        # communities.csv reads the component numbers by position.
-        assert assignments == {"assignment": 0}
 
     def test_summary_config_describes_the_flag_files(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"
@@ -939,6 +936,27 @@ class TestConfigHandling:
         assert main(["network", "--out", str(out), "--basemap", basemap]) == 2
         err = capsys.readouterr().err
         assert f"data error: {path}: no key {key!r}" in err and "Traceback" not in err
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("value", [5, [5], "Acta"], ids=["number", "numbers", "string"])
+    @pytest.mark.parametrize("with_basemap", [True, False], ids=["basemap", "no-basemap"])
+    def test_flagged_entry_not_a_list_of_names_exits_2_and_changes_nothing(
+        self, dyad_year_files, tmp_path, capsys, value, with_basemap
+    ):
+        out = tmp_path / "out"
+        basemap = ["--basemap", str(_write_basemap(tmp_path))] if with_basemap else []
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), *basemap]) == 0
+        path = out / "reports" / "journal_flags.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["flagged"]["revision_flagged"]["cited"] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        before = _tree(out)
+        capsys.readouterr()
+        # Another seed, so a write before the check could not go unseen.
+        assert main(["network", "--seed", "4", "--out", str(out), *basemap]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: 'flagged.revision_flagged.cited'" in err
+        assert "Traceback" not in err
         assert _tree(out) == before
 
     @pytest.mark.parametrize(

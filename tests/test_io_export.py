@@ -536,11 +536,11 @@ def test_basemap_columns_keep_their_values_and_bytes(tmp_path, case):
     text, cluster_weight, overlay = BASEMAP_COLUMN_CASES[case]
     (tmp_path / "base.txt").write_text(text, encoding="utf-8")
     basemap = read_basemap(tmp_path / "base.txt")
-    rows = list(basemap.index.values())
-    assert [(row.label, row.x, row.y) for row in rows] == [
+    rows = [dict(zip(basemap.columns, row)) for row in basemap.index.values()]
+    assert [(row["label"], row["x"], row["y"]) for row in rows] == [
         ("Genet Med", "0.10", "-0.20"), ("Pers Med", "0.30", "0.40")
     ]
-    assert [(row.cluster, row.weight) for row in rows] == cluster_weight
+    assert [(row.get("cluster", ""), row.get("weight", "")) for row in rows] == cluster_weight
     write_overlay({"cited": {"Pers Med"}}, basemap, {"cited": "red"}, tmp_path / "o.txt")
     assert (tmp_path / "o.txt").read_bytes() == overlay.encode()
     graph = build_graph([("Genet Med", "Pers Med", -1.5e-3), ("Pers Med", "Unknown J", -2e-3)])
@@ -577,12 +577,12 @@ class TestLinesBreakOnlyAtNewline:
     def test_basemap_round_trip_through_overlay(self, tmp_path, char):
         (tmp_path / "base.txt").write_text(f"label\tx\ty\nC{char}D\t0.1\t0.2\nE\t1\t2\n", "utf-8")
         basemap = read_basemap(tmp_path / "base.txt")
-        assert [row.label for row in basemap.index.values()] == [f"C{char}D", "E"]
+        assert [row[0] for row in basemap.index.values()] == [f"C{char}D", "E"]
         write_overlay({"cited": {f"C{char}D"}}, basemap, {"cited": "red"}, tmp_path / "o.txt")
         again = read_basemap(tmp_path / "o.txt")
-        assert [(row.label, row.x, row.y) for row in again.index.values()] == [
-            (row.label, row.x, row.y) for row in basemap.index.values()
-        ]
+        # Both maps have the columns label, x, y, so rows are (label, x, y).
+        assert again.columns == basemap.columns == ("label", "x", "y")
+        assert list(again.index.values()) == list(basemap.index.values())
 
     def test_tensor_cache_year_labels(self, tmp_path, rng, char):
         labels = (f"20{char}11", "2012", "2013")
@@ -907,6 +907,30 @@ def test_names_in_reports_are_quoted_as_csv_writer_quotes_them(tmp_path, rng):
         "; ".join(members) for members in components.components
     ]
     csv_writer_rows(tmp_path / "transition_summary.csv")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_degree_ranking_is_degree_descending_then_journal_name(tmp_path, seed):
+    # A sparse random graph on 80 journals: few distinct degrees, each
+    # shared by many journals of the main component.
+    rng = np.random.default_rng(seed)
+    names = sorted(f"J{i}" for i in range(80))
+    pairs = rng.integers(0, 80, size=(120, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    graph = HotLinkGraph.from_ids(pairs[:, 0], pairs[:, 1], -rng.random(len(pairs)), names)
+    components = connected_components(graph)
+    write_network_reports(
+        tmp_path, Network(graph, components, louvain(graph), degree_centrality(graph))
+    )
+
+    deg = dict.fromkeys(graph.nodes, 0)
+    for i in graph.u.tolist() + graph.v.tolist():
+        deg[graph.nodes[i]] += 1
+    giant = components.components[0]
+    assert len({deg[v] for v in giant}) * 5 < len(giant)
+    assert csv_writer_rows(tmp_path / "degree_ranking.csv") == [
+        [v, str(deg[v])] for v in sorted(giant, key=lambda v: (-deg[v], v))
+    ]
 
 
 class TestWriteJson:

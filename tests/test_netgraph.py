@@ -91,7 +91,8 @@ class TestBuildGraph:
         ]
         # Rows fill in edge order, which fixes Louvain's summation order.
         assert [list(row) for row in graph.adjacency] == [[1, 2, 3], [0, 2], [0, 1], [0, 4], [3]]
-        assert degree_centrality(graph) == {"A": 3, "B": 2, "C": 2, "D": 2, "E": 1}
+        # Degrees are over positions, A..E.
+        assert degree_centrality(graph).tolist() == [3, 2, 2, 2, 1]
 
     def test_loop_rejected(self):
         with pytest.raises(DataError, match="loop"):
@@ -233,11 +234,15 @@ class TestArrayGraph:
             uf.union(a, b)
         parts = connected_components(graph)
         assert [list(c) for c in parts.components] == uf.groups()
-        assert parts.assignment == {v: i for i, c in enumerate(uf.groups()) for v in c}
+        assert dict(zip(graph.nodes, parts.component.tolist())) == {
+            v: i for i, c in enumerate(uf.groups()) for v in c
+        }
 
         degrees = degree_centrality(graph)
-        assert list(degrees) == list(nodes)
-        assert degrees == {v: sum(v in (a, b) for a, b, _ in edges) for v in nodes}
+        assert degrees.shape == (len(nodes),)
+        assert dict(zip(graph.nodes, degrees.tolist())) == {
+            v: sum(v in (a, b) for a, b, _ in edges) for v in nodes
+        }
 
         partition = {v: f"c{rnd.randrange(4)}" for v in nodes}
         assert modularity(graph, partition).hex() == running_sum_modularity(
@@ -273,7 +278,7 @@ class TestArrayGraph:
         graph = build_graph((a, b, 1.0) for a, b in zip(labels, labels[1:]))
         parts = connected_components(graph)
         assert parts.components == (tuple(sorted(labels)),)
-        assert set(parts.assignment.values()) == {0}
+        assert set(parts.component.tolist()) == {0}
 
     def test_arrays_are_read_only(self):
         graphs = [
@@ -301,8 +306,8 @@ class TestComponents:
         )
         parts = connected_components(graph)
         assert parts.components == (("A", "B", "C"), ("D", "E"))
-        assert parts.assignment["C"] == 0
-        assert parts.assignment["E"] == 1
+        assert parts.component[graph.nodes.index("C")] == 0
+        assert parts.component[graph.nodes.index("E")] == 1
 
     def test_connected_graph_single_component(self):
         rng = random.Random(5)
@@ -512,7 +517,7 @@ class TestLouvain:
         edges = edges or [(0, 1, 1.0), (6, 7, 1.0)]
         graph = build_graph(_scrambled_labels(edges, 12))
         result = louvain(graph, seed=3)
-        comp = connected_components(graph).assignment
+        comp = dict(zip(graph.nodes, connected_components(graph).component.tolist()))
         neighbours: dict[str, set] = {}
         for u, v, _ in graph.edges:
             neighbours.setdefault(u, set()).add(v)
@@ -601,20 +606,30 @@ class TestLouvain:
 class TestDegreeCentrality:
     def test_star(self):
         edges = [("C", leaf, 1.0) for leaf in ("L1", "L2", "L3", "L4", "L5")]
-        degrees = degree_centrality(build_graph(edges))
+        graph = build_graph(edges)
+        degrees = dict(zip(graph.nodes, degree_centrality(graph).tolist()))
         assert degrees["C"] == 5
         assert all(degrees[leaf] == 1 for leaf in ("L1", "L2", "L3", "L4", "L5"))
 
     def test_empty(self):
-        assert degree_centrality(build_graph([])) == {}
+        degrees = degree_centrality(build_graph([]))
+        assert degrees.dtype == np.int64 and degrees.tolist() == []
 
     def test_matches_adjacency_row_sums(self):
         rng = random.Random(31)
         edges = _scrambled_labels(random_graph_edges(rng, 9, 0.4) or [(0, 1, 1.0)], 9)
         graph = build_graph(edges)
         degrees = degree_centrality(graph)
-        assert list(degrees) == list(graph.nodes)
-        index = {v: i for i, v in enumerate(graph.nodes)}
-        for v in graph.nodes:
-            assert degrees[v] == len(graph.adjacency[index[v]])
-            assert degrees[v] == sum(v in (a, b) for a, b, _ in edges)
+        assert degrees.shape == (len(graph.nodes),)
+        for i, v in enumerate(graph.nodes):
+            assert degrees[i] == len(graph.adjacency[i])
+            assert degrees[i] == sum(v in (a, b) for a, b, _ in edges)
+
+    def test_read_only_int64_over_positions(self):
+        graph = HotLinkGraph.from_ids(np.array([0, 2, 2]), np.array([2, 3, 1]),
+                                      np.array([1.0, 2.0, 3.0]), ["A", "B", "C", "D"])
+        degrees = degree_centrality(graph)
+        assert degrees.dtype == np.int64
+        assert degrees.tolist() == [1, 1, 3, 1]
+        with pytest.raises(ValueError):
+            degrees[0] = 0
