@@ -12,8 +12,9 @@ matrices are aligned over one dense id space, in lexicographic name order,
 with per-transition validity masks.
 
 From the first parsed line on, a year is coordinate arrays over a name
-table: renames rewrite the table, not the cells, and alignment merges
-integer keys ``citing * N + cited``.
+table. Renames map each year's cells onto one shared table, the renamed
+names of every year, and sum the cells that then share a (citing, cited)
+pair; alignment merges integer keys ``citing * N + cited``.
 """
 
 from __future__ import annotations

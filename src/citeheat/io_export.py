@@ -147,9 +147,6 @@ def fmt_sig6_column(values: np.ndarray) -> list[str]:
     return out.tolist()
 
 
-fmt_dec6 = "{:.6f}".format
-
-
 # ---------------------------------------------------------------------------
 # Pajek
 # ---------------------------------------------------------------------------
@@ -499,8 +496,8 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     for label, family, pair, grand_sum in transitions:
         cited = report.thresholds[threshold_key(family, "cited", pair)]
         citing = report.thresholds[threshold_key(family, "citing", pair)]
-        values = (cited.mean, cited.sd, citing.sd, grand_sum)
-        summary.append(_csv_fields([label]) + [fmt_dec6(to_unit(x, unit)) for x in values])
+        values = np.array([cited.mean, cited.sd, citing.sd, grand_sum])
+        summary.append(_csv_fields([label]) + list(_dec6_column(values, unit)))
     _write_csv(
         outdir / "transition_summary.csv",
         ["transition", f"mean_{unit}", f"sd_cited_{unit}", f"sd_citing_{unit}", f"sum_{unit}"],
@@ -584,8 +581,9 @@ def _write_flag_table(path, column, quoted, values, flagged, unit):
 
 
 def _dec6_column(values: np.ndarray, unit: str) -> Iterable[str]:
-    """fmt_dec6 of each value, converted from bits to ``unit`` by one array
-    multiply, the same float multiply as to_unit."""
+    """Each value converted from bits to ``unit`` by one array multiply,
+    the same float multiply as ``to_unit``, and written with six decimals
+    (``.6f``)."""
     return map(float.__format__, (values * UNIT_SCALE[unit]).tolist(), repeat(".6f"))
 
 

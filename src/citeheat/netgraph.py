@@ -24,9 +24,11 @@ its degrees are arrays over those positions. One array component routine
 finds both the components and the connected pieces of Louvain's
 communities, and one array core (``_modularity``) gives every Q. Louvain
 aggregates levels as edge arrays too (``_merge``, ``from_ids``'s edge
-merge); only its local moves walk positional adjacency dicts. Labels cross
-into and out of positions in one C-level ``operator.itemgetter`` call each
-way (``_gather``).
+merge); only its local moves walk positional neighbour dicts, which
+``louvain`` builds per level (``_adjacency``). No level holds a loop: the
+graph has none, and an aggregated level keeps only the edges between
+communities. Labels cross into and out of positions in one C-level
+``operator.itemgetter`` call each way (``_gather``).
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ class HotLinkGraph:
     ``nodes`` is sorted, and a node's id is its position there. Edge e
     joins positions ``u[e] < v[e]`` with weight ``weights[e]``; edges are
     in (u, v) order, so in label order, and the three arrays are
-    read-only. Derived views, each built on first use and kept: ``edges``
-    (the (u, v, w) label triples) and ``adjacency`` (per position,
-    neighbour position -> weight; read-only, for Louvain).
+    read-only. ``edges``, the (u, v, w) label triples, is built on first
+    use and kept. Build a graph with ``from_ids`` or ``build_graph``: the
+    bare constructor does not check that no edge is a loop, which Louvain
+    relies on.
     """
 
     nodes: tuple
@@ -97,10 +100,6 @@ class HotLinkGraph:
             (nodes[i], nodes[j], w)
             for i, j, w in zip(self.u.tolist(), self.v.tolist(), self.weights.tolist())
         ])
-
-    @cached_property
-    def adjacency(self) -> list[dict[int, float]]:
-        return _adjacency(len(self.nodes), self.u, self.v, self.weights)
 
     @cached_property
     def total_weight(self) -> float:
@@ -291,35 +290,24 @@ class CommunityPartition:
 
 
 def _move_nodes(
-    adj: list[dict],
-    m: float,
-    rng: random.Random,
-    start: list[int] | None = None,
-    k: list[float] | None = None,
+    adj: list[dict], k: list[float], m: float, rng: random.Random, start: list[int]
 ) -> list[int]:
     """One fast local-move phase, run until the queue of nodes to visit is empty.
 
-    The phase starts from singletons, or from ``start`` (community ids
-    below ``len(adj)``; the refinement pass of a level going back down).
-    ``k`` holds the node strengths, which a level computes once for both of
-    its passes; without it they are the row sums of ``adj``. A loop in a
-    row counts towards the strength only. Every node starts in the queue,
-    in seeded shuffled order. A node moves only when its best gain beats
-    the gain of staying; it then queues each neighbour that is neither
-    queued nor in its new community. Each move raises Q, so the queue
-    drains and the result's Q is never below that of the start.
+    ``adj`` holds no loop, and ``k`` holds the node strengths, which a
+    level computes once for both of its passes. The phase starts from
+    ``start``, community ids below ``len(adj)``: singletons going up, the
+    partition projected from the level above going back down. Every node
+    starts in the queue, in seeded shuffled order. A node moves only when
+    its best gain beats the gain of staying; it then queues each neighbour
+    that is neither queued nor in its new community. Each move raises Q, so
+    the queue drains and the result's Q is never below that of the start.
     """
     n = len(adj)
-    if k is None:
-        k = [sum(nbrs.values()) for nbrs in adj]
-    if start is None:
-        comm = list(range(n))
-        tot = k[:]
-    else:
-        comm = start[:]
-        tot = [0.0] * n
-        for c, k_v in zip(comm, k):
-            tot[c] += k_v
+    comm = start[:]
+    tot = [0.0] * n
+    for c, k_v in zip(comm, k):
+        tot[c] += k_v
     order = list(range(n))
     rng.shuffle(order)
     queue = deque(order)
@@ -333,9 +321,8 @@ def _move_nodes(
         tot[c_old] -= k_v
         links: dict[int, float] = {}
         for u, w in adj[v].items():
-            if u != v:
-                c = comm[u]
-                links[c] = links.get(c, 0.0) + w
+            c = comm[u]
+            links[c] = links.get(c, 0.0) + w
         gain_old = links.get(c_old, 0.0) / m - tot[c_old] * k_v / two_m_sq
         best_c, best_gain = c_old, -float("inf")
         for c, w_c in links.items():
@@ -383,19 +370,21 @@ def _split_disconnected(graph: HotLinkGraph, comm: np.ndarray) -> np.ndarray:
     return _pieces(comm.size, graph.u[inside], graph.v[inside])
 
 
-def _multilevel(graph: HotLinkGraph, k: list[float], rng: random.Random) -> list[int]:
-    """One full multilevel run over ``graph``, whose node strengths are
-    ``k``; returns the community of every node.
+def _multilevel(
+    graph: HotLinkGraph, adj: list[dict], k: list[float], rng: random.Random
+) -> list[int]:
+    """One full multilevel run over ``graph``, whose neighbour dicts are
+    ``adj`` and node strengths ``k``; returns the community of every node.
 
     Coarsening ends at the first level whose local moves leave every node
     alone. The run then walks back down (multilevel refinement, Rotta &
     Noack 2011): each finer level runs one more local-move phase, started
     from the partition projected down from the level above."""
     m = graph.total_weight
-    adj, u, v, w = graph.adjacency, graph.u, graph.v, graph.weights
+    u, v, w = graph.u, graph.v, graph.weights
     levels = []
     while True:
-        comm = _move_nodes(adj, m, rng, k=k)
+        comm = _move_nodes(adj, k, m, rng, list(range(len(adj))))
         node2agg, u, v, w, coarse_k = _aggregate(u, v, w, k, comm)
         if coarse_k.size == len(adj):
             break
@@ -405,7 +394,7 @@ def _multilevel(graph: HotLinkGraph, k: list[float], rng: random.Random) -> list
     # Each node of the coarsest level is a community of its own.
     part = list(range(len(adj)))
     for adj, k, node2agg in reversed(levels):
-        part = _move_nodes(adj, m, rng, [part[c] for c in node2agg], k)
+        part = _move_nodes(adj, k, m, rng, [part[c] for c in node2agg])
     return part
 
 
@@ -446,12 +435,13 @@ def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
     if abs(exponent) > 256:
         scaled = read_only(np.ldexp(graph.weights, -exponent))
         return louvain(HotLinkGraph(graph.nodes, graph.u, graph.v, scaled), seed)
-    k = [sum(nbrs.values()) for nbrs in graph.adjacency]
+    adj = _adjacency(len(graph.nodes), graph.u, graph.v, graph.weights)
+    k = [sum(nbrs.values()) for nbrs in adj]
 
     rng = random.Random(seed)
     best_q = -float("inf")
     for _ in range(_RESTARTS):
-        comm = np.array(_multilevel(graph, k, rng), dtype=np.int64)
+        comm = np.array(_multilevel(graph, adj, k, rng), dtype=np.int64)
         pieces = _split_disconnected(graph, comm)
         q = _modularity(graph, pieces)
         if q > best_q:

@@ -598,15 +598,23 @@ def unrefined_louvain_q(graph, seed: int) -> float:
 
     A Q baseline to compare against, not an independent oracle: it runs the
     library's own local moves (from singletons, as they always started),
-    split and Q, with the dict aggregation the pass used."""
+    split and Q, with the dict aggregation the pass used. That aggregation
+    keeps a community's internal weight as a loop, which the local moves
+    do not take: each level's strengths are its row sums with the loops,
+    and its moves walk the rows without them. A loop only ever added to a
+    strength and never queued a node, so the moves are those the pass
+    made."""
     m = graph.total_weight
     rng = random.Random(seed)
     best = -np.inf
+    top = netgraph._adjacency(len(graph.nodes), graph.u, graph.v, graph.weights)
     for _ in range(8):
-        adj = graph.adjacency
+        adj = top
         node2agg = list(range(len(adj)))
         while True:
-            comm = netgraph._move_nodes(adj, m, rng)
+            k = [sum(nbrs.values()) for nbrs in adj]
+            loopless = [{u: w for u, w in nbrs.items() if u != v} for v, nbrs in enumerate(adj)]
+            comm = netgraph._move_nodes(loopless, k, m, rng, list(range(len(adj))))
             n = len(adj)
             adj, renum = dict_aggregate(adj, comm)
             if len(adj) == n:

@@ -239,15 +239,21 @@ class TestRun:
         counted(cli, "degree_centrality")
         counted(io_export, "fmt_sig6")
         counted(io_export, "fmt_sig6_column")
-        builds = count_cached_builds(monkeypatch, HotLinkGraph, ("adjacency", "edges"))
-        real_components = cli.connected_components
+        builds = count_cached_builds(monkeypatch, HotLinkGraph, ("edges",))
+        adjacency_sizes = []
+        real_adjacency, real_components = netgraph._adjacency, cli.connected_components
+
+        def adjacency(n, *args):
+            adjacency_sizes.append(n)
+            return real_adjacency(n, *args)
 
         def connected_components(graph):
-            before = builds["adjacency"]
+            before = len(adjacency_sizes)
             result = real_components(graph)
-            calls["adjacency inside connected_components"] += builds["adjacency"] - before
+            calls["adjacency inside connected_components"] += len(adjacency_sizes) - before
             return result
 
+        monkeypatch.setattr(netgraph, "_adjacency", adjacency)
         monkeypatch.setattr(cli, "connected_components", connected_components)
         out = tmp_path / "out"
         basemap = _write_basemap(tmp_path)
@@ -265,8 +271,10 @@ class TestRun:
             # The edge weights once for all three network files, the VOSviewer strengths once.
             "fmt_sig6_column": 2,
         }
-        # Louvain alone walks the adjacency dicts; nothing needs the label triples.
-        assert builds == {"adjacency": 1, "edges": 0}
+        # Louvain alone builds neighbour dicts, the top level's once (every
+        # coarser level is smaller); nothing needs the label triples.
+        assert adjacency_sizes.count(network["nodes"]) == 1
+        assert builds == {"edges": 0}
 
     def test_run_builds_the_flag_report_once(self, dyad_year_files, tmp_path, monkeypatch):
         calls = {"build_flag_report": 0, "read_tensor_cache": 0}

@@ -16,7 +16,6 @@ from citeheat.entropy import to_unit
 from citeheat.errors import DataError
 from citeheat.flags import build_flag_report
 from citeheat.io_export import (
-    fmt_dec6,
     fmt_sig6,
     fmt_sig6_column,
     read_basemap,
@@ -72,8 +71,10 @@ class TestFmt:
             assert fmt_sig6(float(once)) == once
 
     def test_six_decimals(self):
-        assert fmt_dec6(1.5) == "1.500000"
-        assert fmt_dec6(-0.0000004) == "-0.000000"
+        values = np.array([1.5, -0.0000004, 2e-4])
+        assert list(io_export._dec6_column(values, "bits")) == ["1.500000", "-0.000000", "0.000200"]
+        assert list(io_export._dec6_column(values, "mbits")) == [
+            "1500.000000", "-0.000400", "0.200000"]
 
 
 def _ulps(x: float, steps: int) -> float:

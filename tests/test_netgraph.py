@@ -18,6 +18,7 @@ from citeheat.errors import DataError
 from citeheat import netgraph
 from citeheat.netgraph import (
     HotLinkGraph,
+    _adjacency,
     _aggregate,
     _move_nodes,
     _split_disconnected,
@@ -54,6 +55,11 @@ def _scrambled_labels(edges: list[tuple], n: int) -> list[tuple]:
     return [(label[u], label[v], w) for u, v, w in edges]
 
 
+def _neighbours(graph: HotLinkGraph) -> list[dict]:
+    """Louvain's top-level neighbour dicts of ``graph``."""
+    return _adjacency(len(graph.nodes), graph.u, graph.v, graph.weights)
+
+
 def _planted_partition_edges(rng: random.Random, n: int = 120) -> list[tuple]:
     """Four blocks of n/4 nodes, edge probability 0.25 inside a block and
     0.04 across, weights uniform in [0.5, 2]."""
@@ -82,7 +88,8 @@ class TestBuildGraph:
                  ("D", "E", -1.5), ("E", "D", -0.5), ("A", "D", -0.25)]
         graph = build_graph(links)
         assert {v: i for i, v in enumerate(graph.nodes)} == {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
-        assert graph.adjacency == [
+        adj = _neighbours(graph)
+        assert adj == [
             {1: 1.0, 2: 0.5, 3: 0.25},
             {0: 1.0, 2: 2.0},
             {0: 0.5, 1: 2.0},
@@ -90,7 +97,7 @@ class TestBuildGraph:
             {3: 2.0},
         ]
         # Rows fill in edge order, which fixes Louvain's summation order.
-        assert [list(row) for row in graph.adjacency] == [[1, 2, 3], [0, 2], [0, 1], [0, 4], [3]]
+        assert [list(row) for row in adj] == [[1, 2, 3], [0, 2], [0, 1], [0, 4], [3]]
         # Degrees are over positions, A..E.
         assert degree_centrality(graph).tolist() == [3, 2, 2, 2, 1]
 
@@ -292,11 +299,12 @@ class TestArrayGraph:
                     array[0] = 1
 
     def test_components_build_neither_adjacency_nor_edge_tuple(self, monkeypatch):
-        builds = count_cached_builds(monkeypatch, HotLinkGraph, ("adjacency", "edges"))
+        builds = count_cached_builds(monkeypatch, HotLinkGraph, ("edges",))
+        monkeypatch.setattr(netgraph, "_adjacency", None)  # a call would raise
         links = [("A", "B", -1.0), ("B", "C", -2.0), ("D", "E", -0.5), ("E", "D", -0.5)]
         parts = connected_components(build_graph(links))
         assert parts.components == (("A", "B", "C"), ("D", "E"))
-        assert builds == {"adjacency": 0, "edges": 0}
+        assert builds == {"edges": 0}
 
 
 class TestComponents:
@@ -429,7 +437,10 @@ class TestLouvain:
             if not edges:
                 continue
             graph = build_graph(edges)
-            comm = _move_nodes(graph.adjacency, graph.total_weight, random.Random(rng.randrange(2**32)))
+            adj = _neighbours(graph)
+            k = [sum(nbrs.values()) for nbrs in adj]
+            comm = _move_nodes(adj, k, graph.total_weight, random.Random(rng.randrange(2**32)),
+                               list(range(len(adj))))
             singleton_q = modularity(graph, {v: i for i, v in enumerate(graph.nodes)})
             assert modularity(graph, dict(zip(graph.nodes, comm))) >= singleton_q - 1e-12
             checked += 1
@@ -450,10 +461,9 @@ class TestLouvain:
             size = len(graph.nodes)
             start = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
             seed = rng.randrange(2**32)
-            adj, m = graph.adjacency, graph.total_weight
-            comm = _move_nodes(adj, m, random.Random(seed), start)
-            strengths = [sum(nbrs.values()) for nbrs in adj]
-            assert _move_nodes(adj, m, random.Random(seed), start, strengths) == comm
+            adj = _neighbours(graph)
+            k = [sum(nbrs.values()) for nbrs in adj]
+            comm = _move_nodes(adj, k, graph.total_weight, random.Random(seed), start)
             start_q = modularity(graph, dict(zip(graph.nodes, start)))
             assert modularity(graph, dict(zip(graph.nodes, comm))) >= start_q - 1e-12
             checked += 1
@@ -469,9 +479,10 @@ class TestLouvain:
             graph = build_graph(edges)
             size = len(graph.nodes)
             comm = [rng.randrange(size) for _ in range(size)]
-            k = [sum(nbrs.values()) for nbrs in graph.adjacency]
+            adj = _neighbours(graph)
+            k = [sum(nbrs.values()) for nbrs in adj]
             node2agg, u, v, w, coarse_k = _aggregate(graph.u, graph.v, graph.weights, k, comm)
-            expected, renum = dict_aggregate(graph.adjacency, comm)
+            expected, renum = dict_aggregate(adj, comm)
             assert node2agg.tolist() == [renum[c] for c in comm]
             assert coarse_k.tolist() == pytest.approx([sum(row.values()) for row in expected])
             assert (u < v).all() and np.all(np.diff(u * len(expected) + v) > 0)
@@ -484,13 +495,42 @@ class TestLouvain:
         # first level once: 3 local-move phases in each of 3 restarts.
         calls = []
 
-        def counted(adj, m, rng, start=None, k=None):
+        def counted(adj, k, m, rng, start):
             calls.append(len(adj))
-            return _move_nodes(adj, m, rng, start, k)
+            return _move_nodes(adj, k, m, rng, start)
 
         monkeypatch.setattr(netgraph, "_move_nodes", counted)
         louvain(build_graph(TWO_TRIANGLES), seed=17)
         assert calls == [6, 2, 6] * 3
+
+    def test_every_level_is_loop_free_and_symmetric(self, monkeypatch):
+        # The local moves count every neighbour in a row as another node, so
+        # each level they see must be a simple undirected graph whose
+        # strengths sum to twice its total weight.
+        sizes = []
+
+        def checked(adj, k, m, rng, start):
+            assert all(i not in row for i, row in enumerate(adj))
+            assert all(adj[j][i] == w for i, row in enumerate(adj) for j, w in row.items())
+            assert len(k) == len(adj)
+            assert sum(k) == pytest.approx(2.0 * m, rel=1e-12)
+            sizes.append(len(adj))
+            return _move_nodes(adj, k, m, rng, start)
+
+        monkeypatch.setattr(netgraph, "_move_nodes", checked)
+        rng = random.Random(2019)
+        graphs = [build_graph((u, v, w * 2.0**e) for u, v, w in TWO_TRIANGLES)
+                  for e in (-600, 0, 600)]
+        for _ in range(20):
+            n, p = rng.randint(2, 60), rng.choice([0.05, 0.2, 0.5])
+            edges = [(u, v, rng.uniform(0.1, 5.0)) for u, v, _ in random_graph_edges(rng, n, p)]
+            graphs += [build_graph(edges)] if edges else []
+        graphs += [build_graph(_planted_partition_edges(rng, 80)) for _ in range(3)]
+        for seed, graph in enumerate(graphs):
+            before = len(sizes)
+            louvain(graph, seed=seed)
+            # Coarser levels than the graph itself are checked too.
+            assert min(sizes[before:]) < len(graph.nodes)
 
     @pytest.mark.parametrize("exponent", [-1000, -600, -500, 0, 500, 600, 1000])
     def test_weight_scale_changes_nothing(self, exponent):
@@ -620,9 +660,10 @@ class TestDegreeCentrality:
         edges = _scrambled_labels(random_graph_edges(rng, 9, 0.4) or [(0, 1, 1.0)], 9)
         graph = build_graph(edges)
         degrees = degree_centrality(graph)
+        adj = _neighbours(graph)
         assert degrees.shape == (len(graph.nodes),)
         for i, v in enumerate(graph.nodes):
-            assert degrees[i] == len(graph.adjacency[i])
+            assert degrees[i] == len(adj[i])
             assert degrees[i] == sum(v in (a, b) for a, b, _ in edges)
 
     def test_read_only_int64_over_positions(self):

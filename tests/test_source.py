@@ -101,3 +101,87 @@ def test_the_check_sees_an_unread_private_name(tmp_path):
     assert _unread_private_names([source]) == [
         "module.py:2: _UNUSED", "module.py:7: _unread_helper", "module.py:17: _unread",
     ]
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """``(function, parameter, positional index)`` for each parameter with
+    a default of each private function of a module, methods and nested
+    functions included. The index counts a method's arguments as a call
+    through an attribute passes them, without ``self`` or ``cls``; it is
+    None for a keyword-only parameter."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, functions)
+               and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                           for d in item.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, functions):
+            continue
+        if not node.name.startswith("_") or node.name.endswith("__"):
+            continue
+        args = node.args
+        positional = (args.posonlyargs + args.args)[id(node) in methods:]
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield node, positional[i].arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node, arg.arg, None
+
+
+def _leaves_out(call: ast.Call, parameter: str, index: int | None) -> bool:
+    """Whether ``call`` leaves ``parameter`` to its default; a call that
+    unpacks ``*args`` or ``**kwargs`` may pass anything, so it does not."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return False
+    return index is None or index >= len(call.args)
+
+
+def _defaults_never_left_out(paths: list[Path]) -> list[str]:
+    """``file:line: function(parameter)`` for each default of a private
+    function in ``paths`` that every call in ``paths`` overrides. A call is
+    matched by the function's name, as a bare name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    return [f"{path.name}:{function.lineno}: {function.name}({parameter})"
+            for path, tree in trees.items()
+            for function, parameter, index in _defaulted_parameters(tree)
+            if not any(_leaves_out(call, parameter, index)
+                       for call in calls.get(function.name, []))]
+
+
+def test_every_private_default_is_used_in_src():
+    # A default that every caller overrides is a code path that neither
+    # the CLI nor the public API reaches.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [d for p in modules for d in _defaulted_parameters(ast.parse(p.read_text("utf-8")))]
+    assert _defaults_never_left_out(modules) == []
+
+
+def test_the_check_sees_a_default_no_call_uses(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("def _scale(x, factor=2, *, offset=0, unit=None):\n"
+                      "    return x * factor + offset\n\n"
+                      "def _spread(*values, step=1):\n    return values\n\n"
+                      "class _Box:\n"
+                      "    def _get(self, key, default=None):\n        return default\n\n"
+                      "    def _put(self, key, value=None):\n        return key\n\n"
+                      "def public(box, args):\n"
+                      "    box._get(1, 2)\n"
+                      "    box._put(1)\n"
+                      "    _spread(*args)\n"
+                      "    return _scale(1, 3, offset=1) + _scale(2, factor=4, offset=2)\n",
+                      encoding="utf-8")
+    assert _defaults_never_left_out([source]) == [
+        "module.py:1: _scale(factor)", "module.py:1: _scale(offset)",
+        "module.py:4: _spread(step)", "module.py:8: _get(default)",
+    ]
