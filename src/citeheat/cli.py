@@ -85,7 +85,7 @@ from .errors import ConfigError, DataError
 from .flags import build_flag_report
 from .netgraph import HotLinkGraph, Network, connected_components, degree_centrality, louvain
 
-_LABEL_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_LABEL_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 OVERLAY_COLORS = {
     "cited_up": "red",
@@ -177,7 +177,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if sorted(set(labels)) != labels:
             raise ConfigError(f"--year labels must be strictly increasing: {labels}")
         for label in labels:
-            if not _LABEL_RE.match(label):
+            if not _LABEL_RE.fullmatch(label):
                 raise ConfigError(f"--year label {label!r} must match {_LABEL_RE.pattern}")
     return config
 

@@ -57,13 +57,14 @@ corpus_stats.json and summary.json) is one line with sorted keys.
   scores, else DataError naming the file. The network stage also refuses
   arrays whose length is not link_flags.json hot_links.
 
-Stage cache (ingest/): registry.tsv (``id<TAB>name``, ids dense, names
-strictly increasing), years.txt (the three labels, one per line) and
-cells.npy, one little-endian int64 array of shape (5, n_cells) with rows
-citing, cited, counts[0..2], written by np.save, which stores no timestamp.
-The reader treats these files as outside input: .npy format only, no
-pickles, ids in [0, N), keys citing*N + cited strictly increasing, counts
->= 0 and every cell positive in some year, else DataError naming the file.
+Stage cache (ingest/): registry.tsv (line i, counted from 0, holds the
+name with id i; names strictly increasing, none empty or holding a tab, LF
+or CR), years.txt (the three labels, one per line) and cells.npy, one
+little-endian int64 array of shape (5, n_cells) with rows citing, cited,
+counts[0..2], written by np.save, which stores no timestamp. The reader
+treats these files as outside input: .npy format only, no pickles, ids in
+[0, N), keys citing*N + cited strictly increasing, counts >= 0 and every
+cell positive in some year, else DataError naming the file.
 """
 
 from __future__ import annotations
@@ -313,10 +314,11 @@ def write_tensor_cache(tensor: AlignedTensor, directory: str | Path) -> None:
     """Persist the aligned tensor as registry.tsv, years.txt and cells.npy."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = tensor.registry.names
-    _write_lines(
-        directory / "registry.tsv", ["# id\tname", *map("{}\t{}".format, range(len(names)), names)]
-    )
+    registry = directory / "registry.tsv"
+    for name in tensor.registry.names:
+        if "\n" in name or "\r" in name:
+            raise DataError(f"{registry}: journal name {name!r} holds a line break")
+    _write_lines(registry, tensor.registry.names)
     _write_lines(directory / "years.txt", tensor.year_labels)
     cells = np.vstack([tensor.citing, tensor.cited, tensor.counts]).astype("<i8", copy=False)
     np.save(directory / "cells.npy", cells, allow_pickle=False)
@@ -356,18 +358,14 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
 
 
 def read_registry(path: str | Path) -> list[str]:
-    """The journal names of ingest/registry.tsv, in id order; ids must be
-    dense and names strictly increasing, else DataError naming the file."""
-    names: list[str] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if line.startswith("#") or not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataError(f"{path}:{lineno}: malformed entry")
-        if fields[0] != str(len(names)):
-            raise DataError(f"{path}:{lineno}: ids must be dense")
-        names.append(fields[1])
+    """The journal names of ingest/registry.tsv: line i holds the name with
+    id i. An empty line, a tab or names not strictly increasing is a
+    DataError naming the file."""
+    names = _read_lines(path)
+    if not all(names):
+        raise DataError(f"{path}: empty line")
+    if any("\t" in name for name in names):
+        raise DataError(f"{path}: a line holds a tab")
     if any(a >= b for a, b in zip(names, names[1:])):
         raise DataError(f"{path}: names are not strictly increasing")
     return names

@@ -97,6 +97,22 @@ def write_edge_list(path: Path, cells: dict, comment: str = "") -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def rewrite_registry(path: Path, edit) -> None:
+    """Replace the names of a registry.tsv by ``edit(names)``, one per line."""
+    names = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(f"{name}\n" for name in edit(names)), encoding="utf-8")
+
+
+# Damaged registries: the id-column format of earlier versions, a blank
+# first line (which sorts first, so only the empty-line check refuses it)
+# and two names out of order.
+BAD_REGISTRY_EDITS = {
+    "old-format": lambda names: ["# id\tname", *(f"{i}\t{n}" for i, n in enumerate(names))],
+    "blank-line": lambda names: ["", *names],
+    "swapped-names": lambda names: [names[1], names[0], *names[2:]],
+}
+
+
 def csv_writer_rows(path) -> list[list[str]]:
     """The rows of a CSV report, after checking that the file is exactly
     what csv.writer writes for them and that each row is as wide as the

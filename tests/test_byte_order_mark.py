@@ -44,10 +44,7 @@ FILE_KINDS = {
                lambda d: load_config_file(d / "run.cfg")),
     "config-comment-first": ({"run.cfg": "# config\nk = 2.0\n"},
                              lambda d: load_config_file(d / "run.cfg")),
-    "registry": ({"registry.tsv": "# id\tname\n0\tA\n1\tB\n"},
-                 lambda d: read_registry(d / "registry.tsv")),
-    "registry-without-comment": ({"registry.tsv": "0\tA\n1\tB\n"},
-                                 lambda d: read_registry(d / "registry.tsv")),
+    "registry": ({"registry.tsv": "A\nB\n"}, lambda d: read_registry(d / "registry.tsv")),
     "json": ({"s.json": '{"format_version": 3, "k": 1.0}\n'},
              lambda d: read_json(d / "s.json")),
     "sidecar": ({"s.json": '{"format_version": 3, "k": 1.0}\n'},

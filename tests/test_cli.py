@@ -24,6 +24,7 @@ from citeheat.io_export import (
 from citeheat.netgraph import HotLinkGraph
 
 from helpers import (
+    BAD_REGISTRY_EDITS,
     count_cached_builds,
     csv_writer_rows,
     dyad_fixture_cells,
@@ -31,6 +32,7 @@ from helpers import (
     node_names,
     oracle_triangle,
     random_active_grids,
+    rewrite_registry,
     run_python,
     write_edge_list,
 )
@@ -869,6 +871,21 @@ class TestConfigHandling:
         assert f"{bad}: not valid utf-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage", ["flag", "network"])
+    @pytest.mark.parametrize("kind", sorted(BAD_REGISTRY_EDITS))
+    def test_malformed_registry_exits_2(self, dyad_year_files, tmp_path, capsys, kind, stage):
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
+        registry = out / "ingest" / "registry.tsv"
+        rewrite_registry(registry, BAD_REGISTRY_EDITS[kind])
+        before = _tree(out)
+        capsys.readouterr()
+        assert main([stage, "--out", str(out), "--k", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {registry}: " in err
+        assert "Traceback" not in err
+        assert _tree(out) == before
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -1106,6 +1123,17 @@ class TestConfigHandling:
             args += ["--year", f"{label}={dyad_year_files[label]}"]
         assert main(args) == 1
         assert "increasing" in capsys.readouterr().err
+
+    def test_year_label_with_a_trailing_newline_exits_1(self, dyad_year_files, tmp_path, capsys):
+        # "$" also matches before a final "\n"; the label must match whole.
+        paths = dict(dyad_year_files)
+        first = sorted(paths)[0]
+        label = f"{first}\n"
+        paths[label] = paths.pop(first)
+        out = tmp_path / "o"
+        assert main(["run", *_year_args(paths), "--out", str(out)]) == 1
+        assert f"--year label {label!r} must match [A-Za-z0-9._-]+\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_keep_loops_flag(self, tmp_path):
         paths = _loop_year_files(tmp_path)

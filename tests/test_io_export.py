@@ -42,7 +42,14 @@ from citeheat.netgraph import (
     louvain,
 )
 
-from helpers import csv_writer_rows, make_tensor, oracle_pair, random_active_grids
+from helpers import (
+    BAD_REGISTRY_EDITS,
+    csv_writer_rows,
+    make_tensor,
+    oracle_pair,
+    random_active_grids,
+    rewrite_registry,
+)
 from interchange import read_pajek_clu, read_pajek_net, read_vosviewer_files
 
 
@@ -616,18 +623,38 @@ class TestTensorCache:
         (lambda d: _rewrite_cells(d, lambda c: _set(c, (3, 0), -2)), "cells.npy"),
         (lambda d: _rewrite_cells(d, lambda c: _set(c, (slice(2, 5), 0), 0)), "cells.npy"),
         (lambda d: (d / "years.txt").write_text("2011\n2012\n", encoding="utf-8"), "years.txt"),
-        (lambda d: _rewrite_bytes(d / "registry.tsv", lambda b: b.replace(b"\n1\t", b"\n2\t")),
-         "registry.tsv"),
+        *((lambda d, edit=edit: rewrite_registry(d / "registry.tsv", edit), "registry.tsv")
+          for edit in BAD_REGISTRY_EDITS.values()),
     ], ids=[
         "truncated-data", "truncated-header", "four-rows", "one-dimensional", "int32",
         "id-out-of-range", "negative-id", "duplicate-key", "unsorted-keys",
-        "negative-count", "empty-cell", "two-labels", "sparse-ids",
+        "negative-count", "empty-cell", "two-labels",
+        *(f"registry-{kind}" for kind in BAD_REGISTRY_EDITS),
     ])
     def test_malformed_cache_is_a_data_error(self, tmp_path, rng, corrupt, culprit):
         write_tensor_cache(make_tensor(random_active_grids(rng, 7, density=0.6)), tmp_path)
         corrupt(tmp_path)
         with pytest.raises(DataError, match=culprit):
             read_tensor_cache(tmp_path)
+
+    def test_registry_holds_one_name_per_line_in_id_order(self, tmp_path, small_tensor):
+        write_tensor_cache(small_tensor, tmp_path)
+        text = (tmp_path / "registry.tsv").read_text(encoding="utf-8")
+        assert text == "".join(f"{name}\n" for name in small_tensor.registry.names)
+
+    def test_unusual_names_round_trip(self, tmp_path, rng):
+        tensor = make_tensor(random_active_grids(rng, len(REGISTRY_NAMES), density=0.6))
+        tensor = dataclasses.replace(tensor, registry=JournalRegistry.from_names(REGISTRY_NAMES))
+        write_tensor_cache(tensor, tmp_path)
+        assert read_tensor_cache(tmp_path).registry.names == tensor.registry.names
+
+    @pytest.mark.parametrize("name", ["Line\nBreak", "Carriage\rReturn"])
+    def test_writer_refuses_a_name_with_a_line_break(self, tmp_path, small_tensor, name):
+        names = [*small_tensor.registry.names[1:], name]
+        tensor = dataclasses.replace(small_tensor, registry=JournalRegistry.from_names(names))
+        with pytest.raises(DataError, match="registry.tsv"):
+            write_tensor_cache(tensor, tmp_path)
+        assert not (tmp_path / "registry.tsv").exists()
 
     def test_missing_cells_file_is_an_io_error(self, tmp_path, small_tensor):
         write_tensor_cache(small_tensor, tmp_path)
@@ -638,6 +665,14 @@ class TestTensorCache:
 
 def _rewrite_bytes(path, edit) -> None:
     path.write_bytes(edit(path.read_bytes()))
+
+
+# Names that a line-per-name registry keeps: a comment mark, Unicode-only
+# whitespace, characters where str.splitlines breaks, a quote and "; ".
+REGISTRY_NAMES = [
+    "# Not a Comment", "\u3000", "Form\x0cFeed", "Line\u2028Separator",
+    'The "Quoted" Review', "Semi; Colon",
+]
 
 
 def _rewrite_cells(directory, edit) -> None:
