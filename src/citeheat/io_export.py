@@ -193,11 +193,11 @@ def write_pajek_clu(assignment: Mapping, path: str | Path, nodes: Sequence) -> N
 
 @dataclass(frozen=True)
 class BaseMap:
-    """A fixed global map to overlay results on; labels unique after the
-    same normalization the registry applies. Fields are kept verbatim.
-    ``index`` maps each row's normalized label, in file order, to its fields
-    as a tuple in ``columns`` order: label, x, y, then cluster and weight if
-    the file has them."""
+    """A fixed global map to overlay results on; labels non-empty and
+    unique after the same normalization the registry applies. Fields are
+    kept verbatim. ``index`` maps each row's normalized label, in file
+    order, to its fields as a tuple in ``columns`` order: label, x, y, then
+    cluster and weight if the file has them."""
 
     index: dict[str, tuple[str, ...]]
     columns: tuple[str, ...]
@@ -225,6 +225,8 @@ def read_basemap(path: str | Path) -> BaseMap:
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
         row = tuple(fields[i] for i in col.values())
         key = normalize_name(row[0])
+        if not key:
+            raise DataError(f"{path}:{lineno}: empty label")
         if key in index:
             raise DataError(f"{path}:{lineno}: duplicate label {row[0]!r}")
         index[key] = row

@@ -120,23 +120,10 @@ def _merge(
     """The simple graph on positions 0..n-1 of the pairs (a[e], b[e]), none
     a loop: edges (u, v) with u < v in (u, v) order, each weighing the sum
     of its pairs' weights."""
-    # An edge's key is min*n + max. Sorting the keys and marking where the
-    # sorted run changes gives the distinct keys and each pair's edge, as
-    # np.unique(return_inverse=True) would, without its wrapper cost. A
-    # sequential np.bincount then sums the weights per edge in pair order,
-    # as a running float sum per edge would, so the sort's order does not
-    # reach the bits.
-    keys = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    keys = ordered[first]
-    # (bincount gives int64 for no keys at all)
-    weights = np.bincount(inverse, weights=weights, minlength=keys.size).astype(np.float64)
+    keys, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    # A sequential bincount sums each edge's weights in pair order (it gives
+    # int64 for no keys at all).
+    weights = np.bincount(edge, weights=weights, minlength=keys.size).astype(np.float64)
     u, v = np.divmod(keys, n)
     return u, v, weights
 

@@ -680,6 +680,18 @@ class TestRun:
         assert "unknown journal name: 'Pers Med'" in capsys.readouterr().err
         assert main([*base, "--exclude", "J Pers Med", "--out", str(tmp_path / "new")]) == 0
 
+    def test_excluding_every_journal_exits_2_before_the_reports(
+        self, dyad_year_files, tmp_path, capsys
+    ):
+        names = {n for cells in dyad_fixture_cells().values() for pair in cells for n in pair}
+        assert len(names) == 12
+        out = tmp_path / "out"
+        excludes = [arg for name in sorted(names) for arg in ("--exclude", name)]
+        assert main(["run", *_year_args(dyad_year_files), *excludes, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "citeheat: data error: outlier removal would empty the node set\n"
+        assert (out / "ingest").is_dir() and not (out / "reports").exists()
+
     def test_exclude_keeps_ingest_ids_in_the_link_arrays(self, tmp_path, rng):
         out = tmp_path / "out"
         years = _random_year_files(tmp_path, rng)
@@ -828,6 +840,19 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"{path}:1: count past the int64 range" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["  \tPers Med", "Pers Med\t "], ids=["old", "new"])
+    def test_blank_rename_name_exits_2_naming_the_line(
+        self, dyad_year_files, tmp_path, capsys, line
+    ):
+        renames = tmp_path / "renames.tsv"
+        renames.write_text(f"# old\tnew\nBkg09\tBkg Nine\n{line}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        args = ["ingest", *_year_args(dyad_year_files), "--renames", str(renames)]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"citeheat: data error: {renames}:3: empty journal name\n"
+        assert not out.exists()
 
     def test_non_utf8_input_exits_2(self, dyad_year_files, tmp_path, capsys):
         bad = tmp_path / "latin1.tsv"
@@ -1110,6 +1135,24 @@ class TestConfigHandling:
         assert f"{config}: argument {option}: " in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("k 0.5", "expected key = value"),
+         ("keep_loops = maybe", "keep_loops must be true or false")],
+        ids=["no-equals", "keep-loops-maybe"],
+    )
+    def test_malformed_config_line_exits_1_naming_file_and_line(
+        self, dyad_year_files, tmp_path, capsys, line, message
+    ):
+        config = tmp_path / "run.cfg"
+        lines = [f"year = {label}={dyad_year_files[label]}" for label in sorted(dyad_year_files)]
+        config.write_text("\n".join([*lines, line, f"out = {tmp_path / 'o'}"]) + "\n",
+                          encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"citeheat: configuration error: {config}:4: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("wibble = 3\n", encoding="utf-8")
@@ -1123,6 +1166,15 @@ class TestConfigHandling:
             args += ["--year", f"{label}={dyad_year_files[label]}"]
         assert main(args) == 1
         assert "increasing" in capsys.readouterr().err
+
+    def test_year_without_a_path_exits_1(self, dyad_year_files, tmp_path, capsys):
+        paths = dict(dyad_year_files)
+        first = sorted(paths)[0]
+        del paths[first]
+        out = tmp_path / "o"
+        assert main(["run", "--year", first, *_year_args(paths), "--out", str(out)]) == 1
+        assert f"expects <label>=<path>, got {first!r}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_year_label_with_a_trailing_newline_exits_1(self, dyad_year_files, tmp_path, capsys):
         # "$" also matches before a final "\n"; the label must match whole.
@@ -1182,8 +1234,12 @@ class TestBasemapExport:
     @pytest.mark.parametrize(
         "text, code, message",
         [(None, 3, "i/o error"),
-         ("label\ty\nJ\t0.5\n", 2, "base map header must name label, x and y")],
-        ids=["missing", "no-x-column"],
+         ("label\ty\nJ\t0.5\n", 2, "base map header must name label, x and y"),
+         ("", 2, "bad_base.txt: empty base map"),
+         ("label\tx\ty\tcluster\nJ\t0.5\t-0.5\n", 2, "bad_base.txt:2: expected 4 fields"),
+         ("label\tx\ty\n\t1\t2\n  \t3\t4\n", 2, "bad_base.txt:2: empty label"),
+         ("label\tx\ty\nPers Med\t0\t0\n  \t3\t4\n", 2, "bad_base.txt:3: empty label")],
+        ids=["missing", "no-x-column", "empty", "short-row", "empty-label", "blank-label"],
     )
     def test_bad_basemap_exits_before_writing(
         self, dyad_year_files, tmp_path, capsys, text, code, message
@@ -1201,6 +1257,16 @@ class TestBasemapExport:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert _tree(out) == before
+
+    @pytest.mark.parametrize("blank", ["", " \t "], ids=["empty", "whitespace"])
+    def test_a_blank_basemap_line_is_skipped(self, dyad_year_files, tmp_path, blank):
+        basemap = _write_basemap(tmp_path)
+        args = ["run", *_year_args(dyad_year_files), "--basemap", str(basemap)]
+        assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+        lines = basemap.read_text("utf-8").splitlines()
+        basemap.write_text("\n".join([*lines[:3], blank, *lines[3:]]) + "\n", encoding="utf-8")
+        assert main([*args, "--out", str(tmp_path / "blank")]) == 0
+        assert _tree(tmp_path / "blank") == _tree(tmp_path / "plain")
 
     def test_overlays_written(self, dyad_year_files, tmp_path):
         basemap = _write_basemap(tmp_path)

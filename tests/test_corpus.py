@@ -359,6 +359,11 @@ class TestBuildCommonSet:
         assert np.array_equal(t1.counts, t2.counts)
         assert np.array_equal(t1.citing, t2.citing)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_from_cells_refuses_a_count_below_one(self, count):
+        with pytest.raises(DataError, match=r"^year '2011': counts must be positive$"):
+            _matrix("2011", {("A", "B"): 2, ("B", "A"): count})
+
     def test_year_matrix_round_trip(self):
         years = [
             {("A", "B"): 1, ("B", "A"): 2, ("C", "A"): 4},

@@ -185,3 +185,53 @@ def test_the_check_sees_a_default_no_call_uses(tmp_path):
         "module.py:1: _scale(factor)", "module.py:1: _scale(offset)",
         "module.py:4: _spread(step)", "module.py:8: _get(default)",
     ]
+
+
+# numpy routines that import numpy.ma when they run (numpy 2.4), about 10 ms
+# of a process: np.unique without a return_* flag, and these set routines.
+_MA_IMPORTING = {"union1d", "intersect1d", "setdiff1d", "setxor1d", "unique_values"}
+_UNIQUE_FLAGS = {"return_index", "return_inverse", "return_counts"}
+
+
+def _numpy_ma_importers(path: Path) -> list[str]:
+    """``file:line: np.name`` for each call in ``path``, in source order,
+    that imports numpy.ma: an ``np.unique`` that passes no ``return_*`` flag
+    by keyword (a literal False passes none), or a routine in
+    ``_MA_IMPORTING``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in ("np", "numpy")):
+            continue
+        flagged = any(kw.arg in _UNIQUE_FLAGS
+                      and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+                      for kw in node.keywords)
+        if func.attr in _MA_IMPORTING or (func.attr == "unique" and not flagged):
+            found.append((node.lineno, node.col_offset,
+                          f"{path.name}:{node.lineno}: np.{func.attr}"))
+    return [line for _, _, line in sorted(found)]
+
+
+def test_no_numpy_call_in_src_imports_numpy_ma():
+    # test_run_leaves_numpy_ma_unimported sees only the calls one dyad run
+    # makes; this sees every call.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in _numpy_ma_importers(path)] == []
+
+
+def test_the_check_sees_a_call_that_imports_numpy_ma(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("import numpy as np\n\n"
+                      "def f(a, b):\n"
+                      "    keys, edge = np.unique(a, return_inverse=True)\n"
+                      "    np.unique(a, return_counts=False)\n"
+                      "    ids = np.unique(b)\n"
+                      "    return np.union1d(a, b), np.intersect1d(a, b), np.setdiff1d(a, b)\n",
+                      encoding="utf-8")
+    assert _numpy_ma_importers(source) == [
+        "module.py:5: np.unique", "module.py:6: np.unique", "module.py:7: np.union1d",
+        "module.py:7: np.intersect1d", "module.py:7: np.setdiff1d",
+    ]
