@@ -13,11 +13,11 @@ runs once per tensor, and the tensor keeps the result
 (``AlignedTensor.indicators``), so a k sweep over one tensor pays only for
 the second half. ``build_flag_report`` derives the link threshold from the
 stored mean and SD and applies the link rule; that is all a report builds
-up front. The journal families and ``FlagReport.thresholds`` are views,
-each derived from the same stored statistics and k on first read, so a
-caller that reads only the links never pays for them. Each flag rule
-compares its value set to its threshold once and gathers only the flagged
-entries.
+up front. ``FlagReport.thresholds`` and the four journal families
+(``FAMILIES``) are views, derived from the same stored statistics and k on
+first read; one pass builds all four families, so a caller that reads only
+the links never pays for them. Each flag rule compares its value set to
+its threshold once and gathers only the flagged entries.
 
 A ``FlagReport`` is an ``Indicators`` that adds the second half: it exposes
 the tensor's own indicator objects, ``loop_scores`` and ``statistics``
@@ -47,6 +47,10 @@ from .entropy import (
     triangle_evaluation,
 )
 from .errors import DataError
+
+# The journal families of a FlagReport, in the order journal_flags.json
+# documents its "counts" and "flagged" keys.
+FAMILIES = ("monotonic_up", "monotonic_down", "revision_flagged", "triangle_flagged_nodes")
 
 
 @dataclass(frozen=True)
@@ -232,13 +236,16 @@ class FlagReport(Indicators):
     The rest are views, each built on first read and kept. ``thresholds``
     holds the one mean and SD of each value set, with this report's k, as a
     read-only mapping; its ``links`` entry equals the threshold the link
-    rule used. The four journal families (``monotonic_up``,
-    ``monotonic_down``, ``revision_flagged``, ``triangle_flagged_nodes``)
+    rule used. The four journal families, which ``FAMILIES`` names in the
+    order of the journal_flags.json schema (``monotonic_up``,
+    ``monotonic_down``, ``revision_flagged``, ``triangle_flagged_nodes``),
     map each direction to a read-only, ascending int64 array of ids over
     ``tensor.registry`` (the post-outlier-removal registry), as ``links``
-    holds its ids. ``hot_links`` is ``links`` as ``(int, int, float)``
-    tuples. ``outliers_removed`` names each removed journal once, by its
-    registry name, in registry order.
+    holds its ids. They are built together, by one pass over the
+    thresholds, on the first read of any one of them; a sweep that reads
+    only ``links`` builds none. ``hot_links`` is ``links`` as
+    ``(int, int, float)`` tuples. ``outliers_removed`` names each removed
+    journal once, by its registry name, in registry order.
     """
 
     tensor: AlignedTensor
@@ -258,41 +265,41 @@ class FlagReport(Indicators):
         )
 
     @cached_property
-    def _monotonic_sets(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        # One rule gives both trends, so the two views share its result.
+    def _families(self) -> dict[str, dict[str, np.ndarray]]:
+        # One pass applies every family's rule, so the views share it.
         thresholds = self.thresholds
-        return {
-            d: _monotonic(
-                self.margins[((0, 1), d)], self.margins[((1, 2), d)],
-                thresholds[threshold_key("margin", d, (0, 1))],
-                thresholds[threshold_key("margin", d, (1, 2))],
+        families = {name: {} for name in FAMILIES}
+        for d in DIRECTIONS:
+            flagged = (
+                *_monotonic(
+                    self.margins[((0, 1), d)], self.margins[((1, 2), d)],
+                    thresholds[threshold_key("margin", d, (0, 1))],
+                    thresholds[threshold_key("margin", d, (1, 2))],
+                ),
+                _below_lower(self.revision_node_margins[d],
+                             thresholds[threshold_key("revision", d)]),
+                _below_lower(self.triangle_node_margins[d],
+                             thresholds[threshold_key("triangle", d)]),
             )
-            for d in DIRECTIONS
-        }
+            for name, ids in zip(FAMILIES, flagged, strict=True):
+                families[name][d] = ids
+        return families
 
     @cached_property
     def monotonic_up(self) -> dict[str, np.ndarray]:
-        return {d: up for d, (up, _) in self._monotonic_sets.items()}
+        return self._families["monotonic_up"]
 
     @cached_property
     def monotonic_down(self) -> dict[str, np.ndarray]:
-        return {d: down for d, (_, down) in self._monotonic_sets.items()}
+        return self._families["monotonic_down"]
 
     @cached_property
     def revision_flagged(self) -> dict[str, np.ndarray]:
-        return self._below_lower_family("revision", self.revision_node_margins)
+        return self._families["revision_flagged"]
 
     @cached_property
     def triangle_flagged_nodes(self) -> dict[str, np.ndarray]:
-        return self._below_lower_family("triangle", self.triangle_node_margins)
-
-    def _below_lower_family(
-        self, family: str, margins: Mapping[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        thresholds = self.thresholds
-        return {
-            d: _below_lower(margins[d], thresholds[threshold_key(family, d)]) for d in DIRECTIONS
-        }
+        return self._families["triangle_flagged_nodes"]
 
     @cached_property
     def hot_links(self) -> tuple[tuple[int, int, float], ...]:

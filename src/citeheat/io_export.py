@@ -40,8 +40,9 @@ corpus_stats.json and summary.json) is one line with sorted keys.
 
 * journal_flags.json: unit, k, outliers_removed, journals, thresholds (in
   the unit), counts and revision_excluded_cells (one integer: the count
-  has no direction), plus ``flagged``: for each key of counts
-  (monotonic_up, monotonic_down, revision_flagged, triangle_flagged_nodes)
+  has no direction), plus ``flagged``: for each key of counts, the journal
+  families of flags.FAMILIES (monotonic_up, monotonic_down,
+  revision_flagged, triangle_flagged_nodes),
   ``{"cited": [names], "citing": [names]}`` with names sorted, so
   len(flagged[key][dir]) == counts[key][dir].
 * link_flags.json: unit, k, drop_loops, outliers_removed, threshold (in the
@@ -82,7 +83,7 @@ import numpy as np
 from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name, open_utf8
 from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
 from .errors import DataError
-from .flags import FlagReport, ThresholdSpec, threshold_key
+from .flags import FAMILIES, FlagReport, ThresholdSpec, threshold_key
 from .netgraph import HotLinkGraph, Network
 
 FORMAT_VERSION = 3
@@ -522,29 +523,23 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
             ),
         )
 
-        _write_flag_table(
-            outdir / f"revision_{direction}.csv",
-            "revision",
-            quoted,
-            report.revision_node_margins[direction],
-            report.revision_flagged[direction],
-            unit,
-        )
-        _write_flag_table(
-            outdir / f"triangle_nodes_{direction}.csv",
-            "triangle",
-            quoted,
-            report.triangle_node_margins[direction],
-            report.triangle_flagged_nodes[direction],
-            unit,
-        )
+        for stem, column, node_margins, family in (
+            ("revision", "revision", report.revision_node_margins, report.revision_flagged),
+            ("triangle_nodes", "triangle", report.triangle_node_margins,
+             report.triangle_flagged_nodes),
+        ):
+            values = node_margins[direction]
+            order = np.argsort(values, kind="stable")
+            marks = np.full(values.size, "false", dtype=object)
+            marks[family[direction]] = "true"
+            _write_csv(
+                outdir / f"{stem}_{direction}.csv",
+                ["journal", f"{column}_{unit}", "flagged"],
+                zip(quoted[order].tolist(), _dec6_column(values[order], unit),
+                    marks[order].tolist()),
+            )
 
-    flag_sets = {
-        "monotonic_up": report.monotonic_up,
-        "monotonic_down": report.monotonic_down,
-        "revision_flagged": report.revision_flagged,
-        "triangle_flagged_nodes": report.triangle_flagged_nodes,
-    }
+    families = {name: getattr(report, name) for name in FAMILIES}
     write_json(
         outdir / "journal_flags.json",
         {
@@ -557,26 +552,15 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
                 key: _threshold_json(spec, unit) for key, spec in report.thresholds.items()
             },
             "counts": {
-                key: {d: ids.size for d, ids in sets.items()} for key, sets in flag_sets.items()
+                name: {d: ids.size for d, ids in sets.items()} for name, sets in families.items()
             },
             # Ids ascend and registry names are sorted, so the names are too.
             "flagged": {
-                key: {d: [names[i] for i in ids.tolist()] for d, ids in sets.items()}
-                for key, sets in flag_sets.items()
+                name: {d: [names[i] for i in ids.tolist()] for d, ids in sets.items()}
+                for name, sets in families.items()
             },
             "revision_excluded_cells": report.revision.excluded_cells,
         },
-    )
-
-
-def _write_flag_table(path, column, quoted, values, flagged, unit):
-    order = np.argsort(values, kind="stable")
-    marks = np.full(values.size, "false", dtype=object)
-    marks[flagged] = "true"
-    _write_csv(
-        path,
-        ["journal", f"{column}_{unit}", "flagged"],
-        zip(quoted[order].tolist(), _dec6_column(values[order], unit), marks[order].tolist()),
     )
 
 

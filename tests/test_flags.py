@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -36,6 +37,7 @@ from citeheat.flags import (
     remove_outliers,
     threshold_key,
 )
+from citeheat.io_export import write_flag_journal_reports
 from citeheat.netgraph import CommunityPartition
 
 from helpers import (
@@ -896,14 +898,41 @@ class TestLazyViews:
 
     def test_a_sweep_reading_only_the_links_builds_no_view(self, small_tensor, monkeypatch):
         builds = count_cached_builds(
-            monkeypatch, FlagReport, (*LAZY_VIEWS, "_monotonic_sets", "hot_links")
+            monkeypatch, FlagReport, (*LAZY_VIEWS, "_families", "hot_links")
         )
         ks = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
         for k in ks:
             report = build_flag_report(small_tensor, k=k)
             assert len(report.hot_links) == report.links[0].size
-        assert builds == {**dict.fromkeys((*LAZY_VIEWS, "_monotonic_sets"), 0),
+        assert builds == {**dict.fromkeys((*LAZY_VIEWS, "_families"), 0),
                           "hot_links": len(ks)}
+
+    def test_reading_one_family_builds_all_four_once(self, small_tensor, monkeypatch):
+        builds = count_cached_builds(monkeypatch, FlagReport, (*LAZY_VIEWS, "_families"))
+        report = build_flag_report(small_tensor, k=1.0)
+        report.revision_flagged
+        assert builds == {**dict.fromkeys(LAZY_VIEWS, 0), "thresholds": 1,
+                          "revision_flagged": 1, "_families": 1}
+        for name in FAMILIES:
+            getattr(report, name)
+        assert builds == {**dict.fromkeys(LAZY_VIEWS, 1), "_families": 1}
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 2.5])
+    def test_the_sidecar_lists_each_family_as_its_view(self, k, tmp_path):
+        # FAMILIES above is written independently of flags.FAMILIES.
+        assert flags.FAMILIES == FAMILIES
+        for tensor in _pin_tensors():
+            report = build_flag_report(tensor, k=k)
+            write_flag_journal_reports(tmp_path, report)
+            sidecar = json.loads((tmp_path / "journal_flags.json").read_text("utf-8"))
+            assert sidecar["counts"].keys() == sidecar["flagged"].keys() == set(FAMILIES)
+            names = report.tensor.registry.names
+            for name in FAMILIES:
+                view = getattr(report, name)
+                assert sidecar["flagged"][name] == {
+                    d: [names[i] for i in view[d].tolist()] for d in DIRECTIONS
+                }, name
+                assert sidecar["counts"][name] == {d: view[d].size for d in DIRECTIONS}, name
 
 
 def test_registry_and_partition_hash_as_they_compare():

@@ -235,3 +235,67 @@ def test_the_check_sees_a_call_that_imports_numpy_ma(tmp_path):
         "module.py:5: np.unique", "module.py:6: np.unique", "module.py:7: np.union1d",
         "module.py:7: np.intersect1d", "module.py:7: np.setdiff1d",
     ]
+
+
+
+
+def _private_reads(paths: list[Path]) -> list[str]:
+    """``file:line: name`` for each private name that a module in ``paths``
+    takes from another, in source order: a name starting with ``_`` that it
+    imports from a citeheat module, by a relative or a ``citeheat`` import,
+    or an attribute it reads through anything but ``self`` or ``cls`` whose
+    name only another module of ``paths`` defines (see
+    ``_private_definitions``)."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    defined = {path: {name for _, name in _private_definitions(tree)}
+               for path, tree in trees.items()}
+    lines = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in defined.items() if other != path))
+        elsewhere -= defined[path]
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level or module == "citeheat" or module.startswith("citeheat."):
+                    found += [(node.lineno, node.col_offset, alias.name)
+                              for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in elsewhere:
+                if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                    found.append((node.lineno, node.col_offset, node.attr))
+        lines += [f"{path.name}:{line}: {name}" for line, _, name in sorted(found)]
+    return lines
+
+
+def test_no_module_in_src_reads_a_private_name_of_another():
+    # A module reads another's results through its public names, so a
+    # private helper such as FlagReport._families can change on its own.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert _private_reads(modules) == []
+
+
+def test_the_check_sees_a_private_read(tmp_path):
+    flags = tmp_path / "flags.py"
+    flags.write_text("FAMILIES = ()\n\n"
+                     "def _monotonic():\n    return 1\n\n"
+                     "class Report:\n"
+                     "    def _families(self):\n        return self._x\n",
+                     encoding="utf-8")
+    source = tmp_path / "module.py"
+    source.write_text("from __future__ import annotations\n\n"
+                      "from os import _exit\n"
+                      "from .flags import FAMILIES, _monotonic\n"
+                      "from . import _helpers, io_export\n\n"
+                      "def f(report, parser):\n"
+                      "    from citeheat.netgraph import _merge as merge\n"
+                      "    from citeheatx import _other\n"
+                      "    return merge, report._families, parser._actions, report._x\n\n"
+                      "class Box:\n"
+                      "    def get(self):\n        return self._families\n",
+                      encoding="utf-8")
+    assert _private_reads([flags, source]) == [
+        "module.py:4: _monotonic", "module.py:5: _helpers", "module.py:8: _merge",
+        "module.py:10: _families",
+    ]
