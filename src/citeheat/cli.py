@@ -16,7 +16,7 @@ same parser as the flags; a flag wins over the file key by key.
 
 Artifact tree (all under --out):
 
-    ingest/registry.tsv, years.txt, cells.npy, corpus_stats.json
+    ingest/registry.json, cells.npy, corpus_stats.json
     reports/transition_summary.csv, margins_*.csv, revision_*.csv,
             triangle_nodes_*.csv, journal_flags.json,
             hot_links.csv, link_flags.json,
@@ -28,8 +28,9 @@ Artifact tree (all under --out):
     summary.json
 
 network reads reports/ only through the two JSON sidecars and the hot-link
-arrays, whose ids index ingest/registry.tsv and whose scores are exact
-bits, so network/ and export/ do not depend on --unit.
+arrays, whose ids index ingest/registry.json's journals and whose scores
+are exact bits, so network/ and export/ do not depend on --unit. flag and
+network each read registry.json through io_export.read_registry.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 I/O error.
 
@@ -116,6 +117,12 @@ def _parse_year_spec(spec: str) -> tuple[str, str]:
     if not sep or not label or not path:
         raise argparse.ArgumentTypeError(f"expects <label>=<path>, got {spec!r}")
     return label, path
+
+
+def _parse_out(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _parse_k(text: str) -> float:
@@ -251,7 +258,7 @@ def stage_flag(config: RunConfig) -> None:
     io_export.write_flag_journal_reports(reports, report)
     citing, cited, scores = io_export.write_link_flag_reports(reports, report)
     # The report's ids index the registry after --exclude, the arrays'
-    # ingest/registry.tsv. Both are sorted and every kept name is an ingest
+    # ingest/registry.json. Both are sorted and every kept name is an ingest
     # name, so the kept names' ingest positions, in order, are the map.
     kept = set(report.tensor.registry.names)
     to_ingest = np.flatnonzero([name in kept for name in tensor.registry.names])
@@ -309,6 +316,8 @@ def stage_network(config: RunConfig) -> None:
     journal_flags = io_export.read_sidecar(journal_path)
     link_flags = io_export.read_sidecar(link_path)
     corpus_stats = io_export.read_json(stats_path)
+    _lookup(stats_path, corpus_stats, "years")  # ingest's object; the summary copies it
+    names, labels = io_export.read_registry(config.out / "ingest" / "registry.json")
     # Every input, the base map and the graph's Pajek labels included, is
     # checked before anything is written, so a bad one leaves --out as it was.
     overlays = _overlay_sets(journal_path, journal_flags)
@@ -322,9 +331,7 @@ def stage_network(config: RunConfig) -> None:
                for key in ("k", "unit", "drop_loops", "outliers_removed")},
             "seed": config.seed,
             "basemap": config.basemap,
-            # ingest writes one row per year, three of them.
-            "year_labels": [_lookup(stats_path, corpus_stats, "years", i, "label")
-                            for i in range(3)],
+            "year_labels": labels,
         },
         "corpus": corpus_stats,
         "journal_flags": {key: _lookup(journal_path, journal_flags, key) for key in
@@ -332,7 +339,6 @@ def stage_network(config: RunConfig) -> None:
         "links": {key: _lookup(link_path, link_flags, key) for key in
                   ("threshold", "evaluated_cells", "hot_links", "loops_flagged")},
     }
-    names = io_export.read_registry(config.out / "ingest" / "registry.tsv")
     citing, cited, scores = io_export.read_hot_link_arrays(reports, len(names))
     if citing.size != summary["links"]["hot_links"]:
         raise DataError(f"{reports / 'hot_link_ids.npy'}: {citing.size} hot links, "
@@ -407,7 +413,7 @@ def _options() -> argparse.ArgumentParser:
                         help="keep self-citation cells among the hot links")
     common.add_argument("--seed", type=int, metavar="INT",
                         help="community-detection seed (default 0)")
-    common.add_argument("--out", metavar="DIR",
+    common.add_argument("--out", type=_parse_out, metavar="DIR",
                         help="output directory (default $CITEHEAT_OUT or citeheat_out)")
     common.add_argument("--basemap", metavar="PATH", help="map file for overlays")
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")

@@ -35,7 +35,7 @@ so a stable sort of the ids does.
 
 Sidecars (JSON, format_version 3) and the hot-link arrays are the machine
 boundary out of reports/; read_sidecar rejects any other version with
-DataError naming the file. Every JSON file (the two sidecars,
+DataError naming the file. Every JSON file (the sidecars, registry.json,
 corpus_stats.json and summary.json) is one line with sorted keys.
 
 * journal_flags.json: unit, k, outliers_removed, journals, thresholds (in
@@ -50,7 +50,7 @@ corpus_stats.json and summary.json) is one line with sorted keys.
 * hot_link_ids.npy and hot_link_scores.npy: the hot links in hot_links.csv
   order, as one little-endian int64 array of shape (2, n) with rows citing
   and cited, and one float64 array of shape (n,) with the exact scores in
-  bits. The ids index ingest/registry.tsv, the registry before --exclude.
+  bits. The ids index registry.json journals, the registry before --exclude.
   The network stage builds its graph from these arrays, so network/ and
   export/ do not depend on the unit. read_hot_link_arrays treats them as
   outside input: .npy format only, no pickles, those dtypes and shapes, ids
@@ -58,14 +58,14 @@ corpus_stats.json and summary.json) is one line with sorted keys.
   scores, else DataError naming the file. The network stage also refuses
   arrays whose length is not link_flags.json hot_links.
 
-Stage cache (ingest/): registry.tsv (line i, counted from 0, holds the
-name with id i; names strictly increasing, none empty or holding a tab, LF
-or CR), years.txt (the three labels, one per line) and cells.npy, one
+Stage cache (ingest/): registry.json, ``{"journals": [names], "years":
+[3 labels]}`` of any strings (id i names journals[i]), and cells.npy, one
 little-endian int64 array of shape (5, n_cells) with rows citing, cited,
 counts[0..2], written by np.save, which stores no timestamp. The reader
-treats these files as outside input: .npy format only, no pickles, ids in
-[0, N), keys citing*N + cited strictly increasing, counts >= 0 and every
-cell positive in some year, else DataError naming the file.
+treats these files as outside input: that JSON shape with names strictly
+increasing, .npy format only, no pickles, ids in [0, N), keys citing*N +
+cited strictly increasing, counts >= 0 and every cell positive in some
+year, else DataError naming the file. Network labels: see pajek_labels.
 """
 
 from __future__ import annotations
@@ -112,13 +112,6 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[
     _write_lines(path, [",".join(_csv_fields(header)), *map(",".join, rows)])
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    """A UTF-8 text file's lines, broken only at "\n" after universal-newline
-    decoding: a name may hold "\x0c" or U+2028, where str.splitlines breaks."""
-    with open_utf8(path) as handle:
-        return [line.rstrip("\n") for line in handle]
-
-
 def fmt_sig6(x: float) -> str:
     """Positional formatting with 6 significant digits (stable under
     re-parsing, so re-exports are byte-identical)."""
@@ -161,11 +154,14 @@ def _edge_lines(graph: HotLinkGraph, sep: str) -> Iterable[str]:
 
 
 def pajek_labels(graph: HotLinkGraph) -> list[str]:
-    """The graph's vertex labels; a DataError for one Pajek cannot quote."""
+    """The graph's vertex labels; a DataError for one Pajek cannot quote, or
+    one holding a tab, LF or CR, which end a field or a line of either format."""
     names = list(map(str, graph.nodes))
     for label in names:
         if '"' in label:
             raise DataError(f"label not representable in Pajek: {label!r}")
+        if "\t" in label or "\n" in label or "\r" in label:
+            raise DataError(f"label not representable in Pajek or VOSviewer: {label!r}")
     return names
 
 
@@ -173,7 +169,7 @@ def write_pajek_net(graph: HotLinkGraph, path: str | Path) -> None:
     """Emit `*Vertices N` with 1-based ids and quoted labels, then `*Edges`.
 
     Vertex order is ascending node id; edge endpoints reference vertex
-    positions. Labels containing a double quote cannot be represented.
+    positions. Labels are those of ``pajek_labels``.
     """
     names = pajek_labels(graph)
     lines = [f"*Vertices {len(names)}", *map('{} "{}"'.format, range(1, len(names) + 1), names)]
@@ -208,7 +204,10 @@ def read_basemap(path: str | Path) -> BaseMap:
     """Parse a tab-separated map file with a header naming at least
     label, x and y columns (cluster and weight are kept too, other columns
     such as id are not)."""
-    lines = _read_lines(path)
+    # Lines break only at "\n" after universal-newline decoding: a label may
+    # hold "\x0c" or U+2028, where str.splitlines breaks.
+    with open_utf8(path) as handle:
+        lines = [line.rstrip("\n") for line in handle]
     if not lines:
         raise DataError(f"{path}: empty base map")
     header = [h.strip().lower() for h in lines[0].split("\t")]
@@ -251,7 +250,7 @@ def write_vosviewer_files(
 
     The weight column is the node strength summed over the 6-digit edge
     weights the network file itself declares, which keeps re-exports of a
-    re-read pair byte-identical.
+    re-read pair byte-identical. Labels are those of ``pajek_labels``.
     """
     nodes = graph.nodes
     # Each node's declared weights add in edge order, as a running sum would.
@@ -261,7 +260,7 @@ def write_vosviewer_files(
         weights=np.repeat(declared, 2),
         minlength=len(nodes),
     )
-    names = list(map(str, nodes))
+    names = pajek_labels(graph)
     clusters = np.fromiter(map(partition.__getitem__, nodes), np.int64, len(nodes)) + 1
     header, coords, unmatched = ["id", "label", "cluster", "weight"], [], []
     if basemap is not None:
@@ -314,15 +313,11 @@ def write_overlay(
 # ---------------------------------------------------------------------------
 
 def write_tensor_cache(tensor: AlignedTensor, directory: str | Path) -> None:
-    """Persist the aligned tensor as registry.tsv, years.txt and cells.npy."""
+    """Persist the aligned tensor as registry.json and cells.npy."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    registry = directory / "registry.tsv"
-    for name in tensor.registry.names:
-        if "\n" in name or "\r" in name:
-            raise DataError(f"{registry}: journal name {name!r} holds a line break")
-    _write_lines(registry, tensor.registry.names)
-    _write_lines(directory / "years.txt", tensor.year_labels)
+    registry = {"journals": tensor.registry.names, "years": tensor.year_labels}
+    write_json(directory / "registry.json", registry)
     cells = np.vstack([tensor.citing, tensor.cited, tensor.counts]).astype("<i8", copy=False)
     np.save(directory / "cells.npy", cells, allow_pickle=False)
 
@@ -334,13 +329,7 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
     violation raises DataError naming the file, a missing file OSError.
     """
     directory = Path(directory)
-    names = read_registry(directory / "registry.tsv")
-
-    years_path = directory / "years.txt"
-    labels = _read_lines(years_path)
-    if len(labels) != 3 or not all(labels):
-        raise DataError(f"{years_path}: expected 3 year labels, found {labels}")
-
+    names, labels = read_registry(directory / "registry.json")
     cells_path = directory / "cells.npy"
     n = len(names)
     cells = _read_id_array(cells_path, 5, n)
@@ -360,18 +349,19 @@ def read_tensor_cache(directory: str | Path) -> AlignedTensor:
     )
 
 
-def read_registry(path: str | Path) -> list[str]:
-    """The journal names of ingest/registry.tsv: line i holds the name with
-    id i. An empty line, a tab or names not strictly increasing is a
-    DataError naming the file."""
-    names = _read_lines(path)
-    if not all(names):
-        raise DataError(f"{path}: empty line")
-    if any("\t" in name for name in names):
-        raise DataError(f"{path}: a line holds a tab")
+def read_registry(path: str | Path) -> tuple[list[str], list[str]]:
+    """The journal names (id i names ``journals[i]``) and the year labels of
+    ingest/registry.json; a file of another shape is a DataError naming it."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        payload = {}
+    names, labels = payload.get("journals"), payload.get("years")
+    if not (isinstance(names, list) and isinstance(labels, list) and len(labels) == 3
+            and set(map(type, names + labels)) <= {str}):
+        raise DataError(f'{path}: expected {{"journals": [names], "years": [3 labels]}}')
     if any(a >= b for a, b in zip(names, names[1:])):
         raise DataError(f"{path}: names are not strictly increasing")
-    return names
+    return names, labels
 
 
 def _read_npy(path: Path) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import random
 import subprocess
@@ -98,18 +99,27 @@ def write_edge_list(path: Path, cells: dict, comment: str = "") -> None:
 
 
 def rewrite_registry(path: Path, edit) -> None:
-    """Replace the names of a registry.tsv by ``edit(names)``, one per line."""
-    names = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("".join(f"{name}\n" for name in edit(names)), encoding="utf-8")
+    """Replace a registry.json by ``edit(payload)``: a str is written as it
+    is, anything else as JSON."""
+    edited = edit(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited), encoding="utf-8")
 
 
-# Damaged registries: the id-column format of earlier versions, a blank
-# first line (which sorts first, so only the empty-line check refuses it)
-# and two names out of order.
+def _replace(registry: dict, key: str, value) -> dict:
+    return {**registry, key: value}
+
+
+# Damaged registries: two texts that are not JSON (the one-name-per-line
+# format of earlier versions, and a blank line), JSON of another shape, two
+# names out of order, and four year labels.
 BAD_REGISTRY_EDITS = {
-    "old-format": lambda names: ["# id\tname", *(f"{i}\t{n}" for i, n in enumerate(names))],
-    "blank-line": lambda names: ["", *names],
-    "swapped-names": lambda names: [names[1], names[0], *names[2:]],
+    "old-format": lambda r: "".join(f"{name}\n" for name in r["journals"]),
+    "blank-line": lambda r: "\n",
+    "not-an-object": lambda r: [r["journals"], r["years"]],
+    "journals-not-a-list": lambda r: _replace(r, "journals", "\n".join(r["journals"])),
+    "name-not-a-string": lambda r: _replace(r, "journals", [*r["journals"][:-1], 7]),
+    "swapped-names": lambda r: _replace(r, "journals", [*r["journals"][1::-1], *r["journals"][2:]]),
+    "four-labels": lambda r: _replace(r, "years", [*r["years"], "2014"]),
 }
 
 

@@ -44,7 +44,8 @@ FILE_KINDS = {
                lambda d: load_config_file(d / "run.cfg")),
     "config-comment-first": ({"run.cfg": "# config\nk = 2.0\n"},
                              lambda d: load_config_file(d / "run.cfg")),
-    "registry": ({"registry.tsv": "A\nB\n"}, lambda d: read_registry(d / "registry.tsv")),
+    "registry": ({"registry.json": '{"journals": ["A", "B"], "years": ["1", "2", "3"]}\n'},
+                 lambda d: read_registry(d / "registry.json")),
     "json": ({"s.json": '{"format_version": 3, "k": 1.0}\n'},
              lambda d: read_json(d / "s.json")),
     "sidecar": ({"s.json": '{"format_version": 3, "k": 1.0}\n'},

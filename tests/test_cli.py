@@ -13,6 +13,7 @@ import pytest
 import citeheat
 from citeheat import cli, io_export, netgraph
 from citeheat.cli import main
+from citeheat.corpus import YearMatrix, apply_name_changes, build_common_set
 from citeheat.flags import FlagReport
 from citeheat.io_export import (
     FORMAT_VERSION,
@@ -47,7 +48,7 @@ def _year_args(paths: dict) -> list[str]:
 
 def _hot_links(out: Path) -> list:
     """(citing, cited, score) rows of the hot-link arrays, ids as names."""
-    names = read_registry(out / "ingest" / "registry.tsv")
+    names, _ = read_registry(out / "ingest" / "registry.json")
     citing, cited, scores = read_hot_link_arrays(out / "reports", len(names))
     return [(names[c], names[d], s)
             for c, d, s in zip(citing.tolist(), cited.tolist(), scores.tolist())]
@@ -122,7 +123,7 @@ class TestRun:
         assert "common set: 12 journals" in stdout
 
         for rel in (
-            "ingest/registry.tsv", "ingest/corpus_stats.json",
+            "ingest/registry.json", "ingest/corpus_stats.json",
             "reports/transition_summary.csv", "reports/margins_cited.csv",
             "reports/margins_citing.csv", "reports/revision_cited.csv",
             "reports/revision_citing.csv", "reports/triangle_nodes_cited.csv",
@@ -647,8 +648,31 @@ class TestRun:
     def test_a_label_pajek_cannot_quote_outside_the_graph_runs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", *self._years_renaming(tmp_path, "Bkg03"), "--out", str(out)]) == 0
-        assert 'Annals "Q"' in read_registry(out / "ingest" / "registry.tsv")
+        assert 'Annals "Q"' in read_registry(out / "ingest" / "registry.json")[0]
         assert [(c, d) for c, d, _ in _hot_links(out)] == [("Pers Med", "Genet Med")]
+
+    def test_a_hot_label_holding_a_tab_or_line_break_fails_network_before_writing(
+        self, dyad_year_files, tmp_path, capsys
+    ):
+        # An edge list cannot spell these names, so the library writes the cache.
+        out = tmp_path / "out"
+        assert main(["ingest", *_year_args(dyad_year_files), "--out", str(out)]) == 0
+        swap = {"Pers Med": "A\tB", "Genet Med": "A\nB"}
+        matrices = [
+            YearMatrix.from_cells(label, {tuple(swap.get(n, n) for n in pair): count
+                                          for pair, count in cells.items()})
+            for label, cells in sorted(dyad_fixture_cells().items())
+        ]
+        io_export.write_tensor_cache(build_common_set(*apply_name_changes(matrices, [])),
+                                     out / "ingest")
+        assert main(["flag", "--out", str(out)]) == 0
+        assert [(c, d) for c, d, _ in _hot_links(out)] == [("A\tB", "A\nB")]
+        before = sorted(out.rglob("*")), _tree(out)
+        capsys.readouterr()
+        assert main(["network", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "label not representable in Pajek or VOSviewer: 'A\\tB'" in err
+        assert (sorted(out.rglob("*")), _tree(out)) == before
 
     def test_exclude_outlier(self, dyad_year_files, tmp_path):
         out = tmp_path / "out"
@@ -698,7 +722,7 @@ class TestRun:
         excluded = node_names(14)[0]
         assert main(["run", *_year_args(years), "--k", "0", "--exclude", excluded,
                      "--out", str(out)]) == 0
-        names = read_registry(out / "ingest" / "registry.tsv")
+        names, _ = read_registry(out / "ingest" / "registry.json")
         assert names[0] == excluded and len(names) == 14
         citing, cited, _ = read_hot_link_arrays(out / "reports", len(names))
         assert citing.size > 10 and not (citing == 0).any() and not (cited == 0).any()
@@ -716,7 +740,7 @@ class TestNetworkOf:
 
     @staticmethod
     def _network(out: Path, seed: int) -> netgraph.Network:
-        names = read_registry(out / "ingest" / "registry.tsv")
+        names, _ = read_registry(out / "ingest" / "registry.json")
         return cli.network_of(*read_hot_link_arrays(out / "reports", len(names)), names, seed)
 
     @staticmethod
@@ -755,7 +779,7 @@ class TestNetworkOf:
         out = tmp_path / "out"
         assert main(["run", *_year_args(_loop_year_files(tmp_path)), "--keep-loops",
                      "--out", str(out)]) == 0
-        names = read_registry(out / "ingest" / "registry.tsv")
+        names, _ = read_registry(out / "ingest" / "registry.json")
         citing, cited, scores = read_hot_link_arrays(out / "reports", len(names))
         loops = citing == cited
         assert [names[i] for i in citing[loops].tolist()] == ["Bkg00"]
@@ -874,22 +898,32 @@ class TestConfigHandling:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "rel, stage",
+        "rel, stage, after",
         [
-            ("ingest/years.txt", "flag"),
-            ("ingest/registry.tsv", "flag"),
-            ("ingest/registry.tsv", "network"),
-            ("reports/link_flags.json", "network"),
-            ("reports/journal_flags.json", "network"),
-            ("ingest/corpus_stats.json", "network"),
+            pytest.param("ingest/registry.json", "flag", b'"journals": ["',
+                         id="ingest/registry.json-flag"),
+            pytest.param("ingest/registry.json", "network", b'"journals": ["',
+                         id="ingest/registry.json-network"),
+            pytest.param("ingest/registry.json", "flag", b'"years": ["',
+                         id="ingest/registry.json-years-flag"),
+            pytest.param("reports/link_flags.json", "network", None,
+                         id="reports/link_flags.json-network"),
+            pytest.param("reports/journal_flags.json", "network", None,
+                         id="reports/journal_flags.json-network"),
+            pytest.param("ingest/corpus_stats.json", "network", None,
+                         id="ingest/corpus_stats.json-network"),
         ],
     )
-    def test_non_utf8_stage_file_exits_2(self, dyad_year_files, tmp_path, capsys, rel, stage):
+    def test_non_utf8_stage_file_exits_2(self, dyad_year_files, tmp_path, capsys,
+                                         rel, stage, after):
+        """A non-UTF-8 byte at byte 10, or in the first string after
+        ``after``, exits 2 naming the file."""
         out = tmp_path / "out"
         assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
         bad = out / rel
         data = bad.read_bytes()
-        bad.write_bytes(data[:10] + b"\xff" + data[11:])
+        at = 10 if after is None else data.index(after) + len(after)
+        bad.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         capsys.readouterr()
         assert main([stage, "--out", str(out), "--k", "0"]) == 2
         err = capsys.readouterr().err
@@ -901,7 +935,7 @@ class TestConfigHandling:
     def test_malformed_registry_exits_2(self, dyad_year_files, tmp_path, capsys, kind, stage):
         out = tmp_path / "out"
         assert main(["run", *_year_args(dyad_year_files), "--out", str(out), "--k", "0"]) == 0
-        registry = out / "ingest" / "registry.tsv"
+        registry = out / "ingest" / "registry.json"
         rewrite_registry(registry, BAD_REGISTRY_EDITS[kind])
         before = _tree(out)
         capsys.readouterr()
@@ -1061,11 +1095,35 @@ class TestConfigHandling:
         assert rc == 3
         assert "i/o error" in capsys.readouterr().err
 
+    def test_empty_out_exits_1_and_writes_nothing(
+        self, dyad_year_files, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CITEHEAT_OUT", str(tmp_path / "env_out"))
+        config = tmp_path / "run.cfg"
+        config.write_text("out =\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        for given, named in ((["--out", ""], ["--out"]),
+                             (["--config", str(config)], [str(config), "--out"])):
+            assert main(["run", *_year_args(dyad_year_files), *given]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("citeheat: configuration error: ")
+            assert all(name in err for name in named), err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_empty_env_var_means_the_default_out(
+        self, dyad_year_files, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CITEHEAT_OUT", "")
+        assert main(["ingest", *_year_args(dyad_year_files)]) == 0
+        assert (tmp_path / "citeheat_out" / "ingest" / "registry.json").is_file()
+
     def test_env_var_default_out(self, dyad_year_files, tmp_path, monkeypatch, capsys):
         out = tmp_path / "env_out"
         monkeypatch.setenv("CITEHEAT_OUT", str(out))
         assert main(["ingest", *_year_args(dyad_year_files)]) == 0
-        assert (out / "ingest" / "registry.tsv").is_file()
+        assert (out / "ingest" / "registry.json").is_file()
 
     def test_config_file_with_cli_override(self, dyad_year_files, tmp_path):
         config = tmp_path / "run.cfg"

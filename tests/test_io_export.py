@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 import re
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeheat import io_export
-from citeheat.corpus import JournalRegistry
+from citeheat.corpus import JournalRegistry, YearMatrix, apply_name_changes, build_common_set
 from citeheat.entropy import to_unit
 from citeheat.errors import DataError
 from citeheat.flags import build_flag_report
@@ -220,6 +221,17 @@ class TestPajekNet:
         with pytest.raises(DataError, match="not representable"):
             write_pajek_net(graph, tmp_path / "g.net")
         assert not (tmp_path / "g.net").exists()
+
+    @pytest.mark.parametrize("label", ["Tab\tName", "Line\nBreak", "Carriage\rReturn"])
+    def test_field_or_line_break_in_label_rejected_by_both_formats(self, tmp_path, label):
+        graph = build_graph([(label, "B", -1.0)])
+        message = re.escape(f"label not representable in Pajek or VOSviewer: {label!r}")
+        with pytest.raises(DataError, match=message):
+            write_pajek_net(graph, tmp_path / "g.net")
+        with pytest.raises(DataError, match=message):
+            write_vosviewer_files(graph, {v: 0 for v in graph.nodes},
+                                  tmp_path / "m.txt", tmp_path / "n.txt")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPajekClu:
@@ -599,6 +611,12 @@ class TestLinesBreakOnlyAtNewline:
         assert read_tensor_cache(tmp_path / "cache").year_labels == labels
 
 
+# Any text, with the characters a line or a field of a text file cannot
+# hold, others where str.splitlines breaks, a comment mark and a quote.
+_ANY_TEXT = st.text(st.sampled_from(["\t", "\n", "\r", "\u2028", "\x0c", "#", '"', " "])
+                    | st.characters(), max_size=5)
+
+
 class TestTensorCache:
     def test_round_trip_preserves_everything(self, tmp_path, rng):
         tensor = make_tensor(random_active_grids(rng, 7, density=0.6, high=25))
@@ -622,8 +640,9 @@ class TestTensorCache:
         (lambda d: _rewrite_cells(d, lambda c: c[:, ::-1]), "cells.npy"),
         (lambda d: _rewrite_cells(d, lambda c: _set(c, (3, 0), -2)), "cells.npy"),
         (lambda d: _rewrite_cells(d, lambda c: _set(c, (slice(2, 5), 0), 0)), "cells.npy"),
-        (lambda d: (d / "years.txt").write_text("2011\n2012\n", encoding="utf-8"), "years.txt"),
-        *((lambda d, edit=edit: rewrite_registry(d / "registry.tsv", edit), "registry.tsv")
+        (lambda d: rewrite_registry(d / "registry.json", lambda r: {**r, "years": r["years"][:2]}),
+         "registry.json"),
+        *((lambda d, edit=edit: rewrite_registry(d / "registry.json", edit), "registry.json")
           for edit in BAD_REGISTRY_EDITS.values()),
     ], ids=[
         "truncated-data", "truncated-header", "four-rows", "one-dimensional", "int32",
@@ -637,10 +656,13 @@ class TestTensorCache:
         with pytest.raises(DataError, match=culprit):
             read_tensor_cache(tmp_path)
 
-    def test_registry_holds_one_name_per_line_in_id_order(self, tmp_path, small_tensor):
+    def test_registry_holds_the_names_in_id_order_and_the_labels(self, tmp_path, small_tensor):
         write_tensor_cache(small_tensor, tmp_path)
-        text = (tmp_path / "registry.tsv").read_text(encoding="utf-8")
-        assert text == "".join(f"{name}\n" for name in small_tensor.registry.names)
+        text = (tmp_path / "registry.json").read_text(encoding="utf-8")
+        registry = {"journals": list(small_tensor.registry.names),
+                    "years": list(small_tensor.year_labels)}
+        assert text == json.dumps(registry, sort_keys=True) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.npy", "registry.json"]
 
     def test_unusual_names_round_trip(self, tmp_path, rng):
         tensor = make_tensor(random_active_grids(rng, len(REGISTRY_NAMES), density=0.6))
@@ -648,13 +670,35 @@ class TestTensorCache:
         write_tensor_cache(tensor, tmp_path)
         assert read_tensor_cache(tmp_path).registry.names == tensor.registry.names
 
-    @pytest.mark.parametrize("name", ["Line\nBreak", "Carriage\rReturn"])
-    def test_writer_refuses_a_name_with_a_line_break(self, tmp_path, small_tensor, name):
-        names = [*small_tensor.registry.names[1:], name]
-        tensor = dataclasses.replace(small_tensor, registry=JournalRegistry.from_names(names))
-        with pytest.raises(DataError, match="registry.tsv"):
-            write_tensor_cache(tensor, tmp_path)
-        assert not (tmp_path / "registry.tsv").exists()
+    @settings(max_examples=80, deadline=None)
+    @given(names=st.lists(_ANY_TEXT, min_size=1, max_size=7, unique=True),
+           labels=st.tuples(_ANY_TEXT, _ANY_TEXT, _ANY_TEXT),
+           years=st.lists(st.lists(st.tuples(*[st.integers(0, 6)] * 2, st.integers(1, 9)),
+                                   max_size=12), min_size=3, max_size=3),
+           rename=st.none() | st.tuples(st.integers(0, 6), _ANY_TEXT))
+    @example(names=["Line\nBreak", "Carriage\rReturn", "", "Tab\tName", "Line\u2028Sep",
+                    "# Not a Comment", '"Quoted"'],
+             labels=("", "2012\t", "2013\r\n"), years=[[(1, 2, 3), (3, 4, 5)]] * 3, rename=None)
+    def test_every_library_built_registry_round_trips(
+        self, tmp_path_factory, names, labels, years, rename
+    ):
+        # Cell (0, 0) in every year keeps the common set from being empty.
+        matrices = [
+            YearMatrix.from_cells(label, {
+                (names[0], names[0]): 1,
+                **{(names[c % len(names)], names[d % len(names)]): n for c, d, n in cells},
+            })
+            for label, cells in zip(labels, years)
+        ]
+        renames = [] if rename is None else [(names[rename[0] % len(names)], rename[1])]
+        tensor = build_common_set(*apply_name_changes(matrices, renames))
+        directory = tmp_path_factory.mktemp("cache")
+        write_tensor_cache(tensor, directory)
+        again = read_tensor_cache(directory)
+        assert again.registry.names == tensor.registry.names
+        assert again.year_labels == tensor.year_labels == labels
+        for array in ("citing", "cited", "counts"):
+            assert np.array_equal(getattr(again, array), getattr(tensor, array))
 
     def test_missing_cells_file_is_an_io_error(self, tmp_path, small_tensor):
         write_tensor_cache(small_tensor, tmp_path)
@@ -667,8 +711,8 @@ def _rewrite_bytes(path, edit) -> None:
     path.write_bytes(edit(path.read_bytes()))
 
 
-# Names that a line-per-name registry keeps: a comment mark, Unicode-only
-# whitespace, characters where str.splitlines breaks, a quote and "; ".
+# Names a registry keeps: a comment mark, Unicode-only whitespace,
+# characters where str.splitlines breaks, a quote and "; ".
 REGISTRY_NAMES = [
     "# Not a Comment", "\u3000", "Form\x0cFeed", "Line\u2028Separator",
     'The "Quoted" Review', "Semi; Colon",

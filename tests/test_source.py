@@ -299,3 +299,82 @@ def test_the_check_sees_a_private_read(tmp_path):
         "module.py:4: _monotonic", "module.py:5: _helpers", "module.py:8: _merge",
         "module.py:10: _families",
     ]
+
+
+# Each kind of file has one reader and one writer in src, so one codec:
+# UTF-8 text in through corpus.open_utf8 (a byte-order mark dropped, bad
+# bytes a DataError naming the file), LF-ended UTF-8 text out through
+# io_export._write_lines, .npy arrays in through io_export._read_npy (no
+# pickles) and out through io_export's np.save calls.
+_FILE_IO_PLACES = {"open": {("corpus", "open_utf8"), ("io_export", "_write_lines"),
+                            ("io_export", "_read_npy")},
+                   "np.save": {("io_export", None)}}
+_FILE_IO_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _stray_file_io(path: Path) -> list[str]:
+    """``file:line: call`` for each file I/O call in ``path``, in source
+    order, outside its place in ``_FILE_IO_PLACES``: an ``open`` call or a
+    method call of that name, ``np.load``, ``np.save``, or a ``read_text``,
+    ``write_text``, ``read_bytes`` or ``write_bytes`` method call. A place
+    names the module and the function whose body makes the call; None
+    stands for any function of the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            visit(child, function)
+            func = child.func if isinstance(child, ast.Call) else None
+            if isinstance(func, ast.Name) and func.id == "open":
+                call = "open"
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id in ("np", "numpy") and func.attr in ("load", "save")):
+                call = f"np.{func.attr}"
+            elif isinstance(func, ast.Attribute) and func.attr in _FILE_IO_METHODS:
+                call = func.attr
+            else:
+                continue
+            places = _FILE_IO_PLACES.get(call, set())
+            if not places & {(path.stem, function), (path.stem, None)}:
+                line = f"{path.name}:{child.lineno}: {call}"
+                found.append((child.lineno, child.col_offset, line))
+
+    visit(tree, None)
+    return [line for _, _, line in sorted(found)]
+
+
+def test_file_io_in_src_happens_in_one_place_per_file_kind():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in _stray_file_io(path)] == []
+
+
+def test_the_check_sees_stray_file_io(tmp_path):
+    source = tmp_path / "io_export.py"
+    source.write_text("import numpy as np\n\n"
+                      "def _write_lines(path, text):\n"
+                      "    with open(path, 'w') as out:\n        out.write(text)\n\n"
+                      "def _read_npy(path):\n    return np.load(path)\n\n"
+                      "def write(path, array):\n"
+                      "    np.save(path, array)\n    path.write_text('')\n\n"
+                      "class Cache:\n"
+                      "    def read(self, path):\n"
+                      "        return open(path).read(), path.open(), path.read_bytes()\n\n"
+                      "def _save(path, array):\n"
+                      "    def inner():\n        return path.write_bytes(b''), open(path)\n"
+                      "    np.save(path, array)\n    return inner\n",
+                      encoding="utf-8")
+    assert _stray_file_io(source) == [
+        "io_export.py:8: np.load", "io_export.py:12: write_text",
+        "io_export.py:16: open", "io_export.py:16: open", "io_export.py:16: read_bytes",
+        "io_export.py:20: write_bytes", "io_export.py:20: open",
+    ]
+    # In another module, io_export's places are not places.
+    corpus = tmp_path / "corpus.py"
+    corpus.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    assert "corpus.py:4: open" in _stray_file_io(corpus)
+    assert "corpus.py:11: np.save" in _stray_file_io(corpus)
