@@ -46,7 +46,7 @@ names = tensor.registry.names
 
 # --- Journal-level view ----------------------------------------------------
 print("revision of the prediction (citing direction, mbits):")
-revision = report.revision_node_margins["citing"]
+revision = report.value_sets["revision_citing"]
 # A journal family is an ascending array of registry ids; one fancy
 # assignment turns it into a mask over every journal.
 flagged = np.zeros(len(names), dtype=bool)

@@ -119,7 +119,7 @@ def _parse_year_spec(spec: str) -> tuple[str, str]:
     return label, path
 
 
-def _parse_out(text: str) -> str:
+def _nonempty(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
@@ -402,7 +402,7 @@ def _options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--year", action="append", type=_parse_year_spec, metavar="LABEL=PATH",
                         help="year edge list, exactly 3 times (for run/ingest)")
-    common.add_argument("--renames", metavar="PATH", help="old/new name table")
+    common.add_argument("--renames", type=_nonempty, metavar="PATH", help="old/new name table")
     common.add_argument("--k", type=_parse_k, metavar="FLOAT",
                         help="SD multiplier for all thresholds (default 1.0)")
     common.add_argument("--unit", choices=sorted(UNIT_SCALE),
@@ -413,10 +413,11 @@ def _options() -> argparse.ArgumentParser:
                         help="keep self-citation cells among the hot links")
     common.add_argument("--seed", type=int, metavar="INT",
                         help="community-detection seed (default 0)")
-    common.add_argument("--out", type=_parse_out, metavar="DIR",
+    common.add_argument("--out", type=_nonempty, metavar="DIR",
                         help="output directory (default $CITEHEAT_OUT or citeheat_out)")
-    common.add_argument("--basemap", metavar="PATH", help="map file for overlays")
-    common.add_argument("--config", metavar="PATH", help="flat key=value config file")
+    common.add_argument("--basemap", type=_nonempty, metavar="PATH", help="map file for overlays")
+    common.add_argument("--config", type=_nonempty, metavar="PATH",
+                        help="flat key=value config file")
     return common
 
 

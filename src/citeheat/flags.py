@@ -7,11 +7,11 @@ comparisons are strict: a value exactly on a threshold is not flagged
 
 ``compute_threshold`` is the only code that takes a mean or SD. A flag
 report has two halves. ``evaluate_indicators`` computes the half that does
-not depend on k: the per-cell indicators, the journal margins, the
-self-citation scores and the mean and SD of each of the 11 value sets. It
-runs once per tensor, and the tensor keeps the result
-(``AlignedTensor.indicators``), so a k sweep over one tensor pays only for
-the second half. ``build_flag_report`` derives the link threshold from the
+not depend on k: the per-cell indicators, the self-citation scores, the 11
+value sets (``value_sets``: the journal margins and the link scores) and,
+under the same keys, their means and SDs. It runs once per tensor, and the
+tensor keeps the result (``AlignedTensor.indicators``), so a k sweep over
+one tensor pays only for the second half. ``build_flag_report`` derives the link threshold from the
 stored mean and SD and applies the link rule; that is all a report builds
 up front. ``FlagReport.thresholds`` and the four journal families
 (``FAMILIES``) are views, derived from the same stored statistics and k on
@@ -20,8 +20,9 @@ the links never pays for them. Each flag rule compares its value set to
 its threshold once and gathers only the flagged entries.
 
 A ``FlagReport`` is an ``Indicators`` that adds the second half: it exposes
-the tensor's own indicator objects, ``loop_scores`` and ``statistics``
+the tensor's own indicator objects, ``value_sets`` and ``statistics``
 included, and every report on a tensor shares their read-only mappings.
+Each key is ``links`` or spelled by ``threshold_key``, and nowhere else.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def compute_threshold(values: np.ndarray, k: float) -> ThresholdSpec:
 
 
 def threshold_key(family: str, direction: str, pair: tuple[int, int] | None = None) -> str:
-    """Key of a journal value set in ``FlagReport.thresholds``:
-    ``margin_<ab>_<dir>`` for a transition pair, ``<family>_<dir>`` otherwise."""
+    """Key of a journal value set in ``value_sets``, ``statistics`` and
+    ``thresholds``: ``margin_<ab>_<dir>`` for a transition pair,
+    ``<family>_<dir>`` otherwise."""
     if pair is not None:
         family = f"{family}_{pair[0]}{pair[1]}"
     return f"{family}_{direction}"
@@ -166,55 +168,47 @@ class Indicators:
 
     Its ``entropy.Cells`` build each ``grand_sum`` on first read and keep
     it, so the reports on a tensor share one sum per cell set.
-    ``statistics`` holds each value set's threshold at k = 0: its mean and
-    SD serve every k. ``loop_scores`` holds the triangle scores of the
-    self-citation cells in cell order, which ``FlagReport.loops_flagged``
-    counts. Every array is read-only and every mapping a read-only
-    ``MappingProxyType``, so the reports on a tensor share them safely.
+    ``value_sets`` holds each thresholded value set by ``threshold_key``
+    name: the cited and citing margin totals of each transition's cells,
+    the revision's and the triangle's, and under ``links`` the triangle
+    scores. ``statistics`` holds, under the same keys, each set's threshold
+    at k = 0: its mean and SD serve every k. ``loop_scores`` holds the
+    triangle scores of the self-citation cells in cell order, which
+    ``FlagReport.loops_flagged`` counts. Every array is read-only and every
+    mapping a read-only ``MappingProxyType``, so reports share them safely.
     """
 
     transitions: Mapping[tuple[int, int], Cells]
-    margins: Mapping[tuple[tuple[int, int], str], np.ndarray]
     revision: RevisionCells
-    revision_node_margins: Mapping[str, np.ndarray]
     triangle: Cells
-    triangle_node_margins: Mapping[str, np.ndarray]
     loop_scores: np.ndarray
+    value_sets: Mapping[str, np.ndarray]
     statistics: Mapping[str, ThresholdSpec]
 
 
 def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
-    """Every indicator family over the tensor, and the mean and SD of each
-    value set; read it through ``tensor.indicators``, which keeps it.
+    """Every indicator family over the tensor, its value sets and the mean
+    and SD of each; read it through ``tensor.indicators``, which keeps it.
 
-    Threshold keys are ``threshold_key`` names and ``links``; the link
-    statistics are taken over every evaluated cell, loops included.
+    Keys are ``threshold_key`` names and ``links``; the link statistics are
+    taken over every evaluated cell, loops included.
     """
     transitions = {pair: cell_divergence(tensor, pair) for pair in PAIRS}
-    margins = {
-        (pair, d): read_only(margin_totals(transitions[pair], d))
-        for pair in PAIRS for d in DIRECTIONS
-    }
     revision = revision_of_prediction(tensor)
-    revision_node_margins = {d: read_only(margin_totals(revision, d)) for d in DIRECTIONS}
     triangle = triangle_evaluation(tensor)
-    triangle_node_margins = {d: read_only(margin_totals(triangle, d)) for d in DIRECTIONS}
-
+    journal_cells = [("margin", pair, cells) for pair, cells in transitions.items()]
+    journal_cells += [("revision", None, revision), ("triangle", None, triangle)]
     value_sets = {
-        threshold_key("margin", d, pair): margins[(pair, d)] for pair in PAIRS for d in DIRECTIONS
+        threshold_key(family, d, pair): read_only(margin_totals(cells, d))
+        for family, pair, cells in journal_cells for d in DIRECTIONS
     }
-    for d in DIRECTIONS:
-        value_sets[threshold_key("revision", d)] = revision_node_margins[d]
-        value_sets[threshold_key("triangle", d)] = triangle_node_margins[d]
     value_sets["links"] = triangle.values
     return Indicators(
         transitions=MappingProxyType(transitions),
-        margins=MappingProxyType(margins),
         revision=revision,
-        revision_node_margins=MappingProxyType(revision_node_margins),
         triangle=triangle,
-        triangle_node_margins=MappingProxyType(triangle_node_margins),
         loop_scores=read_only(triangle.values[triangle.citing == triangle.cited]),
+        value_sets=MappingProxyType(value_sets),
         statistics=MappingProxyType(
             {key: compute_threshold(values, 0.0) for key, values in value_sets.items()}
         ),
@@ -225,7 +219,7 @@ def evaluate_indicators(tensor: AlignedTensor) -> Indicators:
 class FlagReport(Indicators):
     """A tensor's indicators plus every threshold and flag set at one k.
 
-    The inherited ``Indicators`` fields, ``loop_scores`` and ``statistics``
+    The inherited ``Indicators`` fields, ``value_sets`` and ``statistics``
     included, are the tensor's own objects, shared read-only by every report
     on it. Raw values stay in bits; ``unit`` only records how reports should
     be serialized. ``links`` holds the hot links as ``flag_links`` returns
@@ -236,16 +230,17 @@ class FlagReport(Indicators):
     The rest are views, each built on first read and kept. ``thresholds``
     holds the one mean and SD of each value set, with this report's k, as a
     read-only mapping; its ``links`` entry equals the threshold the link
-    rule used. The four journal families, which ``FAMILIES`` names in the
-    order of the journal_flags.json schema (``monotonic_up``,
-    ``monotonic_down``, ``revision_flagged``, ``triangle_flagged_nodes``),
-    map each direction to a read-only, ascending int64 array of ids over
-    ``tensor.registry`` (the post-outlier-removal registry), as ``links``
-    holds its ids. They are built together, by one pass over the
-    thresholds, on the first read of any one of them; a sweep that reads
-    only ``links`` builds none. ``hot_links`` is ``links`` as
-    ``(int, int, float)`` tuples. ``outliers_removed`` names each removed
-    journal once, by its registry name, in registry order.
+    rule used, and its keys are those of ``value_sets``. The four journal
+    families, which ``FAMILIES`` names in the order of the
+    journal_flags.json schema (``monotonic_up``, ``monotonic_down``,
+    ``revision_flagged``, ``triangle_flagged_nodes``), map each direction
+    to a read-only, ascending int64 array of ids over ``tensor.registry``
+    (the post-outlier-removal registry), as ``links`` holds its ids. They
+    are built together, by one pass over the thresholds, on the first read
+    of any one of them; a sweep that reads only ``links`` builds none.
+    ``hot_links`` is ``links`` as ``(int, int, float)`` tuples.
+    ``outliers_removed`` names each removed journal once, by its registry
+    name, in registry order.
     """
 
     tensor: AlignedTensor
@@ -267,19 +262,15 @@ class FlagReport(Indicators):
     @cached_property
     def _families(self) -> dict[str, dict[str, np.ndarray]]:
         # One pass applies every family's rule, so the views share it.
-        thresholds = self.thresholds
+        thresholds, value_sets = self.thresholds, self.value_sets
         families = {name: {} for name in FAMILIES}
         for d in DIRECTIONS:
+            m01, m12 = threshold_key("margin", d, (0, 1)), threshold_key("margin", d, (1, 2))
+            rev, tri = threshold_key("revision", d), threshold_key("triangle", d)
             flagged = (
-                *_monotonic(
-                    self.margins[((0, 1), d)], self.margins[((1, 2), d)],
-                    thresholds[threshold_key("margin", d, (0, 1))],
-                    thresholds[threshold_key("margin", d, (1, 2))],
-                ),
-                _below_lower(self.revision_node_margins[d],
-                             thresholds[threshold_key("revision", d)]),
-                _below_lower(self.triangle_node_margins[d],
-                             thresholds[threshold_key("triangle", d)]),
+                *_monotonic(value_sets[m01], value_sets[m12], thresholds[m01], thresholds[m12]),
+                _below_lower(value_sets[rev], thresholds[rev]),
+                _below_lower(value_sets[tri], thresholds[tri]),
             )
             for name, ids in zip(FAMILIES, flagged, strict=True):
                 families[name][d] = ids

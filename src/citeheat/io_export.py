@@ -39,9 +39,10 @@ DataError naming the file. Every JSON file (the sidecars, registry.json,
 corpus_stats.json and summary.json) is one line with sorted keys.
 
 * journal_flags.json: unit, k, outliers_removed, journals, thresholds (in
-  the unit), counts and revision_excluded_cells (one integer: the count
-  has no direction), plus ``flagged``: for each key of counts, the journal
-  families of flags.FAMILIES (monotonic_up, monotonic_down,
+  the unit, one per key of ``FlagReport.value_sets``: the ten journal value
+  sets and ``links``), counts and revision_excluded_cells (one integer: the
+  count has no direction), plus ``flagged``: for each key of counts, the
+  journal families of flags.FAMILIES (monotonic_up, monotonic_down,
   revision_flagged, triangle_flagged_nodes),
   ``{"cited": [names], "citing": [names]}`` with names sorted, so
   len(flagged[key][dir]) == counts[key][dir].
@@ -498,7 +499,7 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
     labels = tensor.year_labels
     quoted = np.array(_csv_fields(names), dtype=object)
     for direction in DIRECTIONS:
-        margins = [report.margins[(pair, direction)] for pair in PAIRS]
+        margins = [report.value_sets[threshold_key("margin", direction, pair)] for pair in PAIRS]
         trend = np.full(len(names), "", dtype=object)
         trend[report.monotonic_up[direction]] = "up"
         trend[report.monotonic_down[direction]] = "down"
@@ -513,18 +514,17 @@ def write_flag_journal_reports(outdir: str | Path, report: FlagReport) -> None:
             ),
         )
 
-        for stem, column, node_margins, family in (
-            ("revision", "revision", report.revision_node_margins, report.revision_flagged),
-            ("triangle_nodes", "triangle", report.triangle_node_margins,
-             report.triangle_flagged_nodes),
+        for stem, family, flagged in (
+            ("revision", "revision", report.revision_flagged),
+            ("triangle_nodes", "triangle", report.triangle_flagged_nodes),
         ):
-            values = node_margins[direction]
+            values = report.value_sets[threshold_key(family, direction)]
             order = np.argsort(values, kind="stable")
             marks = np.full(values.size, "false", dtype=object)
-            marks[family[direction]] = "true"
+            marks[flagged[direction]] = "true"
             _write_csv(
                 outdir / f"{stem}_{direction}.csv",
-                ["journal", f"{column}_{unit}", "flagged"],
+                ["journal", f"{family}_{unit}", "flagged"],
                 zip(quoted[order].tolist(), _dec6_column(values[order], unit),
                     marks[order].tolist()),
             )

@@ -28,7 +28,15 @@ import numpy as np
 from citeheat import netgraph
 from citeheat.corpus import AlignedTensor, JournalRegistry
 from citeheat.entropy import DIRECTIONS
-from citeheat.flags import ThresholdSpec, _below_lower, _monotonic, flag_links, threshold_key
+from citeheat.flags import (
+    FAMILIES,
+    ThresholdSpec,
+    _below_lower,
+    _monotonic,
+    build_flag_report,
+    flag_links,
+    threshold_key,
+)
 
 mpmath.mp.dps = 40
 
@@ -287,13 +295,15 @@ def eager_flag_report(tensor: AlignedTensor, k: float, drop_loops: bool) -> dict
     families, the links and ``loops_flagged``, keyed by report attribute."""
     ind = tensor.indicators
     thresholds = {key: ThresholdSpec.of(s.mean, s.sd, k) for key, s in ind.statistics.items()}
+
+    def rule(family, d, pair=None):
+        key = threshold_key(family, d, pair)
+        return ind.value_sets[key], thresholds[key]
+
     monotonic_up, monotonic_down = {}, {}
     for d in DIRECTIONS:
-        monotonic_up[d], monotonic_down[d] = _monotonic(
-            ind.margins[((0, 1), d)], ind.margins[((1, 2), d)],
-            thresholds[threshold_key("margin", d, (0, 1))],
-            thresholds[threshold_key("margin", d, (1, 2))],
-        )
+        (v01, t01), (v12, t12) = rule("margin", d, (0, 1)), rule("margin", d, (1, 2))
+        monotonic_up[d], monotonic_down[d] = _monotonic(v01, v12, t01, t12)
     loops_flagged = 0
     if drop_loops:
         loops_flagged = int(np.count_nonzero(ind.loop_scores < thresholds["links"].lower))
@@ -301,17 +311,61 @@ def eager_flag_report(tensor: AlignedTensor, k: float, drop_loops: bool) -> dict
         "thresholds": thresholds,
         "monotonic_up": monotonic_up,
         "monotonic_down": monotonic_down,
-        "revision_flagged": {
-            d: _below_lower(ind.revision_node_margins[d], thresholds[threshold_key("revision", d)])
-            for d in DIRECTIONS
-        },
-        "triangle_flagged_nodes": {
-            d: _below_lower(ind.triangle_node_margins[d], thresholds[threshold_key("triangle", d)])
-            for d in DIRECTIONS
-        },
+        "revision_flagged": {d: _below_lower(*rule("revision", d)) for d in DIRECTIONS},
+        "triangle_flagged_nodes": {d: _below_lower(*rule("triangle", d)) for d in DIRECTIONS},
         "links": flag_links(ind.triangle, thresholds["links"], drop_loops),
         "loops_flagged": loops_flagged,
     }
+
+
+def transposed_order(cells) -> np.ndarray:
+    """The order that sorts cells by (cited, citing): the order of their
+    transposes by the transposed tensor's (citing, cited) key."""
+    return np.lexsort((cells.citing, cells.cited))
+
+
+def transposed(tensor: AlignedTensor) -> AlignedTensor:
+    """The tensor with citing and cited swapped, its cells re-sorted."""
+    order = transposed_order(tensor)
+    return AlignedTensor(
+        registry=tensor.registry,
+        year_labels=tensor.year_labels,
+        citing=tensor.cited[order],
+        cited=tensor.citing[order],
+        counts=tensor.counts[:, order],
+    )
+
+
+def assert_transposition_holds(tensor: AlignedTensor, ks) -> None:
+    """Swapping citing and cited swaps the directions of a report at each k.
+
+    Each value set and its statistics under a ``_cited`` key equal, bit for
+    bit, the transposed tensor's under the ``_citing`` key, and the reverse;
+    the ``links`` scores are the same scores in the transposed cell order,
+    with the same statistics. The four journal families swap directions, the
+    hot links reverse and ``loops_flagged`` stays."""
+    flipped = transposed(tensor)
+    swap = {"cited": "citing", "citing": "cited"}
+
+    def twin(key):
+        stem, _, d = key.rpartition("_")
+        return key if key == "links" else f"{stem}_{swap[d]}"
+
+    for k in ks:
+        report, other = build_flag_report(tensor, k=k), build_flag_report(flipped, k=k)
+        assert {twin(key) for key in report.value_sets} == set(other.value_sets)
+        for key, values in report.value_sets.items():
+            expected = values[transposed_order(report.triangle)] if key == "links" else values
+            assert other.value_sets[twin(key)].tobytes() == expected.tobytes(), (k, key)
+            ours, theirs = report.statistics[key], other.statistics[twin(key)]
+            assert (ours.mean.hex(), ours.sd.hex()) == (theirs.mean.hex(), theirs.sd.hex())
+        for family in FAMILIES:
+            for d in DIRECTIONS:
+                ours, theirs = getattr(report, family)[d], getattr(other, family)[swap[d]]
+                assert ids_of(ours) == ids_of(theirs), (k, family, d)
+        reversed_links = sorted((cited, citing, s) for citing, cited, s in other.hot_links)
+        assert reversed_links == sorted(report.hot_links), k
+        assert other.loops_flagged == report.loops_flagged, k
 
 
 def ids_of(array) -> list[int]:

@@ -555,20 +555,15 @@ class TestRun:
         assert excluded not in names and len(names) == 13
         t = report.thresholds
 
-        def margin(pair, d):
-            return report.margins[(pair, d)]
+        v = report.value_sets
 
         rules = {}
         for d in ("cited", "citing"):
-            t01, t12 = (t[f"margin_{pair}_{d}"] for pair in ("01", "12"))
-            rules["monotonic_up", d] = (
-                (margin((0, 1), d) > t01.upper) & (margin((1, 2), d) > t12.upper))
-            rules["monotonic_down", d] = (
-                (margin((0, 1), d) < t01.lower) & (margin((1, 2), d) < t12.lower))
-            rules["revision_flagged", d] = (
-                report.revision_node_margins[d] < t[f"revision_{d}"].lower)
-            rules["triangle_flagged_nodes", d] = (
-                report.triangle_node_margins[d] < t[f"triangle_{d}"].lower)
+            m01, m12 = (f"margin_{pair}_{d}" for pair in ("01", "12"))
+            rules["monotonic_up", d] = (v[m01] > t[m01].upper) & (v[m12] > t[m12].upper)
+            rules["monotonic_down", d] = (v[m01] < t[m01].lower) & (v[m12] < t[m12].lower)
+            rules["revision_flagged", d] = v[f"revision_{d}"] < t[f"revision_{d}"].lower
+            rules["triangle_flagged_nodes", d] = v[f"triangle_{d}"] < t[f"triangle_{d}"].lower
         families = {}
         for (family, d), rule in rules.items():
             ids = getattr(report, family)[d]
@@ -1109,6 +1104,28 @@ class TestConfigHandling:
             err = capsys.readouterr().err
             assert err.startswith("citeheat: configuration error: ")
             assert all(name in err for name in named), err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "option, in_file",
+        [("renames", False), ("basemap", False), ("config", False),
+         ("renames", True), ("basemap", True)],
+        ids=["renames", "basemap", "config", "renames-in-file", "basemap-in-file"],
+    )
+    def test_empty_path_option_exits_1_and_writes_nothing(
+        self, dyad_year_files, tmp_path, capsys, option, in_file
+    ):
+        out = tmp_path / "out"
+        given, named = [f"--{option}", ""], [f"--{option}"]
+        if in_file:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{option} =\n", encoding="utf-8")
+            given, named = ["--config", str(config)], [str(config), f"--{option}"]
+        before = sorted(tmp_path.iterdir())
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out), *given]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("citeheat: configuration error: ")
+        assert all(name in err for name in named), err
         assert sorted(tmp_path.iterdir()) == before
 
     def test_empty_env_var_means_the_default_out(

@@ -35,13 +35,13 @@ from citeheat.flags import (
     compute_threshold,
     flag_links,
     remove_outliers,
-    threshold_key,
 )
 from citeheat.io_export import write_flag_journal_reports
 from citeheat.netgraph import CommunityPartition
 
 from helpers import (
     add_at_margins,
+    assert_transposition_holds,
     closed_form_triangle,
     count_cached_builds,
     dyad_fixture_cells,
@@ -362,15 +362,12 @@ K_PAIR_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_e
 FAMILIES = ("monotonic_up", "monotonic_down", "revision_flagged", "triangle_flagged_nodes")
 
 
-def _value_sets(ind) -> dict[str, np.ndarray]:
-    """Each thresholded value set of the indicators, by threshold key."""
-    sets = {"links": ind.triangle.values}
-    for d in DIRECTIONS:
-        for pair in PAIRS:
-            sets[threshold_key("margin", d, pair)] = ind.margins[(pair, d)]
-        sets[threshold_key("revision", d)] = ind.revision_node_margins[d]
-        sets[threshold_key("triangle", d)] = ind.triangle_node_margins[d]
-    return sets
+def _journal_value_sets(ind) -> list[tuple[str, Cells, str]]:
+    """``(key, cell set, direction)`` of each of the 10 journal value sets,
+    the key spelled out as the journal_flags.json schema documents it."""
+    cell_sets = [(f"margin_{a}{b}", ind.transitions[a, b]) for a, b in PAIRS]
+    cell_sets += [("revision", ind.revision), ("triangle", ind.triangle)]
+    return [(f"{name}_{d}", cells, d) for name, cells in cell_sets for d in DIRECTIONS]
 
 
 @st.composite
@@ -389,7 +386,7 @@ def _tensor_and_k_pair(draw):
     statistics = tensor.indicators.statistics
     margins = sorted({
         abs(statistics[key].mean - v) / statistics[key].sd
-        for key, values in _value_sets(tensor.indicators).items() if statistics[key].sd > 0
+        for key, values in tensor.indicators.value_sets.items() if statistics[key].sd > 0
         for v in values.tolist()
     })
     assume(margins)
@@ -502,7 +499,25 @@ class TestReportAndProperties:
         monkeypatch.setattr(flags, "revision_of_prediction", counted)
         report = build_flag_report(small_tensor)
         assert len(calls) == 1
-        assert set(report.revision_node_margins) == {"cited", "citing"}
+        assert {"revision_cited", "revision_citing"} <= set(report.value_sets)
+
+    def test_value_sets_statistics_and_thresholds_share_the_11_keys(self, rng):
+        grids = random_active_grids(rng, 12, density=0.7, high=60)
+        for g in grids:
+            np.fill_diagonal(g, 9)
+        tensor = make_tensor(grids)
+        ind = tensor.indicators
+        keys = set(ind.value_sets)
+        assert len(keys) == 11 and keys == set(ind.statistics)
+        for k in (0.0, 0.5, 2.0):
+            assert set(build_flag_report(tensor, k=k).thresholds) == keys
+        journal_sets = _journal_value_sets(ind)
+        assert keys == {key for key, _, _ in journal_sets} | {"links"}
+        for key, cells, d in journal_sets:
+            assert ind.value_sets[key].tobytes() == margin_totals(cells, d).tobytes(), key
+        assert ind.value_sets["links"] is ind.triangle.values
+        for key, values in ind.value_sets.items():
+            assert ind.statistics[key] == compute_threshold(values, 0.0), key
 
     @pytest.mark.parametrize("drop_loops", [True, False])
     def test_every_flag_set_matches_brute_force_over_report_arrays(self, rng, drop_loops):
@@ -512,18 +527,7 @@ class TestReportAndProperties:
         report = build_flag_report(make_tensor(grids), k=0.5, drop_loops=drop_loops)
         n = report.tensor.n_nodes
 
-        value_sets = {"links": report.triangle.values}
-        for d in ("cited", "citing"):
-            for cells, arrays in (
-                (report.revision, report.revision_node_margins),
-                (report.triangle, report.triangle_node_margins),
-            ):
-                assert np.array_equal(arrays[d], margin_totals(cells, d))
-            value_sets[f"revision_{d}"] = report.revision_node_margins[d]
-            value_sets[f"triangle_{d}"] = report.triangle_node_margins[d]
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                value_sets[f"margin_{a}{b}_{d}"] = report.margins[((a, b), d)]
-        assert set(report.thresholds) == set(value_sets)
+        value_sets = report.value_sets
         bounds = {}
         for key, values in value_sets.items():
             mean = math.fsum(values.tolist()) / len(values)
@@ -561,6 +565,25 @@ class TestReportAndProperties:
             assert (report.hot_links, report.loops_flagged) == (tuple(hot), 0)
 
 
+class TestTransposition:
+    """Swapping citing and cited swaps every direction of a report: the
+    value sets, statistics and journal families, and the hot links reverse
+    (see ``helpers.assert_transposition_holds``)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.sampled_from([0.3, 0.6, 0.9]), st.booleans())
+    def test_transposed_tensor_swaps_directions(self, seed, n, density, loops):
+        grids = random_active_grids(np.random.default_rng(seed), n, density=density, high=40)
+        if loops:
+            for g in grids:
+                np.fill_diagonal(g, 7)  # live self-citation cells
+        assert_transposition_holds(make_tensor(grids), ks=(0.5, 1.0, 2.0))
+
+    def test_dyad_fixture(self):
+        assert_transposition_holds(_dyad_tensor(), ks=(0.5, 1.0, 2.0))
+
+
 def _dyad_tensor():
     years = dyad_fixture_cells()
     matrices = [YearMatrix.from_cells(label, years[label]) for label in sorted(years)]
@@ -592,19 +615,10 @@ class TestBitIdentityWithEarlierFormulas:
         for tensor in _pin_tensors():
             report = build_flag_report(tensor, k=0.5, drop_loops=drop_loops)
             assert report.triangle.values.tobytes() == closed_form_triangle(tensor).tobytes()
-            for pair in PAIRS:
-                cells = report.transitions[pair]
-                for d in ("cited", "citing"):
-                    expected = add_at_margins(cells, d).tobytes()
-                    assert report.margins[(pair, d)].tobytes() == expected
+            for key, cells, d in _journal_value_sets(report):
+                assert report.value_sets[key].tobytes() == add_at_margins(cells, d).tobytes()
             for cells in (*report.transitions.values(), report.revision, report.triangle):
                 assert cells.grand_sum.hex() == math.fsum(cells.values.tolist()).hex()
-            for d in ("cited", "citing"):
-                for cells, arrays in (
-                    (report.revision, report.revision_node_margins),
-                    (report.triangle, report.triangle_node_margins),
-                ):
-                    assert arrays[d].tobytes() == add_at_margins(cells, d).tobytes()
 
             lower = report.thresholds["links"].lower
             assert report.hot_links == per_index_links(report.triangle, lower, drop_loops)
@@ -689,16 +703,11 @@ def _report_arrays(report) -> dict:
         for name in ("citing", "cited", "values"):
             arrays[f"transition {pair} {name}"] = getattr(cells, name).tobytes()
         arrays[f"transition {pair} grand_sum"] = cells.grand_sum.hex()
-    for (pair, d), values in report.margins.items():
-        arrays[f"margin {pair} {d}"] = values.tobytes()
-    for family, cells, margins in (
-        ("revision", report.revision, report.revision_node_margins),
-        ("triangle", report.triangle, report.triangle_node_margins),
-    ):
+    for family, cells in (("revision", report.revision), ("triangle", report.triangle)):
         for name in ("citing", "cited", "values"):
             arrays[f"{family} {name}"] = getattr(cells, name).tobytes()
-        for d, values in margins.items():
-            arrays[f"{family} margin {d}"] = values.tobytes()
+    for key, values in report.value_sets.items():
+        arrays[f"value set {key}"] = values.tobytes()
     arrays["revision grand_sum"] = report.revision.grand_sum.hex()
     return arrays
 
@@ -813,9 +822,7 @@ class TestIndicatorCache:
         report = build_flag_report(small_tensor)
         arrays = [report.tensor.counts, report.triangle.values, report.revision.citing]
         arrays += [cells.values for cells in report.transitions.values()]
-        arrays += list(report.margins.values())
-        arrays += list(report.revision_node_margins.values())
-        arrays += list(report.triangle_node_margins.values())
+        arrays += list(report.value_sets.values())
         assert report.links[0].size
         arrays += list(report.links)
         for array in arrays:
@@ -827,15 +834,14 @@ class TestIndicatorCache:
         # The indicator mappings are shared read-only: no report can change
         # what a later report on the tensor reads.
         report = build_flag_report(small_tensor)
-        for name in ("transitions", "margins", "revision_node_margins",
-                     "triangle_node_margins", "statistics"):
+        for name in ("transitions", "value_sets", "statistics"):
             mapping = getattr(report, name)
             with pytest.raises(TypeError):
                 mapping[next(iter(mapping))] = None
             with pytest.raises(AttributeError):
                 mapping.clear()
         again = build_flag_report(small_tensor)
-        assert len(again.margins) == 6 and len(again.transitions) == 3
+        assert len(again.value_sets) == 11 and len(again.transitions) == 3
 
     def test_reports_are_the_tensors_indicators_plus_flags(self, small_tensor):
         ind = small_tensor.indicators

@@ -935,13 +935,12 @@ class TestReports:
             return [names[i] for i in order]
 
         for direction in ("cited", "citing"):
-            final = report.margins[((0, 2), direction)]
+            values = report.value_sets
+            final = values[f"margin_02_{direction}"]
             assert journals(f"margins_{direction}.csv") == ranked(-final)
-            assert journals(f"revision_{direction}.csv") == ranked(
-                report.revision_node_margins[direction]
-            )
+            assert journals(f"revision_{direction}.csv") == ranked(values[f"revision_{direction}"])
             assert journals(f"triangle_nodes_{direction}.csv") == ranked(
-                report.triangle_node_margins[direction]
+                values[f"triangle_{direction}"]
             )
 
     def test_to_unit_round_trip(self):

@@ -10,7 +10,9 @@ rule or graph builder that miscounts hot links, nodes, edges, components
 or the giant component fails here too. The benchmark's trace targets are
 checked here as well: none goes missing beyond the known absent ones, and
 a CLI run calls every present target in ``cli``, ``io_export`` and
-``flags``, so no per-layer metric reads 0 for want of a caller.
+``flags``, so no per-layer metric reads 0 for want of a caller. On a
+generated corpus, transposing the tensor swaps the directions of every
+report (see ``helpers.assert_transposition_holds``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import sys
 from pathlib import Path
 
 from citeheat import cli
+from citeheat.corpus import apply_name_changes, build_common_set, parse_edge_list, parse_rename_file
+
+from helpers import assert_transposition_holds
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -112,3 +117,11 @@ def test_flag_sweep_child_runs_on_a_tiny_corpus(tmp_path):
         cells.hot_links(final["k"]).graph(),
     )
     assert problems == [] and q is not None
+
+
+def test_transposition_on_a_generated_corpus(tmp_path):
+    corpus = gen.generate(1, 120, 1500, tmp_path / "corpus")
+    matrices = [parse_edge_list(path, label) for label, path in corpus.years]
+    tensor = build_common_set(*apply_name_changes(matrices, parse_rename_file(corpus.renames)))
+    assert tensor.n_nodes > 100
+    assert_transposition_holds(tensor, ks=(0.5, 1.0, 2.0))

@@ -378,3 +378,58 @@ def test_the_check_sees_stray_file_io(tmp_path):
     corpus.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
     assert "corpus.py:4: open" in _stray_file_io(corpus)
     assert "corpus.py:11: np.save" in _stray_file_io(corpus)
+
+
+# The mappings keyed by threshold key, whether read as an attribute or
+# through a local name of the same name.
+_KEYED = {"value_sets", "statistics", "thresholds"}
+
+
+def _spelled_keys(path: Path) -> list[str]:
+    """``file:line: key`` for each subscript in ``path`` of a ``value_sets``,
+    ``statistics`` or ``thresholds`` attribute or name whose key is neither
+    a ``threshold_key(...)`` call, a name nor the literal ``"links"``, so
+    that ``threshold_key`` is the one place where a key is spelled."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Subscript):
+            continue
+        mapping = node.value
+        name = (mapping.attr if isinstance(mapping, ast.Attribute)
+                else mapping.id if isinstance(mapping, ast.Name) else None)
+        key = node.slice
+        if name not in _KEYED or isinstance(key, ast.Name):
+            continue
+        if isinstance(key, ast.Constant) and key.value == "links":
+            continue
+        if (isinstance(key, ast.Call) and isinstance(key.func, ast.Name)
+                and key.func.id == "threshold_key"):
+            continue
+        found.append((node.lineno, node.col_offset,
+                      f"{path.name}:{node.lineno}: {ast.unparse(key)}"))
+    return [line for _, _, line in sorted(found)]
+
+
+def test_src_spells_value_set_keys_only_in_threshold_key():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in _spelled_keys(path)] == []
+
+
+def test_the_check_sees_a_spelled_key(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("def f(report, ind, key, d):\n"
+                      "    value_sets = {'links': ind.triangle}\n"
+                      "    value_sets['links'] = ind.values\n"
+                      "    a = report.thresholds[threshold_key('margin', d, (0, 1))]\n"
+                      "    b = ind.statistics['links'], report.value_sets[key]\n"
+                      "    c = report.thresholds['revision_cited'], ind.statistics[f'tri_{d}']\n"
+                      "    thresholds = report.thresholds\n"
+                      "    e = thresholds['margin_01_cited'], value_sets[key + '_x']\n"
+                      "    return report.other['x'], ind.value_sets[0], a, b, c, e\n",
+                      encoding="utf-8")
+    assert _spelled_keys(source) == [
+        "module.py:6: 'revision_cited'", "module.py:6: f'tri_{d}'",
+        "module.py:8: 'margin_01_cited'", "module.py:8: key + '_x'", "module.py:9: 0",
+    ]
