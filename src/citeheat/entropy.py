@@ -28,13 +28,13 @@ which also counts the cells its rule leaves out). The quantities:
   q*log2(p'/p) + q*log2(q/p') = q*log2(q/p) makes cell-level revision
   vacuous.
 
-Grand sums are exactly rounded (``ordered_fsum``), so they do not depend on
-summation order; margins add cells in the canonical ascending (citing,
-cited) order. The per-cell values are only as portable as numpy's ``log2``,
-which is vectorized per CPU and not correctly rounded: on an AVX-512 host
-it differed from ``math.log2`` in the last bit on 488 of 200,000 uniform
-inputs in [0, 2). Identical input gives bit-identical values on one
-platform, not across platforms. This module takes no mean or SD:
+Grand sums and margins are exactly rounded (``segment_fsum``), so they
+depend neither on summation order nor on the journals' names. The per-cell
+values are only as portable as numpy's ``log2``, which is vectorized per
+CPU and not correctly rounded: on an AVX-512 host it differed from
+``math.log2`` in the last bit on 488 of 200,000 uniform inputs in [0, 2).
+Identical input gives bit-identical values on one platform, not across
+platforms. This module takes no mean or SD:
 ``flags.compute_threshold`` is the only code that does.
 """
 
@@ -62,38 +62,73 @@ def to_unit(bits: float, unit: str) -> float:
         raise ValueError(f"unknown unit {unit!r}") from None
 
 
-def ordered_fsum(values: np.ndarray) -> float:
-    """Correctly rounded sum of ``values``, bit-equal to ``math.fsum``.
+def segment_fsum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """For each segment s in ``range(n)``, the correctly rounded sum of
+    ``values[index == s]``, bit-equal to ``math.fsum`` of those values.
 
     Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
     floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008).
-    Each round picks 2^t from max|v| and n so that the high parts
-    ``(v + sigma) - sigma``, sigma = 1.5 * 2^(t+52), are multiples of 2^t
-    whose partial sums all stay below 2^(t+53): ``np.sum`` adds them exactly
-    in any order. The remainders ``v - hi`` are exact and feed the next
-    round, which stops when they are all zero; ``math.fsum`` then rounds the
-    few exact round sums once. Non-finite input, and input so large that
-    sigma would overflow, goes to ``math.fsum`` unchanged.
+    Each round picks one 2^t from max|v| and the count m of values left, so
+    that the high parts ``(v + sigma) - sigma``, sigma = 1.5 * 2^(t+52), are
+    multiples of 2^t whose partial sums all stay below 2^(t+53): the
+    per-segment ``np.bincount`` adds them exactly in any order. The
+    remainders ``v - hi`` are exact and feed the next round, which stops
+    when they are all zero. A segment's exact round sums are then rounded
+    once: one float add for two, ``math.fsum`` for three or more. A segment
+    holding a non-finite value, or one so large that sigma would overflow,
+    goes to ``math.fsum`` whole, and the call raises what ``math.fsum``
+    raises on the first such segment that raises. A segment of -0.0 alone
+    sums as ``math.fsum([-0.0])`` does, whose sign depends on the Python
+    version.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    top = float(np.max(np.abs(v))) if v.size else 0.0
-    if top == 0.0:
-        # Only signed zeros: fsum's sign rule, without a pass in Python.
-        return math.fsum(v[:1].tolist()) if np.signbit(v).all() else 0.0
-    if not math.isfinite(top) or math.frexp(top)[1] + v.size.bit_length() > 1021:
-        return math.fsum(v.tolist())
+    index = np.asarray(index, dtype=np.intp).ravel()
+    values = np.asarray(values, dtype=np.float64).ravel()
+    # A value from 2^(1021 - bit length of the count) up would overflow
+    # sigma; inf and nan fail the comparison too.
+    limit = math.ldexp(1.0, 1021 - values.size.bit_length())
+    wild = np.bincount(index[~(np.abs(values) < limit)], minlength=n)
+    fallback = np.flatnonzero(wild).tolist()
+    v, segment = values, index
+    if fallback:
+        keep = (wild == 0)[index]
+        v, segment = values[keep], index[keep]
+    # bincount starts every segment at +0.0, whatever fsum makes of -0.0.
+    negative_zero = np.signbit(v) & (v == 0.0)
+    only_negative_zeros = None
+    if negative_zero.any():
+        only_negative_zeros = (np.bincount(segment[negative_zero], minlength=n) > 0) & (
+            np.bincount(segment[~negative_zero], minlength=n) == 0
+        )
     round_sums = []
-    while v.size:
-        # max|v| < 2^e and n < 2^b; t = e + b - 52 keeps n * max|hi| < 2^(t+53).
+    while True:
+        live = v != 0.0
+        v, segment = v[live], segment[live]
+        if not v.size:
+            break
+        # max|v| < 2^e and m < 2^b; t = e + b - 52 keeps m * max|hi| < 2^(t+53).
+        top = float(np.max(np.abs(v)))
         t = max(math.frexp(top)[1] + v.size.bit_length() - 52, -1074)
         sigma = math.ldexp(1.5, t + 52)
         hi = (v + sigma) - sigma
-        round_sums.append(float(np.sum(hi)))
+        round_sums.append(np.bincount(segment, weights=hi, minlength=n))
         v = v - hi
-        v = v[v != 0.0]
-        if v.size:
-            top = float(np.max(np.abs(v)))
-    return math.fsum(round_sums)
+    # No round sum is -0.0, so starting from +0.0 changes none.
+    totals = sum(round_sums[:2], np.zeros(n))
+    if len(round_sums) > 2:
+        rounds = np.array(round_sums)
+        rest = np.flatnonzero(np.any(rounds[2:] != 0.0, axis=0))
+        totals[rest] = [math.fsum(column) for column in rounds[:, rest].T.tolist()]
+    if only_negative_zeros is not None:
+        totals[only_negative_zeros] = math.fsum([-0.0])
+    for s in fallback:
+        totals[s] = math.fsum(values[index == s].tolist())
+    return totals
+
+
+def ordered_fsum(values: np.ndarray) -> float:
+    """Correctly rounded sum of ``values``, bit-equal to ``math.fsum``:
+    ``segment_fsum`` with one segment."""
+    return float(segment_fsum(np.zeros(np.size(values), dtype=np.intp), values, 1)[0])
 
 
 def kl_term(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -174,17 +209,14 @@ def margin_totals(cells: Cells, direction: str) -> np.ndarray:
     """Row (cited) or column (citing) sums of the cell values, one per node.
 
     Every node of the common set gets an entry, including nodes whose margin
-    is zero, so the vector sums to the cells' grand total. A node's cells
-    are added in cell order, which follows the sorted names, so the last
-    bits of its margin depend on the other nodes' names: renaming the
-    journals of a 246k-cell corpus in an order-changing way changed 22,571
-    of its 28,800 margins, all below the six decimals the CSVs write.
+    is zero, so the vector sums to the cells' grand total. Each margin is
+    exactly rounded (``segment_fsum``), so it does not depend on the order
+    of the cells or on the other nodes' names.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     index = cells.cited if direction == "cited" else cells.citing
-    # bincount adds the weights in cell order, one node at a time.
-    return np.bincount(index, weights=cells.values, minlength=cells.n_nodes)
+    return segment_fsum(index, cells.values, cells.n_nodes)
 
 
 def revision_of_prediction(tensor: AlignedTensor) -> RevisionCells:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -254,11 +255,12 @@ def closed_form_triangle(tensor: AlignedTensor) -> np.ndarray:
     return (p_mid - q) * np.log2(p_mid / p)
 
 
-def add_at_margins(cells, direction: str) -> np.ndarray:
-    """Per-node sums of the cell values by unbuffered ``np.add.at``."""
-    totals = np.zeros(cells.n_nodes, dtype=float)
-    np.add.at(totals, cells.cited if direction == "cited" else cells.citing, cells.values)
-    return totals
+def fsum_margins(cells, direction: str) -> np.ndarray:
+    """Per-node sums of the cell values, each one ``math.fsum`` over the
+    node's cells."""
+    index = cells.cited if direction == "cited" else cells.citing
+    return np.array([math.fsum(cells.values[index == node].tolist())
+                     for node in range(cells.n_nodes)])
 
 
 def per_index_links(triangle, lower: float, drop_loops: bool) -> tuple:
@@ -366,6 +368,68 @@ def assert_transposition_holds(tensor: AlignedTensor, ks) -> None:
         reversed_links = sorted((cited, citing, s) for citing, cited, s in other.hot_links)
         assert reversed_links == sorted(report.hot_links), k
         assert other.loops_flagged == report.loops_flagged, k
+
+
+def renamed(tensor: AlignedTensor) -> tuple[AlignedTensor, np.ndarray]:
+    """The tensor with journal i renamed ``f"{perm[i]:06d}|{name}"``, perm
+    a seeded random permutation, so that the sorted names, the ids and the
+    cell order all change; its cells are re-sorted by the new ids. Returns
+    the renamed tensor and perm, which maps each old id to its new one."""
+    names = tensor.registry.names
+    perm = np.random.default_rng(0).permutation(len(names))
+    citing, cited = perm[tensor.citing], perm[tensor.cited]
+    order = np.lexsort((cited, citing))
+    return AlignedTensor(
+        registry=JournalRegistry.from_names(f"{p:06d}|{name}" for p, name in zip(perm, names)),
+        year_labels=tensor.year_labels,
+        citing=citing[order],
+        cited=cited[order],
+        counts=tensor.counts[:, order],
+    ), perm
+
+
+def assert_renaming_holds(tensor: AlignedTensor, ks) -> None:
+    """Renaming the journals in an order-changing way (see ``renamed``)
+    changes no result but the names, at each k.
+
+    After mapping the ids, every value set is bit-equal to the renamed
+    tensor's (the ``links`` scores in the renamed cell order), and so is
+    every statistic's mean and SD. The four journal families, the hot links
+    as (citing, cited, score) name triples, ``loops_flagged`` and the
+    hot-link graph's edges and components as name sets are equal too.
+    Louvain's partition is not compared: its seeded shuffle visits nodes by
+    position, so it may differ when the positions do."""
+    other_tensor, perm = renamed(tensor)
+    names, other_names = tensor.registry.names, other_tensor.registry.names
+    new_name = dict(zip(names, (other_names[p] for p in perm)))
+
+    def graph_sets(report, label):
+        graph = netgraph.HotLinkGraph.from_ids(*report.links, report.tensor.registry.names)
+        edges = {(frozenset((label(u), label(v))), w.hex()) for u, v, w in graph.edges}
+        parts = netgraph.connected_components(graph).components
+        return edges, {frozenset(map(label, part)) for part in parts}
+
+    for k in ks:
+        report, other = build_flag_report(tensor, k=k), build_flag_report(other_tensor, k=k)
+        assert set(report.value_sets) == set(other.value_sets)
+        for key, values in report.value_sets.items():
+            theirs = other.value_sets[key]
+            if key == "links":
+                order = np.lexsort((perm[report.triangle.cited], perm[report.triangle.citing]))
+                assert theirs.tobytes() == values[order].tobytes(), k
+            else:
+                assert theirs[perm].tobytes() == values.tobytes(), (k, key)
+            ours, theirs = report.statistics[key], other.statistics[key]
+            assert (ours.mean.hex(), ours.sd.hex()) == (theirs.mean.hex(), theirs.sd.hex()), key
+        for family in FAMILIES:
+            for d in DIRECTIONS:
+                ours = {new_name[names[i]] for i in getattr(report, family)[d].tolist()}
+                theirs = {other_names[i] for i in getattr(other, family)[d].tolist()}
+                assert ours == theirs, (k, family, d)
+        ours = {(new_name[names[c]], new_name[names[d]], s) for c, d, s in report.hot_links}
+        assert ours == {(other_names[c], other_names[d], s) for c, d, s in other.hot_links}, k
+        assert other.loops_flagged == report.loops_flagged, k
+        assert graph_sets(report, new_name.get) == graph_sets(other, str), k
 
 
 def ids_of(array) -> list[int]:

@@ -8,20 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citeheat.corpus import PAIRS
 from citeheat.entropy import (
+    DIRECTIONS,
     cell_divergence,
     kl_term,
     margin_totals,
     ordered_fsum,
     revision_of_prediction,
+    segment_fsum,
     to_unit,
     triangle_evaluation,
 )
 from citeheat.errors import DataError
-from citeheat.flags import compute_threshold
+from citeheat.flags import compute_threshold, evaluate_indicators, threshold_key
 
 from helpers import (
     exact_float_sum,
+    fsum_margins,
     make_tensor,
     oracle_pair,
     oracle_triangle,
@@ -121,6 +125,20 @@ class TestMargins:
         assert margin_totals(cells, "citing") == pytest.approx(
             oracle["citing"], rel=1e-9, abs=1e-15
         )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.3, 0.6, 0.9]))
+    def test_every_margin_is_the_per_journal_fsum(self, seed, n, density):
+        grids = random_active_grids(np.random.default_rng(seed), n, density=density, high=60)
+        ind = evaluate_indicators(make_tensor(grids))
+        cell_sets = {threshold_key("margin", d, pair): (ind.transitions[pair], d)
+                     for pair in PAIRS for d in DIRECTIONS}
+        cell_sets.update({threshold_key(family, d): (cells, d) for d in DIRECTIONS
+                          for family, cells in (("revision", ind.revision),
+                                                ("triangle", ind.triangle))})
+        assert {*cell_sets, "links"} == set(ind.value_sets)
+        for key, (cells, d) in cell_sets.items():
+            assert ind.value_sets[key].tobytes() == fsum_margins(cells, d).tobytes(), key
 
     def test_bad_direction(self, small_tensor):
         cells = cell_divergence(small_tensor, (0, 1))
@@ -390,3 +408,64 @@ class TestOrderedFsum:
         got = _outcome(ordered_fsum, np.array(values, dtype=float))
         assert got == _outcome(math.fsum, values)
         assert got == (expected if isinstance(expected, type) else expected.hex())
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7e308, -1.7e308,
+                  float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def segmented_arrays(draw):
+    """``(index, values, n)`` for ``segment_fsum``: a ``bulk_arrays`` draw or
+    up to 60 doubles of any kind, with up to four special values (signed
+    zeros, subnormals, huge values, inf and nan) mixed in. The values fall
+    on up to 12 random segments; one more segment holds only -0.0 and the
+    last one stays empty."""
+    values = draw(st.one_of(
+        bulk_arrays(), st.lists(st.floats(width=64), max_size=60).map(np.array)
+    ))
+    specials = draw(st.lists(st.sampled_from(SPECIAL_VALUES), max_size=4))
+    zeros = draw(st.integers(1, 3))
+    values = np.concatenate([values, specials, [-0.0] * zeros])
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = rng.integers(0, n, values.size)
+    index[-zeros:] = n
+    order = rng.permutation(values.size)
+    return index[order], values[order], n + 2
+
+
+def _per_segment(summer, index, values, n):
+    """``float.hex`` of each segment's sum, or the exception type raised."""
+    try:
+        return [total.hex() for total in summer(index, values, n)]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _fsum_segments(index, values, n):
+    """``math.fsum`` of each segment's values, segment by segment."""
+    return [math.fsum(values[index == s].tolist()) for s in range(n)]
+
+
+class TestSegmentFsum:
+    @FSUM_SETTINGS
+    @given(segmented_arrays())
+    def test_each_segment_matches_math_fsum_or_the_first_exception(self, segmented):
+        index, values, n = segmented
+        expected = _per_segment(_fsum_segments, index, values, n)
+        assert _per_segment(segment_fsum, index, values, n) == expected
+        if not isinstance(expected, type):
+            assert expected[-2:] == [math.fsum([-0.0]).hex(), (0.0).hex()]
+
+    @FSUM_SETTINGS
+    @given(bulk_arrays(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_finite_segments_match_the_exact_sum(self, values, n, seed):
+        index = np.random.default_rng(seed).integers(0, n, values.size)
+        totals = segment_fsum(index, values, n)
+        assert totals.dtype == np.float64 and totals.shape == (n,)
+        for s in range(n):
+            assert totals[s] == exact_float_sum(values[index == s].tolist())
+
+    def test_no_segments(self):
+        assert segment_fsum(np.array([], dtype=np.int64), np.array([]), 0).shape == (0,)

@@ -40,13 +40,14 @@ from citeheat.io_export import write_flag_journal_reports
 from citeheat.netgraph import CommunityPartition
 
 from helpers import (
-    add_at_margins,
+    assert_renaming_holds,
     assert_transposition_holds,
     closed_form_triangle,
     count_cached_builds,
     dyad_fixture_cells,
     eager_flag_report,
     families_of,
+    fsum_margins,
     ids_of,
     link_triples,
     make_tensor,
@@ -584,6 +585,25 @@ class TestTransposition:
         assert_transposition_holds(_dyad_tensor(), ks=(0.5, 1.0, 2.0))
 
 
+class TestRenaming:
+    """Renaming the journals so that their order changes changes nothing
+    but the names: value sets, statistics, families, hot links and the
+    hot-link graph's components (see ``helpers.assert_renaming_holds``)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+           st.sampled_from([0.3, 0.6, 0.9]), st.booleans())
+    def test_renamed_tensor_gives_the_same_report(self, seed, n, density, loops):
+        grids = random_active_grids(np.random.default_rng(seed), n, density=density, high=40)
+        if loops:
+            for g in grids:
+                np.fill_diagonal(g, 7)  # live self-citation cells
+        assert_renaming_holds(make_tensor(grids), ks=(0.5, 1.0, 2.0))
+
+    def test_dyad_fixture(self):
+        assert_renaming_holds(_dyad_tensor(), ks=(0.5, 1.0, 2.0))
+
+
 def _dyad_tensor():
     years = dyad_fixture_cells()
     matrices = [YearMatrix.from_cells(label, years[label]) for label in sorted(years)]
@@ -605,8 +625,8 @@ def _pin_tensors():
 
 class TestBitIdentityWithEarlierFormulas:
     """The report's arrays, sums and links equal, byte for byte, what the
-    closed-form triangle from counts and totals, ``np.add.at`` margins,
-    ``math.fsum`` over a list and per-index link tuples gave."""
+    closed-form triangle from counts and totals, per-journal ``math.fsum``
+    margins, ``math.fsum`` over a list and per-index link tuples gave."""
 
     @pytest.mark.parametrize("drop_loops", [True, False])
     def test_report_equals_the_earlier_code_paths(
@@ -616,7 +636,7 @@ class TestBitIdentityWithEarlierFormulas:
             report = build_flag_report(tensor, k=0.5, drop_loops=drop_loops)
             assert report.triangle.values.tobytes() == closed_form_triangle(tensor).tobytes()
             for key, cells, d in _journal_value_sets(report):
-                assert report.value_sets[key].tobytes() == add_at_margins(cells, d).tobytes()
+                assert report.value_sets[key].tobytes() == fsum_margins(cells, d).tobytes()
             for cells in (*report.transitions.values(), report.revision, report.triangle):
                 assert cells.grand_sum.hex() == math.fsum(cells.values.tolist()).hex()
 

@@ -12,7 +12,8 @@ checked here as well: none goes missing beyond the known absent ones, and
 a CLI run calls every present target in ``cli``, ``io_export`` and
 ``flags``, so no per-layer metric reads 0 for want of a caller. On a
 generated corpus, transposing the tensor swaps the directions of every
-report (see ``helpers.assert_transposition_holds``).
+report (see ``helpers.assert_transposition_holds``), and renaming its
+journals changes nothing but the names (``helpers.assert_renaming_holds``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from citeheat import cli
 from citeheat.corpus import apply_name_changes, build_common_set, parse_edge_list, parse_rename_file
 
-from helpers import assert_transposition_holds
+from helpers import assert_renaming_holds, assert_transposition_holds
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -119,9 +120,17 @@ def test_flag_sweep_child_runs_on_a_tiny_corpus(tmp_path):
     assert problems == [] and q is not None
 
 
-def test_transposition_on_a_generated_corpus(tmp_path):
+def _generated_tensor(tmp_path):
     corpus = gen.generate(1, 120, 1500, tmp_path / "corpus")
     matrices = [parse_edge_list(path, label) for label, path in corpus.years]
     tensor = build_common_set(*apply_name_changes(matrices, parse_rename_file(corpus.renames)))
     assert tensor.n_nodes > 100
-    assert_transposition_holds(tensor, ks=(0.5, 1.0, 2.0))
+    return tensor
+
+
+def test_transposition_on_a_generated_corpus(tmp_path):
+    assert_transposition_holds(_generated_tensor(tmp_path), ks=(0.5, 1.0, 2.0))
+
+
+def test_renaming_on_a_generated_corpus(tmp_path):
+    assert_renaming_holds(_generated_tensor(tmp_path), ks=(0.5, 1.0, 2.0))

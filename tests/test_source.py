@@ -433,3 +433,74 @@ def test_the_check_sees_a_spelled_key(tmp_path):
         "module.py:6: 'revision_cited'", "module.py:6: f'tri_{d}'",
         "module.py:8: 'margin_01_cited'", "module.py:8: key + '_x'", "module.py:9: 0",
     ]
+
+
+# Float reductions: numpy's and the builtin sums, means and SDs, math.fsum,
+# np.add.at and the like, and a weighted np.bincount.
+_REDUCING_ATTRIBUTES = {"sum", "nansum", "mean", "std", "var", "fsum"}
+_ADD_METHODS = {"at", "reduce", "reduceat", "accumulate"}
+
+
+def _float_sums_outside_segment_fsum(path: Path) -> list[str]:
+    """``file:line: call`` for each float reduction in ``path``, in source
+    order, outside the body of ``segment_fsum``: a call of the builtin
+    ``sum``, of any attribute in ``_REDUCING_ATTRIBUTES`` (``np.sum``,
+    ``values.sum``, ``math.fsum``, ...), of ``add.at`` and the other
+    ``_ADD_METHODS`` of ``add``, or of ``bincount`` with weights."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def reduces(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id == "sum"
+        if not isinstance(func, ast.Attribute):
+            return False
+        if func.attr == "bincount":
+            return len(call.args) > 1 or any(kw.arg == "weights" for kw in call.keywords)
+        return func.attr in _REDUCING_ATTRIBUTES or (
+            func.attr in _ADD_METHODS
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "add")
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside or child.name == "segment_fsum")
+                continue
+            visit(child, inside)
+            if isinstance(child, ast.Call) and not inside and reduces(child):
+                line = f"{path.name}:{child.lineno}: {ast.unparse(child.func)}"
+                found.append((child.lineno, child.col_offset, line))
+
+    visit(tree, False)
+    return [line for _, _, line in sorted(found)]
+
+
+def test_entropy_and_flags_sum_floats_only_in_segment_fsum():
+    # One routine rounds every float sum: the grand sums, means and SDs
+    # through ordered_fsum, its one-segment case, and the journal margins.
+    modules = [PACKAGE / "entropy.py", PACKAGE / "flags.py"]
+    assert [line for path in modules for line in _float_sums_outside_segment_fsum(path)] == []
+
+
+def test_the_check_sees_a_float_sum(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("import math\nimport numpy as np\n\n"
+                      "def segment_fsum(index, values, n):\n"
+                      "    def inner(v):\n        return v.sum() + math.fsum(v)\n"
+                      "    return np.bincount(index, weights=values, minlength=n) + sum(values)\n\n"
+                      "def margins(index, values, n):\n"
+                      "    counts = np.bincount(index, minlength=n)\n"
+                      "    totals = np.bincount(index, values, n) + np.bincount(index, weights=values)\n"
+                      "    np.add.at(totals, index, values)\n"
+                      "    return totals, np.cumsum(counts), np.multiply.reduce(values)\n\n"
+                      "class Stats:\n"
+                      "    def mean(self, v):\n"
+                      "        return np.sum(v) / v.size + sum(v) + v.mean() + math.fsum(v)\n"
+                      "    def spread(self, v):\n        return np.add.reduce(v), np.std(v)\n",
+                      encoding="utf-8")
+    assert _float_sums_outside_segment_fsum(source) == [
+        "module.py:11: np.bincount", "module.py:11: np.bincount", "module.py:12: np.add.at",
+        "module.py:17: np.sum", "module.py:17: sum", "module.py:17: v.mean",
+        "module.py:17: math.fsum", "module.py:19: np.add.reduce", "module.py:19: np.std",
+    ]
