@@ -82,7 +82,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import PAIRS, AlignedTensor, JournalRegistry, normalize_name, open_utf8
-from .entropy import DIRECTIONS, UNIT_SCALE, to_unit
+from .entropy import DIRECTIONS, UNIT_SCALE, segment_fsum, to_unit
 from .errors import DataError
 from .flags import FAMILIES, FlagReport, ThresholdSpec, threshold_key
 from .netgraph import HotLinkGraph, Network
@@ -249,17 +249,15 @@ def write_vosviewer_files(
     from the map are written with empty coordinates and listed in the
     unmatched report. Returns the unmatched nodes.
 
-    The weight column is the node strength summed over the 6-digit edge
-    weights the network file itself declares, which keeps re-exports of a
-    re-read pair byte-identical. Labels are those of ``pajek_labels``.
+    The weight column is each node's strength: the exactly rounded sum
+    (``segment_fsum``) of the 6-digit edge weights the network file itself
+    declares, which keeps re-exports of a re-read pair byte-identical, in
+    any edge order. Labels are those of ``pajek_labels``.
     """
     nodes = graph.nodes
-    # Each node's declared weights add in edge order, as a running sum would.
     declared = np.array(list(map(float, graph.sig6_weights)))
-    strength = np.bincount(
-        np.column_stack((graph.u, graph.v)).ravel(),
-        weights=np.repeat(declared, 2),
-        minlength=len(nodes),
+    strength = segment_fsum(
+        np.concatenate((graph.u, graph.v)), np.concatenate((declared, declared)), len(nodes)
     )
     names = pajek_labels(graph)
     clusters = np.fromiter(map(partition.__getitem__, nodes), np.int64, len(nodes)) + 1

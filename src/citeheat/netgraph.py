@@ -29,6 +29,10 @@ merge); only its local moves walk positional neighbour dicts, which
 graph has none, and an aggregated level keeps only the edges between
 communities. Labels cross into and out of positions in one C-level
 ``operator.itemgetter`` call each way (``_gather``).
+
+The total weight m and every Q are exactly rounded (``segment_fsum``), so
+they do not depend on the names. Louvain's levels add in position order:
+its seeded shuffle visits nodes by position, so its partition does anyway.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import read_only
+from .entropy import ordered_fsum, segment_fsum
 from .errors import DataError
 
 # Multilevel passes per louvain call; the best partition is kept. Three is
@@ -103,7 +108,8 @@ class HotLinkGraph:
 
     @cached_property
     def total_weight(self) -> float:
-        return sum(self.weights.tolist())
+        """The sum of the edge weights, exactly rounded (``ordered_fsum``)."""
+        return ordered_fsum(self.weights)
 
     @cached_property
     def sig6_weights(self) -> tuple[str, ...]:
@@ -232,25 +238,16 @@ def degree_centrality(graph: HotLinkGraph) -> np.ndarray:
 
 def _modularity(graph: HotLinkGraph, comm: np.ndarray) -> float:
     """Q of the partition that puts position i in community ``comm[i]``
-    (ints >= 0), summed as a running sum over the edges would: each
-    community's degree and intra weight add the edge weights in edge
-    order, u's end before v's, and the terms add in the order in which
-    the communities first appear there."""
+    (ints >= 0), as sum(e_c)/m - sum((d_c/2m)^2) with each sum exactly
+    rounded: every community degree d_c over both ends of its edges, the
+    intra weight and the squared terms, so in no particular edge order."""
     m = graph.total_weight
     if m <= 0:
         return 0.0
     w = graph.weights
     cu, cv = comm[graph.u], comm[graph.v]
-    ends = np.column_stack((cu, cv)).ravel()
-    deg = np.bincount(ends, weights=np.repeat(w, 2))
-    same = cu == cv
-    intra = np.bincount(cu[same], weights=w[same], minlength=deg.size)
-    first = np.full(deg.size, ends.size)
-    np.minimum.at(first, ends, np.arange(ends.size))
-    order = np.argsort(first)[: np.count_nonzero(first < ends.size)]
-    two_m = 2.0 * m
-    terms = zip(intra[order].tolist(), deg[order].tolist())
-    return sum(e / m - (d / two_m) ** 2 for e, d in terms)
+    deg = segment_fsum(np.concatenate((cu, cv)), np.concatenate((w, w)), int(comm.max()) + 1)
+    return ordered_fsum(w[cu == cv]) / m - ordered_fsum((deg / (2.0 * m)) ** 2)
 
 
 def modularity(graph: HotLinkGraph, partition: Mapping) -> float:
@@ -411,17 +408,18 @@ def louvain(graph: HotLinkGraph, seed: int = 0) -> CommunityPartition:
     is solved as its weights scaled by a power of two when its largest
     weight lies beyond 2**256 or below 2**-256.
     """
+    # The gains divide by 2*m*m, which overflows or underflows at extreme
+    # weight scales, and m itself may overflow. A power-of-two scale changes
+    # no bit of any comparison, so such a graph is solved with its largest
+    # weight brought near 1.
+    exponent = math.frexp(graph.weights.max(initial=0.0))[1]
+    if abs(exponent) > 256:
+        scaled = read_only(np.ldexp(graph.weights, -exponent))
+        return louvain(HotLinkGraph(graph.nodes, graph.u, graph.v, scaled), seed)
     m = graph.total_weight
     if m <= 0:
         assignment = {v: i for i, v in enumerate(graph.nodes)}
         return CommunityPartition(assignment=assignment, q=0.0, seed=seed)
-    # The gains divide by 2*m*m, which overflows or underflows at extreme
-    # weight scales. A power-of-two scale changes no bit of any comparison,
-    # so such a graph is solved with its largest weight brought near 1.
-    exponent = math.frexp(graph.weights.max())[1]
-    if abs(exponent) > 256:
-        scaled = read_only(np.ldexp(graph.weights, -exponent))
-        return louvain(HotLinkGraph(graph.nodes, graph.u, graph.v, scaled), seed)
     adj = _adjacency(len(graph.nodes), graph.u, graph.v, graph.weights)
     k = [sum(nbrs.values()) for nbrs in adj]
 

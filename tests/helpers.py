@@ -17,6 +17,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import unicodedata
 from collections import defaultdict
 from fractions import Fraction
@@ -27,7 +28,14 @@ import mpmath
 import numpy as np
 
 from citeheat import netgraph
-from citeheat.corpus import AlignedTensor, JournalRegistry
+from citeheat.corpus import (
+    AlignedTensor,
+    JournalRegistry,
+    apply_name_changes,
+    build_common_set,
+    parse_edge_list,
+    parse_rename_file,
+)
 from citeheat.entropy import DIRECTIONS
 from citeheat.flags import (
     FAMILIES,
@@ -38,6 +46,7 @@ from citeheat.flags import (
     flag_links,
     threshold_key,
 )
+from citeheat.io_export import write_vosviewer_files
 
 mpmath.mp.dps = 40
 
@@ -370,6 +379,55 @@ def assert_transposition_holds(tensor: AlignedTensor, ks) -> None:
         assert other.loops_flagged == report.loops_flagged, k
 
 
+def ingest_texts(directory: Path, year_texts: dict[str, str], renames_text: str) -> AlignedTensor:
+    """Write each year's edge-list text and the rename table under
+    ``directory`` and ingest them as the ingest stage does:
+    ``parse_edge_list``, ``apply_name_changes``, ``build_common_set``."""
+    directory.mkdir(parents=True)
+    rename_path = directory / "renames.tsv"
+    rename_path.write_text(renames_text, encoding="utf-8")
+    matrices = []
+    for label, text in year_texts.items():
+        path = directory / f"{label}.tsv"
+        path.write_text(text, encoding="utf-8")
+        matrices.append(parse_edge_list(path, label))
+    return build_common_set(*apply_name_changes(matrices, parse_rename_file(rename_path)))
+
+
+def transposed_text(text: str) -> str:
+    """An edge list's text with citing and cited swapped on every record;
+    comments and blank lines stay."""
+    lines = []
+    for line in text.split("\n"):
+        if line.strip() and not line.startswith("#"):
+            citing, cited, count = line.split("\t")
+            line = f"{cited}\t{citing}\t{count}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def assert_raw_transposition_holds(year_texts: dict[str, str], renames_text: str, ks) -> None:
+    """Writing every year file transposed gives the transposed tensor.
+
+    On a corpus whose journals each cite and are cited in every year, the
+    common set is the same either way round, so ingesting the transposed
+    year texts gives ``transposed`` of the ingest of the texts as they are:
+    the same registry and year labels, and the same arrays, bit for bit.
+    The reports then swap directions (``assert_transposition_holds``)."""
+    flipped_texts = {label: transposed_text(text) for label, text in year_texts.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        tensor = ingest_texts(Path(tmp, "years"), year_texts, renames_text)
+        flipped = ingest_texts(Path(tmp, "transposed"), flipped_texts, renames_text)
+    expected = transposed(tensor)
+    assert flipped.registry == expected.registry
+    assert flipped.year_labels == expected.year_labels
+    for name in ("citing", "cited", "counts"):
+        ours, theirs = getattr(flipped, name), getattr(expected, name)
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert_transposition_holds(tensor, ks)
+
+
 def renamed(tensor: AlignedTensor) -> tuple[AlignedTensor, np.ndarray]:
     """The tensor with journal i renamed ``f"{perm[i]:06d}|{name}"``, perm
     a seeded random permutation, so that the sorted names, the ids and the
@@ -396,18 +454,31 @@ def assert_renaming_holds(tensor: AlignedTensor, ks) -> None:
     tensor's (the ``links`` scores in the renamed cell order), and so is
     every statistic's mean and SD. The four journal families, the hot links
     as (citing, cited, score) name triples, ``loops_flagged`` and the
-    hot-link graph's edges and components as name sets are equal too.
-    Louvain's partition is not compared: its seeded shuffle visits nodes by
-    position, so it may differ when the positions do."""
+    hot-link graph's edges and components as name sets are equal too, and
+    so are the graph's total weight, the Q of one partition carried over by
+    name and the weight column of the VOSviewer map, by name. Louvain's
+    partition is not compared: its seeded shuffle visits nodes by position,
+    so it may differ when the positions do."""
     other_tensor, perm = renamed(tensor)
     names, other_names = tensor.registry.names, other_tensor.registry.names
     new_name = dict(zip(names, (other_names[p] for p in perm)))
+    # Three communities by old id, which the new positions do not follow.
+    partition = {new_name[name]: i % 3 for i, name in enumerate(names)}
 
-    def graph_sets(report, label):
+    def network(report, label):
         graph = netgraph.HotLinkGraph.from_ids(*report.links, report.tensor.registry.names)
         edges = {(frozenset((label(u), label(v))), w.hex()) for u, v, w in graph.edges}
         parts = netgraph.connected_components(graph).components
-        return edges, {frozenset(map(label, part)) for part in parts}
+        communities = {v: partition[label(v)] for v in graph.nodes}
+        with tempfile.TemporaryDirectory() as tmp:
+            map_path = Path(tmp, "map.txt")
+            write_vosviewer_files(graph, communities, map_path, Path(tmp, "network.txt"))
+            lines = map_path.read_text(encoding="utf-8").split("\n")[:-1]
+        header, *rows = [line.split("\t") for line in lines]
+        weights = {label(row[header.index("label")]): row[header.index("weight")] for row in rows}
+        q = netgraph.modularity(graph, communities)
+        return (edges, {frozenset(map(label, part)) for part in parts},
+                graph.total_weight.hex(), q.hex(), weights)
 
     for k in ks:
         report, other = build_flag_report(tensor, k=k), build_flag_report(other_tensor, k=k)
@@ -429,7 +500,7 @@ def assert_renaming_holds(tensor: AlignedTensor, ks) -> None:
         ours = {(new_name[names[c]], new_name[names[d]], s) for c, d, s in report.hot_links}
         assert ours == {(other_names[c], other_names[d], s) for c, d, s in other.hot_links}, k
         assert other.loops_flagged == report.loops_flagged, k
-        assert graph_sets(report, new_name.get) == graph_sets(other, str), k
+        assert network(report, new_name.get) == network(other, str), k
 
 
 def ids_of(array) -> list[int]:
@@ -590,21 +661,38 @@ def unique_merge(a, b, weights, n: int) -> tuple:
     return u, v, weights
 
 
-def running_sum_modularity(edges, partition) -> float:
-    """Q = sum_c [e_c/m - (d_c/2m)^2] as plain running sums over the label
-    edges, terms in order of each community's first appearance."""
-    m = sum(w for _, _, w in edges)
+def fsum_modularity(edges, partition) -> float:
+    """Q = sum_c e_c/m - sum_c (d_c/2m)^2 over the label edges, with
+    ``math.fsum`` for m, for each community degree d_c, for the intra
+    weight and for the squared terms."""
+    m = math.fsum(w for _, _, w in edges)
     if m <= 0:
         return 0.0
-    intra: dict = {}
-    deg: dict = {}
+    intra = []
+    ends = defaultdict(list)
     for u, v, w in edges:
         cu, cv = partition[u], partition[v]
-        deg[cu] = deg.get(cu, 0.0) + w
-        deg[cv] = deg.get(cv, 0.0) + w
+        ends[cu].append(w)
+        ends[cv].append(w)
         if cu == cv:
-            intra[cu] = intra.get(cu, 0.0) + w
-    return sum(intra.get(c, 0.0) / m - (deg[c] / (2.0 * m)) ** 2 for c in deg)
+            intra.append(w)
+    two_m = 2.0 * m
+    return math.fsum(intra) / m - math.fsum((math.fsum(d) / two_m) ** 2 for d in ends.values())
+
+
+def normalized_mutual_information(a, b) -> float:
+    """NMI of two labelings of the same items, 2 I(A;B) / (H(A) + H(B))
+    (Danon, Diaz-Guilera, Duch & Arenas 2005), from their contingency
+    table; 1 when both put every item in one group."""
+    _, a = np.unique(np.asarray(a), return_inverse=True)
+    _, b = np.unique(np.asarray(b), return_inverse=True)
+    joint = np.zeros((a.max() + 1, b.max() + 1))
+    np.add.at(joint, (a, b), 1.0 / a.size)
+    pa, pb = joint.sum(axis=1), joint.sum(axis=0)
+    nonzero = joint > 0
+    mutual = (joint[nonzero] * np.log(joint[nonzero] / np.outer(pa, pb)[nonzero])).sum()
+    entropies = -(pa * np.log(pa)).sum() - (pb * np.log(pb)).sum()
+    return 1.0 if entropies == 0 else float(2.0 * mutual / entropies)
 
 
 def count_cached_builds(monkeypatch, cls, names) -> dict:

@@ -40,6 +40,8 @@ from citeheat.io_export import write_flag_journal_reports
 from citeheat.netgraph import CommunityPartition
 
 from helpers import (
+    LABELS,
+    assert_raw_transposition_holds,
     assert_renaming_holds,
     assert_transposition_holds,
     closed_form_triangle,
@@ -53,6 +55,7 @@ from helpers import (
     make_tensor,
     mask_flag_links,
     mask_loops_flagged,
+    node_names,
     oracle_triangle,
     per_index_links,
     random_active_grids,
@@ -583,6 +586,30 @@ class TestTransposition:
 
     def test_dyad_fixture(self):
         assert_transposition_holds(_dyad_tensor(), ks=(0.5, 1.0, 2.0))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.sampled_from([0.3, 0.6, 0.9]), st.booleans())
+    def test_transposed_raw_years_ingest_to_the_transposed_tensor(self, seed, n, density, renames):
+        # A two-way ring in each year: every journal cites and is cited in
+        # every year. Records come shuffled, some split in two; the renames
+        # move one journal to the end and merge two.
+        rng = np.random.default_rng(seed)
+        names = node_names(n)
+        texts = {}
+        for label, grid in zip(LABELS, random_active_grids(rng, n, density=density, high=40)):
+            for c in range(n):
+                grid[(c + 1) % n, c] = max(1, int(grid[(c + 1) % n, c]))
+            records = []
+            for c, d in zip(*np.nonzero(grid)):
+                count = int(grid[c, d])
+                split = int(rng.integers(1, count)) if count > 1 and rng.random() < 0.3 else 0
+                records += [(names[c], names[d], x) for x in (split, count - split) if x]
+            rng.shuffle(records)
+            texts[label] = "# citing\tcited\tcount\n" + "".join(f"{a}\t{b}\t{x}\n" for a, b, x in records)
+        table = [(names[0], "Z000"), (names[n // 2], names[-1])] if renames and n > 2 else []
+        renames_text = "".join(f"{old}\t{new}\n" for old, new in table)
+        assert_raw_transposition_holds(texts, renames_text, ks=(1.0,))
 
 
 class TestRenaming:

@@ -12,8 +12,11 @@ checked here as well: none goes missing beyond the known absent ones, and
 a CLI run calls every present target in ``cli``, ``io_export`` and
 ``flags``, so no per-layer metric reads 0 for want of a caller. On a
 generated corpus, transposing the tensor swaps the directions of every
-report (see ``helpers.assert_transposition_holds``), and renaming its
-journals changes nothing but the names (``helpers.assert_renaming_holds``).
+report (see ``helpers.assert_transposition_holds``), renaming its
+journals changes nothing but the names (``helpers.assert_renaming_holds``),
+and on its journals that cite and are cited in every year, transposing the
+raw year files gives the transposed tensor
+(``helpers.assert_raw_transposition_holds``).
 """
 
 from __future__ import annotations
@@ -24,10 +27,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from citeheat import cli
 from citeheat.corpus import apply_name_changes, build_common_set, parse_edge_list, parse_rename_file
 
-from helpers import assert_renaming_holds, assert_transposition_holds
+from helpers import (
+    assert_raw_transposition_holds,
+    assert_renaming_holds,
+    assert_transposition_holds,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -134,3 +143,40 @@ def test_transposition_on_a_generated_corpus(tmp_path):
 
 def test_renaming_on_a_generated_corpus(tmp_path):
     assert_renaming_holds(_generated_tensor(tmp_path), ks=(0.5, 1.0, 2.0))
+
+
+def test_transposing_the_raw_years_of_a_generated_corpus(tmp_path):
+    # The corpus restricted to its largest set of journals that each cite
+    # and are cited in every year within the set: drop the others, after
+    # renames, until none is left to drop; then keep the records whose two
+    # names resolve into the set, as they are written.
+    corpus = gen.generate(1, 120, 1500, tmp_path / "corpus")
+    renames = parse_rename_file(corpus.renames)
+    registry, matrices = apply_name_changes(
+        [parse_edge_list(path, label) for label, path in corpus.years], renames)
+    n = len(registry)
+    closed = np.ones(n, dtype=bool)
+    while True:
+        kept = closed.copy()
+        for matrix in matrices:
+            inside = closed[matrix.citing] & closed[matrix.cited]
+            for end in (matrix.citing, matrix.cited):
+                kept &= np.bincount(end[inside], minlength=n) > 0
+        if (kept == closed).all():
+            break
+        closed = kept
+    assert 100 < closed.sum() < n
+    index = {name: i for i, name in enumerate(registry.names)}
+
+    def inside(line):
+        if not line.strip() or line.startswith("#"):
+            return True
+        citing, cited, _ = line.split("\t")
+        return closed[index[registry.resolve(citing)]] and closed[index[registry.resolve(cited)]]
+
+    texts = {
+        label: "\n".join(filter(inside, path.read_text(encoding="utf-8").split("\n")))
+        for label, path in corpus.years
+    }
+    assert_raw_transposition_holds(
+        texts, corpus.renames.read_text(encoding="utf-8"), ks=(0.5, 1.0, 2.0))

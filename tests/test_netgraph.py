@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import random
 import statistics
@@ -35,9 +37,10 @@ from helpers import (
     count_cached_builds,
     dict_aggregate,
     dict_merge_graph,
+    fsum_modularity,
     modularity_oracle,
+    normalized_mutual_information,
     random_graph_edges,
-    running_sum_modularity,
     unique_merge,
     unrefined_louvain_q,
 )
@@ -177,7 +180,7 @@ def _assert_same_graph(graph, nodes, edges):
     assert [(a, b, float(w).hex()) for a, b, w in graph.edges] == [
         (a, b, float(w).hex()) for a, b, w in edges
     ]
-    assert float(graph.total_weight).hex() == float(sum(w for _, _, w in edges)).hex()
+    assert graph.total_weight.hex() == math.fsum(w for _, _, w in edges).hex()
     assert graph.u.dtype == graph.v.dtype == np.int64 and graph.weights.dtype == np.float64
     assert [(graph.nodes[i], graph.nodes[j]) for i, j in zip(graph.u, graph.v)] == [
         (a, b) for a, b, _ in edges
@@ -252,8 +255,7 @@ class TestArrayGraph:
         }
 
         partition = {v: f"c{rnd.randrange(4)}" for v in nodes}
-        assert modularity(graph, partition).hex() == running_sum_modularity(
-            edges, partition).hex()
+        assert modularity(graph, partition).hex() == fsum_modularity(edges, partition).hex()
 
     @GRAPH_SETTINGS
     @given(ANY_LINKS)
@@ -269,13 +271,13 @@ class TestArrayGraph:
         _assert_same_graph(graph, *dict_merge_graph((a, b, abs(s)) for a, b, s in links))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_louvain_q_is_the_running_sum_q_of_its_partition(self, seed):
+    def test_louvain_q_is_the_fsum_q_of_its_partition(self, seed):
         rng = random.Random(seed)
         edges = [(u, v, rng.uniform(0.5, 2.0)) for u, v, _ in random_graph_edges(rng, 41, 0.1)]
         graph = build_graph(_scrambled_labels(edges, 41))
         result = louvain(graph, seed=seed)
         assert len(set(result.assignment.values())) > 1
-        assert result.q.hex() == running_sum_modularity(graph.edges, result.assignment).hex()
+        assert result.q.hex() == fsum_modularity(graph.edges, result.assignment).hex()
 
     def test_shuffled_path_is_one_component(self):
         # A long path whose positions are shuffled along it: the slowest
@@ -532,7 +534,7 @@ class TestLouvain:
             # Coarser levels than the graph itself are checked too.
             assert min(sizes[before:]) < len(graph.nodes)
 
-    @pytest.mark.parametrize("exponent", [-1000, -600, -500, 0, 500, 600, 1000])
+    @pytest.mark.parametrize("exponent", [-1000, -600, -500, 0, 500, 600, 1000, 1023])
     def test_weight_scale_changes_nothing(self, exponent):
         bridge = build_graph(TWO_TRIANGLES)
         expected = louvain(bridge, seed=17)
@@ -641,6 +643,72 @@ class TestLouvain:
                 q_new.append(louvain(graph, seed=seed).q)
                 q_old.append(unrefined_louvain_q(graph, seed))
         assert statistics.mean(q_new) >= statistics.mean(q_old)
+
+
+@functools.cache
+def _lfr_graph(mu: float, seed: int):
+    """An LFR benchmark graph (Lancichinetti, Fortunato & Radicchi 2008) of
+    1,000 nodes, and each node's planted community as its smallest member.
+    These parameters generate for mu 0.1, 0.3 and 0.5 and seeds 1 and 2;
+    networkx raises for parameter sets that do not converge."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.LFR_benchmark_graph(1000, 3, 1.5, mu, average_degree=10, max_degree=50,
+                                   min_community=20, seed=seed)
+    graph.remove_edges_from(list(nx.selfloop_edges(graph)))
+    return graph, [min(graph.nodes[v]["community"]) for v in sorted(graph)]
+
+
+def _planted_nmi(graph, planted, weights=None) -> tuple[float, float]:
+    """NMI against the planted communities of ``louvain`` (seed 0) and of
+    networkx's Louvain (seed 0), both with the given edge weights."""
+    nx = pytest.importorskip("networkx")
+    edges = list(graph.edges())
+    weights = [1.0] * len(edges) if weights is None else weights
+    ours = louvain(build_graph((f"J{u:04d}", f"J{v:04d}", w) for (u, v), w in zip(edges, weights)))
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph)
+    nx_graph.add_weighted_edges_from((u, v, w) for (u, v), w in zip(edges, weights))
+    theirs = {v: c for c, members in enumerate(
+        nx.community.louvain_communities(nx_graph, weight="weight", seed=0)) for v in members}
+    nodes = sorted(graph)
+    return (
+        normalized_mutual_information(planted, [ours.assignment[f"J{v:04d}"] for v in nodes]),
+        normalized_mutual_information(planted, [theirs[v] for v in nodes]),
+    )
+
+
+class TestPlantedCommunities:
+    """Louvain recovers planted communities about as well as networkx's
+    Louvain does (Lancichinetti & Fortunato 2009), scored by NMI."""
+
+    # Fixed before the first run: the mean NMI over the graph seeds may
+    # fall below networkx's by at most this.
+    MARGIN = 0.02
+
+    def test_nmi_of_a_hand_worked_contingency_table(self):
+        # Rows a = 0, 1; columns b = 0, 1, 2: [[2, 1, 0], [0, 1, 2]] over
+        # 6 items. H(a) = ln 2, H(b) = ln 3, I = (1/3 + 1/3) ln 2, so
+        # NMI = (4/3) ln 2 / ln 6.
+        a, b = [0, 0, 0, 1, 1, 1], ["x", "x", "y", "y", "z", "z"]
+        expected = 4 * math.log(2) / (3 * math.log(6))
+        assert normalized_mutual_information(a, b) == pytest.approx(expected, rel=1e-12)
+        assert normalized_mutual_information(b, a) == pytest.approx(expected, rel=1e-12)
+        assert normalized_mutual_information(a, [5, 5, 5, 7, 7, 7]) == pytest.approx(1.0)
+        assert normalized_mutual_information([0, 0, 1, 1], [0, 1, 0, 1]) == 0.0
+        assert normalized_mutual_information([3] * 4, [1] * 4) == 1.0
+
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5])
+    def test_louvain_recovers_planted_communities(self, mu):
+        scores = [_planted_nmi(*_lfr_graph(mu, seed)) for seed in (1, 2)]
+        ours, theirs = (statistics.mean(column) for column in zip(*scores))
+        assert ours >= theirs - self.MARGIN
+
+    def test_lognormal_weights(self):
+        # Weights spread like the hot-link score magnitudes.
+        graph, planted = _lfr_graph(0.3, 1)
+        weights = np.random.default_rng(0).lognormal(0.0, 1.0, graph.number_of_edges())
+        ours, theirs = _planted_nmi(graph, planted, weights.tolist())
+        assert ours >= theirs - self.MARGIN
 
 
 class TestDegreeCentrality:

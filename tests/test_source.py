@@ -440,13 +440,25 @@ def test_the_check_sees_a_spelled_key(tmp_path):
 _REDUCING_ATTRIBUTES = {"sum", "nansum", "mean", "std", "var", "fsum"}
 _ADD_METHODS = {"at", "reduce", "reduceat", "accumulate"}
 
+# The functions whose bodies may sum floats, each with its reason.
+_LOUVAIN_LEVELS = (
+    "Louvain's level arithmetic: its seeded shuffle visits nodes by position, so "
+    "exact sums here would make no result name-independent, and could move partitions"
+)
+_EXEMPT = {
+    "segment_fsum": "the exact-sum routine itself",
+    "_merge": _LOUVAIN_LEVELS + " (the edge merge of every level)",
+    "_aggregate": _LOUVAIN_LEVELS + " (a level's strengths)",
+    "louvain": _LOUVAIN_LEVELS + " (the top level's strengths)",
+}
+
 
 def _float_sums_outside_segment_fsum(path: Path) -> list[str]:
     """``file:line: call`` for each float reduction in ``path``, in source
-    order, outside the body of ``segment_fsum``: a call of the builtin
-    ``sum``, of any attribute in ``_REDUCING_ATTRIBUTES`` (``np.sum``,
-    ``values.sum``, ``math.fsum``, ...), of ``add.at`` and the other
-    ``_ADD_METHODS`` of ``add``, or of ``bincount`` with weights."""
+    order, outside the bodies of the ``_EXEMPT`` functions: a call of the
+    builtin ``sum``, of any attribute in ``_REDUCING_ATTRIBUTES``
+    (``np.sum``, ``values.sum``, ``math.fsum``, ...), of ``add.at`` and the
+    other ``_ADD_METHODS`` of ``add``, or of ``bincount`` with weights."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
 
@@ -465,7 +477,7 @@ def _float_sums_outside_segment_fsum(path: Path) -> list[str]:
     def visit(node, inside):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, inside or child.name == "segment_fsum")
+                visit(child, inside or child.name in _EXEMPT)
                 continue
             visit(child, inside)
             if isinstance(child, ast.Call) and not inside and reduces(child):
@@ -480,6 +492,13 @@ def test_entropy_and_flags_sum_floats_only_in_segment_fsum():
     # One routine rounds every float sum: the grand sums, means and SDs
     # through ordered_fsum, its one-segment case, and the journal margins.
     modules = [PACKAGE / "entropy.py", PACKAGE / "flags.py"]
+    assert [line for path in modules for line in _float_sums_outside_segment_fsum(path)] == []
+
+
+def test_the_network_sums_floats_only_in_segment_fsum():
+    # The total weight, every Q and the VOSviewer strengths are exactly
+    # rounded too; Louvain's levels are exempt (see _EXEMPT).
+    modules = [PACKAGE / "netgraph.py", PACKAGE / "io_export.py"]
     assert [line for path in modules for line in _float_sums_outside_segment_fsum(path)] == []
 
 
@@ -504,3 +523,17 @@ def test_the_check_sees_a_float_sum(tmp_path):
         "module.py:17: np.sum", "module.py:17: sum", "module.py:17: v.mean",
         "module.py:17: math.fsum", "module.py:19: np.add.reduce", "module.py:19: np.std",
     ]
+
+
+def test_the_check_honours_the_exempt_functions(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("import numpy as np\n\n"
+                      "def _merge(a, w, n):\n"
+                      "    return np.bincount(a, weights=w, minlength=n)\n\n"
+                      "def louvain(adj):\n"
+                      "    def strengths():\n        return [sum(row.values()) for row in adj]\n"
+                      "    return strengths()\n\n"
+                      "def total(w):\n    return sum(w)\n",
+                      encoding="utf-8")
+    assert {"_merge", "louvain"} <= set(_EXEMPT)
+    assert _float_sums_outside_segment_fsum(source) == ["module.py:12: sum"]
