@@ -23,12 +23,12 @@ __version__ = "0.1.0"
 _HOMES = {
     "corpus": ("PAIRS", "AlignedTensor", "JournalRegistry", "YearMatrix", "normalize_name",
                "parse_edge_list", "parse_rename_file", "apply_name_changes",
-               "build_common_set"),
+               "build_common_set", "remove_outliers"),
     "entropy": ("DIRECTIONS", "UNIT_SCALE", "Cells", "RevisionCells", "kl_term", "to_unit",
                 "cell_divergence", "margin_totals", "revision_of_prediction",
                 "triangle_evaluation"),
     "flags": ("ThresholdSpec", "FlagReport", "compute_threshold", "flag_links",
-              "remove_outliers", "build_flag_report"),
+              "build_flag_report"),
     "netgraph": ("HotLinkGraph", "ComponentPartition", "CommunityPartition", "build_graph",
                  "connected_components", "louvain", "modularity", "degree_centrality"),
 }

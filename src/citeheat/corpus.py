@@ -5,11 +5,13 @@ comments, UTF-8; LF, CRLF or CR line ends all read as LF, and lines of
 whitespace only are skipped) plus an optional rename table
 (``old<TAB>new``). Names are compared byte-exactly after NFC normalization
 and trimming of leading/trailing ASCII whitespace; records of one (citing,
-cited) pair sum, also after renames resolve to terminal names. The node set
-is then restricted to journals that are actively citing (appear on the
-citing side of at least one edge) in all three years, and the three
-matrices are aligned over one dense id space, in lexicographic name order,
-with per-transition validity masks.
+cited) pair sum, also after renames resolve to terminal names. The three
+matrices are aligned over one dense id space with per-transition validity
+masks, and restricted to the journals that are actively citing (appear on
+the citing side of at least one edge) in all three years. This cut, like
+``remove_outliers``, keeps a cell exactly when both its journals stay, with
+its counts, and renumbers the kept journals in name order (``_restrict``),
+so only the grand totals and what derives from them change.
 
 From the first parsed line on, a year is coordinate arrays over a name
 table. Renames map each year's cells onto one shared table, the renamed
@@ -23,6 +25,7 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -101,7 +104,9 @@ class YearMatrix:
         if any(count <= 0 for count in cells.values()):
             raise DataError(f"year {year_label!r}: counts must be positive")
         # Raw id 2i labels cell i's citing name and 2i+1 its cited name.
-        names = [name for pair in cells for name in pair]
+        names = [normalize_name(name) for pair in cells for name in pair]
+        if "" in names:
+            raise DataError(f"year {year_label!r}: empty journal name")
         ids = np.arange(len(names), dtype=np.int64)
         return _coalesce(year_label, names, ids[0::2], ids[1::2], list(cells.values()))
 
@@ -383,17 +388,32 @@ class AlignedTensor:
         return f"{self.year_labels[pair[0]]}->{self.year_labels[pair[1]]}"
 
 
+def _restrict(tensor: AlignedTensor, keep: np.ndarray) -> AlignedTensor:
+    """The tensor on the journals that the bool mask ``keep`` marks: the
+    cells of two kept journals, counts untouched. Registry names are sorted,
+    so numbering the kept ids in order keeps the ids lexicographic over the
+    kept names and the cells sorted by (citing, cited)."""
+    new_id = np.cumsum(keep, dtype=np.int64) - 1
+    cells = keep[tensor.citing] & keep[tensor.cited]
+    return AlignedTensor(
+        registry=JournalRegistry.from_names(compress(tensor.registry.names, keep.tolist())),
+        year_labels=tensor.year_labels,
+        citing=new_id[tensor.citing[cells]],
+        cited=new_id[tensor.cited[cells]],
+        counts=tensor.counts[:, cells],
+    )
+
+
 def build_common_set(
     registry: JournalRegistry, matrices: Sequence[YearMatrix]
 ) -> AlignedTensor:
     """Restrict three year matrices to the actively-citing common set.
 
     A node is retained only if it appears on the citing side of at least one
-    edge in every year; retained nodes keep both their rows and columns,
-    everything else is dropped. Ids are reassigned lexicographically over the
-    retained names, so the result is independent of input order. Every
-    matrix's name table must be the registry's, as ``apply_name_changes``
-    returns them, so its ids are registry ids.
+    edge in every year, and the rest are cut as the module docstring says, so
+    the result is independent of input order. Every matrix's name table must
+    be the registry's, as ``apply_name_changes`` returns them, so its ids are
+    registry ids.
     """
     if len(matrices) != 3:
         raise DataError(f"exactly 3 year matrices required, got {len(matrices)}")
@@ -407,23 +427,32 @@ def build_common_set(
     if not common.any():
         raise DataError("no journal is actively citing in all three years")
 
-    # Registry names are sorted, so numbering the common ids in order keeps
-    # the ids lexicographic over the retained names.
-    sub_registry = JournalRegistry.from_names(n for n, keep in zip(registry.names, common) if keep)
-    n = len(sub_registry)
-    new_id = np.cumsum(common, dtype=np.int64) - 1
-    keys, kept = [], []
-    for matrix in matrices:
-        keep = common[matrix.citing] & common[matrix.cited]
-        keys.append(new_id[matrix.citing[keep]] * n + new_id[matrix.cited[keep]])
-        kept.append(matrix.counts[keep])
-    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    n = len(registry)
+    year = np.repeat(np.arange(3), [m.counts.size for m in matrices])
+    keys = np.concatenate([m.citing * n + m.cited for m in matrices])
+    unique, inverse = np.unique(keys, return_inverse=True)
     aligned = np.zeros((3, unique.size), dtype=np.int64)
-    aligned[np.repeat(np.arange(3), [k.size for k in keys]), inverse] = np.concatenate(kept)
-    return AlignedTensor(
-        registry=sub_registry,
+    aligned[year, inverse] = np.concatenate([m.counts for m in matrices])
+    tensor = AlignedTensor(
+        registry=registry,
         year_labels=tuple(m.year_label for m in matrices),
         citing=unique // n,
         cited=unique % n,
         counts=aligned,
     )
+    return _restrict(tensor, common)
+
+
+def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTensor:
+    """Delete the named journals' rows and columns and renormalize, as the
+    common set does (see the module docstring); each name resolves through
+    the tensor's registry."""
+    if isinstance(nodes, str):
+        raise ValueError(f"outliers must be a list of journal names, got the string {nodes!r}")
+    if not nodes:
+        return tensor
+    drop_names = {tensor.registry.resolve(n) for n in nodes}
+    keep = np.array([n not in drop_names for n in tensor.registry.names], dtype=bool)
+    if not keep.any():
+        raise DataError("outlier removal would empty the node set")
+    return _restrict(tensor, keep)

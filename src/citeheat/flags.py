@@ -31,11 +31,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import PAIRS, AlignedTensor, JournalRegistry, read_only
+from .corpus import PAIRS, AlignedTensor, read_only, remove_outliers
 from .entropy import (
     DIRECTIONS,
     UNIT_SCALE,
@@ -130,36 +130,6 @@ def flag_links(
     if drop_loops:
         hot = hot[triangle.citing[hot] != triangle.cited[hot]]
     return tuple(read_only(a[hot]) for a in (triangle.citing, triangle.cited, triangle.values))
-
-
-def remove_outliers(tensor: AlignedTensor, nodes: Sequence[str]) -> AlignedTensor:
-    """Delete the named journals' rows and columns and renormalize.
-
-    Remaining counts are untouched; only the grand totals (and therefore the
-    relative frequencies, masks and downstream thresholds) change. Ids are
-    reassigned contiguously over the surviving names.
-    """
-    if isinstance(nodes, str):
-        raise ValueError(f"outliers must be a list of journal names, got the string {nodes!r}")
-    if not nodes:
-        return tensor
-    drop_names = {tensor.registry.resolve(n) for n in nodes}
-    keep_node = np.array([n not in drop_names for n in tensor.registry.names], dtype=bool)
-    if not keep_node.any():
-        raise DataError("outlier removal would empty the node set")
-    # Names are sorted, so numbering the survivors in order keeps the cells
-    # sorted by (citing, cited) without a re-sort.
-    remap = np.cumsum(keep_node, dtype=np.int64) - 1
-    keep = keep_node[tensor.citing] & keep_node[tensor.cited]
-    return AlignedTensor(
-        registry=JournalRegistry.from_names(
-            n for n in tensor.registry.names if n not in drop_names
-        ),
-        year_labels=tensor.year_labels,
-        citing=remap[tensor.citing[keep]],
-        cited=remap[tensor.cited[keep]],
-        counts=tensor.counts[:, keep],
-    )
 
 
 @dataclass(frozen=True, eq=False)

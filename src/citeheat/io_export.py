@@ -62,7 +62,8 @@ corpus_stats.json and summary.json) is one line with sorted keys.
 Stage cache (ingest/): registry.json, ``{"journals": [names], "years":
 [3 labels]}`` of any strings (id i names journals[i]), and cells.npy, one
 little-endian int64 array of shape (5, n_cells) with rows citing, cited,
-counts[0..2], written by np.save, which stores no timestamp. The reader
+counts[0..2], written in C order by np.save, which stores no timestamp, so
+its bytes depend on the values only, not on the tensor's layout. The reader
 treats these files as outside input: that JSON shape with names strictly
 increasing, .npy format only, no pickles, ids in [0, N), keys citing*N +
 cited strictly increasing, counts >= 0 and every cell positive in some
@@ -317,7 +318,7 @@ def write_tensor_cache(tensor: AlignedTensor, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     registry = {"journals": tensor.registry.names, "years": tensor.year_labels}
     write_json(directory / "registry.json", registry)
-    cells = np.vstack([tensor.citing, tensor.cited, tensor.counts]).astype("<i8", copy=False)
+    cells = np.ascontiguousarray(np.vstack([tensor.citing, tensor.cited, tensor.counts]), "<i8")
     np.save(directory / "cells.npy", cells, allow_pickle=False)
 
 

@@ -65,8 +65,8 @@ class HotLinkGraph:
     in (u, v) order, so in label order, and the three arrays are
     read-only. ``edges``, the (u, v, w) label triples, is built on first
     use and kept. Build a graph with ``from_ids`` or ``build_graph``: the
-    bare constructor does not check that no edge is a loop, which Louvain
-    relies on.
+    bare constructor does not check that no edge is a loop and that every
+    weight is finite, which Louvain relies on.
     """
 
     nodes: tuple
@@ -81,7 +81,9 @@ class HotLinkGraph:
         """The graph of the links given as id arrays over the sorted
         ``names``; weight = |score|, and an edge and its reverse or a repeat
         sum their weights in link order. Journals without a link are left
-        out."""
+        out. A loop, or a weight that is not finite after merging (a NaN or
+        infinite score, or a pair and its reverse that overflow), is a
+        DataError naming the journals: Louvain would not end on it."""
         citing = np.asarray(citing, dtype=np.int64)
         cited = np.asarray(cited, dtype=np.int64)
         linked = np.zeros(len(names), dtype=bool)
@@ -96,6 +98,11 @@ class HotLinkGraph:
             label = names[citing[loops.argmax()]]
             raise DataError(f"self-loop on {label!r}; loops must be removed upstream")
         u, v, weights = _merge(citing, cited, np.abs(scores), len(names))
+        finite = np.isfinite(weights)
+        if not finite.all():
+            e = finite.argmin()
+            raise DataError(f"edge {names[u[e]]!r} -- {names[v[e]]!r}: weight "
+                            f"{weights[e]} is not finite after merging")
         return cls(nodes=tuple(names), u=read_only(u), v=read_only(v), weights=read_only(weights))
 
     @cached_property

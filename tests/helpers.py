@@ -54,14 +54,16 @@ LABELS = ("2011", "2012", "2013")
 SRC = Path(netgraph.__file__).resolve().parents[1]
 
 
-def run_python(*args: str, cwd: Path | None = None, **env: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, cwd: Path | None = None, timeout: float = 120,
+               **env: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh process that imports citeheat from this
-    checkout. The process inherits the environment without
-    ``OPENBLAS_NUM_THREADS``, so only ``env`` can set that."""
+    checkout, killed after ``timeout`` seconds. The process inherits the
+    environment without ``OPENBLAS_NUM_THREADS``, so only ``env`` can set
+    that."""
     inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env={**inherited, "PYTHONPATH": str(SRC), **env},
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -84,6 +86,22 @@ def make_tensor(grids, labels=LABELS) -> AlignedTensor:
         cited=cited.astype(np.int64),
         counts=grids[:, citing, cited],
     )
+
+
+def without_journals(tensor: AlignedTensor, dropped) -> tuple:
+    """``(names, citing, cited, counts)`` of ``tensor`` without the journals
+    named in ``dropped``, by dicts: the other names sorted, each cell of two
+    kept journals keyed by their positions there, and the cells in key
+    order, ``counts`` holding each cell's three counts."""
+    old = tensor.registry.names
+    names = sorted(set(old) - set(dropped))
+    position = {name: i for i, name in enumerate(names)}
+    cells = {}
+    for i, (c, d) in enumerate(zip(tensor.citing.tolist(), tensor.cited.tolist())):
+        if old[c] in position and old[d] in position:
+            cells[position[old[c]], position[old[d]]] = tensor.counts[:, i].tolist()
+    keys = sorted(cells)
+    return (tuple(names), [c for c, _ in keys], [d for _, d in keys], [cells[k] for k in keys])
 
 
 def cells_of(matrix) -> dict:

@@ -1084,6 +1084,30 @@ class TestConfigHandling:
         assert f"data error: {ids_path}: " in err and problem in err and "Traceback" not in err
         assert _tree(out) == before
 
+    def test_link_pair_whose_merged_weight_overflows_exits_2_and_changes_nothing(
+        self, dyad_year_files, tmp_path
+    ):
+        # A link and its reverse at -1e308 pass the array checks, but merge
+        # into an infinite edge weight, on which Louvain never ends: a fresh
+        # process with a timeout keeps a hang out of the suite.
+        out = tmp_path / "out"
+        assert main(["run", *_year_args(dyad_year_files), "--out", str(out)]) == 0
+        reports = out / "reports"
+        pair = [0, 1]
+        ids = np.array([pair, pair[::-1]], dtype="<i8")
+        np.save(reports / "hot_link_ids.npy", ids, allow_pickle=False)
+        np.save(reports / "hot_link_scores.npy", np.array([-1e308, -1e308]), allow_pickle=False)
+        link_flags = json.loads((reports / "link_flags.json").read_text("utf-8"))
+        link_flags["hot_links"] = 2
+        (reports / "link_flags.json").write_text(json.dumps(link_flags), encoding="utf-8")
+        names = json.loads((out / "ingest" / "registry.json").read_text("utf-8"))["journals"]
+        before = _tree(out)
+        proc = run_python("-m", "citeheat.cli", "network", "--out", str(out), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("citeheat: data error: edge ")
+        assert f"{names[pair[0]]!r} -- {names[pair[1]]!r}" in proc.stderr
+        assert _tree(out) == before
+
     def test_missing_input_file_exits_3(self, tmp_path, capsys):
         paths = {label: tmp_path / f"missing{label}.tsv" for label in ("2011", "2012", "2013")}
         rc = main(["run", *_year_args(paths), "--out", str(tmp_path / "o")])

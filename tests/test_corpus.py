@@ -7,6 +7,8 @@ import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citeheat
 from citeheat.cli import main
@@ -19,10 +21,18 @@ from citeheat.corpus import (
     normalize_name,
     parse_edge_list,
     parse_rename_file,
+    remove_outliers,
 )
 from citeheat.errors import DataError
 
-from helpers import cells_of, exact_frequencies, reference_ingest, run_python
+from helpers import (
+    cells_of,
+    exact_frequencies,
+    make_tensor,
+    reference_ingest,
+    run_python,
+    without_journals,
+)
 
 
 def _matrix(label, cells):
@@ -364,6 +374,19 @@ class TestBuildCommonSet:
         with pytest.raises(DataError, match=r"^year '2011': counts must be positive$"):
             _matrix("2011", {("A", "B"): 2, ("B", "A"): count})
 
+    def test_from_cells_normalizes_names(self):
+        # Two spellings of one journal, as parse_edge_list reads them.
+        nfc = "Revista Econ\u00f3mica"
+        nfd = unicodedata.normalize("NFD", nfc)
+        year = _matrix("2011", {(nfc, "B"): 2, (nfd, "B"): 3, (f" {nfd}\t", nfc): 1})
+        assert year.names == ("B", nfc)
+        assert cells_of(year) == {(nfc, "B"): 5, (nfc, nfc): 1}
+
+    @pytest.mark.parametrize("name", ["", " \t"])
+    def test_from_cells_refuses_an_empty_name(self, name):
+        with pytest.raises(DataError, match=r"^year '2011': empty journal name$"):
+            _matrix("2011", {("A", "B"): 1, ("A", name): 1})
+
     def test_year_matrix_round_trip(self):
         years = [
             {("A", "B"): 1, ("B", "A"): 2, ("C", "A"): 4},
@@ -584,6 +607,52 @@ print(json.dumps(result))
         "star": True,
         "error": "module 'citeheat' has no attribute 'no_such_name'",
     }
+
+
+def _outcome(tensor: AlignedTensor) -> tuple:
+    """A tensor's names, ids and counts in the form of ``without_journals``."""
+    return (tensor.registry.names, tensor.citing.tolist(), tensor.cited.tolist(),
+            tensor.counts.T.tolist())
+
+
+@st.composite
+def _tensor_and_two_exclusions(draw):
+    """A tensor of 2-6 journals and two disjoint lists of its names, in any
+    order, that leave at least one journal."""
+    n = draw(st.integers(2, 6))
+    grids = draw(st.lists(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                                   min_size=n, max_size=n), min_size=3, max_size=3))
+    tensor = make_tensor(grids)
+    side = draw(st.lists(st.sampled_from("kab"), min_size=n, max_size=n).filter(
+        lambda side: "k" in side))
+    names = tensor.registry.names
+    a, b = ([names[i] for i in range(n) if side[i] == s] for s in "ab")
+    return tensor, draw(st.permutations(a)), draw(st.permutations(b))
+
+
+class TestExclusion:
+    def test_any_spelling_excludes_the_one_journal(self):
+        nfc = "Revista Econ\u00f3mica"
+        nfd = unicodedata.normalize("NFD", nfc)
+        years = [{(nfc, "B"): 2, (nfd, "B"): 1, ("B", nfd): 4, ("B", "C"): 1, ("C", "B"): 1}] * 3
+        tensor = _aligned(years)
+        assert tensor.registry.names == ("B", "C", nfc)
+        reduced = remove_outliers(tensor, [nfd])
+        assert reduced.registry.names == ("B", "C")
+        assert reduced.counts.T.tolist() == [[1, 1, 1], [1, 1, 1]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_tensor_and_two_exclusions())
+    def test_exclusions_compose(self, case):
+        tensor, a, b = case
+        twice = remove_outliers(remove_outliers(tensor, a), b)
+        once = remove_outliers(tensor, a + b)
+        for array in ("citing", "cited", "counts"):
+            x, y = getattr(twice, array), getattr(once, array)
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        assert twice.registry.names == once.registry.names
+        assert twice.year_labels == once.year_labels == tensor.year_labels
+        assert _outcome(once) == without_journals(tensor, a + b)
 
 
 class TestReadOnlyTensor:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from citeheat import entropy, flags
+import citeheat
+from citeheat import corpus, entropy, flags
 from citeheat.cli import main
 from citeheat.corpus import (
     PAIRS,
@@ -315,6 +316,20 @@ class TestRemoveOutliers:
         }
         for i, (c, d) in enumerate(zip(reduced.citing, reduced.cited)):
             assert original[(rnames[c], rnames[d])] == tuple(reduced.counts[:, i])
+
+    def test_one_function_whose_report_calls_go_through_flags(self, small_tensor, monkeypatch):
+        # corpus defines it; build_flag_report looks it up in flags, so a
+        # wrapper there (a benchmark trace target) sees every call.
+        assert citeheat.remove_outliers is corpus.remove_outliers is flags.remove_outliers
+        calls = []
+
+        def wrapped(tensor, nodes):
+            calls.append(nodes)
+            return corpus.remove_outliers(tensor, nodes)
+
+        monkeypatch.setattr(flags, "remove_outliers", wrapped)
+        report = build_flag_report(small_tensor, outliers=["J004"])
+        assert calls == [("J004",)] and report.outliers_removed == ("J004",)
 
     def test_empty_list_is_identity(self, small_tensor):
         assert remove_outliers(small_tensor, []) is small_tensor

@@ -12,7 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeheat import io_export
-from citeheat.corpus import JournalRegistry, YearMatrix, apply_name_changes, build_common_set
+from citeheat.corpus import (
+    JournalRegistry,
+    YearMatrix,
+    apply_name_changes,
+    build_common_set,
+    normalize_name,
+)
 from citeheat.entropy import to_unit
 from citeheat.errors import DataError
 from citeheat.flags import build_flag_report
@@ -671,18 +677,20 @@ class TestTensorCache:
         assert read_tensor_cache(tmp_path).registry.names == tensor.registry.names
 
     @settings(max_examples=80, deadline=None)
-    @given(names=st.lists(_ANY_TEXT, min_size=1, max_size=7, unique=True),
+    @given(names=st.lists(_ANY_TEXT.filter(normalize_name), min_size=1, max_size=7, unique=True),
            labels=st.tuples(_ANY_TEXT, _ANY_TEXT, _ANY_TEXT),
            years=st.lists(st.lists(st.tuples(*[st.integers(0, 6)] * 2, st.integers(1, 9)),
                                    max_size=12), min_size=3, max_size=3),
            rename=st.none() | st.tuples(st.integers(0, 6), _ANY_TEXT))
-    @example(names=["Line\nBreak", "Carriage\rReturn", "", "Tab\tName", "Line\u2028Sep",
+    @example(names=["Line\nBreak", "Carriage\rReturn", " Padded\t", "Tab\tName", "Line\u2028Sep",
                     "# Not a Comment", '"Quoted"'],
-             labels=("", "2012\t", "2013\r\n"), years=[[(1, 2, 3), (3, 4, 5)]] * 3, rename=None)
+             labels=("", "2012\t", "2013\r\n"), years=[[(1, 2, 3), (3, 4, 5)]] * 3, rename=(2, ""))
     def test_every_library_built_registry_round_trips(
         self, tmp_path_factory, names, labels, years, rename
     ):
         # Cell (0, 0) in every year keeps the common set from being empty.
+        # from_cells refuses a name that normalizes to "", but a rename to
+        # "" still puts one in the registry.
         matrices = [
             YearMatrix.from_cells(label, {
                 (names[0], names[0]): 1,
@@ -699,6 +707,17 @@ class TestTensorCache:
         assert again.year_labels == tensor.year_labels == labels
         for array in ("citing", "cited", "counts"):
             assert np.array_equal(getattr(again, array), getattr(tensor, array))
+
+    def test_cache_bytes_do_not_depend_on_the_counts_layout(self, tmp_path, small_tensor):
+        # remove_outliers and build_common_set return Fortran-ordered counts.
+        counts = small_tensor.counts
+        c_order = dataclasses.replace(small_tensor, counts=np.ascontiguousarray(counts))
+        fortran = dataclasses.replace(small_tensor, counts=np.asfortranarray(counts))
+        assert c_order.counts.flags.c_contiguous and not fortran.counts.flags.c_contiguous
+        write_tensor_cache(c_order, tmp_path / "c")
+        write_tensor_cache(fortran, tmp_path / "f")
+        assert (tmp_path / "f" / "cells.npy").read_bytes() == \
+            (tmp_path / "c" / "cells.npy").read_bytes()
 
     def test_missing_cells_file_is_an_io_error(self, tmp_path, small_tensor):
         write_tensor_cache(small_tensor, tmp_path)

@@ -110,6 +110,24 @@ class TestBuildGraph:
         with pytest.raises(DataError, match="loop"):
             HotLinkGraph.from_ids(np.array([0]), np.array([0]), np.array([-1.0]), ["A"])
 
+    @pytest.mark.parametrize(
+        "cited, scores, weight",
+        [([1, 2], [np.nan, -1.0], "nan"), ([1, 2], [-np.inf, -1.0], "inf"),
+         ([1, 0], [-1e308, -1e308], "inf")],
+        ids=["nan", "inf", "finite-pair-and-reverse-overflow"],
+    )
+    def test_a_weight_not_finite_after_merging_is_refused(self, cited, scores, weight):
+        # Louvain does not end on such a graph, so none is built.
+        names, citing = ["A", "B", "C"], [0, 1]
+        message = rf"^edge 'A' -- 'B': weight {weight} is not finite after merging$"
+        with pytest.raises(DataError, match=message):
+            HotLinkGraph.from_ids(np.array(citing), np.array(cited), np.array(scores), names)
+        with pytest.raises(DataError, match=message):
+            build_graph((names[c], names[d], s) for c, d, s in zip(citing, cited, scores))
+        # A pair and its reverse that stay below the float range are one edge.
+        graph = build_graph([("A", "B", -1e308), ("B", "A", -7e307)])
+        assert graph.weights.tolist() == [1e308 + 7e307]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_from_ids_equals_the_label_path(self, seed):
         # Random links over 40 journals, many reciprocal, some journals

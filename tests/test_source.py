@@ -312,6 +312,22 @@ _FILE_IO_PLACES = {"open": {("corpus", "open_utf8"), ("io_export", "_write_lines
 _FILE_IO_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 
+def _calls(path: Path):
+    """``(call, function)`` for each call in the module at ``path``, with
+    the name of the innermost function whose body makes it (None at module
+    level)."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            yield from visit(child, function)
+            if isinstance(child, ast.Call):
+                yield child, function
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+
+
 def _stray_file_io(path: Path) -> list[str]:
     """``file:line: call`` for each file I/O call in ``path``, in source
     order, outside its place in ``_FILE_IO_PLACES``: an ``open`` call or a
@@ -319,31 +335,22 @@ def _stray_file_io(path: Path) -> list[str]:
     ``write_text``, ``read_bytes`` or ``write_bytes`` method call. A place
     names the module and the function whose body makes the call; None
     stands for any function of the module."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            visit(child, function)
-            func = child.func if isinstance(child, ast.Call) else None
-            if isinstance(func, ast.Name) and func.id == "open":
-                call = "open"
-            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                  and func.value.id in ("np", "numpy") and func.attr in ("load", "save")):
-                call = f"np.{func.attr}"
-            elif isinstance(func, ast.Attribute) and func.attr in _FILE_IO_METHODS:
-                call = func.attr
-            else:
-                continue
-            places = _FILE_IO_PLACES.get(call, set())
-            if not places & {(path.stem, function), (path.stem, None)}:
-                line = f"{path.name}:{child.lineno}: {call}"
-                found.append((child.lineno, child.col_offset, line))
-
-    visit(tree, None)
+    for child, function in _calls(path):
+        func = child.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            call = "open"
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in ("np", "numpy") and func.attr in ("load", "save")):
+            call = f"np.{func.attr}"
+        elif isinstance(func, ast.Attribute) and func.attr in _FILE_IO_METHODS:
+            call = func.attr
+        else:
+            continue
+        places = _FILE_IO_PLACES.get(call, set())
+        if not places & {(path.stem, function), (path.stem, None)}:
+            line = f"{path.name}:{child.lineno}: {call}"
+            found.append((child.lineno, child.col_offset, line))
     return [line for _, _, line in sorted(found)]
 
 
@@ -378,6 +385,67 @@ def test_the_check_sees_stray_file_io(tmp_path):
     corpus.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
     assert "corpus.py:4: open" in _stray_file_io(corpus)
     assert "corpus.py:11: np.save" in _stray_file_io(corpus)
+
+
+# A tensor and a registry are built in corpus, which knows how a journal
+# subset is cut and renumbered, and rebuilt from the stage cache in one
+# reader; None stands for any function of the module.
+_TENSOR_PLACES = {("corpus", None), ("io_export", "read_tensor_cache")}
+_TENSOR_TYPES = {"AlignedTensor", "JournalRegistry"}
+
+
+def _stray_tensor_builds(path: Path) -> list[str]:
+    """``file:line: call`` for each call in ``path``, in source order, of
+    ``AlignedTensor``, ``JournalRegistry`` or ``JournalRegistry.from_names``
+    (by a bare name or through a module) outside ``_TENSOR_PLACES``."""
+    found = []
+    for call, function in _calls(path):
+        parts = ast.unparse(call.func).split(".")
+        if parts[-1] == "from_names":
+            parts.pop()
+        if parts[-1] in _TENSOR_TYPES and not _TENSOR_PLACES & {
+                (path.stem, function), (path.stem, None)}:
+            line = f"{path.name}:{call.lineno}: {ast.unparse(call.func)}"
+            found.append((call.lineno, call.col_offset, line))
+    return [line for _, _, line in sorted(found)]
+
+
+def test_only_corpus_builds_a_tensor_or_a_registry():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in _stray_tensor_builds(path)] == []
+
+
+def test_the_check_sees_a_stray_tensor_build(tmp_path):
+    source = tmp_path / "flags.py"
+    source.write_text("from . import corpus\n"
+                      "from .corpus import AlignedTensor, JournalRegistry\n\n"
+                      "def remove_outliers(tensor, keep):\n"
+                      "    return AlignedTensor(\n"
+                      "        registry=JournalRegistry.from_names(keep),\n"
+                      "        year_labels=tensor.year_labels, citing=0, cited=0, counts=0)\n\n"
+                      "class Cut:\n"
+                      "    def registry(self, names):\n"
+                      "        return corpus.JournalRegistry(names, {}), names.from_names()\n\n"
+                      "def read_tensor_cache(names):\n"
+                      "    return corpus.AlignedTensor.from_year_cells(names)\n\n"
+                      "REGISTRY = JournalRegistry.from_names([])\n",
+                      encoding="utf-8")
+    assert _stray_tensor_builds(source) == [
+        "flags.py:5: AlignedTensor", "flags.py:6: JournalRegistry.from_names",
+        "flags.py:11: corpus.JournalRegistry", "flags.py:16: JournalRegistry.from_names",
+    ]
+    # io_export's reader is a place; its other functions are not.
+    reader = tmp_path / "io_export.py"
+    reader.write_text("def read_tensor_cache(names):\n"
+                      "    return AlignedTensor(JournalRegistry.from_names(names))\n\n"
+                      "def write_tensor_cache(names):\n"
+                      "    return JournalRegistry(names, {})\n",
+                      encoding="utf-8")
+    assert _stray_tensor_builds(reader) == ["io_export.py:5: JournalRegistry"]
+    corpus = tmp_path / "corpus.py"
+    corpus.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    assert _stray_tensor_builds(corpus) == []
 
 
 # The mappings keyed by threshold key, whether read as an attribute or
